@@ -19,6 +19,8 @@ import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
+import numpy as np
+
 from .core import (
     CapacityError,
     ElementSet,
@@ -121,55 +123,48 @@ def greedy(
     pool = sorted(set(candidates)) if candidates is not None else list(ground.elements)
     S = ground.empty()
     value = f.value(S)
+    state = f.gain_state()
     trace: GreedyTrace = []
 
+    def feasible(u: int) -> bool:
+        return I.is_independent(S.with_element(u))
+
+    def take(u: int, gain: float) -> None:
+        nonlocal S, value
+        S = S.with_element(u)
+        value += gain
+        f.set_base(S, value)
+        state.add(u)
+        trace.append(GreedyStep(u, gain, value))
+
     if lazy:
-        rounds = 0
-        heap: list[tuple[float, int, int]] = []
-        for u in pool:
-            S_plus = S.with_element(u)
-            if not I.is_independent(S_plus):
-                continue
-            heap.append((-f.marginal(u, S, extended=S_plus), u, 0))
+        pool = [u for u in pool if feasible(u)]
+        heap = [(-g, u, 0) for g, u in zip(f.gains(state, S, pool).tolist(), pool)]
         heapq.heapify(heap)
+        rounds = 0
         while heap:
             neg_gain, u, stamp = heapq.heappop(heap)
-            S_plus = S.with_element(u)
-            if not I.is_independent(S_plus):
+            if not feasible(u):
                 continue  # drop permanently
             if stamp == rounds:
                 gain = -neg_gain
                 if gain <= 0.0:
                     break
-                S = S_plus
-                value += gain
-                f.set_base(S, value)
-                trace.append(GreedyStep(u, gain, value))
+                take(u, gain)
                 rounds += 1
             else:
-                heapq.heappush(heap, (-f.marginal(u, S, extended=S_plus), u, rounds))
+                gain = float(f.gains(state, S, (u,))[0])
+                heapq.heappush(heap, (-gain, u, rounds))
     else:
         while True:
-            best_u = None
-            best_gain = 0.0
-            best_set = S
-            surviving = []
-            for u in pool:
-                S_plus = S.with_element(u)
-                if not I.is_independent(S_plus):
-                    continue  # drop permanently
-                surviving.append(u)
-                g = f.marginal(u, S, extended=S_plus)
-                if best_u is None or g > best_gain:
-                    best_u, best_gain, best_set = u, g, S_plus
-            pool = surviving
-            if best_u is None or best_gain <= 0.0:
+            pool = [u for u in pool if feasible(u)]  # infeasible ones drop permanently
+            if not pool:
                 break
-            S = best_set
-            value += best_gain
-            f.set_base(S, value)
-            trace.append(GreedyStep(best_u, best_gain, value))
-            pool.remove(best_u)
+            gains = f.gains(state, S, pool)
+            i = int(np.argmax(gains))  # the first maximum: ties go to the smallest id
+            if gains[i] <= 0.0:
+                break
+            take(pool.pop(i), float(gains[i]))
 
     name = "lazy-greedy" if lazy else "greedy"
     return _result(S, value, before, _counts(f, I), t0, None, name), trace

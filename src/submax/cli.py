@@ -266,11 +266,19 @@ def _load_partition_csv(path: str) -> tuple[dict[int, str], dict[str, int]]:
 
 
 @functools.lru_cache(maxsize=32)
+def _similarity_cache(path: str) -> np.ndarray:
+    """The similarity matrix of a CSV, read once per process and shared read-only."""
+    mat, _labels = load_similarity_csv(path)
+    mat.flags.writeable = False
+    return mat
+
+
+@functools.lru_cache(maxsize=32)
 def _objective_cache(instance_key: str, similarity: Optional[str], lam: float,
                      universe_key: Optional[tuple]) :
     """Build the (stateless, read-only) objective for a config key."""
     if similarity is not None:
-        mat, _labels = load_similarity_csv(similarity)
+        mat = _similarity_cache(similarity)
         ground = GroundSet(mat.shape[0])
         return CoverageDispersionObjective(ground, mat, lam=lam, universe_u=universe_key), ground
     inst = json.loads(instance_key)
@@ -362,8 +370,7 @@ def _build_objective(cfg: dict, sweep: Optional[tuple[str, int]]):
             if cfg["instance"] is not None and cfg["instance"]["source"] == "synth":
                 n = cfg["instance"]["n"]
             else:
-                mat, _ = load_similarity_csv(cfg["similarity"])
-                n = mat.shape[0]
+                n = _similarity_cache(cfg["similarity"]).shape[0]
             genre_of = _genres_cache(json.dumps(cfg["genres"], sort_keys=True), n)
             fav = set(spec["g"])
             universe_key = tuple(sorted(e for e, gs in genre_of.items() if gs & fav))
@@ -457,7 +464,7 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
 
 def _report_line(report: dict) -> str:
     assert set(report) == set(REPORT_FIELDS)
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
+    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def _bench_task(args: tuple) -> dict:

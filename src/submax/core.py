@@ -18,8 +18,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -133,8 +134,6 @@ class ElementSet:
             return self
         if e < 0 or e >= self.universe.n:
             raise ValueError(f"element {e} outside ground set of size {self.universe.n}")
-        import bisect
-
         i = bisect.bisect_left(self.members, e)
         return ElementSet._raw(self.universe, self.members[:i] + (e,) + self.members[i:])
 
@@ -183,11 +182,16 @@ class ElementSet:
 class ValueOracle:
     """Counted wrapper around a non-negative set function ``f: 2^N -> R``.
 
-    ``eval_count`` counts underlying evaluate invocations; ``marginal_count``
-    counts logical marginal-gain queries.  A marginal against the currently
-    cached base set costs one evaluation, otherwise two.  The cache holds a
-    single ``(base_set, value)`` pair; callers commit a new base with
-    :meth:`set_base` after deciding to extend their working set.
+    ``eval_count`` counts evaluations and ``marginal_count`` logical
+    marginal-gain queries: the paper's cost model, not Python calls.  A
+    marginal against the currently cached base set costs one evaluation,
+    otherwise two.  The cache holds a single ``(base_set, value)`` pair;
+    callers commit a new base with :meth:`set_base` after deciding to extend
+    their working set.
+
+    :meth:`gains` answers a batch of marginal queries against one base from
+    an incremental-gain state (:meth:`gain_state`) and counts it exactly as
+    the same queries asked one by one through :meth:`marginal`.
     """
 
     def __init__(
@@ -202,16 +206,21 @@ class ValueOracle:
         self.ground = ground
         self.modular = modular
         self.name = name
+        self.objective = None  # set by the objective that builds this oracle
         self.eval_count = 0
         self.marginal_count = 0
         self.cached_base: Optional[tuple[ElementSet, float]] = None
 
-    def _evaluate(self, S: ElementSet) -> float:
-        self.eval_count += 1
+    def _checked(self, S: ElementSet) -> float:
+        """f(S), uncounted; a negative or NaN value is an error."""
         v = float(self._fn(S))
-        if v < 0.0:
+        if not v >= 0.0:
             raise NonNegativityError(f"oracle {self.name or self._fn!r} returned {v} < 0 on {S!r}")
         return v
+
+    def _evaluate(self, S: ElementSet) -> float:
+        self.eval_count += 1
+        return self._checked(S)
 
     def value(self, S: ElementSet) -> float:
         """f(S); served from the cached base when it matches, else one evaluation."""
@@ -230,6 +239,38 @@ class ValueOracle:
         ext = extended if extended is not None else S.with_element(e)
         return self._evaluate(ext) - base
 
+    def gain_state(self) -> "GainState":
+        """A fresh incremental-gain state at the empty set: the objective's
+        own when this oracle wraps one, else :class:`EvaluatedGains`."""
+        if self.objective is not None:
+            return self.objective.gain_state()
+        return EvaluatedGains(self)
+
+    def gains(self, state: "GainState", S: ElementSet, candidates: Sequence[int]) -> np.ndarray:
+        """Marginal gains f(S + u) - f(S) of every candidate u, none of them in
+        ``S``, scored by ``state``, which must hold exactly the elements of ``S``.
+
+        Counted as ``len(candidates)`` calls of :meth:`marginal`: one logical
+        marginal and one evaluation each, plus one evaluation of ``S`` when it
+        is not the cached base.
+        """
+        if not len(candidates):
+            return np.empty(0)
+        if not S._memberset.isdisjoint(candidates):
+            raise ValueError(f"marginal gains require candidates outside S={S!r}")
+        base = self.value(S)
+        self.marginal_count += len(candidates)
+        self.eval_count += len(candidates)
+        g = state.gains(candidates)
+        bad = np.flatnonzero(~(base + g >= 0.0))
+        if bad.size:
+            i = int(bad[0])
+            raise NonNegativityError(
+                f"oracle {self.name or self._fn!r} returned {base + g[i]} < 0 "
+                f"on {S.with_element(candidates[i])!r}"
+            )
+        return g
+
     def set_base(self, S: ElementSet, value: float) -> None:
         """Commit ``S`` as the cached base (its value already known to the caller)."""
         self.cached_base = (S, value)
@@ -238,6 +279,42 @@ class ValueOracle:
         self.eval_count = 0
         self.marginal_count = 0
         self.cached_base = None
+
+
+class GainState:
+    """Incremental marginal gains of one objective along one greedy run.
+
+    A state starts at the empty set; :meth:`add` moves it to ``S + u`` and
+    :meth:`gains` returns f(S + u) - f(S) for each candidate u not in S, as
+    one float array.  A candidate's gain does not depend on which other
+    candidates share its batch.  States are uncounted: callers score through
+    :meth:`ValueOracle.gains`, which keeps the accounting.
+    """
+
+    def add(self, u: int) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def gains(self, candidates: Sequence[int]) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
+
+
+class EvaluatedGains(GainState):
+    """Gains as evaluate-differences through an oracle's function: the state
+    of an oracle that wraps no objective, and the reference the objectives'
+    own states are tested against."""
+
+    def __init__(self, oracle: ValueOracle):
+        self._oracle = oracle
+        self._S = oracle.ground.empty()
+
+    def add(self, u: int) -> None:
+        self._S = self._S.with_element(u)
+
+    def gains(self, candidates: Sequence[int]) -> np.ndarray:
+        S = self._S
+        base = self._oracle.value(S)  # cached: ValueOracle.gains has just asked for it
+        vals = [self._oracle._checked(S.with_element(int(u))) for u in candidates]
+        return np.array(vals, dtype=float) - base
 
 
 class IndependenceOracle:

@@ -14,7 +14,9 @@ inequalities exactly.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -22,6 +24,7 @@ import numpy as np
 from .core import (
     CapacityError,
     ElementSet,
+    GainState,
     GroundSet,
     NonNegativityError,
     Rng,
@@ -32,7 +35,12 @@ _DENOM = 8.0  # dyadic denominator for synthetic data
 
 
 class _ObjectiveBase:
-    """Common plumbing: ground set, declared analytic properties, oracle()."""
+    """Common plumbing: ground set, declared analytic properties, oracle().
+
+    Subclasses also provide ``gain_state()``: a fresh
+    :class:`~submax.core.GainState` at the empty set, which greedy scores
+    its candidates with.
+    """
 
     ground: GroundSet
     declares_submodular: bool = True
@@ -66,14 +74,63 @@ class ModularObjective(_ObjectiveBase):
             w = [float(x) for x in weights]
             if len(w) != ground.n:
                 raise ValueError(f"expected {ground.n} weights, got {len(w)}")
+        if not all(math.isfinite(x) for x in w):
+            raise ValueError("modular weights must be finite")
         if any(x < 0 for x in w):
             raise ValueError("modular weights must be non-negative")
         self.ground = ground
         self.weights = tuple(w)
+        self._weight_array = np.array(w, dtype=float)
 
     def evaluate(self, S: ElementSet) -> float:
         w = self.weights
         return float(sum(w[e] for e in S))
+
+    def gain_state(self) -> GainState:
+        return _ModularGains(self._weight_array)
+
+
+class _ModularGains(GainState):
+    """A modular gain is the element's weight, whatever the set."""
+
+    def __init__(self, weights: np.ndarray):
+        self._weights = weights
+
+    def add(self, u: int) -> None:
+        pass
+
+    def gains(self, candidates: Sequence[int]) -> np.ndarray:
+        return self._weights[np.asarray(candidates, dtype=np.intp)]
+
+
+class _DispersionGains(GainState):
+    """Gains of f(S) = sum_{i in S} cov[i] - lam * sum_{i in S} sum_{j in S} s[i, j].
+
+    Adding u to S gains ``cov[u] - lam * (acc[u] + s[u, u])``, where
+    ``acc = sum_{i in S} (s[i, :] + s[:, i])`` is updated on every add.
+    Candidates outside ``universe`` (a boolean mask; None means every
+    element) are a domain error, as in evaluation.
+    """
+
+    def __init__(self, s: np.ndarray, cov: np.ndarray, lam: float,
+                 universe: Optional[np.ndarray] = None):
+        self._s = s
+        self._cov = cov
+        self._lam = lam
+        self._diag = np.diagonal(s)
+        self._universe = universe
+        self._acc = np.zeros(len(cov))
+
+    def add(self, u: int) -> None:
+        self._acc += self._s[u]
+        self._acc += self._s[:, u]
+
+    def gains(self, candidates: Sequence[int]) -> np.ndarray:
+        c = np.asarray(candidates, dtype=np.intp)
+        if self._universe is not None and not self._universe[c].all():
+            extra = sorted(int(u) for u in c[~self._universe[c]])
+            raise ValueError(f"set leaves the restricted universe: elements {extra}")
+        return self._cov[c] - self._lam * (self._acc[c] + self._diag[c])
 
 
 class CutObjective(_ObjectiveBase):
@@ -88,6 +145,8 @@ class CutObjective(_ObjectiveBase):
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (ground.n, ground.n):
             raise ValueError(f"weight matrix must be {ground.n}x{ground.n}, got {weights.shape}")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("cut weights must be finite")
         if np.any(weights < 0):
             raise ValueError("cut weights must be non-negative")
         if np.any(np.diag(weights) != 0):
@@ -96,6 +155,7 @@ class CutObjective(_ObjectiveBase):
             raise ValueError("cut weight matrix must be symmetric")
         self.ground = ground
         self.weights = weights
+        self._row_sums = weights.sum(axis=1)
 
     @classmethod
     def from_edges(cls, ground: GroundSet, edges: Iterable[tuple[int, int, float]]) -> "CutObjective":
@@ -113,6 +173,10 @@ class CutObjective(_ObjectiveBase):
         mask[inside] = True
         outside = np.flatnonzero(~mask)
         return float(self.weights[np.ix_(inside, outside)].sum())
+
+    def gain_state(self) -> GainState:
+        # the cut is coverage-dispersion with coverage = row sums and lam = 1
+        return _DispersionGains(self.weights, self._row_sums, 1.0)
 
 
 class CoverageDispersionObjective(_ObjectiveBase):
@@ -142,6 +206,8 @@ class CoverageDispersionObjective(_ObjectiveBase):
             raise ValueError(
                 f"similarity must be {ground.n}x{ground.n}, got {similarity.shape}"
             )
+        if not np.all(np.isfinite(similarity)):
+            raise ValueError("similarity entries must be finite")
         if np.any(similarity < 0):
             raise ValueError("similarity entries must be non-negative")
         if not np.allclose(similarity, similarity.T, rtol=0.0, atol=1e-9):
@@ -158,6 +224,11 @@ class CoverageDispersionObjective(_ObjectiveBase):
             self.universe_u = ground.set(universe_u)
         nu = np.fromiter(self.universe_u.members, dtype=np.intp, count=len(self.universe_u))
         self._row_coverage = similarity[:, nu].sum(axis=1) if nu.size else np.zeros(ground.n)
+        if nu.size == ground.n:
+            self._universe_mask = None
+        else:
+            self._universe_mask = np.zeros(ground.n, dtype=bool)
+            self._universe_mask[nu] = True
         self.declares_monotone = True if lam == 0.0 else None
 
     def evaluate(self, S: ElementSet) -> float:
@@ -175,6 +246,10 @@ class CoverageDispersionObjective(_ObjectiveBase):
                 f"coverage-dispersion value {v} < 0 on {S!r} (lam={self.lam})"
             )
         return v
+
+    def gain_state(self) -> GainState:
+        return _DispersionGains(self.similarity, self._row_coverage, self.lam,
+                                self._universe_mask)
 
 
 def eval_coverage_dispersion(obj: CoverageDispersionObjective, S: ElementSet) -> float:
@@ -201,6 +276,8 @@ class WeightedCoverageObjective(_ObjectiveBase):
             raise ValueError(f"expected {ground.n} cover sets, got {len(covers)}")
         if isinstance(item_weights, Mapping):
             raise ValueError("item_weights must be a sequence indexed by item id, not a mapping")
+        if not all(math.isfinite(w) for w in item_weights):
+            raise ValueError("item weights must be finite")
         if any(w < 0 for w in item_weights):
             raise ValueError("item weights must be non-negative")
         self.ground = ground
@@ -216,6 +293,43 @@ class WeightedCoverageObjective(_ObjectiveBase):
             covered |= self.covers[e]
         w = self.item_weights
         return float(sum(w[i] for i in covered))
+
+    @cached_property
+    def _cover_csr(self) -> tuple[np.ndarray, np.ndarray]:
+        """Covers in compressed rows: element e covers ``items[indptr[e]:indptr[e+1]]``."""
+        indptr = np.zeros(self.ground.n + 1, dtype=np.intp)
+        np.cumsum([len(c) for c in self.covers], out=indptr[1:])
+        items = np.fromiter((i for c in self.covers for i in sorted(c)), dtype=np.intp,
+                            count=int(indptr[-1]))
+        return indptr, items
+
+    def gain_state(self) -> GainState:
+        indptr, items = self._cover_csr
+        return _CoverageGains(indptr, items, np.array(self.item_weights, dtype=float))
+
+
+class _CoverageGains(GainState):
+    """Weighted-coverage gains: ``remaining`` holds the weight of each item
+    not yet covered (covered items are zeroed on add), and an element's gain
+    is the sum of the remaining weights of its items, in item order."""
+
+    def __init__(self, indptr: np.ndarray, items: np.ndarray, remaining: np.ndarray):
+        self._indptr = indptr
+        self._items = items
+        self._remaining = remaining
+
+    def add(self, u: int) -> None:
+        self._remaining[self._items[self._indptr[u]:self._indptr[u + 1]]] = 0.0
+
+    def gains(self, candidates: Sequence[int]) -> np.ndarray:
+        c = np.asarray(candidates, dtype=np.intp)
+        start = self._indptr[c]
+        length = self._indptr[c + 1] - start
+        offset = np.cumsum(length) - length
+        pos = np.repeat(start - offset, length) + np.arange(int(length.sum()))
+        # bincount adds each candidate's weights in order, independent of its batch
+        return np.bincount(np.repeat(np.arange(c.size), length),
+                           weights=self._remaining[self._items[pos]], minlength=c.size)
 
 
 # ---------------------------------------------------------------------------
@@ -264,19 +378,20 @@ def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free
     pairwise distinct, so no two entries (and no zero entries) can collide.
     """
     w = np.zeros((n, n))
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    rows, cols = np.triu_indices(n, 1)  # the pairs i < j in row-major order
+    pairs = rows.size
     if not pairs:
         return w
     if tie_free:
-        present = np.ones(len(pairs), dtype=bool)
-        nums = gen.choice(np.arange(1, 8 * len(pairs) + 1), size=len(pairs), replace=False)
+        present = np.ones(pairs, dtype=bool)
+        nums = gen.choice(np.arange(1, 8 * pairs + 1), size=pairs, replace=False)
         vals = nums.astype(float) / _DENOM
     else:
-        present = gen.random(len(pairs)) < density
-        vals = _dyadic(gen, len(pairs), low=1, high=64)
-    for (i, j), on, v in zip(pairs, present, vals):
-        if on:
-            w[i, j] = w[j, i] = v
+        present = gen.random(pairs) < density
+        vals = _dyadic(gen, pairs, low=1, high=64)
+    rows, cols, vals = rows[present], cols[present], vals[present]
+    w[rows, cols] = vals
+    w[cols, rows] = vals
     return w
 
 
@@ -306,13 +421,14 @@ def generate(spec: SyntheticSpec, rng: Optional[Rng] = None) -> tuple[ValueOracl
         obj = CoverageDispersionObjective(ground, s, lam=spec.lam)
     else:  # weighted_coverage
         n_items = max(2 * n, 1)
-        covers = [np.flatnonzero(gen.random(n_items) < spec.density) for _ in range(n)]
+        covered = gen.random((n, n_items)) < spec.density
+        covers = [np.flatnonzero(row).tolist() for row in covered]
         if spec.tie_free:
             nums = gen.choice(np.arange(1, 8 * n_items + 1), size=n_items, replace=False)
             item_w = nums.astype(float) / _DENOM
         else:
             item_w = _dyadic(gen, n_items, low=1, high=64)
-        obj = WeightedCoverageObjective(ground, [list(c) for c in covers], list(item_w))
+        obj = WeightedCoverageObjective(ground, covers, list(item_w))
     return obj.oracle(name=f"{spec.kind}(n={n},seed={spec.seed})"), ground
 
 
@@ -335,6 +451,8 @@ def load_similarity_csv(path) -> tuple[np.ndarray, list]:
         if len(row) != n:
             raise ValueError(f"{path}: row {i + 1} has {len(row)} columns, expected {n}")
         mat[i] = [float(c) for c in row]
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{path}: similarity entries must be finite")
     if np.any(mat < 0):
         raise ValueError(f"{path}: similarity entries must be non-negative")
     if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-9):

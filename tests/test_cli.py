@@ -106,6 +106,23 @@ def test_solve_oracle_violation_maps_to_exit_3(monkeypatch, capsys):
     assert "oracle violation" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("alg", ["greedy", "lazy-greedy"])
+def test_solve_rejects_nan_modular_weights(tmp_path, capsys, alg):
+    weights = tmp_path / "nan.csv"
+    weights.write_text("element_id,weight\n0,nan\n1,1\n2,2\n")
+    assert run(["solve", "--alg", alg, "--instance", str(weights),
+                "--constraint", "uniform:2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "finite" in out.err
+
+
+def test_report_lines_refuse_nan():
+    report = dict.fromkeys(REPORT_FIELDS)
+    report["value"] = float("nan")
+    with pytest.raises(ValueError):
+        cli._report_line(report)
+
+
 def test_solve_double_greedy_needs_no_constraint(capsys):
     assert run(["solve", "--alg", "double-greedy", "--instance", SYNTH]) == 0
     rep = json.loads(capsys.readouterr().out.strip())
@@ -262,6 +279,19 @@ def test_bench_genre_sweep(tmp_path):
     # raising the per-genre cap can only help greedy's value
     vals = [r["value"] for r in lines]
     assert vals[0] <= vals[1] <= vals[2]
+
+
+def test_bench_reads_the_similarity_csv_once(tmp_path, monkeypatch):
+    calls = []
+    load = cli.load_similarity_csv
+    monkeypatch.setattr(cli, "load_similarity_csv", lambda path: calls.append(path) or load(path))
+    cli._similarity_cache.cache_clear()
+    cli._objective_cache.cache_clear()
+    assert run(["bench", "--similarity", SIM, "--genres", GENRES,
+                "--constraint", "genre:m=5,mg=1,g=action+drama",
+                "--alg", "greedy,lazy-greedy", "--sweep", "mg=1:3",
+                "--out", str(tmp_path / "once")]) == 0
+    assert calls == [SIM]
 
 
 # ---------------------------------------------------------------------------

@@ -274,6 +274,74 @@ def test_tie_free_entries_distinct():
     assert len(set(vals.tolist())) == len(vals)
 
 
+def _symmetric_dyadic_loop(gen, n, density, tie_free):
+    """The per-pair construction of symmetric dyadic matrices, kept as the
+    reference for the vectorised generator."""
+    w = np.zeros((n, n))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if not pairs:
+        return w
+    if tie_free:
+        present = np.ones(len(pairs), dtype=bool)
+        nums = gen.choice(np.arange(1, 8 * len(pairs) + 1), size=len(pairs), replace=False)
+        vals = nums.astype(float) / 8.0
+    else:
+        present = gen.random(len(pairs)) < density
+        vals = gen.integers(1, 64, size=len(pairs)).astype(float) / 8.0
+    for (i, j), on, v in zip(pairs, present, vals):
+        if on:
+            w[i, j] = w[j, i] = v
+    return w
+
+
+def _coverage_loop(gen, n, density, tie_free):
+    """The per-row construction of weighted-coverage data (reference)."""
+    n_items = max(2 * n, 1)
+    covers = [np.flatnonzero(gen.random(n_items) < density) for _ in range(n)]
+    if tie_free:
+        nums = gen.choice(np.arange(1, 8 * n_items + 1), size=n_items, replace=False)
+        item_w = nums.astype(float) / 8.0
+    else:
+        item_w = gen.integers(1, 64, size=n_items).astype(float) / 8.0
+    return [c.tolist() for c in covers], item_w.tolist()
+
+
+GENERATION_SPECS = [
+    SyntheticSpec(kind=kind, n=n, seed=seed, density=density, tie_free=tie_free)
+    for kind in ("cut", "coverage_dispersion", "weighted_coverage")
+    for n, seed, density in ((0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.9), (9, 4, 0.5), (37, 5, 0.13))
+    for tie_free in (False, True)
+]
+
+
+@pytest.mark.parametrize("spec", GENERATION_SPECS, ids=repr)
+def test_vectorised_generation_equals_loop_reference(spec):
+    obj = generate(spec)[0].objective
+    gen = Rng(spec.seed, 0).generator
+    if spec.kind == "weighted_coverage":
+        covers, item_w = _coverage_loop(gen, spec.n, spec.density, spec.tie_free)
+        assert [sorted(c) for c in obj.covers] == covers
+        assert list(obj.item_weights) == item_w
+    else:
+        ref = _symmetric_dyadic_loop(gen, spec.n, spec.density, spec.tie_free)
+        data = obj.weights if spec.kind == "cut" else obj.similarity
+        assert data.dtype == ref.dtype and np.array_equal(data, ref)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_objectives_reject_non_finite_data(bad):
+    g = GroundSet(2)
+    m = np.array([[0.0, bad], [bad, 0.0]])
+    with pytest.raises(ValueError, match="finite"):
+        ModularObjective(g, [bad, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        CutObjective(g, m)
+    with pytest.raises(ValueError, match="finite"):
+        CoverageDispersionObjective(g, m, lam=0.5)
+    with pytest.raises(ValueError, match="finite"):
+        WeightedCoverageObjective(g, [[0], [1]], [1.0, bad])
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(kind="nope", n=5, seed=1).validate()
@@ -314,6 +382,13 @@ def test_similarity_csv_rejects_asymmetric(tmp_path):
     p = tmp_path / "s.csv"
     p.write_text("a,b\n0,1\n0.5,0\n")
     with pytest.raises(ValueError):
+        load_similarity_csv(str(p))
+
+
+def test_similarity_csv_rejects_nan(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("a,b\n0,nan\nnan,0\n")
+    with pytest.raises(ValueError, match="finite"):
         load_similarity_csv(str(p))
 
 
