@@ -16,14 +16,15 @@ import heapq
 import itertools
 import math
 import time
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 
 from .core import (
     CapacityError,
     ElementSet,
+    GainState,
     GroundSet,
     IndependenceOracle,
     PropertyViolation,
@@ -39,9 +40,6 @@ class GreedyStep:
     element: int
     gain: float
     value_after: float
-
-
-GreedyTrace = list  # list[GreedyStep]
 
 
 @dataclass(frozen=True)
@@ -60,9 +58,6 @@ class InstrumentedStep:
     removed: tuple
     x_u: int
     y_u: int
-
-
-InstrumentedTrace = list  # list[InstrumentedStep]
 
 
 def _counts(f: Optional[ValueOracle], I: Optional[IndependenceOracle]) -> tuple[int, int, int]:
@@ -99,6 +94,27 @@ def _result(
 # ---------------------------------------------------------------------------
 
 
+def _greedy_round(
+    f: ValueOracle, I: IndependenceOracle, state: GainState, S: ElementSet, pool: list[int]
+) -> Optional[tuple[int, float]]:
+    """One naive greedy round at S: the feasible candidate of strictly positive
+    maximal gain, removed from ``pool``, and its gain; None when there is none.
+
+    Candidates whose addition is infeasible leave ``pool`` for good (supersets
+    of dependent sets stay dependent).  The rest are scored in one
+    :meth:`ValueOracle.gains` batch and the first maximum wins, so ties go to
+    the smallest id of an ascending pool.
+    """
+    pool[:] = [u for u in pool if I.is_independent(S.with_element(u))]
+    if not pool:
+        return None
+    gains = f.gains(state, S, pool)
+    i = int(np.argmax(gains))
+    if gains[i] <= 0.0:
+        return None
+    return pool.pop(i), float(gains[i])
+
+
 def greedy(
     f: ValueOracle,
     I: IndependenceOracle,
@@ -106,7 +122,7 @@ def greedy(
     candidates: Optional[Iterable[int]] = None,
     *,
     lazy: bool = False,
-) -> tuple[SolveResult, GreedyTrace]:
+) -> tuple[SolveResult, list[GreedyStep]]:
     """Feasibility-respecting greedy: repeatedly add the feasible element of
     strictly positive maximal marginal gain (ties to the smallest id); stop
     when none remains.
@@ -124,7 +140,7 @@ def greedy(
     S = ground.empty()
     value = f.value(S)
     state = f.gain_state()
-    trace: GreedyTrace = []
+    trace: list[GreedyStep] = []
 
     def feasible(u: int) -> bool:
         return I.is_independent(S.with_element(u))
@@ -156,15 +172,8 @@ def greedy(
                 gain = float(f.gains(state, S, (u,))[0])
                 heapq.heappush(heap, (-gain, u, rounds))
     else:
-        while True:
-            pool = [u for u in pool if feasible(u)]  # infeasible ones drop permanently
-            if not pool:
-                break
-            gains = f.gains(state, S, pool)
-            i = int(np.argmax(gains))  # the first maximum: ties go to the smallest id
-            if gains[i] <= 0.0:
-                break
-            take(pool.pop(i), float(gains[i]))
+        while (pick := _greedy_round(f, I, state, S, pool)) is not None:
+            take(*pick)
 
     name = "lazy-greedy" if lazy else "greedy"
     return _result(S, value, before, _counts(f, I), t0, None, name), trace
@@ -353,26 +362,19 @@ def sample_greedy_linear(
     assume_modular: bool = False,
     lazy: bool = False,
 ) -> SolveResult:
-    """The linear-objective variant: sampling probability 1/k instead of
-    1/(k+1).  Only valid for modular objectives; the oracle must either be
-    flagged modular or the caller must attest via ``assume_modular``."""
-    ground = ground or f.ground
+    """The linear-objective variant: :func:`sample_greedy` with sampling
+    probability 1/k instead of 1/(k+1).  Only valid for modular objectives;
+    the oracle must either be flagged modular or the caller must attest via
+    ``assume_modular``."""
     if not (f.modular or assume_modular):
         raise ValueError(
             "sample_greedy_linear requires a modular objective "
             "(flag the oracle or pass assume_modular=True)"
         )
-    k = I.k
-    if k < 1:
-        raise ValueError(f"declared k must be >= 1, got {k}")
-    t0 = time.perf_counter()
-    before = _counts(f, I)
-    p = 1.0 / k
-    kept = [u for u in ground.elements if bernoulli(rng, p)]
-    res, _trace = greedy(f, I, ground, candidates=kept, lazy=lazy)
-    return _result(
-        res.solution, res.value, before, _counts(f, I), t0, rng.master_seed, "sample-greedy-linear"
-    )
+    if I.k < 1:
+        raise ValueError(f"declared k must be >= 1, got {I.k}")
+    res = sample_greedy(f, I, ground, rng=rng, p=1.0 / I.k, lazy=lazy)
+    return replace(res, algorithm_name="sample-greedy-linear")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +433,7 @@ def instrumented_sample_greedy(
     rng: Optional[Rng] = None,
     p: Optional[float] = None,
     coin_source: Optional[Callable[[int], bool]] = None,
-) -> tuple[SolveResult, InstrumentedTrace]:
+) -> tuple[SolveResult, list[InstrumentedStep]]:
     """Coin-flip-equivalent form of :func:`sample_greedy` that tracks a
     reference independent set O (initially a known optimum) and audits the
     bookkeeping properties the analysis rests on.
@@ -442,7 +444,9 @@ def instrumented_sample_greedy(
     minimum-cardinality repair set O_u ⊆ O \\ S restoring O's independence
     (ties by lexicographic member order); tails removes the element from O if
     present.  Coins are drawn per consideration — or supplied via
-    ``coin_source`` for paired-seed harnesses.
+    ``coin_source`` for paired-seed harnesses.  The pick is greedy's own
+    round, so a run whose coins all land heads is :func:`greedy`, oracle
+    counts included.
 
     Audited after every iteration, raising :class:`PropertyViolation`:
 
@@ -466,37 +470,24 @@ def instrumented_sample_greedy(
     before = _counts(f, I)
     S = ground.empty()
     value = f.value(S)
+    state = f.gain_state()  # follows S: moves on heads only
     O = opt
     pool = list(ground.elements)
     considered: set[int] = set()
-    trace: InstrumentedTrace = []
+    trace: list[InstrumentedStep] = []
     iteration = 0
 
-    while True:
-        best_u = None
-        best_gain = 0.0
-        best_set = S
-        surviving = []
-        for u in pool:
-            S_plus = S.with_element(u)
-            if not I.is_independent(S_plus):
-                continue
-            surviving.append(u)
-            g = f.marginal(u, S, extended=S_plus)
-            if best_u is None or g > best_gain:
-                best_u, best_gain, best_set = u, g, S_plus
-        pool = surviving
-        if best_u is None or best_gain <= 0.0:
-            break
+    while (pick := _greedy_round(f, I, state, S, pool)) is not None:
+        u, gain = pick
         iteration += 1
-        u = best_u
         s_before = S
         was_in_o = u in O
         coin = coin_source(u) if coin_source is not None else bernoulli(rng, p)
         if coin:
-            S = best_set
-            value += best_gain
+            S = S.with_element(u)
+            value += gain
             f.set_base(S, value)
+            state.add(u)
             O_aug = O.with_element(u)
             removable = O_aug.difference(S).members  # ascending ids
             removed: Optional[tuple] = None
@@ -517,7 +508,6 @@ def instrumented_sample_greedy(
             removed = (u,) if was_in_o else ()
             O = O.difference(removed)
             y_u = 0
-        pool.remove(u)
         considered.add(u)
 
         if len(removed) > k:

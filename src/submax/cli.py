@@ -20,7 +20,7 @@ import hashlib
 import json
 import sys
 import time
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -229,6 +229,15 @@ def parse_sweep_spec(s: str) -> tuple[str, int, int]:
 # ---------------------------------------------------------------------------
 
 
+def _check_ids(path: str, ids: Iterable[int], n: Optional[int] = None) -> None:
+    """The id-range rule of every loader: element ids are dense, ``0 <= id``,
+    and ``id < n`` when the ground set is sized elsewhere."""
+    bad = sorted(e for e in ids if e < 0 or (n is not None and e >= n))
+    if bad:
+        upper = f" and < {n}" if n is not None else ""
+        raise ConfigError(f"{path}: element ids must be >= 0{upper}; got {bad[:5]}")
+
+
 def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
     weights: dict[int, float] = {}
     with open(path, newline="") as fh:
@@ -240,11 +249,12 @@ def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
             weights[int(row["element_id"])] = float(row["weight"])
     if not weights:
         raise ConfigError(f"{path}: no weight rows")
+    _check_ids(path, weights)
     n = max(weights) + 1
     return GroundSet(n), [weights.get(e, 0.0) for e in range(n)]
 
 
-def _load_partition_csv(path: str) -> tuple[dict[int, str], dict[str, int]]:
+def _load_partition_csv(path: str, n: int) -> tuple[dict[int, str], dict[str, int]]:
     block_of: dict[int, str] = {}
     capacities: dict[str, int] = {}
     with open(path, newline="") as fh:
@@ -262,6 +272,7 @@ def _load_partition_csv(path: str) -> tuple[dict[int, str], dict[str, int]]:
             capacities[b] = cap
     if not block_of:
         raise ConfigError(f"{path}: no partition rows")
+    _check_ids(path, block_of, n)
     return block_of, capacities
 
 
@@ -330,10 +341,7 @@ def _build_constraint(cfg: dict, ground: GroundSet, sweep: Optional[tuple[str, i
     if kind == "uniform":
         oracle = UniformMatroid(ground, spec["m"])
     elif kind == "partition":
-        block_of, capacities = _load_partition_csv(spec["file"])
-        bad = [e for e in block_of if e >= ground.n]
-        if bad:
-            raise ConfigError(f"partition file names elements outside the ground set: {bad[:5]}")
+        block_of, capacities = _load_partition_csv(spec["file"], ground.n)
         oracle = PartitionMatroid(ground, block_of, capacities)
     elif kind == "genre":
         if cfg.get("genres") is None:
@@ -354,7 +362,7 @@ def _build_constraint(cfg: dict, ground: GroundSet, sweep: Optional[tuple[str, i
     return oracle
 
 
-def _build_objective(cfg: dict, sweep: Optional[tuple[str, int]]):
+def _build_objective(cfg: dict):
     """Fresh counted oracle over the cached read-only objective."""
     universe_key = None
     if cfg["constraint"] is not None and cfg["constraint"]["kind"] == "genre":
@@ -364,15 +372,12 @@ def _build_objective(cfg: dict, sweep: Optional[tuple[str, int]]):
             and cfg["instance"]["source"] == "synth"
             and cfg["instance"]["kind"] == "coverage_dispersion"
         ):
-            spec = dict(cfg["constraint"])
-            if sweep is not None and sweep[0] in ("m", "mg"):
-                spec[sweep[0]] = sweep[1]
             if cfg["instance"] is not None and cfg["instance"]["source"] == "synth":
                 n = cfg["instance"]["n"]
             else:
                 n = _similarity_cache(cfg["similarity"]).shape[0]
             genre_of = _genres_cache(json.dumps(cfg["genres"], sort_keys=True), n)
-            fav = set(spec["g"])
+            fav = set(cfg["constraint"]["g"])  # a sweep of m or mg never moves it
             universe_key = tuple(sorted(e for e, gs in genre_of.items() if gs & fav))
     instance_key = json.dumps(cfg["instance"], sort_keys=True) if cfg["instance"] else "null"
     obj, ground = _objective_cache(instance_key, cfg.get("similarity"),
@@ -394,7 +399,7 @@ def config_hash(cfg: dict) -> str:
 def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_index: int) -> dict:
     """Build a fresh instance and run one algorithm trial; returns the report
     dict (with real wall_ms; bench mode nulls it before writing)."""
-    f, ground, obj = _build_objective(cfg, sweep)
+    f, ground, obj = _build_objective(cfg)
     constraint = None
     if cfg["constraint"] is not None:
         constraint = _build_constraint(cfg, ground, sweep)
@@ -442,8 +447,7 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
     k = None
     if constraint is not None:
         k = constraint.k
-        meter = _build_constraint(cfg, ground, sweep)  # fresh oracle: keep trial counts clean
-        r = max_feasible_size(meter)
+        r = max_feasible_size(constraint)  # after the run: its counts are already taken
     return {
         "algorithm": alg,
         "config_hash": cfg["hash"],
@@ -673,7 +677,7 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
     checks: list[tuple[str, str, str]] = []
 
     if cfg["instance"] is not None or cfg["similarity"] is not None:
-        f, ground, obj = _build_objective(cfg, None)
+        f, ground, obj = _build_objective(cfg)
         elems = list(ground.elements)
         if isinstance(obj, CoverageDispersionObjective):
             elems = [e for e in elems if e in obj.universe_u]
@@ -701,7 +705,7 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
     if cfg["constraint"] is not None:
         ground = None
         if cfg["instance"] is not None or cfg["similarity"] is not None:
-            _f, ground, _obj = _build_objective(cfg, None)
+            _f, ground, _obj = _build_objective(cfg)
         if cfg["constraint"]["kind"] == "hard":
             spec = cfg["constraint"]
             inst = HardInstance(spec["k"], spec["h"], spec["m"], spec["mode"])

@@ -383,6 +383,9 @@ def verify_k_extendible(
     return True
 
 
+_bound_warned: set[tuple[int, int]] = set()  # (n, cap) pairs already warned about
+
+
 def max_feasible_size(
     I: IndependenceOracle, elements: Optional[Sequence[int]] = None, *, exhaustive_cap: int = 16
 ) -> int:
@@ -390,7 +393,7 @@ def max_feasible_size(
 
     Exact (depth-first search over independent sets, pruned by downward
     closure) when n <= ``exhaustive_cap``; otherwise a greedy-augmentation
-    lower bound, flagged via a log message.
+    lower bound, flagged by a log warning once per process and ``(n, cap)``.
     """
     elems = _element_list(I, elements)
     n = len(elems)
@@ -411,12 +414,14 @@ def max_feasible_size(
 
         visit(empty, 0, 0)
         return best
-    logger.warning(
-        "max_feasible_size: n=%d exceeds exhaustive cap %d; returning a greedy "
-        "lower bound (exact for matroids, may undercount general systems)",
-        n,
-        exhaustive_cap,
-    )
+    if (n, exhaustive_cap) not in _bound_warned:
+        _bound_warned.add((n, exhaustive_cap))
+        logger.warning(
+            "max_feasible_size: n=%d exceeds exhaustive cap %d; returning a greedy "
+            "lower bound (exact for matroids, may undercount general systems)",
+            n,
+            exhaustive_cap,
+        )
     S = ElementSet(I.ground, ())
     for e in elems:
         S2 = S.with_element(e)

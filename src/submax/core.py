@@ -230,14 +230,13 @@ class ValueOracle:
         self.cached_base = (S, v)
         return v
 
-    def marginal(self, e: int, S: ElementSet, extended: Optional[ElementSet] = None) -> float:
+    def marginal(self, e: int, S: ElementSet) -> float:
         """Marginal gain f(S + e) - f(S).  Requires ``e not in S``."""
         if e in S:
             raise ValueError(f"marginal gain requires e not in S; got e={e} in {S!r}")
         self.marginal_count += 1
         base = self.value(S)
-        ext = extended if extended is not None else S.with_element(e)
-        return self._evaluate(ext) - base
+        return self._evaluate(S.with_element(e)) - base
 
     def gain_state(self) -> "GainState":
         """A fresh incremental-gain state at the empty set: the objective's
@@ -274,11 +273,6 @@ class ValueOracle:
     def set_base(self, S: ElementSet, value: float) -> None:
         """Commit ``S`` as the cached base (its value already known to the caller)."""
         self.cached_base = (S, value)
-
-    def reset_counts(self) -> None:
-        self.eval_count = 0
-        self.marginal_count = 0
-        self.cached_base = None
 
 
 class GainState:
@@ -348,9 +342,6 @@ class IndependenceOracle:
         self.membership_count += 1
         return self._accepts(S)
 
-    def reset_counts(self) -> None:
-        self.membership_count = 0
-
 
 class Rng:
     """Deterministic splittable random stream.
@@ -393,11 +384,6 @@ def bernoulli(rng: Rng, p: float) -> bool:
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"bernoulli probability must be in [0, 1], got {p}")
     return rng.random() < p
-
-
-def marginal_gain(f: ValueOracle, e: int, S: ElementSet) -> float:
-    """Marginal gain f(S + e) - f(S) through the oracle's counting and cache."""
-    return f.marginal(e, S)
 
 
 @dataclass(frozen=True)

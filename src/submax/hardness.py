@@ -22,7 +22,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from .core import ElementSet, GroundSet, IndependenceOracle, Rng
 
@@ -101,18 +100,6 @@ class HardInstance(IndependenceOracle):
         in_h1 = sum(1 for e in S if e < bs)
         charge = gadget_g(in_h1, self.params) + (len(S) - in_h1)
         return charge <= self.params.m
-
-
-def is_independent_hard(inst: HardInstance, S: Iterable[int]) -> bool:
-    """Membership test on raw element ids; ids outside the universe are a
-    domain error (stricter than the boolean the oracle itself would give)."""
-    members = list(S)
-    for e in members:
-        if not 0 <= e < inst.ground.n:
-            raise ValueError(
-                f"element {e} outside the instance universe of size {inst.ground.n}"
-            )
-    return inst.is_independent(ElementSet(inst.ground, members))
 
 
 def witness_size(params: GadgetParams) -> Fraction:

@@ -252,11 +252,6 @@ class CoverageDispersionObjective(_ObjectiveBase):
                                 self._universe_mask)
 
 
-def eval_coverage_dispersion(obj: CoverageDispersionObjective, S: ElementSet) -> float:
-    """Direct (uncounted) evaluation of a coverage-dispersion objective."""
-    return obj.evaluate(S)
-
-
 class WeightedCoverageObjective(_ObjectiveBase):
     """f(S) = total weight of items covered by at least one element of S.
 

@@ -399,6 +399,8 @@ def test_instrumented_all_heads_matches_plain_greedy():
     plain, _ = greedy(f1, I1, g)
     res, trace = instrumented_sample_greedy(f2, I2, opt, g, coin_source=lambda u: True)
     assert res.solution == plain.solution
+    assert res.value == plain.value
+    assert (res.f_evals, res.marginal_evals) == (plain.f_evals, plain.marginal_evals)
     assert all(s.coin for s in trace)
 
 

@@ -116,6 +116,25 @@ def test_solve_rejects_nan_modular_weights(tmp_path, capsys, alg):
     assert out.out == "" and "finite" in out.err
 
 
+def test_solve_rejects_negative_modular_ids(tmp_path, capsys):
+    weights = tmp_path / "neg.csv"
+    weights.write_text("element_id,weight\n-1,5\n0,1\n1,2\n")
+    assert run(["solve", "--alg", "greedy", "--instance", str(weights),
+                "--constraint", "uniform:2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and str(weights) in out.err and "[-1]" in out.err
+
+
+@pytest.mark.parametrize("bad", [-3, 10])
+def test_solve_rejects_partition_ids_outside_the_ground_set(tmp_path, capsys, bad):
+    part = tmp_path / "part.csv"
+    part.write_text(f"element_id,block_id,capacity\n0,a,1\n{bad},a,1\n")
+    assert run(["solve", "--alg", "greedy", "--instance", MODULAR,  # n = 10
+                "--constraint", f"partition:{part}"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and str(part) in out.err and f"[{bad}]" in out.err
+
+
 def test_report_lines_refuse_nan():
     report = dict.fromkeys(REPORT_FIELDS)
     report["value"] = float("nan")

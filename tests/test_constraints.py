@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import logging
+
 import pytest
 
+from submax import constraints
 from submax import (
     GenreConstraint,
     GroundSet,
@@ -213,6 +216,16 @@ def test_max_feasible_size_exhaustive():
 def test_max_feasible_size_greedy_path():
     g = GroundSet(20)
     assert max_feasible_size(UniformMatroid(g, 7)) == 7  # n > exhaustive cap
+
+
+def test_max_feasible_size_warns_once_per_size_and_cap(caplog, monkeypatch):
+    monkeypatch.setattr(constraints, "_bound_warned", set())
+    g = GroundSet(20)
+    with caplog.at_level(logging.WARNING, logger="submax.constraints"):
+        assert max_feasible_size(UniformMatroid(g, 7)) == 7
+        assert max_feasible_size(UniformMatroid(g, 5)) == 5
+    assert len(caplog.records) == 1
+    assert "lower bound" in caplog.records[0].getMessage()
 
 
 def test_max_feasible_size_genre_disjoint():

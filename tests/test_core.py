@@ -15,7 +15,6 @@ from submax import (
     SolveResult,
     ValueOracle,
     bernoulli,
-    marginal_gain,
 )
 
 
@@ -115,7 +114,6 @@ def test_marginal_value_is_difference():
     f = ValueOracle(lambda S: float(sum(S.members)) if len(S) else 0.0, g)
     s = g.set([1])
     assert f.marginal(3, s) == 3.0
-    assert marginal_gain(f, 2, s) == 2.0
 
 
 def test_marginal_rejects_member_element():

@@ -3,8 +3,9 @@
 An objective's own oracle (``obj.oracle()``) scores greedy candidates with the
 objective's incremental-gain state; ``ValueOracle(obj.evaluate, ground)``
 wraps no objective and scores them by evaluate-differences.  On dyadic data
-the two must agree exactly, counts included; on real-valued data within a
-float64 tolerance, with lazy greedy still equal to the naive scan.
+the two must agree exactly, counts included.  On real-valued data every
+batched greedy step must be a reference greedy step within a float64
+tolerance, with lazy greedy still equal to the naive scan.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from submax import (
     CoverageDispersionObjective,
@@ -118,21 +119,40 @@ def test_batched_gains_equal_reference_on_dyadic_data(instance, lam):
     assert batched == reference
 
 
-@given(instances, st.floats(min_value=0.0, max_value=0.9))
+def reference_gains(obj, I, S):
+    """Evaluate-difference gains of every candidate u with S + u independent."""
+    base = obj.evaluate(S)
+    return {u: obj.evaluate(S.with_element(u)) - base
+            for u in S.universe if u not in S and I.is_independent(S.with_element(u))}
+
+
+# An exact structural tie: elements 1 and 5 both gain w[4] at one step, and
+# evaluate-differences put 5 one ulp ahead, so the reference run picks 5 and
+# the batched run 1, and the two runs end at different values (3.044 and
+# 3.485).  Only the per-step property below holds across such ties.
+@example(instance=("weighted_coverage", 6, 566179, 0.2, "partition"), lam=0.0)
+@given(instance=instances, lam=st.floats(min_value=0.0, max_value=0.9))
 @settings(max_examples=300, deadline=None)
 def test_batched_gains_match_reference_on_real_data(instance, lam):
     kind, n, seed, density, constraint = instance
     obj, g = real_objective(kind, n, seed, density, lam)
-    batched = run_all(obj.oracle, g, constraint, seed)
-    reference = run_all(lambda: ValueOracle(obj.evaluate, g), g, constraint, seed)
-    # Only values are compared: a gain that is 0 exactly may come out of an
-    # evaluate-difference as +-1 ulp, which moves counts and zero-gain picks.
-    for b, r in zip(batched, reference):
-        b, r = (b[0], r[0]) if isinstance(b[1], list) else (b, r)
-        assert abs(b[1] - r[1]) <= TOL
+    I = make_constraint(constraint, n, seed)
+    runs = []
+    for lazy in (False, True):
+        res, trace = greedy(obj.oracle(), make_constraint(constraint, n, seed), g, lazy=lazy)
+        # every step is a reference greedy step, within the float64 tolerance
+        S = g.empty()
+        for step in trace:
+            ref = reference_gains(obj, I, S)
+            assert step.element in ref
+            assert ref[step.element] >= max(ref.values()) - TOL
+            S = S.with_element(step.element)
+            assert abs(step.value_after - obj.evaluate(S)) <= TOL
+        assert max(reference_gains(obj, I, S).values(), default=0.0) <= TOL
+        assert res.solution == S
+        runs.append((res.solution, res.value, trace))
     # lazy == naive in solution, value and trace under the batched path
-    (naive, naive_trace), (lazy, lazy_trace) = batched[0], batched[3]
-    assert naive[:2] == lazy[:2] and naive_trace == lazy_trace
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("kind", KINDS)

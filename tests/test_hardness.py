@@ -13,7 +13,6 @@ from submax import (
     HardInstance,
     Rng,
     gadget_g,
-    is_independent_hard,
     large_witness,
     overlap_probe,
     verify_downward_closed,
@@ -124,13 +123,6 @@ def test_element_id_layout():
         inst.element_id(0, 1)
     with pytest.raises(ValueError):
         inst.element_id(1, 5)
-
-
-def test_is_independent_hard_domain():
-    inst = HardInstance(1, 2, 2, MODE_M)
-    assert is_independent_hard(inst, [0, 1])
-    with pytest.raises(ValueError):
-        is_independent_hard(inst, [0, inst.ground.n])
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from submax import (
     check_monotone,
     check_submodular,
     check_submodular_pairwise,
-    eval_coverage_dispersion,
     generate,
     load_similarity_csv,
 )
@@ -154,15 +153,6 @@ def test_coverage_dispersion_restricted_universe_domain():
     f.value(g.set([0, 2]))  # in-domain
     with pytest.raises(ValueError, match="4"):
         f.value(g.set([0, 4]))
-
-
-def test_coverage_dispersion_helper_matches_oracle():
-    n = 5
-    s = _sym(n, 9)
-    g = GroundSet(n)
-    obj = CoverageDispersionObjective(g, s, lam=0.75)
-    S = g.set([1, 3])
-    assert eval_coverage_dispersion(obj, S) == obj.oracle().value(S)
 
 
 def test_coverage_dispersion_validation():
