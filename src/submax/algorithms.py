@@ -24,6 +24,7 @@ import numpy as np
 from .core import (
     CapacityError,
     ElementSet,
+    ExtensionState,
     GainState,
     GroundSet,
     IndependenceOracle,
@@ -95,17 +96,19 @@ def _result(
 
 
 def _greedy_round(
-    f: ValueOracle, I: IndependenceOracle, state: GainState, S: ElementSet, pool: list[int]
+    f: ValueOracle, I: IndependenceOracle, state: GainState, fits: ExtensionState,
+    S: ElementSet, pool: list[int],
 ) -> Optional[tuple[int, float]]:
     """One naive greedy round at S: the feasible candidate of strictly positive
     maximal gain, removed from ``pool``, and its gain; None when there is none.
+    ``state`` and ``fits`` must hold exactly the elements of S.
 
     Candidates whose addition is infeasible leave ``pool`` for good (supersets
     of dependent sets stay dependent).  The rest are scored in one
     :meth:`ValueOracle.gains` batch and the first maximum wins, so ties go to
     the smallest id of an ascending pool.
     """
-    pool[:] = [u for u in pool if I.is_independent(S.with_element(u))]
+    pool[:] = I.extensions(fits, S, pool)
     if not pool:
         return None
     gains = f.gains(state, S, pool)
@@ -140,10 +143,8 @@ def greedy(
     S = ground.empty()
     value = f.value(S)
     state = f.gain_state()
+    fits = I.extension_state()
     trace: list[GreedyStep] = []
-
-    def feasible(u: int) -> bool:
-        return I.is_independent(S.with_element(u))
 
     def take(u: int, gain: float) -> None:
         nonlocal S, value
@@ -151,16 +152,17 @@ def greedy(
         value += gain
         f.set_base(S, value)
         state.add(u)
+        fits.add(u)
         trace.append(GreedyStep(u, gain, value))
 
     if lazy:
-        pool = [u for u in pool if feasible(u)]
+        pool = I.extensions(fits, S, pool)
         heap = [(-g, u, 0) for g, u in zip(f.gains(state, S, pool).tolist(), pool)]
         heapq.heapify(heap)
         rounds = 0
         while heap:
             neg_gain, u, stamp = heapq.heappop(heap)
-            if not feasible(u):
+            if not I.extensions(fits, S, (u,)):
                 continue  # drop permanently
             if stamp == rounds:
                 gain = -neg_gain
@@ -172,7 +174,7 @@ def greedy(
                 gain = float(f.gains(state, S, (u,))[0])
                 heapq.heappush(heap, (-gain, u, rounds))
     else:
-        while (pick := _greedy_round(f, I, state, S, pool)) is not None:
+        while (pick := _greedy_round(f, I, state, fits, S, pool)) is not None:
             take(*pick)
 
     name = "lazy-greedy" if lazy else "greedy"
@@ -470,14 +472,15 @@ def instrumented_sample_greedy(
     before = _counts(f, I)
     S = ground.empty()
     value = f.value(S)
-    state = f.gain_state()  # follows S: moves on heads only
+    state = f.gain_state()  # both follow S: they move on heads only
+    fits = I.extension_state()
     O = opt
     pool = list(ground.elements)
     considered: set[int] = set()
     trace: list[InstrumentedStep] = []
     iteration = 0
 
-    while (pick := _greedy_round(f, I, state, S, pool)) is not None:
+    while (pick := _greedy_round(f, I, state, fits, S, pool)) is not None:
         u, gain = pick
         iteration += 1
         s_before = S
@@ -488,6 +491,7 @@ def instrumented_sample_greedy(
             value += gain
             f.set_base(S, value)
             state.add(u)
+            fits.add(u)
             O_aug = O.with_element(u)
             removable = O_aug.difference(S).members  # ascending ids
             removed: Optional[tuple] = None

@@ -312,7 +312,9 @@ def _objective_cache(instance_key: str, similarity: Optional[str], lam: float,
 def _genres_cache(genres_key: str, n: int) -> dict:
     g = json.loads(genres_key)
     if g["source"] == "csv":
-        return load_genres_csv(g["file"])
+        genre_of = load_genres_csv(g["file"])
+        _check_ids(g["file"], genre_of, n)
+        return genre_of
     gen = Rng(g["seed"], 0).generator
     labels = [f"g{i}" for i in range(g["count"])]
     out = {}
@@ -396,6 +398,9 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
+_rank_cache: dict[tuple, int] = {}  # (config hash, sweep point) -> r, per process
+
+
 def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_index: int) -> dict:
     """Build a fresh instance and run one algorithm trial; returns the report
     dict (with real wall_ms; bench mode nulls it before writing)."""
@@ -447,7 +452,10 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
     k = None
     if constraint is not None:
         k = constraint.k
-        r = max_feasible_size(constraint)  # after the run: its counts are already taken
+        key = (cfg["hash"], sweep)  # they fix the constraint, so r; trials do not
+        if key not in _rank_cache:  # after the run: its counts are already taken
+            _rank_cache[key] = max_feasible_size(constraint)
+        r = _rank_cache[key]
     return {
         "algorithm": alg,
         "config_hash": cfg["hash"],

@@ -14,7 +14,7 @@ import logging
 from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import CapacityError, ElementSet, GroundSet, IndependenceOracle
+from .core import CapacityError, ElementSet, ExtensionState, GroundSet, IndependenceOracle
 
 logger = logging.getLogger(__name__)
 
@@ -30,6 +30,22 @@ class UniformMatroid(IndependenceOracle):
 
     def _accepts(self, S: ElementSet) -> bool:
         return len(S) <= self.m
+
+    def extension_state(self) -> "_UniformExtensions":
+        return _UniformExtensions(self.m)
+
+
+class _UniformExtensions(ExtensionState):
+    """Room left under the rank: every candidate fits while some is left."""
+
+    def __init__(self, m: int):
+        self.room = m
+
+    def add(self, u: int) -> None:
+        self.room -= 1
+
+    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+        return list(candidates) if self.room > 0 else []
 
 
 class PartitionMatroid(IndependenceOracle):
@@ -67,6 +83,27 @@ class PartitionMatroid(IndependenceOracle):
                 return False
         return True
 
+    def extension_state(self) -> "_PartitionExtensions":
+        return _PartitionExtensions(self.block_of, self.capacities)
+
+
+class _PartitionExtensions(ExtensionState):
+    """Room left in each block: a candidate fits when its block has some, or
+    when it belongs to no block."""
+
+    def __init__(self, block_of: Mapping[int, object], capacities: Mapping[object, int]):
+        self.block_of = block_of
+        self.room = dict(capacities)
+
+    def add(self, u: int) -> None:
+        b = self.block_of.get(u)
+        if b is not None:
+            self.room[b] -= 1
+
+    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+        block_of, room = self.block_of, self.room
+        return [u for u in candidates if (b := block_of.get(u)) is None or room[b] > 0]
+
 
 class IntersectionSystem(IndependenceOracle):
     """Intersection of component systems: independent iff independent in all.
@@ -88,6 +125,28 @@ class IntersectionSystem(IndependenceOracle):
 
     def _accepts(self, S: ElementSet) -> bool:
         return all(c.is_independent(S) for c in self.components)
+
+    def extension_state(self) -> "_IntersectionExtensions":
+        return _IntersectionExtensions(self.components)
+
+
+class _IntersectionExtensions(ExtensionState):
+    """One state per component.  Candidates pass through the components'
+    counted :meth:`~IndependenceOracle.extensions` in turn, so a component is
+    asked only about the candidates every earlier one accepted: the counts of
+    the short-circuiting whole-set check."""
+
+    def __init__(self, components: Sequence[IndependenceOracle]):
+        self.parts = [(c, c.extension_state()) for c in components]
+
+    def add(self, u: int) -> None:
+        for _c, state in self.parts:
+            state.add(u)
+
+    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+        for c, state in self.parts:
+            candidates = c.extensions(state, S, candidates)
+        return candidates
 
 
 class GenreConstraint(IndependenceOracle):
@@ -133,10 +192,11 @@ class GenreConstraint(IndependenceOracle):
         self.favorites = favorites
         self.m = int(m)
         self.limits = limits
-        fav = set(favorites)
-        self.restricted_universe = ground.set(
-            e for e, gs in self.genre_of.items() if gs & fav
-        )
+        # each element's favourite genres, in favourites order; () is outside N_u
+        self._favorites_of = {
+            e: tuple(g for g in favorites if g in gs) for e, gs in self.genre_of.items()
+        }
+        self.restricted_universe = ground.set(e for e, fs in self._favorites_of.items() if fs)
 
     def _accepts(self, S: ElementSet) -> bool:
         if len(S) > self.m:
@@ -154,6 +214,9 @@ class GenreConstraint(IndependenceOracle):
             if not hit:
                 return False  # outside the restricted universe
         return True
+
+    def extension_state(self) -> "_GenreExtensions":
+        return _GenreExtensions(self.m, self.limits, self._favorites_of)
 
     def as_intersection(self) -> IntersectionSystem:
         """The same family expressed as uniform ∩ per-genre partition-style caps,
@@ -186,6 +249,30 @@ class GenreConstraint(IndependenceOracle):
 
             components.append(_Cap(self.ground, members, cap, g))
         return IntersectionSystem(components, name="genre-as-intersection")
+
+
+class _GenreExtensions(ExtensionState):
+    """Global room and room per favourite genre: a candidate fits when both
+    are left for each of its favourite genres, of which it needs one."""
+
+    def __init__(self, m: int, limits: Mapping[str, int], favorites_of: Mapping[int, tuple]):
+        self.room = m
+        self.genre_room = dict(limits)
+        self.favorites_of = favorites_of
+
+    def add(self, u: int) -> None:
+        self.room -= 1
+        for g in self.favorites_of[u]:
+            self.genre_room[g] -= 1
+
+    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+        if self.room <= 0:
+            return []
+        favorites_of, genre_room = self.favorites_of, self.genre_room
+        return [
+            u for u in candidates
+            if (fs := favorites_of.get(u)) and all(genre_room[g] > 0 for g in fs)
+        ]
 
 
 def load_genres_csv(path) -> dict[int, frozenset]:
@@ -423,8 +510,9 @@ def max_feasible_size(
             exhaustive_cap,
         )
     S = ElementSet(I.ground, ())
+    state = I.extension_state()
     for e in elems:
-        S2 = S.with_element(e)
-        if I.is_independent(S2):
-            S = S2
+        if I.extensions(state, S, (e,)):
+            S = S.with_element(e)
+            state.add(e)
     return len(S)

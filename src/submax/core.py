@@ -317,6 +317,11 @@ class IndependenceOracle:
     ``k`` is the declared system parameter (k-system / k-extendibility bound)
     used by algorithms for sampling rates and by reports; it is metadata, not
     something the oracle enforces.  Subclasses override :meth:`_accepts`.
+
+    :meth:`extensions` answers "is S + u independent?" for a batch of
+    candidates from a per-run extension state (:meth:`extension_state`) and
+    counts it exactly as the same queries asked one by one through
+    :meth:`is_independent`.
     """
 
     def __init__(
@@ -341,6 +346,57 @@ class IndependenceOracle:
     def is_independent(self, S: ElementSet) -> bool:
         self.membership_count += 1
         return self._accepts(S)
+
+    def extension_state(self) -> "ExtensionState":
+        """A fresh extension state at the empty set: the system's own when it
+        has one, else :class:`CheckedExtensions`."""
+        return CheckedExtensions(self)
+
+    def extensions(self, state: "ExtensionState", S: ElementSet, candidates: Sequence[int]) -> list[int]:
+        """The candidates u, none of them in ``S``, with S + u independent, in
+        their given order; ``state`` must hold exactly the elements of ``S``,
+        an independent set.
+
+        Counted as ``len(candidates)`` calls of :meth:`is_independent`.
+        """
+        if not S._memberset.isdisjoint(candidates):
+            raise ValueError(f"extension queries require candidates outside S={S!r}")
+        self.membership_count += len(candidates)
+        return state.feasible(S, candidates)
+
+
+class ExtensionState:
+    """The feasible one-element extensions of one independent set along one
+    greedy run.
+
+    A state starts at the empty set; :meth:`add` moves it to ``S + u``, which
+    must be independent, and :meth:`feasible` returns, in order, the
+    candidates u not in S with S + u independent.  States are uncounted:
+    callers ask through :meth:`IndependenceOracle.extensions`, which keeps the
+    accounting.
+    """
+
+    def add(self, u: int) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:  # pragma: no cover - interface
+        raise NotImplementedError
+
+
+class CheckedExtensions(ExtensionState):
+    """Extensions by whole-set membership checks of S + u: the state of a
+    system without its own, and the reference the systems' own states are
+    tested against."""
+
+    def __init__(self, oracle: IndependenceOracle):
+        self._oracle = oracle
+
+    def add(self, u: int) -> None:
+        pass  # the set itself is passed to feasible
+
+    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+        accepts = self._oracle._accepts
+        return [u for u in candidates if accepts(S.with_element(u))]
 
 
 class Rng:

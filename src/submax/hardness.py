@@ -23,7 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ElementSet, GroundSet, IndependenceOracle, Rng
+from typing import Sequence
+
+from .core import ElementSet, ExtensionState, GroundSet, IndependenceOracle, Rng
 
 MODE_M = "M"
 MODE_M_PRIME = "M'"
@@ -100,6 +102,43 @@ class HardInstance(IndependenceOracle):
         in_h1 = sum(1 for e in S if e < bs)
         charge = gadget_g(in_h1, self.params) + (len(S) - in_h1)
         return charge <= self.params.m
+
+    def extension_state(self) -> "_HardExtensions":
+        return _HardExtensions(self)
+
+
+class _HardExtensions(ExtensionState):
+    """The counts of S inside and outside H_1, which decide membership in
+    both modes: whether a candidate in H_1 fits, and whether one outside it
+    does, is worked out once per added element, not once per candidate."""
+
+    def __init__(self, inst: HardInstance):
+        self.params = inst.params
+        self.mode = inst.mode
+        self.inside = 0
+        self.outside = 0
+        self._charge()
+
+    def _charge(self) -> None:
+        p = self.params
+        if self.mode == MODE_M_PRIME:
+            self.fits_in = self.fits_out = self.inside + self.outside < p.m
+        else:
+            self.fits_in = gadget_g(self.inside + 1, p) + self.outside <= p.m
+            self.fits_out = gadget_g(self.inside, p) + self.outside + 1 <= p.m
+
+    def add(self, u: int) -> None:
+        if u < self.params.block_size:
+            self.inside += 1
+        else:
+            self.outside += 1
+        self._charge()
+
+    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+        if self.fits_in == self.fits_out:
+            return list(candidates) if self.fits_in else []
+        bs = self.params.block_size
+        return [u for u in candidates if (u < bs) == self.fits_in]
 
 
 def witness_size(params: GadgetParams) -> Fraction:

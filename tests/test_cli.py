@@ -135,6 +135,17 @@ def test_solve_rejects_partition_ids_outside_the_ground_set(tmp_path, capsys, ba
     assert out.out == "" and str(part) in out.err and f"[{bad}]" in out.err
 
 
+@pytest.mark.parametrize("bad", [-2, 10])
+def test_solve_rejects_genre_ids_outside_the_ground_set(tmp_path, capsys, bad):
+    genres = tmp_path / "genres.csv"
+    genres.write_text(f"element_id,genres\n0,action\n{bad},action\n")
+    assert run(["solve", "--alg", "greedy", "--instance", MODULAR,  # n = 10
+                "--genres", str(genres),
+                "--constraint", "genre:m=2,mg=1,g=action+drama"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and str(genres) in out.err and f"[{bad}]" in out.err
+
+
 def test_report_lines_refuse_nan():
     report = dict.fromkeys(REPORT_FIELDS)
     report["value"] = float("nan")
@@ -311,6 +322,21 @@ def test_bench_reads_the_similarity_csv_once(tmp_path, monkeypatch):
                 "--alg", "greedy,lazy-greedy", "--sweep", "mg=1:3",
                 "--out", str(tmp_path / "once")]) == 0
     assert calls == [SIM]
+
+
+def test_bench_computes_r_once_per_sweep_point(tmp_path, monkeypatch):
+    calls = []
+    rank = cli.max_feasible_size
+    monkeypatch.setattr(cli, "max_feasible_size", lambda I: calls.append(I) or rank(I))
+    monkeypatch.setattr(cli, "_rank_cache", {})
+    cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
+    assert run(BENCH_BASE + ["--out", cold]) == 0  # 3 points x 4 trials
+    assert [I.m for I in calls] == [2, 3, 4]
+    lines = [json.loads(l) for l in Path(cold + ".jsonl").read_text().splitlines()]
+    assert [r["r"] for r in lines] == [2] * 4 + [3] * 4 + [4] * 4
+    assert run(BENCH_BASE + ["--out", warm]) == 0
+    assert len(calls) == 3
+    assert Path(cold + ".jsonl").read_bytes() == Path(warm + ".jsonl").read_bytes()
 
 
 # ---------------------------------------------------------------------------

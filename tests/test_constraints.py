@@ -5,17 +5,28 @@ from __future__ import annotations
 import logging
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from submax import constraints
 from submax import (
+    CheckedExtensions,
     GenreConstraint,
     GroundSet,
     HardInstance,
+    IndependenceOracle,
     IntersectionSystem,
     PartitionMatroid,
+    PropertyViolation,
+    Rng,
+    SyntheticSpec,
     UniformMatroid,
+    generate,
+    greedy,
+    instrumented_sample_greedy,
     load_genres_csv,
     max_feasible_size,
+    repeated_greedy,
+    sample_greedy,
     verify_downward_closed,
     verify_k_extendible,
     verify_k_system,
@@ -198,6 +209,146 @@ def test_genre_intersection_form_more_seeds():
         for mask in range(1 << n):
             S = g.set([e for e in range(n) if mask >> e & 1])
             assert I._accepts(S) == J._accepts(S)
+
+
+# ---------------------------------------------------------------------------
+# Extension states against whole-set membership checks
+# ---------------------------------------------------------------------------
+
+# (k, h, m): integral thresholds 2km/h of 3, 2 and 2, and fractional ones of
+# 2.5 and 1.5; n = h*k*m runs from 6 to 80, past max_feasible_size's
+# exhaustive cap of 16.
+HARD_PARAMS = ((1, 2, 3), (2, 4, 2), (3, 6, 2), (2, 8, 5), (2, 8, 3))
+
+
+def extension_system(kind: str, size: int, seed: int) -> IndependenceOracle:
+    """A fresh constraint oracle, the same system for the same arguments.
+    ``size`` is n, or for a hard instance an index into HARD_PARAMS."""
+    gen = Rng(seed, 31).generator
+    n = size
+    g = GroundSet(n)
+    if kind == "uniform":
+        return UniformMatroid(g, int(gen.integers(0, n + 1)))
+    if kind == "partition":  # some elements in no block, some blocks of capacity 0
+        blocks = int(gen.integers(1, 4))
+        block_of = {e: int(b) for e in range(n) if (b := gen.integers(-1, blocks)) >= 0}
+        return PartitionMatroid(g, block_of, {b: int(gen.integers(0, 3)) for b in range(blocks)})
+    if kind == "genre":  # elements with no label, no favourite, one or two favourites
+        labels = ("a", "b", "c")
+        genre_of = {e: {labels[int(i)] for i in gen.choice(3, size=int(gen.integers(0, 3)),
+                                                           replace=False)}
+                    for e in range(n) if gen.random() < 0.9}
+        return GenreConstraint(g, genre_of, ["a", "b"], m=int(gen.integers(0, n + 1)),
+                               m_g={"a": int(gen.integers(0, 3)), "b": int(gen.integers(0, 3))})
+    if kind == "intersection":  # with a component built from a bare function
+        marked = {e for e in range(n) if gen.random() < 0.5}
+        cap = int(gen.integers(0, 3))
+        return IntersectionSystem([
+            UniformMatroid(g, int(gen.integers(0, n + 1))),
+            IndependenceOracle(lambda S: sum(e in marked for e in S) <= cap, g, name="marked"),
+            make_partition_intersection(n, 1, seed).components[0],
+        ])
+    k, h, m = HARD_PARAMS[size]
+    return HardInstance(k, h, m, "M" if kind == "hard-M" else "M'")
+
+
+def membership_counts(I: IndependenceOracle) -> list:
+    """The oracle's count and, for an intersection, its components' counts."""
+    return [I.membership_count] + [membership_counts(c) for c in getattr(I, "components", ())]
+
+
+EXTENSION_KINDS = ("uniform", "partition", "genre", "intersection", "hard-M", "hard-M'")
+
+extension_systems = st.sampled_from(EXTENSION_KINDS).flatmap(
+    lambda kind: st.tuples(
+        st.just(kind),
+        st.integers(0, len(HARD_PARAMS) - 1) if kind.startswith("hard")
+        else st.integers(min_value=1, max_value=12),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+)
+
+
+def ground_size(kind: str, size: int) -> int:
+    if kind.startswith("hard"):
+        k, h, m = HARD_PARAMS[size]
+        return h * k * m
+    return size
+
+
+@given(extension_systems, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_extensions_equal_whole_set_checks(system, pack):
+    """Grow an independent S; at every step the state's answer for all
+    remaining elements, in a random order, is the whole-set answer, counts
+    included.  ``pack`` adds the smallest feasible id, which fills H_1 of a
+    hard instance first."""
+    kind, size, seed = system
+    I, ref = extension_system(kind, size, seed), extension_system(kind, size, seed)
+    gen = Rng(seed, 37).generator
+    state = I.extension_state()
+    S = I.ground.empty()
+    while True:
+        candidates = [int(u) for u in gen.permutation([u for u in I.ground if u not in S])]
+        got = I.extensions(state, S, candidates)
+        assert got == [u for u in candidates if ref.is_independent(S.with_element(u))]
+        assert membership_counts(I) == membership_counts(ref)
+        if not got:
+            break
+        u = min(got) if pack else got[int(gen.integers(len(got)))]
+        S = S.with_element(u)
+        state.add(u)
+    assert ref.is_independent(S)
+
+
+def greedy_family(make_oracle, make_system, seed: int) -> list:
+    """Every greedy-family run, and r, on fresh oracles."""
+    out = []
+
+    def summary(res):
+        return (res.solution.members, res.value, res.f_evals, res.marginal_evals,
+                res.independence_checks)
+
+    for lazy in (False, True):
+        res, trace = greedy(make_oracle(), make_system(), lazy=lazy)
+        out.append((summary(res), [(s.element, s.gain, s.value_after) for s in trace]))
+        out.append(summary(sample_greedy(make_oracle(), make_system(), rng=Rng(seed, 1), p=0.7,
+                                         lazy=lazy)))
+        out.append(summary(repeated_greedy(make_oracle(), make_system(), ell=2, lazy=lazy)))
+    opt, _trace = greedy(make_oracle(), make_system())
+    try:
+        res, trace = instrumented_sample_greedy(make_oracle(), make_system(), opt.solution,
+                                                rng=Rng(seed, 2))
+        out.append((summary(res), [(s.element, s.coin, s.o_after.members, s.removed, s.y_u)
+                                   for s in trace]))
+    except PropertyViolation as exc:  # not every system here is k-extendible
+        out.append(str(exc))
+    I = make_system()
+    out.append((max_feasible_size(I), I.membership_count))
+    return out
+
+
+@given(extension_systems, st.sampled_from(("modular", "coverage_dispersion", "weighted_coverage")))
+@settings(max_examples=300, deadline=None)
+def test_greedy_family_with_extension_states_equals_checked_reference(system, objective):
+    kind, size, seed = system
+    f, _g = generate(SyntheticSpec(kind=objective, n=ground_size(kind, size), seed=seed))
+
+    def checked():
+        I = extension_system(kind, size, seed)
+        return IndependenceOracle(I._accepts, I.ground, k=I.k)
+
+    assert isinstance(checked().extension_state(), CheckedExtensions)
+    assert greedy_family(f.objective.oracle, lambda: extension_system(kind, size, seed), seed) \
+        == greedy_family(f.objective.oracle, checked, seed)
+
+
+def test_extensions_reject_candidates_in_s():
+    I = UniformMatroid(GroundSet(4), 2)
+    state = I.extension_state()
+    state.add(1)
+    with pytest.raises(ValueError):
+        I.extensions(state, I.ground.set([1]), [0, 1])
 
 
 # ---------------------------------------------------------------------------
