@@ -1,7 +1,9 @@
 """Command-line interface: ``solve`` one instance, ``bench`` a sweep, ``verify`` properties.
 
 Exit codes: 0 success; 1 verification failures; 2 configuration/capacity
-errors; 3 oracle violations (negative values, broken run-time properties).
+errors (flags, specs, input files); 3 oracle violations (negative values,
+broken run-time properties).  Anything else is a program error and
+surfaces with its traceback.
 
 Reproducibility contract: a ``bench`` run is a pure function of its
 configuration — trial i of any randomized algorithm reads stream i of the
@@ -15,12 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import hashlib
 import json
+import os
 import sys
-import time
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -121,7 +122,7 @@ def _is_randomized(alg: str, subroutine: str) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _parse_kv(body: str, what: str) -> dict:
+def _parse_kv(body: str, what: str, required: Iterable[str]) -> dict:
     out = {}
     for part in body.split(","):
         part = part.strip()
@@ -131,6 +132,9 @@ def _parse_kv(body: str, what: str) -> dict:
             raise ConfigError(f"{what}: expected key=value, got {part!r}")
         key, val = part.split("=", 1)
         out[key.strip()] = val.strip()
+    missing = set(required) - out.keys()
+    if missing:
+        raise ConfigError(f"{what} missing {sorted(missing)} in {body!r}")
     return out
 
 
@@ -151,19 +155,13 @@ def parse_constraint_spec(s: str) -> dict:
             raise ConfigError("partition constraint needs a CSV path: partition:FILE")
         return {"kind": "partition", "file": body}
     if kind == "genre":
-        kv = _parse_kv(body, "genre constraint")
-        missing = {"m", "mg", "g"} - kv.keys()
-        if missing:
-            raise ConfigError(f"genre constraint missing {sorted(missing)} in {s!r}")
+        kv = _parse_kv(body, "genre constraint", ("m", "mg", "g"))
         genres = [g for g in kv["g"].split("+") if g]
         if not genres:
             raise ConfigError("genre constraint needs at least one genre in g=a+b+c")
         return {"kind": "genre", "m": int(kv["m"]), "mg": int(kv["mg"]), "g": genres}
     if kind == "hard":
-        kv = _parse_kv(body, "hard constraint")
-        missing = {"k", "h", "m", "mode"} - kv.keys()
-        if missing:
-            raise ConfigError(f"hard constraint missing {sorted(missing)} in {s!r}")
+        kv = _parse_kv(body, "hard constraint", ("k", "h", "m", "mode"))
         mode = kv["mode"]
         if mode not in (MODE_M, MODE_M_PRIME):
             raise ConfigError(f"hard mode must be M or M', got {mode!r}")
@@ -176,10 +174,7 @@ def parse_instance_spec(s: str) -> dict:
     """``synth:kind=..,n=..,seed=..[,density=..][,lam=..][,tie_free=0|1]`` or a
     modular-weights CSV path."""
     if s.startswith("synth:"):
-        kv = _parse_kv(s[len("synth:"):], "synthetic instance")
-        missing = {"kind", "n", "seed"} - kv.keys()
-        if missing:
-            raise ConfigError(f"synthetic instance missing {sorted(missing)} in {s!r}")
+        kv = _parse_kv(s[len("synth:"):], "synthetic instance", ("kind", "n", "seed"))
         return {
             "source": "synth",
             "kind": kv["kind"],
@@ -195,10 +190,7 @@ def parse_instance_spec(s: str) -> dict:
 def parse_genres_spec(s: str) -> dict:
     """``synth:count=G,seed=S[,maxper=P]`` or a genres CSV path."""
     if s.startswith("synth:"):
-        kv = _parse_kv(s[len("synth:"):], "synthetic genres")
-        missing = {"count", "seed"} - kv.keys()
-        if missing:
-            raise ConfigError(f"synthetic genres missing {sorted(missing)} in {s!r}")
+        kv = _parse_kv(s[len("synth:"):], "synthetic genres", ("count", "seed"))
         return {"source": "synth", "count": int(kv["count"]), "seed": int(kv["seed"]),
                 "maxper": int(kv.get("maxper", 2))}
     return {"source": "csv", "file": s}
@@ -276,115 +268,108 @@ def _load_partition_csv(path: str, n: int) -> tuple[dict[int, str], dict[str, in
     return block_of, capacities
 
 
-@functools.lru_cache(maxsize=32)
-def _similarity_cache(path: str) -> np.ndarray:
-    """The similarity matrix of a CSV, read once per process and shared read-only."""
-    mat, _labels = load_similarity_csv(path)
-    mat.flags.writeable = False
-    return mat
-
-
-@functools.lru_cache(maxsize=32)
-def _objective_cache(instance_key: str, similarity: Optional[str], lam: float,
-                     universe_key: Optional[tuple]) :
-    """Build the (stateless, read-only) objective for a config key."""
-    if similarity is not None:
-        mat = _similarity_cache(similarity)
-        ground = GroundSet(mat.shape[0])
-        return CoverageDispersionObjective(ground, mat, lam=lam, universe_u=universe_key), ground
-    inst = json.loads(instance_key)
-    if inst["source"] == "modular_csv":
-        ground, weights = _load_modular_csv(inst["file"])
-        return ModularObjective(ground, weights), ground
-    spec = SyntheticSpec(
-        kind=inst["kind"], n=inst["n"], seed=inst["seed"],
-        density=inst["density"], lam=inst["lam"], tie_free=inst["tie_free"],
-    )
-    oracle, ground = generate(spec)
-    obj = oracle.objective
-    if universe_key is not None and isinstance(obj, CoverageDispersionObjective):
-        obj = CoverageDispersionObjective(ground, obj.similarity, lam=obj.lam,
-                                          universe_u=universe_key)
-    return obj, ground
-
-
-@functools.lru_cache(maxsize=32)
-def _genres_cache(genres_key: str, n: int) -> dict:
-    g = json.loads(genres_key)
-    if g["source"] == "csv":
-        genre_of = load_genres_csv(g["file"])
-        _check_ids(g["file"], genre_of, n)
+def _load_genres(spec: dict, n: int) -> dict:
+    if spec["source"] == "csv":
+        genre_of = load_genres_csv(spec["file"])
+        _check_ids(spec["file"], genre_of, n)
         return genre_of
-    gen = Rng(g["seed"], 0).generator
-    labels = [f"g{i}" for i in range(g["count"])]
+    gen = Rng(spec["seed"], 0).generator
+    labels = [f"g{i}" for i in range(spec["count"])]
     out = {}
     for e in range(n):
-        cnt = int(gen.integers(1, g["maxper"] + 1))
-        picks = gen.choice(g["count"], size=min(cnt, g["count"]), replace=False)
+        cnt = int(gen.integers(1, spec["maxper"] + 1))
+        picks = gen.choice(spec["count"], size=min(cnt, spec["count"]), replace=False)
         out[e] = frozenset(labels[int(i)] for i in picks)
     return out
 
 
-def _build_constraint(cfg: dict, ground: GroundSet, sweep: Optional[tuple[str, int]]):
+class _Instance(NamedTuple):
+    objective: Optional[object]  # None when verify checks a constraint alone
+    ground: Optional[GroundSet]
+    genre_of: Optional[dict]  # genre constraints only
+    partition: Optional[tuple[dict, dict]]  # (block_of, capacities); partition only
+
+
+_instances: dict[str, _Instance] = {}  # config hash -> instance, per process
+
+
+def _instance(cfg: dict) -> _Instance:
+    """The read-only part of a config, built once per process: the objective
+    (a coverage objective over the genre universe N_u under a genre
+    constraint), its ground set, the genre map and the partition blocks.
+    Trials take their counters fresh from it: ``objective.oracle()`` and
+    :func:`_build_constraint`."""
+    if cfg["hash"] in _instances:
+        return _instances[cfg["hash"]]
+    source, spec = cfg["instance"], cfg["constraint"] or {"kind": None}
+    obj = ground = genre_of = partition = None
+    try:
+        if cfg["similarity"] is not None:
+            mat, _labels = load_similarity_csv(cfg["similarity"])
+            ground = GroundSet(mat.shape[0])
+            obj = CoverageDispersionObjective(ground, mat, lam=cfg["lam"])
+        elif source is not None and source["source"] == "modular_csv":
+            ground, weights = _load_modular_csv(source["file"])
+            obj = ModularObjective(ground, weights)
+        elif source is not None:
+            oracle, ground = generate(SyntheticSpec(
+                kind=source["kind"], n=source["n"], seed=source["seed"],
+                density=source["density"], lam=source["lam"], tie_free=source["tie_free"],
+            ))
+            obj = oracle.objective
+        if spec["kind"] in ("uniform", "partition", "genre") and ground is None:
+            raise ConfigError(f"{spec['kind']} constraint needs an objective for its ground set")
+        if spec["kind"] == "genre":
+            if cfg["genres"] is None:
+                raise ConfigError("genre constraint requires --genres (CSV or synth spec)")
+            genre_of = _load_genres(cfg["genres"], ground.n)
+            if isinstance(obj, CoverageDispersionObjective):  # a sweep never moves N_u
+                nu = GenreConstraint(ground, genre_of, spec["g"], m=spec["m"],
+                                     m_g=spec["mg"]).restricted_universe
+                obj = CoverageDispersionObjective(ground, obj.similarity, lam=obj.lam,
+                                                  universe_u=nu)
+        elif spec["kind"] == "partition":
+            partition = _load_partition_csv(spec["file"], ground.n)
+    except ValueError as exc:  # malformed input data or parameters
+        raise ConfigError(str(exc)) from None
+    _instances[cfg["hash"]] = _Instance(obj, ground, genre_of, partition)
+    return _instances[cfg["hash"]]
+
+
+_SWEEPABLE = {"uniform": ("m",), "genre": ("m", "mg"), "hard": ("m",)}
+
+
+def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):
+    """A fresh constraint (fresh counters) at a sweep point, from the config's
+    :func:`_instance`: the one constraint builder of solve, bench and verify."""
     spec = dict(cfg["constraint"])
+    kind = spec["kind"]
     if sweep is not None:
         param, value = sweep
-        if spec["kind"] == "uniform" and param == "m":
-            spec["m"] = value
-        elif spec["kind"] == "genre" and param in ("m", "mg"):
-            spec[param] = value
-        elif spec["kind"] == "hard" and param == "m":
-            spec["m"] = value
-        else:
-            raise ConfigError(
-                f"sweep parameter {param!r} does not apply to constraint kind {spec['kind']!r}"
-            )
-    kind = spec["kind"]
-    if kind == "uniform":
-        oracle = UniformMatroid(ground, spec["m"])
-    elif kind == "partition":
-        block_of, capacities = _load_partition_csv(spec["file"], ground.n)
-        oracle = PartitionMatroid(ground, block_of, capacities)
-    elif kind == "genre":
-        if cfg.get("genres") is None:
-            raise ConfigError("genre constraint requires --genres (CSV or synth spec)")
-        genre_of = _genres_cache(json.dumps(cfg["genres"], sort_keys=True), ground.n)
-        oracle = GenreConstraint(ground, genre_of, spec["g"], m=spec["m"], m_g=spec["mg"])
-    elif kind == "hard":
-        oracle = HardInstance(spec["k"], spec["h"], spec["m"], spec["mode"])
-        if oracle.ground.n != ground.n:
-            raise ConfigError(
-                f"hard constraint universe has n={oracle.ground.n} but the objective "
-                f"has n={ground.n}; size the instance to h*k*m"
-            )
-    else:  # pragma: no cover - parse_constraint_spec guards this
-        raise ConfigError(f"unknown constraint kind {kind!r}")
-    if cfg.get("k_override") is not None:
-        oracle.k = int(cfg["k_override"])
+        if param not in _SWEEPABLE.get(kind, ()):
+            raise ConfigError(f"sweep parameter {param!r} does not apply to constraint kind {kind!r}")
+        spec[param] = value
+    inst = _instance(cfg)
+    try:
+        if kind == "uniform":
+            oracle = UniformMatroid(inst.ground, spec["m"])
+        elif kind == "partition":
+            oracle = PartitionMatroid(inst.ground, *inst.partition)
+        elif kind == "genre":
+            oracle = GenreConstraint(inst.ground, inst.genre_of, spec["g"], m=spec["m"],
+                                     m_g=spec["mg"])
+        else:  # hard
+            oracle = HardInstance(spec["k"], spec["h"], spec["m"], spec["mode"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if kind == "hard" and inst.ground is not None and oracle.ground.n != inst.ground.n:
+        raise ConfigError(
+            f"hard constraint universe has n={oracle.ground.n} but the objective "
+            f"has n={inst.ground.n}; size the instance to h*k*m"
+        )
+    if cfg["k_override"] is not None:
+        oracle.k = cfg["k_override"]
     return oracle
-
-
-def _build_objective(cfg: dict):
-    """Fresh counted oracle over the cached read-only objective."""
-    universe_key = None
-    if cfg["constraint"] is not None and cfg["constraint"]["kind"] == "genre":
-        # coverage objectives follow the genre-restricted universe
-        if cfg.get("similarity") is not None or (
-            cfg["instance"] is not None
-            and cfg["instance"]["source"] == "synth"
-            and cfg["instance"]["kind"] == "coverage_dispersion"
-        ):
-            if cfg["instance"] is not None and cfg["instance"]["source"] == "synth":
-                n = cfg["instance"]["n"]
-            else:
-                n = _similarity_cache(cfg["similarity"]).shape[0]
-            genre_of = _genres_cache(json.dumps(cfg["genres"], sort_keys=True), n)
-            fav = set(cfg["constraint"]["g"])  # a sweep of m or mg never moves it
-            universe_key = tuple(sorted(e for e, gs in genre_of.items() if gs & fav))
-    instance_key = json.dumps(cfg["instance"], sort_keys=True) if cfg["instance"] else "null"
-    obj, ground = _objective_cache(instance_key, cfg.get("similarity"),
-                                   cfg.get("lam", 0.5), universe_key)
-    return obj.oracle(), ground, obj
 
 
 def config_hash(cfg: dict) -> str:
@@ -402,12 +387,13 @@ _rank_cache: dict[tuple, int] = {}  # (config hash, sweep point) -> r, per proce
 
 
 def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_index: int) -> dict:
-    """Build a fresh instance and run one algorithm trial; returns the report
-    dict (with real wall_ms; bench mode nulls it before writing)."""
-    f, ground, obj = _build_objective(cfg)
-    constraint = None
-    if cfg["constraint"] is not None:
-        constraint = _build_constraint(cfg, ground, sweep)
+    """Run one algorithm trial with fresh counters over the config's cached
+    :func:`_instance`; returns the report dict (with real wall_ms; bench mode
+    nulls it before writing)."""
+    inst = _instance(cfg)
+    obj, ground = inst.objective, inst.ground
+    f = obj.oracle()
+    constraint = _build_constraint(cfg, sweep) if cfg["constraint"] is not None else None
     if constraint is None and alg != "double-greedy":
         raise ConfigError(f"algorithm {alg!r} requires --constraint")
 
@@ -424,7 +410,7 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
 
     ell_resolved = None
     if alg in ("greedy", "lazy-greedy"):
-        res, _trace = greedy(f, constraint, ground, lazy=(alg == "lazy-greedy"))
+        res, _trace = greedy(f, constraint, ground, lazy=(alg == "lazy-greedy" or cfg["lazy"]))
     elif alg == "repeated-greedy":
         ell = cfg.get("ell", "auto")
         ell_resolved = default_rounds(constraint.k) if ell == "auto" else int(ell)
@@ -434,6 +420,8 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
         res = sample_greedy(f, constraint, ground, rng=rng, p=cfg.get("p"),
                             lazy=cfg.get("lazy", False))
     elif alg == "sample-greedy-linear":
+        if not f.modular:
+            raise ConfigError(f"{alg} needs a modular objective, got {type(obj).__name__}")
         res = sample_greedy_linear(f, constraint, ground, rng=rng, lazy=cfg.get("lazy", False))
     elif alg == "double-greedy":
         U = ground.full()
@@ -489,6 +477,15 @@ def _bench_task(args: tuple) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _parse(parse: Callable[[str], dict], spec: Optional[str], flag: str) -> Optional[dict]:
+    if not spec:
+        return None
+    try:
+        return parse(spec)
+    except ValueError as exc:  # a malformed number in the spec
+        raise ConfigError(f"{flag} {spec!r}: {exc}") from None
+
+
 def _common_config(args, cmd: str) -> dict:
     if args.instance is None and args.similarity is None and cmd != "verify":
         raise ConfigError("an objective is required: --instance and/or --similarity")
@@ -496,10 +493,10 @@ def _common_config(args, cmd: str) -> dict:
         raise ConfigError("--instance and --similarity are mutually exclusive")
     cfg = {
         "cmd": cmd,
-        "instance": parse_instance_spec(args.instance) if args.instance else None,
+        "instance": _parse(parse_instance_spec, args.instance, "--instance"),
         "similarity": args.similarity,
-        "genres": parse_genres_spec(args.genres) if args.genres else None,
-        "constraint": parse_constraint_spec(args.constraint) if args.constraint else None,
+        "genres": _parse(parse_genres_spec, args.genres, "--genres"),
+        "constraint": _parse(parse_constraint_spec, args.constraint, "--constraint"),
         "lam": args.lam,
         "k_override": args.k,
         "ell": args.ell,
@@ -515,6 +512,8 @@ def _common_config(args, cmd: str) -> dict:
             raise ConfigError(f"--ell must be an integer or 'auto', got {args.ell!r}") from None
         if cfg["ell"] < 1:
             raise ConfigError(f"--ell must be >= 1, got {cfg['ell']}")
+    if args.k is not None and args.k < 1:
+        raise ConfigError(f"--k must be >= 1, got {args.k}")
     if args.p is not None and not 0.0 < args.p <= 1.0:
         raise ConfigError(f"--p must lie in (0, 1], got {args.p}")
     if args.seed is not None and not 0 <= args.seed < 2**64:
@@ -535,6 +534,8 @@ def cmd_solve(args) -> int:
     if args.best_of > 1 and not _is_randomized(args.alg, cfg["subroutine"]):
         raise ConfigError(f"--best-of needs a randomized algorithm; {args.alg!r} is deterministic")
 
+    if args.out:
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     reports = [run_one_trial(cfg, None, args.alg, t) for t in range(args.best_of)]
     lines = [_report_line(r) for r in reports]
     best = max(reports, key=lambda r: (r["value"], -r["trial_index"]))
@@ -602,6 +603,7 @@ def cmd_bench(args) -> int:
             for t in range(n_trials):
                 tasks.append((cfg, (sweep_param, point), alg, t))
 
+    os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -684,48 +686,30 @@ def verify_report_pair(jsonl_path: str, csv_path: str) -> tuple[bool, str]:
 def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
     checks: list[tuple[str, str, str]] = []
 
-    if cfg["instance"] is not None or cfg["similarity"] is not None:
-        f, ground, obj = _build_objective(cfg)
-        elems = list(ground.elements)
+    inst = _instance(cfg)
+    obj = inst.objective
+    if obj is not None:
+        f = obj.oracle()
+        elems = list(inst.ground.elements)
         if isinstance(obj, CoverageDispersionObjective):
             elems = [e for e in elems if e in obj.universe_u]
-        if len(elems) > limit:
-            elems = elems[:limit]
+        elems = elems[:limit]
         try:
-            sub = check_submodular(f, elems)
-            declared = getattr(obj, "declares_submodular", None)
-            if declared is None:
-                checks.append(("submodular", "INFO", f"observed={sub}"))
-            else:
-                status = "PASS" if sub == declared else "FAIL"
-                checks.append(("submodular", status, f"observed={sub} declared={declared}"))
-            mono = check_monotone(f, elems)
-            declared_m = getattr(obj, "declares_monotone", None)
-            if declared_m is None:
-                checks.append(("monotone", "INFO", f"observed={mono}"))
-            else:
-                status = "PASS" if mono == declared_m else "FAIL"
-                checks.append(("monotone", status, f"observed={mono} declared={declared_m}"))
+            for name, check in (("submodular", check_submodular), ("monotone", check_monotone)):
+                observed = check(f, elems)
+                declared = getattr(obj, f"declares_{name}", None)
+                if declared is None:
+                    checks.append((name, "INFO", f"observed={observed}"))
+                else:
+                    status = "PASS" if observed == declared else "FAIL"
+                    checks.append((name, status, f"observed={observed} declared={declared}"))
             checks.append(("non-negative", "PASS", f"all {1 << len(elems)} subsets evaluated"))
         except NonNegativityError as exc:
             checks.append(("non-negative", "FAIL", str(exc)))
 
     if cfg["constraint"] is not None:
-        ground = None
-        if cfg["instance"] is not None or cfg["similarity"] is not None:
-            _f, ground, _obj = _build_objective(cfg)
-        if cfg["constraint"]["kind"] == "hard":
-            spec = cfg["constraint"]
-            inst = HardInstance(spec["k"], spec["h"], spec["m"], spec["mode"])
-            if cfg.get("k_override") is not None:
-                inst.k = int(cfg["k_override"])
-            ground = inst.ground
-            oracle = inst
-        else:
-            if ground is None:
-                raise ConfigError("constraint verification needs an objective to size the ground set")
-            oracle = _build_constraint(cfg, ground, None)
-        elems = list(ground.elements)[: min(limit, 12)]
+        oracle = _build_constraint(cfg, None)
+        elems = list(oracle.ground.elements)[: min(limit, 12)]
         dc = verify_downward_closed(oracle, elems)
         checks.append(("downward-closed", "PASS" if dc else "FAIL", f"n={len(elems)}"))
         ratio = verify_k_system(oracle, elems)
@@ -790,7 +774,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="master seed (required for randomized algorithms)")
     p.add_argument("--subroutine", choices=("det", "rand"), default="det",
                    help="unconstrained subroutine variant (repeated/double greedy)")
-    p.add_argument("--lazy", action="store_true", help="use the lazy greedy scan")
+    p.add_argument("--lazy", action="store_true", help="use the lazy scan in every greedy run")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -836,10 +820,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (NonNegativityError, PropertyViolation) as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return EXIT_ORACLE
-    except (ConfigError, CapacityError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OSError) as exc:
+    except (ConfigError, CapacityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -104,6 +107,77 @@ def test_solve_oracle_violation_maps_to_exit_3(monkeypatch, capsys):
     assert run(["solve", "--alg", "greedy", "--instance", MODULAR,
                 "--constraint", "uniform:3"]) == 3
     assert "oracle violation" in capsys.readouterr().err
+
+
+def test_program_errors_are_not_config_errors(monkeypatch):
+    def bug(*a, **kw):
+        raise ValueError("a bug inside the algorithm")
+
+    monkeypatch.setattr(cli, "greedy", bug)
+    with pytest.raises(ValueError, match="a bug inside"):
+        run(["solve", "--alg", "greedy", "--instance", MODULAR, "--constraint", "uniform:3"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["--instance", MODULAR, "--constraint", "genre:m=x,mg=1,g=action"],
+    ["--instance", "synth:kind=modular,n=ten,seed=1", "--constraint", "uniform:2"],
+    ["--instance", MODULAR, "--constraint", "uniform:-1"],
+    ["--similarity", SIM, "--lam", "2", "--constraint", "uniform:2"],
+    ["--alg", "sample-greedy", "--seed", "1", "--k", "-1",
+     "--instance", MODULAR, "--constraint", "uniform:2"],
+    ["--alg", "sample-greedy-linear", "--seed", "1",
+     "--similarity", SIM, "--constraint", "uniform:2"],
+])
+def test_bad_input_values_are_config_errors(capsys, argv):
+    if "--alg" not in argv:
+        argv = ["--alg", "greedy"] + argv
+    assert run(["solve"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ")
+
+
+def test_solve_genre_constraint_without_genres(capsys):
+    assert run(["solve", "--alg", "greedy", "--similarity", SIM,
+                "--constraint", "genre:m=2,mg=1,g=action"]) == 2
+    assert "genre constraint requires --genres" in capsys.readouterr().err
+
+
+def test_lazy_flag_applies_to_greedy(capsys):
+    base = ["solve", "--instance", "synth:kind=coverage_dispersion,n=60,seed=3",
+            "--constraint", "uniform:5"]
+    reports = []
+    for extra in (["--alg", "greedy"], ["--alg", "greedy", "--lazy"], ["--alg", "lazy-greedy"]):
+        assert run(base + extra) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, flagged, lazy = reports
+    assert flagged["solution"] == lazy["solution"]
+    assert flagged["marginal_evals"] == lazy["marginal_evals"]
+    assert plain["solution"] == lazy["solution"]
+    assert plain["marginal_evals"] > lazy["marginal_evals"]
+
+
+def test_solve_reads_the_partition_csv_once(tmp_path, monkeypatch):
+    calls = []
+    load = cli._load_partition_csv
+    monkeypatch.setattr(cli, "_load_partition_csv",
+                        lambda path, n: calls.append(path) or load(path, n))
+    monkeypatch.setattr(cli, "_instances", {})
+    out = tmp_path / "part.jsonl"
+    assert run(["solve", "--alg", "sample-greedy", "--instance", MODULAR,
+                "--constraint", f"partition:{PARTITION}", "--seed", "5",
+                "--best-of", "4", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 4
+    assert calls == [PARTITION]
+
+
+def test_out_parent_directories_are_created(tmp_path):
+    solve_out = tmp_path / "new" / "solve.jsonl"
+    assert run(["solve", "--alg", "greedy", "--instance", MODULAR,
+                "--constraint", "uniform:3", "--out", str(solve_out)]) == 0
+    assert solve_out.exists()
+    stem = tmp_path / "other" / "deeper" / "b"
+    assert run(BENCH_BASE + ["--out", str(stem)]) == 0
+    assert Path(f"{stem}.jsonl").exists()
 
 
 @pytest.mark.parametrize("alg", ["greedy", "lazy-greedy"])
@@ -315,13 +389,29 @@ def test_bench_reads_the_similarity_csv_once(tmp_path, monkeypatch):
     calls = []
     load = cli.load_similarity_csv
     monkeypatch.setattr(cli, "load_similarity_csv", lambda path: calls.append(path) or load(path))
-    cli._similarity_cache.cache_clear()
-    cli._objective_cache.cache_clear()
+    monkeypatch.setattr(cli, "_instances", {})
     assert run(["bench", "--similarity", SIM, "--genres", GENRES,
                 "--constraint", "genre:m=5,mg=1,g=action+drama",
                 "--alg", "greedy,lazy-greedy", "--sweep", "mg=1:3",
                 "--out", str(tmp_path / "once")]) == 0
     assert calls == [SIM]
+
+
+def test_bench_instances_are_keyed_by_config(tmp_path):
+    def argv(lam, stem):
+        return ["bench", "--similarity", SIM, "--genres", GENRES, "--lam", lam,
+                "--constraint", "genre:m=5,mg=1,g=action+drama",
+                "--alg", "greedy", "--sweep", "mg=1:2", "--out", str(tmp_path / stem)]
+
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    for lam in ("0.25", "0.75"):
+        assert run(argv(lam, f"warm{lam}")) == 0
+        subprocess.run([sys.executable, "-m", "submax.cli"] + argv(lam, f"fresh{lam}"),
+                       env=env, check=True, capture_output=True)
+    for lam in ("0.25", "0.75"):
+        warm = (tmp_path / f"warm{lam}.jsonl").read_bytes()
+        assert warm == (tmp_path / f"fresh{lam}.jsonl").read_bytes()
+    assert (tmp_path / "warm0.25.jsonl").read_bytes() != (tmp_path / "warm0.75.jsonl").read_bytes()
 
 
 def test_bench_computes_r_once_per_sweep_point(tmp_path, monkeypatch):
@@ -365,6 +455,12 @@ def test_verify_catches_wrong_declared_k(capsys):
 
 def test_verify_needs_something():
     assert run(["verify"]) == 2
+
+
+def test_verify_rejects_a_hard_constraint_of_another_size(capsys):
+    assert run(["verify", "--instance", "synth:kind=modular,n=10,seed=1",
+                "--constraint", "hard:k=2,h=8,m=2,mode=M"]) == 2
+    assert "size the instance" in capsys.readouterr().err
 
 
 def test_verify_synthetic_objective(capsys):
