@@ -47,7 +47,6 @@ class GreedyStep:
 class InstrumentedStep:
     """One considered element in an instrumented run.
 
-    ``x_u`` marks the element as considered (always 1 for recorded steps);
     ``y_u`` is 1 iff the element entered the solution without having been in
     the reference set O at the start of its iteration.
     """
@@ -57,7 +56,6 @@ class InstrumentedStep:
     coin: bool
     o_after: ElementSet
     removed: tuple
-    x_u: int
     y_u: int
 
 
@@ -171,8 +169,7 @@ def greedy(
                 take(u, gain)
                 rounds += 1
             else:
-                gain = float(f.gains(state, S, (u,))[0])
-                heapq.heappush(heap, (-gain, u, rounds))
+                heapq.heappush(heap, (-f.gain(state, S, u), u, rounds))
     else:
         while (pick := _greedy_round(f, I, state, fits, S, pool)) is not None:
             take(*pick)
@@ -193,20 +190,28 @@ def _double_greedy(
     rng: Optional[Rng],
     name: str,
 ) -> SolveResult:
+    """Double greedy over the subsets of U, weighing f(X + u) - f(X) against
+    f(Y - u) - f(Y) on two gain states: ``up`` at the growing set X,
+    ``down`` at the shrinking set Y.
+
+    Counts and the cached base it leaves are those of asking
+    :meth:`ValueOracle.value` for X + u and then Y - u at every element, which
+    leaves Y - u cached: at the last element X + u is Y, so it is served from
+    the cache when the step before dropped its element.  The value is f(X)
+    accumulated from the gains."""
     t0 = time.perf_counter()
     before = _counts(f, None)
     ground = U.universe
-    X = ground.empty()
-    Y = U
-    fx = f.value(X)
-    fy = f.value(Y)
+    fx = f.value(ground.empty())
+    f.value(U)  # f(Y), counted and cached; it also rejects a U outside f's domain
+    up, down = f.gain_state(), f.gain_state()
     for u in U.members:
-        X_plus = X.with_element(u)
-        Y_minus = Y.without_element(u)
-        vx = f.value(X_plus)
-        vy = f.value(Y_minus)
-        a = vx - fx
-        b = vy - fy
+        down.add(u)
+    kept: list[int] = []
+    y_cached = True  # f(Y) is the cached base
+    last = U.members[-1] if U.members else None
+    for u in U.members:
+        a, b = f.double_gains(up, down, u, x_cached=y_cached and u == last)
         if choose_lower is not None:
             keep = choose_lower(a, b)
         else:
@@ -216,10 +221,18 @@ def _double_greedy(
                 keep = True
             else:
                 keep = bernoulli(rng, a_pos / (a_pos + b_pos))
+        fx_before = fx
         if keep:
-            X, fx = X_plus, vx
+            kept.append(u)
+            up.add(u)
+            fx += a
         else:
-            Y, fy = Y_minus, vy
+            down.remove(u)
+        y_cached = not keep
+    X = ground.set(kept)
+    if last is not None:
+        # Y - u at the last element is X before that step
+        f.set_base(X.without_element(last), fx_before)
     seed = rng.master_seed if rng is not None else None
     return _result(X, fx, before, _counts(f, None), t0, seed, name)
 
@@ -534,7 +547,6 @@ def instrumented_sample_greedy(
                 coin=coin,
                 o_after=O,
                 removed=removed,
-                x_u=1,
                 y_u=y_u,
             )
         )

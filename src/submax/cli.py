@@ -230,6 +230,16 @@ def _check_ids(path: str, ids: Iterable[int], n: Optional[int] = None) -> None:
         raise ConfigError(f"{path}: element ids must be >= 0{upper}; got {bad[:5]}")
 
 
+def _fields(path: str, reader: csv.DictReader, row: dict, names: Sequence[str]) -> list[str]:
+    """The named fields of one CSV row; a row too short to hold them all is
+    a config error naming the file and line."""
+    values = [row[name] for name in names]
+    if None in values:
+        missing = [name for name, v in zip(names, values) if v is None]
+        raise ConfigError(f"{path}: line {reader.line_num}: missing field(s) {', '.join(missing)}")
+    return values
+
+
 def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
     weights: dict[int, float] = {}
     with open(path, newline="") as fh:
@@ -238,7 +248,8 @@ def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
                 or "weight" not in reader.fieldnames:
             raise ConfigError(f"{path}: expected header 'element_id,weight'")
         for row in reader:
-            weights[int(row["element_id"])] = float(row["weight"])
+            e, w = _fields(path, reader, row, ("element_id", "weight"))
+            weights[int(e)] = float(w)
     if not weights:
         raise ConfigError(f"{path}: no weight rows")
     _check_ids(path, weights)
@@ -255,9 +266,8 @@ def _load_partition_csv(path: str, n: int) -> tuple[dict[int, str], dict[str, in
         if reader.fieldnames is None or not need <= set(reader.fieldnames):
             raise ConfigError(f"{path}: expected header 'element_id,block_id,capacity'")
         for row in reader:
-            e = int(row["element_id"])
-            b = row["block_id"].strip()
-            cap = int(row["capacity"])
+            e, b, cap = _fields(path, reader, row, ("element_id", "block_id", "capacity"))
+            e, b, cap = int(e), b.strip(), int(cap)
             block_of[e] = b
             if b in capacities and capacities[b] != cap:
                 raise ConfigError(f"{path}: block {b!r} has conflicting capacities")
@@ -386,16 +396,24 @@ def config_hash(cfg: dict) -> str:
 _rank_cache: dict[tuple, int] = {}  # (config hash, sweep point) -> r, per process
 
 
+def _check_algorithm(cfg: dict, alg: str) -> None:
+    """Reject a config that ``alg`` cannot run on, whatever the sweep point."""
+    if cfg["constraint"] is None and alg != "double-greedy":
+        raise ConfigError(f"algorithm {alg!r} requires --constraint")
+    obj = _instance(cfg).objective
+    if alg == "sample-greedy-linear" and not obj.is_modular:
+        raise ConfigError(f"{alg} needs a modular objective, got {type(obj).__name__}")
+
+
 def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_index: int) -> dict:
     """Run one algorithm trial with fresh counters over the config's cached
     :func:`_instance`; returns the report dict (with real wall_ms; bench mode
     nulls it before writing)."""
+    _check_algorithm(cfg, alg)
     inst = _instance(cfg)
     obj, ground = inst.objective, inst.ground
     f = obj.oracle()
     constraint = _build_constraint(cfg, sweep) if cfg["constraint"] is not None else None
-    if constraint is None and alg != "double-greedy":
-        raise ConfigError(f"algorithm {alg!r} requires --constraint")
 
     rng = None
     subroutine = cfg.get("subroutine", "det")
@@ -420,8 +438,6 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
         res = sample_greedy(f, constraint, ground, rng=rng, p=cfg.get("p"),
                             lazy=cfg.get("lazy", False))
     elif alg == "sample-greedy-linear":
-        if not f.modular:
-            raise ConfigError(f"{alg} needs a modular objective, got {type(obj).__name__}")
         res = sample_greedy_linear(f, constraint, ground, rng=rng, lazy=cfg.get("lazy", False))
     elif alg == "double-greedy":
         U = ground.full()
@@ -595,6 +611,12 @@ def cmd_bench(args) -> int:
     cfg["hash"] = config_hash(cfg)
     if any(_is_randomized(a, cfg["subroutine"]) for a in algs) and cfg["seed"] is None:
         raise ConfigError("bench includes a randomized algorithm and requires --seed")
+
+    # every sweep point and algorithm is checked before the first trial runs
+    for point in range(lo, hi + 1):
+        _build_constraint(cfg, (sweep_param, point))
+    for alg in algs:
+        _check_algorithm(cfg, alg)
 
     tasks = []
     for point in range(lo, hi + 1):

@@ -286,6 +286,10 @@ def load_genres_csv(path) -> dict[int, frozenset]:
                 or "genres" not in reader.fieldnames:
             raise ValueError(f"{path}: expected header 'element_id,genres'")
         for row in reader:
+            missing = [name for name in ("element_id", "genres") if row[name] is None]
+            if missing:
+                raise ValueError(f"{path}: line {reader.line_num}: missing field(s) "
+                                 f"{', '.join(missing)}")
             e = int(row["element_id"])
             labels = frozenset(g.strip() for g in row["genres"].split(";") if g.strip())
             genre_of[e] = labels

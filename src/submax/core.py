@@ -112,23 +112,6 @@ class ElementSet:
         obj._memberset = frozenset(sorted_members)
         return obj
 
-    @classmethod
-    def from_mask(cls, universe: GroundSet, mask: int) -> "ElementSet":
-        members = []
-        e = 0
-        while mask:
-            if mask & 1:
-                members.append(e)
-            mask >>= 1
-            e += 1
-        return cls._raw(universe, tuple(members))
-
-    def mask(self) -> int:
-        m = 0
-        for e in self.members:
-            m |= 1 << e
-        return m
-
     def with_element(self, e: int) -> "ElementSet":
         if e in self._memberset:
             return self
@@ -142,16 +125,9 @@ class ElementSet:
             return self
         return ElementSet._raw(self.universe, tuple(x for x in self.members if x != e))
 
-    def union(self, other: Iterable[int]) -> "ElementSet":
-        return ElementSet(self.universe, list(self.members) + list(other))
-
     def difference(self, other: Iterable[int]) -> "ElementSet":
         drop = set(other)
         return ElementSet._raw(self.universe, tuple(x for x in self.members if x not in drop))
-
-    def intersection(self, other: Iterable[int]) -> "ElementSet":
-        keep = set(other)
-        return ElementSet._raw(self.universe, tuple(x for x in self.members if x in keep))
 
     def issubset(self, other: "ElementSet") -> bool:
         return self._memberset <= other._memberset
@@ -191,7 +167,10 @@ class ValueOracle:
 
     :meth:`gains` answers a batch of marginal queries against one base from
     an incremental-gain state (:meth:`gain_state`) and counts it exactly as
-    the same queries asked one by one through :meth:`marginal`.
+    the same queries asked one by one through :meth:`marginal`; :meth:`gain`
+    is the same for a batch of one.  :meth:`double_gains` answers double
+    greedy's two queries from two states and counts them as the two
+    evaluations the values would cost.
     """
 
     def __init__(
@@ -215,8 +194,11 @@ class ValueOracle:
         """f(S), uncounted; a negative or NaN value is an error."""
         v = float(self._fn(S))
         if not v >= 0.0:
-            raise NonNegativityError(f"oracle {self.name or self._fn!r} returned {v} < 0 on {S!r}")
+            self._negative(v, S)
         return v
+
+    def _negative(self, v: float, on) -> None:
+        raise NonNegativityError(f"oracle {self.name or self._fn!r} returned {v} < 0 on {on}")
 
     def _evaluate(self, S: ElementSet) -> float:
         self.eval_count += 1
@@ -264,11 +246,43 @@ class ValueOracle:
         bad = np.flatnonzero(~(base + g >= 0.0))
         if bad.size:
             i = int(bad[0])
-            raise NonNegativityError(
-                f"oracle {self.name or self._fn!r} returned {base + g[i]} < 0 "
-                f"on {S.with_element(candidates[i])!r}"
-            )
+            self._negative(base + g[i], S.with_element(candidates[i]))
         return g
+
+    def gain(self, state: "GainState", S: ElementSet, u: int) -> float:
+        """The marginal gain f(S + u) - f(S) of one candidate u not in ``S``,
+        scored by ``state``, which must hold exactly the elements of ``S``.
+
+        Equal to ``gains(state, S, (u,))[0]``, and counted the same: one
+        logical marginal and one evaluation, plus one evaluation of ``S``
+        when it is not the cached base.
+        """
+        if u in S:
+            raise ValueError(f"marginal gains require candidates outside S={S!r}")
+        base = self.value(S)
+        self.marginal_count += 1
+        self.eval_count += 1
+        g = state.gain(u)
+        if not base + g >= 0.0:
+            self._negative(base + g, S.with_element(u))
+        return g
+
+    def double_gains(
+        self, up: "GainState", down: "GainState", u: int, *, x_cached: bool = False,
+    ) -> tuple[float, float]:
+        """Double greedy's two marginals at u: f(X + u) - f(X) from ``up``, a
+        state at X, and f(Y - u) - f(Y) from ``down``, a state at Y, with u in
+        Y but not in X.
+
+        Counted as the evaluations of f(X + u) and f(Y - u) that
+        :meth:`value` would make: two, or one when the caller knows X + u to
+        be the cached base (``x_cached``).  No marginal is counted.  No sign
+        is checked: f(Y - u) reached from f(Y) by a loss can round below a
+        true 0 (Y - u empty, say).  The states of an oracle without an
+        objective check every value they evaluate.
+        """
+        self.eval_count += 1 if x_cached else 2
+        return up.gain(u), -down.loss(u)
 
     def set_base(self, S: ElementSet, value: float) -> None:
         """Commit ``S`` as the cached base (its value already known to the caller)."""
@@ -276,39 +290,67 @@ class ValueOracle:
 
 
 class GainState:
-    """Incremental marginal gains of one objective along one greedy run.
+    """Incremental marginal gains of one objective at one set S.
 
-    A state starts at the empty set; :meth:`add` moves it to ``S + u`` and
+    A state starts at the empty set and reaches any set by :meth:`add`;
+    :meth:`add` moves it to ``S + u`` and :meth:`remove` to ``S - u``.
     :meth:`gains` returns f(S + u) - f(S) for each candidate u not in S, as
-    one float array.  A candidate's gain does not depend on which other
-    candidates share its batch.  States are uncounted: callers score through
-    :meth:`ValueOracle.gains`, which keeps the accounting.
+    one float array, and :meth:`gain` the same for one candidate, equal bit
+    for bit to its entry in :meth:`gains`.  A candidate's gain does not
+    depend on which other candidates share its batch.  :meth:`loss` returns
+    f(S) - f(S - u) for u in S.  States are uncounted: callers score through
+    :class:`ValueOracle`, which keeps the accounting.
     """
 
     def add(self, u: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
+    def remove(self, u: int) -> None:  # pragma: no cover - interface
+        raise NotImplementedError
+
     def gains(self, candidates: Sequence[int]) -> np.ndarray:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def gain(self, u: int) -> float:  # pragma: no cover - interface
+        raise NotImplementedError
+
+    def loss(self, u: int) -> float:  # pragma: no cover - interface
         raise NotImplementedError
 
 
 class EvaluatedGains(GainState):
-    """Gains as evaluate-differences through an oracle's function: the state
-    of an oracle that wraps no objective, and the reference the objectives'
-    own states are tested against."""
+    """Gains and losses as evaluate-differences through an oracle's function:
+    the state of an oracle that wraps no objective, and the reference the
+    objectives' own states are tested against.  f(S) is the oracle's cached
+    value when S is its cached base, else an uncounted evaluation."""
 
     def __init__(self, oracle: ValueOracle):
         self._oracle = oracle
         self._S = oracle.ground.empty()
 
+    def _base(self) -> float:
+        cached = self._oracle.cached_base
+        if cached is not None and cached[0] == self._S:
+            return cached[1]
+        return self._oracle._checked(self._S)
+
     def add(self, u: int) -> None:
         self._S = self._S.with_element(u)
 
+    def remove(self, u: int) -> None:
+        self._S = self._S.without_element(u)
+
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         S = self._S
-        base = self._oracle.value(S)  # cached: ValueOracle.gains has just asked for it
+        base = self._base()
         vals = [self._oracle._checked(S.with_element(int(u))) for u in candidates]
         return np.array(vals, dtype=float) - base
+
+    def gain(self, u: int) -> float:
+        return self._oracle._checked(self._S.with_element(u)) - self._base()
+
+    def loss(self, u: int) -> float:
+        return self._base() - self._oracle._checked(self._S.without_element(u))
 
 
 class IndependenceOracle:
@@ -425,10 +467,6 @@ class Rng:
 
     def random(self) -> float:
         return float(self.generator.random())
-
-    def stream(self, index: int) -> "Rng":
-        """A fresh stream of the same master seed."""
-        return Rng(self.master_seed, index)
 
     def __repr__(self) -> str:
         return f"Rng(master_seed={self.master_seed}, stream_index={self.stream_index})"

@@ -39,7 +39,7 @@ class _ObjectiveBase:
 
     Subclasses also provide ``gain_state()``: a fresh
     :class:`~submax.core.GainState` at the empty set, which greedy scores
-    its candidates with.
+    its candidates with and double greedy its two sets.
     """
 
     ground: GroundSet
@@ -91,7 +91,7 @@ class ModularObjective(_ObjectiveBase):
 
 
 class _ModularGains(GainState):
-    """A modular gain is the element's weight, whatever the set."""
+    """A modular gain, and loss, is the element's weight, whatever the set."""
 
     def __init__(self, weights: np.ndarray):
         self._weights = weights
@@ -99,17 +99,26 @@ class _ModularGains(GainState):
     def add(self, u: int) -> None:
         pass
 
+    def remove(self, u: int) -> None:
+        pass
+
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         return self._weights[np.asarray(candidates, dtype=np.intp)]
+
+    def gain(self, u: int) -> float:
+        return float(self._weights[u])
+
+    loss = gain
 
 
 class _DispersionGains(GainState):
     """Gains of f(S) = sum_{i in S} cov[i] - lam * sum_{i in S} sum_{j in S} s[i, j].
 
-    Adding u to S gains ``cov[u] - lam * (acc[u] + s[u, u])``, where
-    ``acc = sum_{i in S} (s[i, :] + s[:, i])`` is updated on every add.
-    Candidates outside ``universe`` (a boolean mask; None means every
-    element) are a domain error, as in evaluation.
+    Adding u to S gains ``cov[u] - lam * (acc[u] + s[u, u])`` and removing
+    u from S loses ``cov[u] - lam * (acc[u] - s[u, u])``, where
+    ``acc = sum_{i in S} (s[i, :] + s[:, i])`` is updated on every add and
+    remove.  Candidates outside ``universe`` (a boolean mask; None means
+    every element) are a domain error, as in evaluation.
     """
 
     def __init__(self, s: np.ndarray, cov: np.ndarray, lam: float,
@@ -125,12 +134,27 @@ class _DispersionGains(GainState):
         self._acc += self._s[u]
         self._acc += self._s[:, u]
 
-    def gains(self, candidates: Sequence[int]) -> np.ndarray:
-        c = np.asarray(candidates, dtype=np.intp)
+    def remove(self, u: int) -> None:
+        self._acc -= self._s[u]
+        self._acc -= self._s[:, u]
+
+    def _check_universe(self, c: np.ndarray) -> None:
         if self._universe is not None and not self._universe[c].all():
             extra = sorted(int(u) for u in c[~self._universe[c]])
             raise ValueError(f"set leaves the restricted universe: elements {extra}")
+
+    def gains(self, candidates: Sequence[int]) -> np.ndarray:
+        c = np.asarray(candidates, dtype=np.intp)
+        self._check_universe(c)
         return self._cov[c] - self._lam * (self._acc[c] + self._diag[c])
+
+    def gain(self, u: int) -> float:
+        if self._universe is not None and not self._universe[u]:
+            self._check_universe(np.array([u]))
+        return float(self._cov[u]) - self._lam * (float(self._acc[u]) + float(self._diag[u]))
+
+    def loss(self, u: int) -> float:
+        return float(self._cov[u]) - self._lam * (float(self._acc[u]) - float(self._diag[u]))
 
 
 class CutObjective(_ObjectiveBase):
@@ -298,23 +322,55 @@ class WeightedCoverageObjective(_ObjectiveBase):
                             count=int(indptr[-1]))
         return indptr, items
 
+    @cached_property
+    def _weight_array(self) -> np.ndarray:
+        return np.array(self.item_weights, dtype=float)
+
     def gain_state(self) -> GainState:
         indptr, items = self._cover_csr
-        return _CoverageGains(indptr, items, np.array(self.item_weights, dtype=float))
+        return _CoverageGains(indptr, items, self._weight_array)
+
+
+def _sequential_sum(x: np.ndarray) -> float:
+    """x[0] + x[1] + ... left to right, as ``np.bincount`` adds: ``np.sum``
+    is pairwise and the builtin ``sum`` compensated from Python 3.12."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
 
 
 class _CoverageGains(GainState):
-    """Weighted-coverage gains: ``remaining`` holds the weight of each item
-    not yet covered (covered items are zeroed on add), and an element's gain
-    is the sum of the remaining weights of its items, in item order."""
+    """Weighted-coverage gains: ``count`` holds how many elements of S cover
+    each item and ``remaining`` the weight of each item no element of S
+    covers.  An element's gain is the sum of the remaining weights of its
+    items, and its loss the sum of the weights of its items that it alone
+    covers, both in item order."""
 
-    def __init__(self, indptr: np.ndarray, items: np.ndarray, remaining: np.ndarray):
+    def __init__(self, indptr: np.ndarray, items: np.ndarray, weights: np.ndarray):
         self._indptr = indptr
         self._items = items
-        self._remaining = remaining
+        self._weights = weights
+        self._remaining = weights.copy()
+        self._count = np.zeros(weights.size, dtype=np.intp)
+
+    def _cover(self, u: int) -> np.ndarray:
+        return self._items[self._indptr[u]:self._indptr[u + 1]]
 
     def add(self, u: int) -> None:
-        self._remaining[self._items[self._indptr[u]:self._indptr[u + 1]]] = 0.0
+        items = self._cover(u)
+        self._remaining[items] = 0.0
+        self._count[items] += 1
+
+    def remove(self, u: int) -> None:
+        items = self._cover(u)
+        self._count[items] -= 1
+        freed = items[self._count[items] == 0]
+        self._remaining[freed] = self._weights[freed]
+
+    def gain(self, u: int) -> float:
+        return _sequential_sum(self._remaining[self._cover(u)])
+
+    def loss(self, u: int) -> float:
+        items = self._cover(u)
+        return _sequential_sum(self._weights[items[self._count[items] == 1]])
 
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         c = np.asarray(candidates, dtype=np.intp)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from submax import (
     Rng,
     SyntheticSpec,
     UniformMatroid,
+    bernoulli,
     generate,
 )
+from submax.algorithms import _counts, _result
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
 # failure prints the blob that replays it locally.
@@ -60,6 +63,31 @@ def make_uniform_partition_system(n: int, m: int, seed: int, extra_parts: int = 
         capacities = {f"q{j}b{b}": int(gen.integers(1, 4)) for b in range(n_blocks)}
         comps.append(PartitionMatroid(ground, block_of, capacities))
     return IntersectionSystem(comps)
+
+
+def reference_double_greedy(f, U, choose_lower, rng, name):
+    """Double greedy as an evaluate loop over the sets X + u and Y - u: the
+    reference for ``algorithms._double_greedy`` (same signature), its
+    solutions, values, coins, oracle counts and the cached base it leaves."""
+    t0 = time.perf_counter()
+    before = _counts(f, None)
+    X, Y = U.universe.empty(), U
+    fx, fy = f.value(X), f.value(Y)
+    for u in U.members:
+        X_plus, Y_minus = X.with_element(u), Y.without_element(u)
+        vx, vy = f.value(X_plus), f.value(Y_minus)
+        a, b = vx - fx, vy - fy
+        if choose_lower is not None:
+            keep = choose_lower(a, b)
+        else:
+            a_pos, b_pos = max(a, 0.0), max(b, 0.0)
+            keep = a_pos + b_pos == 0.0 or bernoulli(rng, a_pos / (a_pos + b_pos))
+        if keep:
+            X, fx = X_plus, vx
+        else:
+            Y, fy = Y_minus, vy
+    seed = rng.master_seed if rng is not None else None
+    return _result(X, fx, before, _counts(f, None), t0, seed, name)
 
 
 @pytest.fixture

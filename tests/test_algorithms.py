@@ -25,7 +25,12 @@ from submax import (
     unconstrained_max_det,
     unconstrained_max_rand,
 )
-from conftest import make_objective, make_partition_intersection, make_uniform_partition_system
+from conftest import (
+    make_objective,
+    make_partition_intersection,
+    make_uniform_partition_system,
+    reference_double_greedy,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +153,16 @@ def test_double_greedy_det_on_single_edge():
 
 
 def test_double_greedy_eval_budget():
-    for kind in ("cut", "coverage_dispersion"):
-        f, g = make_objective(kind, 11, 3)
+    # two evaluations per element plus f(empty) and f(U), less the cache hits
+    # of the evaluate loop, which the state-based run reproduces exactly
+    for kind, n, seed in (("cut", 11, 3), ("coverage_dispersion", 11, 3), ("cut", 300, 1)):
+        f, g = make_objective(kind, n, seed)
         res = unconstrained_max_det(f, g.full())
+        ref_f, _ = make_objective(kind, n, seed)
+        ref = reference_double_greedy(ref_f, g.full(), lambda a, b: a >= b, None, "reference")
+        assert (res.solution, res.f_evals) == (ref.solution, ref.f_evals)
         assert 2 * g.n <= res.f_evals <= 2 * g.n + 2
+    assert res.f_evals == 601  # the last element hits the cache
 
 
 def test_double_greedy_det_third_of_optimum():

@@ -220,6 +220,23 @@ def test_solve_rejects_genre_ids_outside_the_ground_set(tmp_path, capsys, bad):
     assert out.out == "" and str(genres) in out.err and f"[{bad}]" in out.err
 
 
+@pytest.mark.parametrize("flag, body", [
+    ("--instance", "element_id,weight\n0,1\n1\n2,2\n"),
+    ("--constraint", "element_id,block_id,capacity\n0,a,1\n1,a\n"),
+    ("--genres", "element_id,genres\n0,action\n1\n"),
+])
+def test_csv_rows_missing_a_field_are_config_errors(tmp_path, capsys, flag, body):
+    path = tmp_path / "short.csv"
+    path.write_text(body)
+    argv = {"--instance": ["--instance", str(path), "--constraint", "uniform:2"],
+            "--constraint": ["--instance", MODULAR, "--constraint", f"partition:{path}"],
+            "--genres": ["--instance", MODULAR, "--genres", str(path),
+                         "--constraint", "genre:m=2,mg=1,g=action"]}[flag]
+    assert run(["solve", "--alg", "greedy"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: {path}: line 3: missing field" in out.err
+
+
 def test_report_lines_refuse_nan():
     report = dict.fromkeys(REPORT_FIELDS)
     report["value"] = float("nan")
@@ -395,6 +412,27 @@ def test_bench_reads_the_similarity_csv_once(tmp_path, monkeypatch):
                 "--alg", "greedy,lazy-greedy", "--sweep", "mg=1:3",
                 "--out", str(tmp_path / "once")]) == 0
     assert calls == [SIM]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--similarity", SIM, "--lam", "0.5", "--constraint", "uniform:3",
+     "--alg", "greedy,sample-greedy-linear", "--sweep", "m=2:3"],
+    ["--instance", MODULAR, "--constraint", f"partition:{PARTITION}",
+     "--alg", "greedy", "--sweep", "m=1:1"],
+    ["--instance", "synth:kind=modular,n=32,seed=1", "--constraint", "hard:k=2,h=8,m=2,mode=M",
+     "--alg", "greedy", "--sweep", "m=2:3"],  # n = h*k*m holds at m=2 only
+    ["--instance", MODULAR, "--constraint", "uniform:3", "--alg", "greedy,lazy-greedy",
+     "--sweep", "m=-1:2"],
+])
+def test_bench_checks_every_point_and_algorithm_before_any_trial(tmp_path, monkeypatch, capsys,
+                                                                  argv):
+    calls = []
+    monkeypatch.setattr(cli, "run_one_trial", lambda *a: calls.append(a))
+    stem = tmp_path / "b"
+    assert run(["bench"] + argv + ["--trials", "2", "--seed", "1", "--out", str(stem)]) == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not Path(f"{stem}.jsonl").exists()
 
 
 def test_bench_instances_are_keyed_by_config(tmp_path):

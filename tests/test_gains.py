@@ -6,13 +6,19 @@ wraps no objective and scores them by evaluate-differences.  On dyadic data
 the two must agree exactly, counts included.  On real-valued data every
 batched greedy step must be a reference greedy step within a float64
 tolerance, with lazy greedy still equal to the naive scan.
+
+Double greedy runs on two states, one grown by adds and one shrunk by
+removes.  Its reference is the evaluate loop over X + u and Y - u
+(``conftest.reference_double_greedy``), under the same two rules.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -32,12 +38,15 @@ from submax import (
     UniformMatroid,
     ValueOracle,
     WeightedCoverageObjective,
+    algorithms,
     generate,
     greedy,
     repeated_greedy,
     sample_greedy,
+    unconstrained_max_det,
+    unconstrained_max_rand,
 )
-from conftest import make_partition_intersection
+from conftest import make_partition_intersection, reference_double_greedy
 
 KINDS = ("modular", "cut", "coverage_dispersion", "weighted_coverage")
 CONSTRAINTS = ("uniform", "partition", "genre")
@@ -189,8 +198,162 @@ def test_coverage_dispersion_candidates_outside_universe_raise():
         for lazy in (False, True):
             with pytest.raises(ValueError, match="restricted universe"):
                 greedy(oracle, UniformMatroid(g, 3), g, lazy=lazy)
+        with pytest.raises(ValueError, match="restricted universe"):
+            unconstrained_max_det(oracle, g.full())
     res, _ = greedy(obj.oracle(), UniformMatroid(g, 3), g, candidates=[0, 1, 2, 3])
     assert res.solution.issubset(obj.universe_u)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_scalar_gain_is_its_batch_entry_bit_for_bit(kind):
+    # 40 elements over 80 items: a weighted-coverage gain sums ~40 weights,
+    # where np.sum's pairwise blocks would round differently from bincount
+    obj, g = real_objective(kind, 40, 4, 0.5, 0.5)
+    state = obj.gain_state()
+    for u in (3, 7, 9, 20):
+        state.add(u)
+    state.remove(7)
+    rest = [u for u in g if u not in (3, 9, 20)]
+    assert [state.gain(u) for u in rest] == state.gains(rest).tolist()
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_state_gains_and_losses_equal_evaluate_differences(kind):
+    f, g = generate(SyntheticSpec(kind=kind, n=9, seed=11, density=0.5))
+    state, ref = f.objective.gain_state(), EvaluatedGains(ValueOracle(f.objective.evaluate, g))
+    S = g.empty()
+    for u, adding in ((4, True), (0, True), (8, True), (2, True), (0, False), (8, False),
+                      (6, True), (4, False)):
+        if adding:
+            S = S.with_element(u)
+            state.add(u)
+            ref.add(u)
+        else:
+            S = S.without_element(u)
+            state.remove(u)
+            ref.remove(u)
+        assert [state.loss(v) for v in S] == [ref.loss(v) for v in S]
+        rest = [v for v in g if v not in S]
+        assert [state.gain(v) for v in rest] == [ref.gain(v) for v in rest]
+        assert state.gains(rest).tolist() == [ref.gain(v) for v in rest]
+
+
+def double_greedy_summary(f, U, subroutine: str, seed: int):
+    """One public double-greedy run: its result, the cached base it leaves
+    and the next draw of its coin stream."""
+    rng = Rng(seed, 2)
+    if subroutine == "det":
+        res = unconstrained_max_det(f, U)
+    else:
+        res = unconstrained_max_rand(f, U, rng)
+    return (res.solution, res.value, res.f_evals, res.marginal_evals, res.independence_checks,
+            res.seed, f.cached_base, rng.random())
+
+
+def on_reference_double_greedy(patched: bool):
+    """Run double greedy as the evaluate loop when ``patched``."""
+    if not patched:
+        return contextlib.nullcontext()
+    return mock.patch.object(algorithms, "_double_greedy", reference_double_greedy)
+
+
+@st.composite
+def double_greedy_instances(draw):
+    """A dyadic objective, a set U to run on (restricted to N_u for a
+    coverage-dispersion objective with one) and a base to cache beforehand."""
+    kind = draw(st.sampled_from(KINDS))
+    n = draw(st.integers(min_value=0, max_value=10))
+    f, g = generate(SyntheticSpec(kind=kind, n=n, seed=draw(st.integers(0, 2**32 - 1)),
+                                  density=draw(st.sampled_from((0.2, 0.5, 0.9))),
+                                  lam=draw(st.sampled_from((0.0, 0.5, 1.0)))))
+    obj = f.objective
+    within = list(g)
+    if kind == "coverage_dispersion" and draw(st.booleans()):
+        within = sorted(draw(st.sets(st.sampled_from(within))) if n else ())
+        obj = CoverageDispersionObjective(g, obj.similarity, lam=obj.lam, universe_u=within)
+    U = g.set(draw(st.sets(st.sampled_from(within))) if within else ())
+    cached = draw(st.sampled_from((None, g.empty(), U, g.set(within))))
+    return obj, g, U, cached
+
+
+# |U| = 0, and |U| = 1 with f(U) cached: f(X + u) is then served from the cache
+@example(instance=(ModularObjective(GroundSet(0), []), GroundSet(0), GroundSet(0).empty(), None),
+         subroutine="det", wrapped=False, seed=0)
+@example(instance=(ModularObjective(GroundSet(2), [1.0, 0.0]), GroundSet(2), GroundSet(2).set([1]),
+                   GroundSet(2).set([1])), subroutine="rand", wrapped=False, seed=0)
+@given(instance=double_greedy_instances(), subroutine=st.sampled_from(("det", "rand")),
+       wrapped=st.booleans(), seed=st.integers(0, 2**16))
+@settings(max_examples=400, deadline=None)
+def test_double_greedy_equals_the_evaluate_loop_on_dyadic_data(instance, subroutine, wrapped,
+                                                               seed):
+    obj, g, U, cached = instance
+    runs = []
+    for patched in (False, True):
+        f = ValueOracle(obj.evaluate, g) if wrapped else obj.oracle()
+        if cached is not None:
+            f.value(cached)
+        with on_reference_double_greedy(patched):
+            runs.append(double_greedy_summary(f, U, subroutine, seed))
+    assert runs[0] == runs[1]
+
+
+@given(instances, st.sampled_from(("det", "rand")), st.sampled_from((0.0, 0.5, 1.0)))
+@settings(max_examples=150, deadline=None)
+def test_repeated_greedy_refinement_equals_the_evaluate_loop(instance, subroutine, lam):
+    kind, n, seed, density, constraint = instance
+    f, g = generate(SyntheticSpec(kind=kind, n=n, seed=seed, density=density, lam=lam))
+    obj = f.objective
+    runs = []
+    for patched in (False, True):
+        for lazy in (False, True):
+            f = obj.oracle()
+            with on_reference_double_greedy(patched):
+                res = repeated_greedy(f, make_constraint(constraint, n, seed), g, ell=3,
+                                      subroutine=subroutine, rng=Rng(seed, 3), lazy=lazy)
+            runs.append((res.solution, res.value, res.f_evals, res.marginal_evals,
+                         res.independence_checks, f.cached_base))
+    assert runs[:2] == runs[2:]
+
+
+# Y - u is empty at the last step and f(Y) - loss rounds to -2.2e-16 there:
+# the accumulated values are not sign-checked
+@example(instance=("weighted_coverage", 6, 293, 0.2, "uniform"), lam=0.0, subroutine="det",
+         members={3, 4})
+@given(instance=instances, lam=st.floats(min_value=0.0, max_value=0.9),
+       subroutine=st.sampled_from(("det", "rand")), members=st.sets(st.integers(0, 9)))
+@settings(max_examples=300, deadline=None)
+def test_double_greedy_matches_reference_on_real_data(instance, lam, subroutine, members):
+    kind, n, seed, density, _ = instance
+    obj, g = real_objective(kind, n, seed, density, lam)
+    U = g.set(u for u in members if u < n)
+    f = obj.oracle()
+    steps = []
+    double_gains = f.double_gains
+
+    def recorded(*args, **kw):
+        steps.append(double_gains(*args, **kw))
+        return steps[-1]
+
+    f.double_gains = recorded
+    res = double_greedy_summary(f, U, subroutine, seed)[0:2]
+    # every step's gains are evaluate-differences along the run, within the
+    # float64 tolerance, and its decision is the rule's on those gains
+    coins = Rng(seed, 2)
+    X, Y = g.empty(), U
+    for u, (a, b) in zip(U.members, steps, strict=True):
+        assert abs(a - (obj.evaluate(X.with_element(u)) - obj.evaluate(X))) <= TOL
+        assert abs(b - (obj.evaluate(Y.without_element(u)) - obj.evaluate(Y))) <= TOL
+        if subroutine == "det":
+            keep = a >= b
+        else:
+            a_pos, b_pos = max(a, 0.0), max(b, 0.0)
+            keep = a_pos + b_pos == 0.0 or coins.random() < a_pos / (a_pos + b_pos)
+        if keep:
+            X = X.with_element(u)
+        else:
+            Y = Y.without_element(u)
+    assert res[0] == X == Y
+    assert abs(res[1] - obj.evaluate(X)) <= TOL
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +370,9 @@ class _Fixed(GainState):
 
     def gains(self, candidates):
         return self._gains[np.asarray(candidates)]
+
+    def gain(self, u):
+        return float(self._gains[u])
 
 
 def test_gains_count_like_one_marginal_per_candidate():
@@ -231,6 +397,34 @@ def test_gains_reject_a_negative_or_nan_extended_value(bad):
     f = ValueOracle(lambda S: bad if len(S) == 1 else 0.0, g)
     with pytest.raises(NonNegativityError):
         f.gains(f.gain_state(), g.empty(), [0, 1, 2])
+
+
+def test_scalar_gain_counts_like_a_batch_of_one():
+    g = GroundSet(4)
+    f = ModularObjective(g, [1.0, 2.0, 3.0, 4.0]).oracle()
+    S = g.set([0])
+    assert f.gain(f.gain_state(), S, 2) == 3.0
+    assert (f.marginal_count, f.eval_count) == (1, 2)  # S was not the cached base
+    assert f.gain(f.gain_state(), S, 3) == 4.0
+    assert (f.marginal_count, f.eval_count) == (2, 3)
+    with pytest.raises(ValueError, match="outside S"):
+        f.gain(f.gain_state(), S, 0)
+    with pytest.raises(NonNegativityError):
+        f.gain(_Fixed([0.0, -2.0]), g.empty(), 1)
+
+
+def test_double_gains_count_one_evaluation_per_side():
+    g = GroundSet(3)
+    f = ModularObjective(g, [1.0, 2.0, 3.0]).oracle()
+    up, down = f.gain_state(), f.gain_state()
+    assert f.double_gains(up, down, 1) == (2.0, -2.0)
+    assert (f.marginal_count, f.eval_count) == (0, 2)
+    f.double_gains(up, down, 2, x_cached=True)
+    assert (f.marginal_count, f.eval_count) == (0, 3)
+    # an oracle without an objective checks every value its states evaluate
+    bad = ValueOracle(lambda S: -1.0 if S.members == (0,) else 1.0, g)
+    with pytest.raises(NonNegativityError):
+        unconstrained_max_det(bad, g.full())
 
 
 def test_evaluated_gains_is_the_default_state():
