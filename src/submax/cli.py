@@ -731,7 +731,7 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
 
     if cfg["constraint"] is not None:
         oracle = _build_constraint(cfg, None)
-        elems = list(oracle.ground.elements)[: min(limit, 12)]
+        elems = list(oracle.ground.elements)[:limit]
         dc = verify_downward_closed(oracle, elems)
         checks.append(("downward-closed", "PASS" if dc else "FAIL", f"n={len(elems)}"))
         ratio = verify_k_system(oracle, elems)
@@ -766,6 +766,8 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
 
 
 def cmd_verify(args) -> int:
+    if args.limit < 0:
+        raise ConfigError(f"--limit must be >= 0, got {args.limit}")
     cfg = _common_config(args, "verify")
     cfg["hash"] = config_hash(cfg)
     checks = _verify_checks(cfg, args.limit)

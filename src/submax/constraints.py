@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import itertools
 import logging
-from collections import Counter
 from typing import Iterable, Mapping, Optional, Sequence
 
 from .core import CapacityError, ElementSet, ExtensionState, GroundSet, IndependenceOracle
@@ -73,14 +72,16 @@ class PartitionMatroid(IndependenceOracle):
             raise ValueError(f"blocks without a capacity: {sorted(map(str, missing))}")
 
     def _accepts(self, S: ElementSet) -> bool:
-        counts: Counter = Counter()
+        block_of, capacities = self.block_of, self.capacities
+        counts: dict = {}
         for e in S:
-            b = self.block_of.get(e)
+            b = block_of.get(e)
             if b is None:
                 continue
-            counts[b] += 1
-            if counts[b] > self.capacities[b]:
+            c = counts.get(b, 0) + 1
+            if c > capacities[b]:
                 return False
+            counts[b] = c
         return True
 
     def extension_state(self) -> "_PartitionExtensions":
@@ -218,38 +219,6 @@ class GenreConstraint(IndependenceOracle):
     def extension_state(self) -> "_GenreExtensions":
         return _GenreExtensions(self.m, self.limits, self._favorites_of)
 
-    def as_intersection(self) -> IntersectionSystem:
-        """The same family expressed as uniform ∩ per-genre partition-style caps,
-        restricted to N_u.  Used by oracle-equivalence tests."""
-        nu = set(self.restricted_universe)
-        components: list[IndependenceOracle] = []
-
-        class _Restricted(IndependenceOracle):
-            def __init__(self, ground, nu):
-                super().__init__(ground=ground, k=1, name="restrict")
-                self._nu = nu
-
-            def _accepts(self, S):
-                return all(e in self._nu for e in S)
-
-        components.append(_Restricted(self.ground, nu))
-        components.append(UniformMatroid(self.ground, self.m))
-        for g in self.favorites:
-            members = {e for e, gs in self.genre_of.items() if g in gs}
-            cap = self.limits[g]
-
-            class _Cap(IndependenceOracle):
-                def __init__(self, ground, members, cap, g):
-                    super().__init__(ground=ground, k=1, name=f"cap({g})")
-                    self._members = members
-                    self._cap = cap
-
-                def _accepts(self, S):
-                    return sum(1 for e in S if e in self._members) <= self._cap
-
-            components.append(_Cap(self.ground, members, cap, g))
-        return IntersectionSystem(components, name="genre-as-intersection")
-
 
 class _GenreExtensions(ExtensionState):
     """Global room and room per favourite genre: a candidate fits when both
@@ -299,26 +268,43 @@ def load_genres_csv(path) -> dict[int, frozenset]:
 # ---------------------------------------------------------------------------
 # Exhaustive verifiers.  All operate on an explicit element list (default: the
 # oracle's full ground set), so callers can verify truncations of large
-# instances.  Masks index into that element list.
+# instances.  Masks index into that element list.  Each verifier asks
+# ``I.is_independent`` once per subset of the list and nothing else.
 # ---------------------------------------------------------------------------
 
 
 def _element_list(I: IndependenceOracle, elements: Optional[Sequence[int]]) -> list[int]:
+    if I.ground is None:
+        raise ValueError("oracle has no ground set")
     if elements is None:
-        if I.ground is None:
-            raise ValueError("oracle has no ground set; pass elements explicitly")
         return list(I.ground.elements)
-    return sorted(set(int(e) for e in elements))
+    elems = sorted(set(int(e) for e in elements))
+    if elems and (elems[0] < 0 or elems[-1] >= I.ground.n):
+        bad = elems[0] if elems[0] < 0 else elems[-1]
+        raise ValueError(f"element {bad} outside ground set of size {I.ground.n}")
+    return elems
 
 
-def _mask_set(I: IndependenceOracle, elems: Sequence[int], mask: int) -> ElementSet:
-    members = [elems[i] for i in range(len(elems)) if mask >> i & 1]
-    return ElementSet(I.ground, members)
+def _members(elems: Sequence[int], mask: int) -> list[int]:
+    return [e for i, e in enumerate(elems) if mask >> i & 1]
 
 
 def _independence_table(I: IndependenceOracle, elems: Sequence[int]) -> list[bool]:
+    """``I.is_independent`` of every subset of ``elems`` (sorted, distinct),
+    indexed by mask: one counted query per subset.  The sets are built in a
+    depth-first walk, each child its parent's members plus a larger element,
+    so only one root-to-leaf path of them is alive at a time."""
     n = len(elems)
-    return [I.is_independent(_mask_set(I, elems, m)) for m in range(1 << n)]
+    table = [False] * (1 << n)
+    ground, raw, query = I.ground, ElementSet._raw, I.is_independent
+
+    def visit(mask: int, members: tuple, start: int) -> None:
+        table[mask] = query(raw(ground, members))
+        for i in range(start, n):
+            visit(mask | 1 << i, members + (elems[i],), i + 1)
+
+    visit(0, (), 0)
+    return table
 
 
 def verify_downward_closed(
@@ -405,6 +391,15 @@ def verify_k_system(
     return worst
 
 
+def _submasks(B: int):
+    A = B
+    while True:
+        yield A
+        if A == 0:
+            return
+        A = (A - 1) & B
+
+
 def verify_k_extendible(
     I: IndependenceOracle,
     elements: Optional[Sequence[int]] = None,
@@ -418,6 +413,11 @@ def verify_k_extendible(
     e ∉ B with A + e independent, there must exist Y ⊆ B \\ A with
     |Y| <= k and (B \\ Y) + e independent.  (The new element is quantified
     over e ∉ B; for e ∈ B \\ A the exchange demand would be ill-posed.)
+
+    The work per (B, e) is done once, not once per A: when B + e is
+    independent, Y = ∅ serves every A; otherwise the good Y (1 <= |Y| <= k,
+    (B \\ Y) + e independent) are listed once, and each A needs one that
+    misses it.
     """
     elems = _element_list(I, elements)
     n = len(elems)
@@ -425,52 +425,34 @@ def verify_k_extendible(
         raise CapacityError(f"verify_k_extendible is exhaustive; n={n} exceeds cap {cap}")
     if k is None:
         k = I.k
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
     ind = _independence_table(I, elems)
-    full = (1 << n) - 1
-    bit_index = {1 << i: i for i in range(n)}
 
     for B in range(1 << n):
         if not ind[B]:
             continue
-        out_bits = []
-        rest = full ^ B
-        r = rest
-        while r:
-            low = r & -r
-            out_bits.append(low)
-            r ^= low
-        # A ranges over all submasks of B (independent by downward closure,
-        # checked anyway so the verifier stays sound on broken systems)
-        A = B
-        while True:
-            if ind[A]:
-                diff = B ^ A
-                diff_bits = [1 << i for i in range(n) if diff >> i & 1]
-                for eb in out_bits:
-                    if not ind[A | eb]:
-                        continue
-                    found = False
-                    for ysize in range(0, min(k, len(diff_bits)) + 1):
-                        for combo in itertools.combinations(diff_bits, ysize):
-                            Y = 0
-                            for c in combo:
-                                Y |= c
-                            if ind[(B ^ Y) | eb]:
-                                found = True
-                                break
-                        if found:
-                            break
-                    if not found:
-                        logger.debug(
-                            "k-extendibility fails: A=%s B=%s e=%s",
-                            _mask_set(I, elems, A).members,
-                            _mask_set(I, elems, B).members,
-                            elems[bit_index[eb]],
-                        )
-                        return False
-            if A == 0:
-                break
-            A = (A - 1) & B
+        bits = [1 << i for i in range(n) if B >> i & 1]
+        # A ranges over the submasks of B that are independent (all of them
+        # by downward closure, checked anyway so the verifier stays sound on
+        # broken systems); listed when B first has an e to check
+        subsets = None
+        for i in range(n):
+            eb = 1 << i
+            if B & eb or ind[B | eb]:
+                continue
+            if subsets is None:
+                subsets = [A for A in _submasks(B) if ind[A]]
+            good = [Y for size in range(1, min(k, len(bits)) + 1)
+                    for Y in map(sum, itertools.combinations(bits, size))
+                    if ind[(B ^ Y) | eb]]
+            # an A missing a good singleton is served by it
+            singles = sum(Y for Y in good if not Y & (Y - 1))
+            for A in subsets:
+                if ind[A | eb] and A & singles == singles and all(Y & A for Y in good):
+                    logger.debug("k-extendibility fails: A=%s B=%s e=%s",
+                                 _members(elems, A), _members(elems, B), elems[i])
+                    return False
     return True
 
 

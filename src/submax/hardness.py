@@ -11,8 +11,11 @@ i in 1..h, j in 1..km.  Two modes share this universe:
 - mode M': S independent  iff  |S| <= m  (a uniform matroid).
 
 ``h`` must be a positive multiple of 2k (rejected otherwise, never rounded).
-The threshold 2km/h need not be an integer, so the gadget is computed with
-exact rational arithmetic; its unit increments always lie in [1/k, 1].
+The threshold 2km/h need not be an integer.  Membership is decided in
+integers, on both sides of g(x) + out <= m times k*h
+(:meth:`GadgetParams.fits`); :func:`gadget_g` keeps the exact rational
+value for reports, the increment check and the witness.  Its unit
+increments always lie in [1/k, 1].
 Sets of size at most m are independent in both modes and sets larger than
 k*m in neither, so the modes can only disagree in between — and there only
 on sets packing most of H_1, which uniform sampling almost never does.
@@ -20,9 +23,9 @@ on sets packing most of H_1, which uniform sampling almost never does.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-
 from typing import Sequence
 
 from .core import ElementSet, ExtensionState, GroundSet, IndependenceOracle, Rng
@@ -61,6 +64,12 @@ class GadgetParams:
     def n(self) -> int:
         return self.h * self.k * self.m
 
+    def fits(self, x: int, out: int) -> bool:
+        """Whether g(x) + out <= m, with both sides times k*h: since k*h*t =
+        2k^2m, that is min(khx, 2k^2m) + max(hx - 2km, 0) + kh*out <= khm."""
+        k, h, m = self.k, self.h, self.m
+        return min(k * h * x, 2 * k * k * m) + max(h * x - 2 * k * m, 0) + k * h * out <= k * h * m
+
 
 def gadget_g(x: int, params: GadgetParams) -> Fraction:
     """Exact gadget value g(x) = min(x, t) + max((x - t)/k, 0), t = 2km/h."""
@@ -98,10 +107,8 @@ class HardInstance(IndependenceOracle):
     def _accepts(self, S: ElementSet) -> bool:
         if self.mode == MODE_M_PRIME:
             return len(S) <= self.params.m
-        bs = self.params.block_size
-        in_h1 = sum(1 for e in S if e < bs)
-        charge = gadget_g(in_h1, self.params) + (len(S) - in_h1)
-        return charge <= self.params.m
+        in_h1 = bisect.bisect_left(S.members, self.params.block_size)
+        return self.params.fits(in_h1, len(S) - in_h1)
 
     def extension_state(self) -> "_HardExtensions":
         return _HardExtensions(self)
@@ -124,8 +131,8 @@ class _HardExtensions(ExtensionState):
         if self.mode == MODE_M_PRIME:
             self.fits_in = self.fits_out = self.inside + self.outside < p.m
         else:
-            self.fits_in = gadget_g(self.inside + 1, p) + self.outside <= p.m
-            self.fits_out = gadget_g(self.inside, p) + self.outside + 1 <= p.m
+            self.fits_in = p.fits(self.inside + 1, self.outside)
+            self.fits_out = p.fits(self.inside, self.outside + 1)
 
     def add(self, u: int) -> None:
         if u < self.params.block_size:

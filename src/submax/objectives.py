@@ -560,24 +560,6 @@ def check_submodular(
     return True
 
 
-def check_submodular_pairwise(
-    f: ValueOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 10
-) -> bool:
-    """Exhaustive union/intersection form: f(X) + f(Y) >= f(X ∪ Y) + f(X ∩ Y).
-
-    Mathematically equivalent to :func:`check_submodular`; kept as an
-    independent route so the equivalence itself can be tested.
-    """
-    elems = _elems_for(f, elements, cap, "check_submodular_pairwise")
-    n = len(elems)
-    vals = _value_table(f, elems)
-    all_masks = np.arange(1 << n)
-    for X in range(1 << n):
-        if np.any(vals[X] + vals < vals[X | all_masks] + vals[X & all_masks]):
-            return False
-    return True
-
-
 def check_monotone(
     f: ValueOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 14
 ) -> bool:

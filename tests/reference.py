@@ -1,0 +1,236 @@
+"""Test references: the plain exhaustive routines that the package's faster
+ones are checked against.
+
+- ``independence_table`` and the three verifiers build every subset with
+  ``ElementSet(...)`` in mask order and run the exchange check once per
+  (A, B, e) triple;
+- ``check_submodular_pairwise`` checks the union/intersection form of
+  submodularity, an independent route to ``check_submodular``'s answer;
+- ``genre_as_intersection`` writes a genre constraint as a uniform matroid
+  intersected with one cap per favourite genre, restricted to N_u.
+"""
+
+from __future__ import annotations
+
+import itertools
+import logging
+from typing import Optional, Sequence
+
+import numpy as np
+
+from submax import CapacityError, ElementSet, IndependenceOracle, IntersectionSystem, UniformMatroid
+from submax.constraints import _element_list
+from submax.objectives import _elems_for, _value_table
+
+logger = logging.getLogger(__name__)
+
+
+def _mask_set(I: IndependenceOracle, elems: Sequence[int], mask: int) -> ElementSet:
+    members = [elems[i] for i in range(len(elems)) if mask >> i & 1]
+    return ElementSet(I.ground, members)
+
+
+def independence_table(I: IndependenceOracle, elems: Sequence[int]) -> list[bool]:
+    n = len(elems)
+    return [I.is_independent(_mask_set(I, elems, m)) for m in range(1 << n)]
+
+
+def verify_downward_closed(
+    I: IndependenceOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 20
+) -> bool:
+    """Exhaustively check downward closure over all subsets of ``elements``.
+
+    True iff every independent set stays independent after any single-element
+    deletion (which implies closure under arbitrary deletions).
+    """
+    elems = _element_list(I, elements)
+    n = len(elems)
+    if n > cap:
+        raise CapacityError(
+            f"verify_downward_closed is exhaustive; n={n} exceeds cap {cap} "
+            f"(verify a truncation or sample subsets instead)"
+        )
+    ind = independence_table(I, elems)
+    for mask in range(1 << n):
+        if not ind[mask]:
+            continue
+        m = mask
+        while m:
+            low = m & -m
+            if not ind[mask ^ low]:
+                return False
+            m ^= low
+    return True
+
+
+def verify_k_system(
+    I: IndependenceOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 16
+) -> float:
+    """Exact k-system parameter: max over X of (largest base of X) / (smallest base of X).
+
+    A base of X is a maximal independent subset of X.  The empty-ground case
+    (and any X whose only base is empty) contributes ratio 1.  Assumes the
+    system is downward closed.
+    """
+    elems = _element_list(I, elements)
+    n = len(elems)
+    if n > cap:
+        raise CapacityError(f"verify_k_system is exhaustive; n={n} exceeds cap {cap}")
+    ind = independence_table(I, elems)
+    full = (1 << n) - 1
+    size = 1 << n
+    min_base = [n + 1] * size
+    max_base = [-1] * size
+    for B in range(size):
+        if not ind[B]:
+            continue
+        # elements outside B that cannot extend B: B is a base of exactly
+        # the sets B ∪ T with T a subset of these
+        blocked = 0
+        rest = full ^ B
+        r = rest
+        while r:
+            low = r & -r
+            if not ind[B | low]:
+                blocked |= low
+            r ^= low
+        nb = bin(B).count("1")
+        T = blocked
+        while True:
+            X = B | T
+            if nb < min_base[X]:
+                min_base[X] = nb
+            if nb > max_base[X]:
+                max_base[X] = nb
+            if T == 0:
+                break
+            T = (T - 1) & blocked
+    worst = 1.0
+    for X in range(size):
+        if max_base[X] < 0:
+            continue  # no base recorded: X unreachable (impossible when ∅ independent)
+        lo, hi = min_base[X], max_base[X]
+        if lo == 0:
+            ratio = 1.0 if hi == 0 else float("inf")
+        else:
+            ratio = hi / lo
+        if ratio > worst:
+            worst = ratio
+    return worst
+
+
+def verify_k_extendible(
+    I: IndependenceOracle,
+    elements: Optional[Sequence[int]] = None,
+    k: Optional[int] = None,
+    *,
+    cap: int = 14,
+) -> bool:
+    """Exhaustively check k-extendibility over subsets of ``elements``.
+
+    For every independent A ⊆ B with B independent, and every element
+    e ∉ B with A + e independent, there must exist Y ⊆ B \\ A with
+    |Y| <= k and (B \\ Y) + e independent.  (The new element is quantified
+    over e ∉ B; for e ∈ B \\ A the exchange demand would be ill-posed.)
+    """
+    elems = _element_list(I, elements)
+    n = len(elems)
+    if n > cap:
+        raise CapacityError(f"verify_k_extendible is exhaustive; n={n} exceeds cap {cap}")
+    if k is None:
+        k = I.k
+    ind = independence_table(I, elems)
+    full = (1 << n) - 1
+    bit_index = {1 << i: i for i in range(n)}
+
+    for B in range(1 << n):
+        if not ind[B]:
+            continue
+        out_bits = []
+        rest = full ^ B
+        r = rest
+        while r:
+            low = r & -r
+            out_bits.append(low)
+            r ^= low
+        # A ranges over all submasks of B (independent by downward closure,
+        # checked anyway so the verifier stays sound on broken systems)
+        A = B
+        while True:
+            if ind[A]:
+                diff = B ^ A
+                diff_bits = [1 << i for i in range(n) if diff >> i & 1]
+                for eb in out_bits:
+                    if not ind[A | eb]:
+                        continue
+                    found = False
+                    for ysize in range(0, min(k, len(diff_bits)) + 1):
+                        for combo in itertools.combinations(diff_bits, ysize):
+                            Y = 0
+                            for c in combo:
+                                Y |= c
+                            if ind[(B ^ Y) | eb]:
+                                found = True
+                                break
+                        if found:
+                            break
+                    if not found:
+                        logger.debug(
+                            "k-extendibility fails: A=%s B=%s e=%s",
+                            _mask_set(I, elems, A).members,
+                            _mask_set(I, elems, B).members,
+                            elems[bit_index[eb]],
+                        )
+                        return False
+            if A == 0:
+                break
+            A = (A - 1) & B
+    return True
+
+
+def check_submodular_pairwise(f, elements: Optional[Sequence[int]] = None, *, cap: int = 10) -> bool:
+    """Exhaustive union/intersection form: f(X) + f(Y) >= f(X ∪ Y) + f(X ∩ Y).
+
+    Mathematically equivalent to ``check_submodular``; kept as an
+    independent route so the equivalence itself can be tested.
+    """
+    elems = _elems_for(f, elements, cap, "check_submodular_pairwise")
+    n = len(elems)
+    vals = _value_table(f, elems)
+    all_masks = np.arange(1 << n)
+    for X in range(1 << n):
+        if np.any(vals[X] + vals < vals[X | all_masks] + vals[X & all_masks]):
+            return False
+    return True
+
+
+class _Restricted(IndependenceOracle):
+    def __init__(self, ground, nu):
+        super().__init__(ground=ground, k=1, name="restrict")
+        self._nu = nu
+
+    def _accepts(self, S):
+        return all(e in self._nu for e in S)
+
+
+class _Cap(IndependenceOracle):
+    def __init__(self, ground, members, cap, g):
+        super().__init__(ground=ground, k=1, name=f"cap({g})")
+        self._members = members
+        self._cap = cap
+
+    def _accepts(self, S):
+        return sum(1 for e in S if e in self._members) <= self._cap
+
+
+def genre_as_intersection(I) -> IntersectionSystem:
+    """The family of genre constraint ``I`` expressed as uniform ∩ per-genre
+    partition-style caps, restricted to N_u."""
+    components: list[IndependenceOracle] = [
+        _Restricted(I.ground, set(I.restricted_universe)),
+        UniformMatroid(I.ground, I.m),
+    ]
+    for g in I.favorites:
+        members = {e for e, gs in I.genre_of.items() if g in gs}
+        components.append(_Cap(I.ground, members, I.limits[g], g))
+    return IntersectionSystem(components, name="genre-as-intersection")

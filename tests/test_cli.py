@@ -508,6 +508,28 @@ def test_verify_synthetic_objective(capsys):
     assert "INFO" in out
 
 
+def test_verify_limit_applies_to_constraint_checks(capsys):
+    assert run(["verify", "--instance", "synth:kind=modular,n=13,seed=1",
+                "--constraint", "uniform:3", "--limit", "13"]) == 0
+    out = capsys.readouterr().out
+    assert "downward-closed    PASS  n=13" in out
+    assert "k-extendible(k=1)  PASS  n=13" in out
+
+
+def test_verify_limit_past_a_verifier_cap_is_a_config_error(capsys):
+    # 15 elements pass the downward-closure and k-system caps (20, 16), not
+    # the k-extendibility cap
+    assert run(["verify", "--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "15"]) == 2
+    captured = capsys.readouterr()
+    assert "verify_k_extendible is exhaustive; n=15 exceeds cap 14" in captured.err
+    assert captured.out == ""
+
+
+def test_verify_rejects_a_negative_limit(capsys):
+    assert run(["verify", "--similarity", SIM, "--constraint", "uniform:3", "--limit", "-1"]) == 2
+    assert "--limit must be >= 0" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # spec-string parsing details
 # ---------------------------------------------------------------------------

@@ -32,6 +32,7 @@ from submax import (
     verify_k_system,
 )
 from conftest import make_partition_intersection, make_uniform_partition_system
+import reference
 
 
 # ---------------------------------------------------------------------------
@@ -140,6 +141,71 @@ def test_verifier_detects_non_system():
     assert not verify_downward_closed(I)
 
 
+def test_verifiers_reject_elements_outside_the_ground_set_and_negative_k():
+    I = UniformMatroid(GroundSet(5), 2)
+    for verify in (verify_downward_closed, verify_k_system, verify_k_extendible):
+        for bad in ([0, 5], [-1, 2]):
+            with pytest.raises(ValueError, match="outside ground set of size 5"):
+                verify(I, bad)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        verify_k_extendible(I, k=-1)
+    assert I.membership_count == 0
+
+
+@st.composite
+def bare_systems(draw):
+    """(ground size, element list, membership function) of a system over
+    masks of the element list: generated by its maximal sets or by its
+    circuits (downward closed), either one with a few masks flipped, or an
+    arbitrary table."""
+    n = draw(st.integers(0, 8))
+    size = draw(st.integers(n, 10))
+    elems = sorted(draw(st.permutations(range(size)))[:n])
+    full = (1 << len(elems)) - 1
+    masks = st.integers(0, full)
+    kind = draw(st.sampled_from(("generators", "circuits", "table")))
+    if kind == "table":
+        table = draw(st.integers(0, (1 << (full + 1)) - 1))
+        accepts = lambda mask: bool(table >> mask & 1)  # noqa: E731
+    elif kind == "generators":
+        gens = draw(st.lists(masks, min_size=1, max_size=4))
+        accepts = lambda mask: any(mask & g == mask for g in gens)  # noqa: E731
+    else:
+        circuits = draw(st.lists(masks.filter(bool), max_size=5))
+        accepts = lambda mask: not any(mask & c == c for c in circuits)  # noqa: E731
+    flips = set(draw(st.lists(masks, max_size=3))) if kind != "table" else set()
+    pos = {e: i for i, e in enumerate(elems)}
+
+    def fn(S):
+        mask = sum(1 << pos[e] for e in S)
+        return accepts(mask) != (mask in flips)
+
+    return size, elems, fn
+
+
+@given(bare_systems())
+@settings(max_examples=300, deadline=None)
+def test_verifiers_equal_the_references(system):
+    """The depth-first table and the hoisted exchange check give the plain
+    references' answers, and each call asks exactly 2^n membership queries."""
+    size, elems, fn = system
+    queries = 1 << len(elems)
+
+    def fresh():
+        return IndependenceOracle(fn, GroundSet(size))
+
+    I = fresh()
+    assert constraints._independence_table(I, elems) == reference.independence_table(fresh(), elems)
+    assert I.membership_count == queries
+    calls = [(verify_downward_closed, reference.verify_downward_closed, {}),
+             (verify_k_system, reference.verify_k_system, {})]
+    calls += [(verify_k_extendible, reference.verify_k_extendible, {"k": k}) for k in range(4)]
+    for verify, verify_reference, kw in calls:
+        I = fresh()
+        assert verify(I, elems, **kw) == verify_reference(fresh(), elems, **kw), (verify, kw)
+        assert I.membership_count == queries
+
+
 # ---------------------------------------------------------------------------
 # Genre constraint
 # ---------------------------------------------------------------------------
@@ -183,7 +249,7 @@ def test_genre_constraint_per_genre_mapping():
 def test_genre_equals_its_intersection_form():
     g = GroundSet(6)
     I = GenreConstraint(g, GENRES, ["a", "b"], m=2, m_g=1)
-    J = I.as_intersection()
+    J = reference.genre_as_intersection(I)
     for mask in range(1 << 6):
         S = g.set([e for e in range(6) if mask >> e & 1])
         assert I._accepts(S) == J._accepts(S), S.members
@@ -205,7 +271,7 @@ def test_genre_intersection_form_more_seeds():
         }
         g = GroundSet(n)
         I = GenreConstraint(g, genre_of, ["a", "c"], m=3, m_g=2)
-        J = I.as_intersection()
+        J = reference.genre_as_intersection(I)
         for mask in range(1 << n):
             S = g.set([e for e in range(n) if mask >> e & 1])
             assert I._accepts(S) == J._accepts(S)

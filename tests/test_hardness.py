@@ -102,6 +102,36 @@ def test_mode_m_charges_first_block():
     assert not inst.is_independent(g.set([4, 5, 8]))
 
 
+def test_integer_membership_agrees_with_the_rational_gadget():
+    """Mode M decides g(x) + out <= m in integers, in the whole-set check and
+    in the extension state; both equal the rational gadget_g formula for
+    every k <= 4, h a multiple of 2k up to 12k, m <= 6, x <= km and
+    out <= km + 1, fractional thresholds 2km/h included."""
+    cases = fractional = 0
+    for k in range(1, 5):
+        for h in range(2 * k, 12 * k + 1, 2 * k):
+            for m in range(1, 7):
+                inst = HardInstance(k, h, m, MODE_M)
+                p, g = inst.params, inst.ground
+                bs = p.block_size
+                fractional += p.threshold.denominator != 1
+                for x in range(bs + 1):
+                    state = inst.extension_state()
+                    for _ in range(x):
+                        state.add(0)
+                    for out in range(bs + 2):
+                        fits = gadget_g(x, p) + out <= m
+                        assert p.fits(x, out) == fits, (k, h, m, x, out)
+                        if out <= g.n - bs:  # h = 2 leaves only km elements outside H_1
+                            S = g.set([*range(x), *range(bs, bs + out)])
+                            assert inst._accepts(S) == fits, (k, h, m, x, out)
+                        assert state.fits_in == (gadget_g(x + 1, p) + out <= m)
+                        assert state.fits_out == (gadget_g(x, p) + out + 1 <= m)
+                        state.add(bs)
+                        cases += 1
+    assert cases == 20448 and fractional > 0
+
+
 def test_modes_agree_on_extremes():
     for k, h, m in ((2, 4, 2), (1, 2, 3), (2, 8, 1)):
         a = HardInstance(k, h, m, MODE_M)

@@ -17,10 +17,10 @@ from submax import (
     WeightedCoverageObjective,
     check_monotone,
     check_submodular,
-    check_submodular_pairwise,
     generate,
     load_similarity_csv,
 )
+from reference import check_submodular_pairwise
 
 
 # ---------------------------------------------------------------------------
