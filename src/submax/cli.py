@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import inspect
 import json
 import os
 import sys
@@ -312,12 +313,11 @@ def _instance(cfg: dict) -> _Instance:
     if cfg["hash"] in _instances:
         return _instances[cfg["hash"]]
     source, spec = cfg["instance"], cfg["constraint"] or {"kind": None}
-    obj = ground = genre_of = partition = None
+    obj = ground = genre_of = partition = nu = None
     try:
-        if cfg["similarity"] is not None:
+        if cfg["similarity"] is not None:  # its objective waits for N_u, below
             mat, _labels = load_similarity_csv(cfg["similarity"])
             ground = GroundSet(mat.shape[0])
-            obj = CoverageDispersionObjective(ground, mat, lam=cfg["lam"])
         elif source is not None and source["source"] == "modular_csv":
             ground, weights = _load_modular_csv(source["file"])
             obj = ModularObjective(ground, weights)
@@ -333,13 +333,17 @@ def _instance(cfg: dict) -> _Instance:
             if cfg["genres"] is None:
                 raise ConfigError("genre constraint requires --genres (CSV or synth spec)")
             genre_of = _load_genres(cfg["genres"], ground.n)
-            if isinstance(obj, CoverageDispersionObjective):  # a sweep never moves N_u
+            if cfg["similarity"] is not None or isinstance(obj, CoverageDispersionObjective):
+                # a sweep never moves N_u
                 nu = GenreConstraint(ground, genre_of, spec["g"], m=spec["m"],
                                      m_g=spec["mg"]).restricted_universe
-                obj = CoverageDispersionObjective(ground, obj.similarity, lam=obj.lam,
-                                                  universe_u=nu)
         elif spec["kind"] == "partition":
             partition = _load_partition_csv(spec["file"], ground.n)
+        if cfg["similarity"] is not None:
+            obj = CoverageDispersionObjective(ground, mat, lam=cfg["lam"], universe_u=nu)
+        elif nu is not None:  # a synthetic coverage-dispersion objective, restricted
+            obj = CoverageDispersionObjective(ground, obj.similarity, lam=obj.lam,
+                                              universe_u=nu)
     except ValueError as exc:  # malformed input data or parameters
         raise ConfigError(str(exc)) from None
     _instances[cfg["hash"]] = _Instance(obj, ground, genre_of, partition)
@@ -710,28 +714,39 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
 
     inst = _instance(cfg)
     obj = inst.objective
+    oracle = _build_constraint(cfg, None) if cfg["constraint"] is not None else None
+    runs = []  # (exhaustive check, its elements)
+    if obj is not None:
+        f_elems = list(inst.ground.elements)
+        if isinstance(obj, CoverageDispersionObjective):
+            f_elems = [e for e in f_elems if e in obj.universe_u]
+        f_elems = f_elems[:limit]
+        runs += [(check_submodular, f_elems), (check_monotone, f_elems)]
+    if oracle is not None:
+        elems = list(oracle.ground.elements)[:limit]
+        runs += [(check, elems) for check in
+                 (verify_downward_closed, verify_k_system, verify_k_extendible)]
+    for check, e in runs:  # refuse a --limit past any cap before running a check
+        cap = inspect.signature(check).parameters["cap"].default
+        if len(e) > cap:
+            raise CapacityError(f"{check.__name__} is exhaustive; n={len(e)} exceeds cap {cap}")
+
     if obj is not None:
         f = obj.oracle()
-        elems = list(inst.ground.elements)
-        if isinstance(obj, CoverageDispersionObjective):
-            elems = [e for e in elems if e in obj.universe_u]
-        elems = elems[:limit]
         try:
             for name, check in (("submodular", check_submodular), ("monotone", check_monotone)):
-                observed = check(f, elems)
+                observed = check(f, f_elems)
                 declared = getattr(obj, f"declares_{name}", None)
                 if declared is None:
                     checks.append((name, "INFO", f"observed={observed}"))
                 else:
                     status = "PASS" if observed == declared else "FAIL"
                     checks.append((name, status, f"observed={observed} declared={declared}"))
-            checks.append(("non-negative", "PASS", f"all {1 << len(elems)} subsets evaluated"))
+            checks.append(("non-negative", "PASS", f"all {1 << len(f_elems)} subsets evaluated"))
         except NonNegativityError as exc:
             checks.append(("non-negative", "FAIL", str(exc)))
 
-    if cfg["constraint"] is not None:
-        oracle = _build_constraint(cfg, None)
-        elems = list(oracle.ground.elements)[:limit]
+    if oracle is not None:
         dc = verify_downward_closed(oracle, elems)
         checks.append(("downward-closed", "PASS" if dc else "FAIL", f"n={len(elems)}"))
         ratio = verify_k_system(oracle, elems)

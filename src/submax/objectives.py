@@ -14,6 +14,7 @@ inequalities exactly.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -203,6 +204,18 @@ class CutObjective(_ObjectiveBase):
         return _DispersionGains(self.weights, self._row_sums, 1.0)
 
 
+def _check_symmetric(a: np.ndarray, message: str) -> bool:
+    """Raise ``ValueError(message)`` unless |a - a.T| <= 1e-9 everywhere, and
+    return whether a equals a.T bit for bit.  That exact test, the common
+    case, runs first: the tolerant one allocates several full-size temporaries."""
+    bits = a.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        return True
+    if not np.allclose(a, a.T, rtol=0.0, atol=1e-9):
+        raise ValueError(message)
+    return False
+
+
 class CoverageDispersionObjective(_ObjectiveBase):
     """Coverage-minus-dispersion over a similarity matrix.
 
@@ -234,8 +247,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
             raise ValueError("similarity entries must be finite")
         if np.any(similarity < 0):
             raise ValueError("similarity entries must be non-negative")
-        if not np.allclose(similarity, similarity.T, rtol=0.0, atol=1e-9):
-            raise ValueError("similarity must be symmetric (within 1e-9)")
+        exact = _check_symmetric(similarity, "similarity must be symmetric (within 1e-9)")
         lam = float(lam)
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {lam}")
@@ -247,7 +259,15 @@ class CoverageDispersionObjective(_ObjectiveBase):
         else:
             self.universe_u = ground.set(universe_u)
         nu = np.fromiter(self.universe_u.members, dtype=np.intp, count=len(self.universe_u))
-        self._row_coverage = similarity[:, nu].sum(axis=1) if nu.size else np.zeros(ground.n)
+        if nu.size == ground.n and exact and similarity.flags.c_contiguous:
+            # the row sums of a symmetric matrix are its column sums, and numpy
+            # adds those row after row: the order in which the F-ordered copy
+            # similarity[:, nu] adds its columns, at none of its cost
+            self._row_coverage = similarity.sum(axis=0)
+        elif nu.size:
+            self._row_coverage = similarity[:, nu].sum(axis=1)
+        else:
+            self._row_coverage = np.zeros(ground.n)
         if nu.size == ground.n:
             self._universe_mask = None
         else:
@@ -302,9 +322,19 @@ class WeightedCoverageObjective(_ObjectiveBase):
         self.ground = ground
         self.item_weights = tuple(float(w) for w in item_weights)
         self.covers = tuple(frozenset(c) for c in covers)
-        bad = [i for c in self.covers for i in c if i < 0 or i >= len(self.item_weights)]
-        if bad:
-            raise ValueError(f"cover refers to unknown items: {sorted(set(bad))[:5]}")
+        # covers in compressed rows: element e covers items[indptr[e]:indptr[e+1]]
+        sizes = np.fromiter(map(len, self.covers), dtype=np.intp, count=ground.n)
+        self._indptr = np.zeros(ground.n + 1, dtype=np.intp)
+        np.cumsum(sizes, out=self._indptr[1:])
+        items = np.fromiter(itertools.chain.from_iterable(self.covers), dtype=np.intp,
+                            count=int(self._indptr[-1]))
+        bad = (items < 0) | (items >= len(self.item_weights))
+        if bad.any():
+            raise ValueError(f"cover refers to unknown items: {np.unique(items[bad])[:5].tolist()}")
+        # each cover's items ascending, the order its gains are summed in: one
+        # sort on (element, item) keys, which are distinct
+        key = np.repeat(np.arange(ground.n) * len(self.item_weights), sizes) + items
+        self._items = items[np.argsort(key, kind="stable")]
 
     def evaluate(self, S: ElementSet) -> float:
         covered: set[int] = set()
@@ -314,21 +344,11 @@ class WeightedCoverageObjective(_ObjectiveBase):
         return float(sum(w[i] for i in covered))
 
     @cached_property
-    def _cover_csr(self) -> tuple[np.ndarray, np.ndarray]:
-        """Covers in compressed rows: element e covers ``items[indptr[e]:indptr[e+1]]``."""
-        indptr = np.zeros(self.ground.n + 1, dtype=np.intp)
-        np.cumsum([len(c) for c in self.covers], out=indptr[1:])
-        items = np.fromiter((i for c in self.covers for i in sorted(c)), dtype=np.intp,
-                            count=int(indptr[-1]))
-        return indptr, items
-
-    @cached_property
     def _weight_array(self) -> np.ndarray:
         return np.array(self.item_weights, dtype=float)
 
     def gain_state(self) -> GainState:
-        indptr, items = self._cover_csr
-        return _CoverageGains(indptr, items, self._weight_array)
+        return _CoverageGains(self._indptr, self._items, self._weight_array)
 
 
 def _sequential_sum(x: np.ndarray) -> float:
@@ -419,7 +439,9 @@ class SyntheticSpec:
 
 def _dyadic(gen: np.random.Generator, size, low: int = 0, high: int = 64) -> np.ndarray:
     """Non-negative dyadic rationals: integers in [low, high) over a fixed denominator."""
-    return gen.integers(low, high, size=size).astype(float) / _DENOM
+    x = gen.integers(low, high, size=size).astype(float)
+    x /= _DENOM
+    return x
 
 
 def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free: bool) -> np.ndarray:
@@ -429,20 +451,21 @@ def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free
     pairwise distinct, so no two entries (and no zero entries) can collide.
     """
     w = np.zeros((n, n))
-    rows, cols = np.triu_indices(n, 1)  # the pairs i < j in row-major order
-    pairs = rows.size
+    pairs = n * (n - 1) // 2
     if not pairs:
         return w
     if tie_free:
-        present = np.ones(pairs, dtype=bool)
         nums = gen.choice(np.arange(1, 8 * pairs + 1), size=pairs, replace=False)
         vals = nums.astype(float) / _DENOM
     else:
         present = gen.random(pairs) < density
         vals = _dyadic(gen, pairs, low=1, high=64)
-    rows, cols, vals = rows[present], cols[present], vals[present]
-    w[rows, cols] = vals
-    w[cols, rows] = vals
+        vals[~present] = 0.0
+    # a boolean mask lists the pairs i < j in row-major order, as drawn;
+    # through the transpose the same mask reaches the mirrored pairs j > i
+    upper = ~np.tri(n, dtype=bool)
+    w[upper] = vals
+    w.T[upper] = vals
     return w
 
 
@@ -472,8 +495,9 @@ def generate(spec: SyntheticSpec, rng: Optional[Rng] = None) -> tuple[ValueOracl
         obj = CoverageDispersionObjective(ground, s, lam=spec.lam)
     else:  # weighted_coverage
         n_items = max(2 * n, 1)
-        covered = gen.random((n, n_items)) < spec.density
-        covers = [np.flatnonzero(row).tolist() for row in covered]
+        # one row of draws at a time: the same stream as one (n, n_items) draw
+        covers = [np.flatnonzero(gen.random(n_items) < spec.density).tolist()
+                  for _ in range(n)]
         if spec.tie_free:
             nums = gen.choice(np.arange(1, 8 * n_items + 1), size=n_items, replace=False)
             item_w = nums.astype(float) / _DENOM
@@ -497,17 +521,15 @@ def load_similarity_csv(path) -> tuple[np.ndarray, list]:
     n = len(labels)
     if len(rows) != n + 1:
         raise ValueError(f"{path}: expected {n} matrix rows after the header, got {len(rows) - 1}")
-    mat = np.zeros((n, n))
     for i, row in enumerate(rows[1:]):
         if len(row) != n:
             raise ValueError(f"{path}: row {i + 1} has {len(row)} columns, expected {n}")
-        mat[i] = [float(c) for c in row]
+    mat = np.array(rows[1:], dtype=float)  # numpy parses each cell as float() does
     if not np.all(np.isfinite(mat)):
         raise ValueError(f"{path}: similarity entries must be finite")
     if np.any(mat < 0):
         raise ValueError(f"{path}: similarity entries must be non-negative")
-    if not np.allclose(mat, mat.T, rtol=0.0, atol=1e-9):
-        raise ValueError(f"{path}: similarity matrix must be symmetric within 1e-9")
+    _check_symmetric(mat, f"{path}: similarity matrix must be symmetric within 1e-9")
     return mat, labels
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import subprocess
@@ -516,13 +517,27 @@ def test_verify_limit_applies_to_constraint_checks(capsys):
     assert "k-extendible(k=1)  PASS  n=13" in out
 
 
-def test_verify_limit_past_a_verifier_cap_is_a_config_error(capsys):
+def test_verify_limit_past_a_verifier_cap_is_a_config_error(capsys, monkeypatch):
     # 15 elements pass the downward-closure and k-system caps (20, 16), not
-    # the k-extendibility cap
+    # the k-extendibility cap; every cap is compared before any check runs
+    called = []
+    for name in ("verify_downward_closed", "verify_k_system", "verify_k_extendible"):
+        check = getattr(cli, name)
+
+        @functools.wraps(check)
+        def spy(*args, _check=check, **kwargs):
+            called.append(_check.__name__)
+            return _check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, spy)
     assert run(["verify", "--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "15"]) == 2
     captured = capsys.readouterr()
     assert "verify_k_extendible is exhaustive; n=15 exceeds cap 14" in captured.err
     assert captured.out == ""
+    assert called == []
+    # the spies do run the checks when the limit fits
+    assert run(["verify", "--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "6"]) == 0
+    assert called == ["verify_downward_closed", "verify_k_system", "verify_k_extendible"]
 
 
 def test_verify_rejects_a_negative_limit(capsys):

@@ -296,19 +296,32 @@ def _coverage_loop(gen, n, density, tie_free):
     return [c.tolist() for c in covers], item_w.tolist()
 
 
+def _modular_loop(gen, n, tie_free):
+    """The modular weights (reference)."""
+    if tie_free:
+        nums = gen.choice(np.arange(1, 8 * max(n, 1) + 1), size=n, replace=False)
+        return (nums.astype(float) / 8.0).tolist()
+    return (gen.integers(0, 64, size=n).astype(float) / 8.0).tolist()
+
+
 GENERATION_SPECS = [
     SyntheticSpec(kind=kind, n=n, seed=seed, density=density, tie_free=tie_free)
-    for kind in ("cut", "coverage_dispersion", "weighted_coverage")
-    for n, seed, density in ((0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.9), (9, 4, 0.5), (37, 5, 0.13))
+    for kind in ("modular", "cut", "coverage_dispersion", "weighted_coverage")
+    for n, seed, density in ((0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.9), (9, 4, 0.5), (37, 5, 0.13),
+                             (300, 6, 0.05))
     for tie_free in (False, True)
 ]
 
 
 @pytest.mark.parametrize("spec", GENERATION_SPECS, ids=repr)
 def test_vectorised_generation_equals_loop_reference(spec):
-    obj = generate(spec)[0].objective
-    gen = Rng(spec.seed, 0).generator
-    if spec.kind == "weighted_coverage":
+    # an explicit stream, so that its position after generation can be read
+    rng = Rng(spec.seed, 3)
+    obj = generate(spec, rng=rng)[0].objective
+    gen = Rng(spec.seed, 3).generator
+    if spec.kind == "modular":
+        assert list(obj.weights) == _modular_loop(gen, spec.n, spec.tie_free)
+    elif spec.kind == "weighted_coverage":
         covers, item_w = _coverage_loop(gen, spec.n, spec.density, spec.tie_free)
         assert [sorted(c) for c in obj.covers] == covers
         assert list(obj.item_weights) == item_w
@@ -316,6 +329,50 @@ def test_vectorised_generation_equals_loop_reference(spec):
         ref = _symmetric_dyadic_loop(gen, spec.n, spec.density, spec.tie_free)
         data = obj.weights if spec.kind == "cut" else obj.similarity
         assert data.dtype == ref.dtype and np.array_equal(data, ref)
+    # generation left both streams at the same position
+    assert rng.generator.random() == gen.random()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "near"])
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_full_universe_row_coverage_is_the_column_copy_sum(n, layout):
+    # non-dyadic entries, where summation order shows in the last bits;
+    # "near" is symmetric within 1e-9 only
+    s = np.random.default_rng(n).random((n, n))
+    s = s + s.T
+    if layout == "F":
+        s = np.asfortranarray(s)
+    elif layout == "near" and n > 1:
+        s[0, 1] += 1e-12
+    obj = CoverageDispersionObjective(GroundSet(n), s, lam=0.5)
+    ref = s[:, np.arange(n)].sum(axis=1)
+    assert obj._row_coverage.tobytes() == ref.tobytes()
+
+
+def test_weighted_coverage_gain_rows_are_sorted_covers():
+    covers = [{9, 1, 8, 0}, set(), {3}, {7, 2, 16, 5}]
+    obj = WeightedCoverageObjective(GroundSet(4), covers, [1.0] * 17)
+    rows = np.split(obj._items, obj._indptr[1:-1])
+    assert [r.tolist() for r in rows] == [sorted(c) for c in covers]
+    with pytest.raises(ValueError, match=r"cover refers to unknown items: \[-2, -1, 17, 20, 30\]"):
+        WeightedCoverageObjective(GroundSet(2), [{30, 0, -1, 17, 40}, {20, -2, 17}], [1.0] * 17)
+
+
+@pytest.mark.parametrize("kind,density,cap_mib", [
+    ("weighted_coverage", 0.01, 16),
+    ("coverage_dispersion", 0.5, 72),
+])
+def test_generation_memory_peak(kind, density, cap_mib):
+    import tracemalloc
+
+    spec = SyntheticSpec(kind=kind, n=2000, seed=1, density=density)
+    tracemalloc.start()
+    try:
+        generate(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= cap_mib * 2**20, f"{kind}: peak {peak / 2**20:.1f} MiB"
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -387,3 +444,61 @@ def test_similarity_csv_rejects_ragged(tmp_path):
     p.write_text("a,b\n0,1\n1\n")
     with pytest.raises(ValueError):
         load_similarity_csv(str(p))
+
+
+def test_similarity_csv_parses_each_cell_as_float_does(tmp_path):
+    # 16 x 16 cells of repr'd doubles over many magnitudes and the edge
+    # spellings float() accepts, mirrored so the matrix is symmetric
+    rng = np.random.default_rng(5)
+    n = 16
+    cells = [[""] * n for _ in range(n)]
+    edge = [" 0.5 ", "1_000", "1e-400", "-0.0", "7", "2.5E+3", "0001.250"]
+    k = 0
+    for i in range(n):
+        for j in range(i, n):
+            if k < len(edge):
+                c = edge[k]
+            else:
+                c = repr(float(rng.random() * 10.0 ** int(rng.integers(-300, 300))))
+            cells[i][j] = cells[j][i] = c
+            k += 1
+    p = tmp_path / "s.csv"
+    p.write_text(",".join(f"e{i}" for i in range(n)) + "\n"
+                 + "".join(",".join(row) + "\n" for row in cells))
+    mat, _labels = load_similarity_csv(str(p))
+    ref = np.array([[float(c) for c in row] for row in cells])
+    assert mat.dtype == ref.dtype and mat.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0,inf\ninf,0\n", "similarity entries must be finite"),
+    ("0,-1\n-1,0\n", "similarity entries must be non-negative"),
+    ("0,1\n1\n", "row 2 has 1 columns, expected 2"),
+    ("0,1\n1,0\n1,0\n", "expected 2 matrix rows after the header, got 3"),
+    ("0,x\nx,0\n", "could not convert string to float: 'x'"),
+    ("0,0x10\n0x10,0\n", "could not convert string to float: '0x10'"),
+    ("0,1\n1.000001,0\n", "similarity matrix must be symmetric within 1e-9"),
+])
+def test_similarity_csv_rejection_messages(tmp_path, body, message):
+    p = tmp_path / "s.csv"
+    p.write_text("a,b\n" + body)
+    with pytest.raises(ValueError) as exc:
+        load_similarity_csv(str(p))
+    assert str(exc.value).endswith(message)
+
+
+def test_asymmetry_tolerance_is_1e_9(tmp_path):
+    near = np.array([[0.0, 0.5], [0.5 + 1e-12, 0.0]])
+    far = np.array([[0.0, 0.5], [0.5 + 1e-6, 0.0]])
+    g = GroundSet(2)
+    assert CoverageDispersionObjective(g, near, lam=0.5).similarity is not None
+    with pytest.raises(ValueError, match=r"similarity must be symmetric \(within 1e-9\)"):
+        CoverageDispersionObjective(g, far, lam=0.5)
+    for name, m in (("near", near), ("far", far)):
+        p = tmp_path / f"{name}.csv"
+        p.write_text("a,b\n" + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in m))
+        if name == "near":
+            assert load_similarity_csv(str(p))[0].tobytes() == m.tobytes()
+        else:
+            with pytest.raises(ValueError, match="symmetric within 1e-9"):
+                load_similarity_csv(str(p))
