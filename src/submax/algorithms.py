@@ -24,8 +24,6 @@ import numpy as np
 from .core import (
     CapacityError,
     ElementSet,
-    ExtensionState,
-    GainState,
     GroundSet,
     IndependenceOracle,
     PropertyViolation,
@@ -59,61 +57,80 @@ class InstrumentedStep:
     y_u: int
 
 
-def _counts(f: Optional[ValueOracle], I: Optional[IndependenceOracle]) -> tuple[int, int, int]:
-    return (
-        f.eval_count if f is not None else 0,
-        f.marginal_count if f is not None else 0,
-        I.membership_count if I is not None else 0,
-    )
+class _Run:
+    """One algorithm run's accounting and, given a ground set, the working set
+    of a greedy-family run.
 
+    Built at the start of a run, it takes the clock and the entry counts of
+    ``f`` and ``I`` (None for an unconstrained run); :meth:`result` reports
+    the counts since.  Given ``ground`` it also starts S = ∅, counts f(∅),
+    and keeps S, f(S), the cached base, a gain state, an extension state and
+    the :class:`GreedyStep` trace in step: :meth:`add` alone advances them.
+    """
 
-def _result(
-    solution: ElementSet,
-    value: float,
-    before: tuple[int, int, int],
-    after: tuple[int, int, int],
-    t0: float,
-    seed: Optional[int],
-    name: str,
-) -> SolveResult:
-    return SolveResult(
-        solution=solution,
-        value=value,
-        f_evals=after[0] - before[0],
-        marginal_evals=after[1] - before[1],
-        independence_checks=after[2] - before[2],
-        wall_ms=(time.perf_counter() - t0) * 1000.0,
-        seed=seed,
-        algorithm_name=name,
-    )
+    def __init__(self, f: ValueOracle, I: Optional[IndependenceOracle] = None,
+                 ground: Optional[GroundSet] = None):
+        self.f, self.I = f, I
+        self._t0 = time.perf_counter()
+        self._before = self._counts()
+        if ground is not None:
+            self.S = ground.empty()
+            self.value = f.value(self.S)
+            self.state = f.gain_state()
+            self.fits = I.extension_state()
+            self.trace: list[GreedyStep] = []
+
+    def _counts(self) -> tuple[int, int, int]:
+        I = self.I
+        return self.f.eval_count, self.f.marginal_count, I.membership_count if I is not None else 0
+
+    def best(self, pool: list[int]) -> Optional[tuple[int, float]]:
+        """One naive greedy round at S: the feasible candidate of strictly
+        positive maximal gain, removed from ``pool``, and its gain; None when
+        there is none.
+
+        Candidates whose addition is infeasible leave ``pool`` for good
+        (supersets of dependent sets stay dependent).  The rest are scored in
+        one :meth:`ValueOracle.gains` batch and the first maximum wins, so
+        ties go to the smallest id of an ascending pool.
+        """
+        pool[:] = self.I.extensions(self.fits, self.S, pool)
+        if not pool:
+            return None
+        gains = self.f.gains(self.state, self.S, pool)
+        i = int(np.argmax(gains))
+        if gains[i] <= 0.0:
+            return None
+        return pool.pop(i), float(gains[i])
+
+    def add(self, u: int, gain: float) -> None:
+        """Move S to S + u, of marginal gain ``gain``, and commit it as the base."""
+        self.S = self.S.with_element(u)
+        self.value += gain
+        self.f.set_base(self.S, self.value)
+        self.state.add(u)
+        self.fits.add(u)
+        self.trace.append(GreedyStep(u, gain, self.value))
+
+    def result(self, name: str, seed: Optional[int] = None,
+               solution: Optional[ElementSet] = None, value: Optional[float] = None) -> SolveResult:
+        """The run's :class:`SolveResult`: S and f(S) unless given."""
+        after = self._counts()
+        return SolveResult(
+            solution=self.S if solution is None else solution,
+            value=self.value if value is None else value,
+            f_evals=after[0] - self._before[0],
+            marginal_evals=after[1] - self._before[1],
+            independence_checks=after[2] - self._before[2],
+            wall_ms=(time.perf_counter() - self._t0) * 1000.0,
+            seed=seed,
+            algorithm_name=name,
+        )
 
 
 # ---------------------------------------------------------------------------
 # Greedy (naive scan and lazy heap)
 # ---------------------------------------------------------------------------
-
-
-def _greedy_round(
-    f: ValueOracle, I: IndependenceOracle, state: GainState, fits: ExtensionState,
-    S: ElementSet, pool: list[int],
-) -> Optional[tuple[int, float]]:
-    """One naive greedy round at S: the feasible candidate of strictly positive
-    maximal gain, removed from ``pool``, and its gain; None when there is none.
-    ``state`` and ``fits`` must hold exactly the elements of S.
-
-    Candidates whose addition is infeasible leave ``pool`` for good (supersets
-    of dependent sets stay dependent).  The rest are scored in one
-    :meth:`ValueOracle.gains` batch and the first maximum wins, so ties go to
-    the smallest id of an ascending pool.
-    """
-    pool[:] = I.extensions(fits, S, pool)
-    if not pool:
-        return None
-    gains = f.gains(state, S, pool)
-    i = int(np.argmax(gains))
-    if gains[i] <= 0.0:
-        return None
-    return pool.pop(i), float(gains[i])
 
 
 def greedy(
@@ -135,47 +152,26 @@ def greedy(
     evaluations.
     """
     ground = ground or f.ground
-    t0 = time.perf_counter()
-    before = _counts(f, I)
+    run = _Run(f, I, ground)
     pool = sorted(set(candidates)) if candidates is not None else list(ground.elements)
-    S = ground.empty()
-    value = f.value(S)
-    state = f.gain_state()
-    fits = I.extension_state()
-    trace: list[GreedyStep] = []
-
-    def take(u: int, gain: float) -> None:
-        nonlocal S, value
-        S = S.with_element(u)
-        value += gain
-        f.set_base(S, value)
-        state.add(u)
-        fits.add(u)
-        trace.append(GreedyStep(u, gain, value))
-
     if lazy:
-        pool = I.extensions(fits, S, pool)
-        heap = [(-g, u, 0) for g, u in zip(f.gains(state, S, pool).tolist(), pool)]
+        pool = I.extensions(run.fits, run.S, pool)
+        heap = [(-g, u, 0) for g, u in zip(f.gains(run.state, run.S, pool).tolist(), pool)]
         heapq.heapify(heap)
-        rounds = 0
         while heap:
             neg_gain, u, stamp = heapq.heappop(heap)
-            if not I.extensions(fits, S, (u,)):
+            if not I.extensions(run.fits, run.S, (u,)):
                 continue  # drop permanently
-            if stamp == rounds:
-                gain = -neg_gain
-                if gain <= 0.0:
+            if stamp == len(run.trace):  # scored at the current S
+                if neg_gain >= 0.0:
                     break
-                take(u, gain)
-                rounds += 1
+                run.add(u, -neg_gain)
             else:
-                heapq.heappush(heap, (-f.gain(state, S, u), u, rounds))
+                heapq.heappush(heap, (-f.gain(run.state, run.S, u), u, len(run.trace)))
     else:
-        while (pick := _greedy_round(f, I, state, fits, S, pool)) is not None:
-            take(*pick)
-
-    name = "lazy-greedy" if lazy else "greedy"
-    return _result(S, value, before, _counts(f, I), t0, None, name), trace
+        while (pick := run.best(pool)) is not None:
+            run.add(*pick)
+    return run.result("lazy-greedy" if lazy else "greedy"), run.trace
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +195,7 @@ def _double_greedy(
     leaves Y - u cached: at the last element X + u is Y, so it is served from
     the cache when the step before dropped its element.  The value is f(X)
     accumulated from the gains."""
-    t0 = time.perf_counter()
-    before = _counts(f, None)
+    run = _Run(f)
     ground = U.universe
     fx = f.value(ground.empty())
     f.value(U)  # f(Y), counted and cached; it also rejects a U outside f's domain
@@ -234,7 +229,7 @@ def _double_greedy(
         # Y - u at the last element is X before that step
         f.set_base(X.without_element(last), fx_before)
     seed = rng.master_seed if rng is not None else None
-    return _result(X, fx, before, _counts(f, None), t0, seed, name)
+    return run.result(name, seed, X, fx)
 
 
 def unconstrained_max_det(f: ValueOracle, U: ElementSet) -> SolveResult:
@@ -310,8 +305,7 @@ def repeated_greedy(
         if rounds < 1:
             raise ValueError(f"ell must be >= 1, got {rounds}")
 
-    t0 = time.perf_counter()
-    before = _counts(f, I)
+    run = _Run(f, I)
     remaining = list(ground.elements)
     best_set: Optional[ElementSet] = None
     best_value = -1.0
@@ -327,8 +321,7 @@ def repeated_greedy(
         picked = set(res_i.solution.members)
         remaining = [u for u in remaining if u not in picked]
     seed = rng.master_seed if rng is not None else None
-    name = f"repeated-greedy-{subroutine}"
-    return _result(best_set, best_value, before, _counts(f, I), t0, seed, name)
+    return run.result(f"repeated-greedy-{subroutine}", seed, best_set, best_value)
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +352,10 @@ def sample_greedy(
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"sampling probability must lie in (0, 1], got {p}")
-    t0 = time.perf_counter()
-    before = _counts(f, I)
+    run = _Run(f, I)
     kept = [u for u in ground.elements if bernoulli(rng, p)]
     res, _trace = greedy(f, I, ground, candidates=kept, lazy=lazy)
-    return _result(
-        res.solution, res.value, before, _counts(f, I), t0, rng.master_seed, "sample-greedy"
-    )
+    return run.result("sample-greedy", rng.master_seed, res.solution, res.value)
 
 
 def sample_greedy_linear(
@@ -374,18 +364,13 @@ def sample_greedy_linear(
     ground: Optional[GroundSet] = None,
     *,
     rng: Rng,
-    assume_modular: bool = False,
     lazy: bool = False,
 ) -> SolveResult:
     """The linear-objective variant: :func:`sample_greedy` with sampling
-    probability 1/k instead of 1/(k+1).  Only valid for modular objectives;
-    the oracle must either be flagged modular or the caller must attest via
-    ``assume_modular``."""
-    if not (f.modular or assume_modular):
-        raise ValueError(
-            "sample_greedy_linear requires a modular objective "
-            "(flag the oracle or pass assume_modular=True)"
-        )
+    probability 1/k instead of 1/(k+1).  Only valid for modular objectives:
+    the oracle must be flagged ``modular``."""
+    if not f.modular:
+        raise ValueError("sample_greedy_linear requires an oracle flagged modular=True")
     if I.k < 1:
         raise ValueError(f"declared k must be >= 1, got {I.k}")
     res = sample_greedy(f, I, ground, rng=rng, p=1.0 / I.k, lazy=lazy)
@@ -413,8 +398,7 @@ def brute_force_opt(
     n = len(elems)
     if n > cap:
         raise CapacityError(f"brute_force_opt enumerates independent sets; n={n} exceeds cap {cap}")
-    t0 = time.perf_counter()
-    before = _counts(f, I)
+    run = _Run(f, I)
     empty = ground.empty()
     best_set = empty
     best_value = f.value(empty)
@@ -431,7 +415,7 @@ def brute_force_opt(
             visit(S2, v2, i + 1)
 
     visit(empty, best_value, 0)
-    return _result(best_set, best_value, before, _counts(f, I), t0, None, "brute-force")
+    return run.result("brute-force", None, best_set, best_value)
 
 
 # ---------------------------------------------------------------------------
@@ -481,32 +465,22 @@ def instrumented_sample_greedy(
     if not I.is_independent(opt):
         raise ValueError("reference set opt must be independent")
     k = I.k
-    t0 = time.perf_counter()
-    before = _counts(f, I)
-    S = ground.empty()
-    value = f.value(S)
-    state = f.gain_state()  # both follow S: they move on heads only
-    fits = I.extension_state()
+    run = _Run(f, I, ground)  # S, its states and f(S) move on heads only
     O = opt
     pool = list(ground.elements)
     considered: set[int] = set()
     trace: list[InstrumentedStep] = []
-    iteration = 0
 
-    while (pick := _greedy_round(f, I, state, fits, S, pool)) is not None:
+    while (pick := run.best(pool)) is not None:
         u, gain = pick
-        iteration += 1
-        s_before = S
+        iteration = len(trace) + 1
+        s_before = run.S
         was_in_o = u in O
         coin = coin_source(u) if coin_source is not None else bernoulli(rng, p)
         if coin:
-            S = S.with_element(u)
-            value += gain
-            f.set_base(S, value)
-            state.add(u)
-            fits.add(u)
+            run.add(u, gain)
             O_aug = O.with_element(u)
-            removable = O_aug.difference(S).members  # ascending ids
+            removable = O_aug.difference(run.S).members  # ascending ids
             removed: Optional[tuple] = None
             for size in range(0, len(removable) + 1):
                 for combo in itertools.combinations(removable, size):
@@ -533,24 +507,15 @@ def instrumented_sample_greedy(
             )
         if not I.is_independent(O):
             raise PropertyViolation("P1", iteration, "O lost independence")
-        if not S.issubset(O):
+        if not run.S.issubset(O):
             raise PropertyViolation("P2", iteration, "S is no longer contained in O")
-        stale = (set(O.members) - set(S.members)) & considered
+        stale = (set(O.members) - set(run.S.members)) & considered
         if stale:
             raise PropertyViolation(
                 "P3", iteration, f"already-considered elements linger in O\\S: {sorted(stale)}"
             )
-        trace.append(
-            InstrumentedStep(
-                element=u,
-                s_before=s_before,
-                coin=coin,
-                o_after=O,
-                removed=removed,
-                y_u=y_u,
-            )
-        )
+        trace.append(InstrumentedStep(element=u, s_before=s_before, coin=coin, o_after=O,
+                                      removed=removed, y_u=y_u))
 
     seed = rng.master_seed if rng is not None else None
-    result = _result(S, value, before, _counts(f, I), t0, seed, "instrumented-sample-greedy")
-    return result, trace
+    return run.result("instrumented-sample-greedy", seed), trace

@@ -241,6 +241,14 @@ def _fields(path: str, reader: csv.DictReader, row: dict, names: Sequence[str]) 
     return values
 
 
+def _new_id(path: str, reader: csv.DictReader, e: int, seen: dict) -> int:
+    """``e``, unless an earlier row of the file already listed it: a config
+    error naming the file and line."""
+    if e in seen:
+        raise ConfigError(f"{path}: line {reader.line_num}: element id {e} listed twice")
+    return e
+
+
 def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
     weights: dict[int, float] = {}
     with open(path, newline="") as fh:
@@ -250,7 +258,7 @@ def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
             raise ConfigError(f"{path}: expected header 'element_id,weight'")
         for row in reader:
             e, w = _fields(path, reader, row, ("element_id", "weight"))
-            weights[int(e)] = float(w)
+            weights[_new_id(path, reader, int(e), weights)] = float(w)
     if not weights:
         raise ConfigError(f"{path}: no weight rows")
     _check_ids(path, weights)
@@ -268,7 +276,7 @@ def _load_partition_csv(path: str, n: int) -> tuple[dict[int, str], dict[str, in
             raise ConfigError(f"{path}: expected header 'element_id,block_id,capacity'")
         for row in reader:
             e, b, cap = _fields(path, reader, row, ("element_id", "block_id", "capacity"))
-            e, b, cap = int(e), b.strip(), int(cap)
+            e, b, cap = _new_id(path, reader, int(e), block_of), b.strip(), int(cap)
             block_of[e] = b
             if b in capacities and capacities[b] != cap:
                 raise ConfigError(f"{path}: block {b!r} has conflicting capacities")
@@ -602,6 +610,8 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench requires --out STEM for its report files")
     if args.trials < 1:
         raise ConfigError(f"--trials must be >= 1, got {args.trials}")
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     algs = [a.strip() for a in args.alg.split(",") if a.strip()]
     unknown = [a for a in algs if a not in ALGORITHMS]
     if unknown:

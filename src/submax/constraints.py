@@ -13,7 +13,7 @@ import itertools
 import logging
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import CapacityError, ElementSet, ExtensionState, GroundSet, IndependenceOracle
+from .core import CapacityError, ElementSet, ExtensionState, GroundSet, IndependenceOracle, _subset_table
 
 logger = logging.getLogger(__name__)
 
@@ -260,6 +260,8 @@ def load_genres_csv(path) -> dict[int, frozenset]:
                 raise ValueError(f"{path}: line {reader.line_num}: missing field(s) "
                                  f"{', '.join(missing)}")
             e = int(row["element_id"])
+            if e in genre_of:
+                raise ValueError(f"{path}: line {reader.line_num}: element id {e} listed twice")
             labels = frozenset(g.strip() for g in row["genres"].split(";") if g.strip())
             genre_of[e] = labels
     return genre_of
@@ -278,33 +280,11 @@ def _element_list(I: IndependenceOracle, elements: Optional[Sequence[int]]) -> l
         raise ValueError("oracle has no ground set")
     if elements is None:
         return list(I.ground.elements)
-    elems = sorted(set(int(e) for e in elements))
-    if elems and (elems[0] < 0 or elems[-1] >= I.ground.n):
-        bad = elems[0] if elems[0] < 0 else elems[-1]
-        raise ValueError(f"element {bad} outside ground set of size {I.ground.n}")
-    return elems
+    return list(I.ground.set(elements).members)  # sorted, distinct, range-checked
 
 
 def _members(elems: Sequence[int], mask: int) -> list[int]:
     return [e for i, e in enumerate(elems) if mask >> i & 1]
-
-
-def _independence_table(I: IndependenceOracle, elems: Sequence[int]) -> list[bool]:
-    """``I.is_independent`` of every subset of ``elems`` (sorted, distinct),
-    indexed by mask: one counted query per subset.  The sets are built in a
-    depth-first walk, each child its parent's members plus a larger element,
-    so only one root-to-leaf path of them is alive at a time."""
-    n = len(elems)
-    table = [False] * (1 << n)
-    ground, raw, query = I.ground, ElementSet._raw, I.is_independent
-
-    def visit(mask: int, members: tuple, start: int) -> None:
-        table[mask] = query(raw(ground, members))
-        for i in range(start, n):
-            visit(mask | 1 << i, members + (elems[i],), i + 1)
-
-    visit(0, (), 0)
-    return table
 
 
 def verify_downward_closed(
@@ -322,7 +302,7 @@ def verify_downward_closed(
             f"verify_downward_closed is exhaustive; n={n} exceeds cap {cap} "
             f"(verify a truncation or sample subsets instead)"
         )
-    ind = _independence_table(I, elems)
+    ind = _subset_table(I.ground, elems, I.is_independent)
     for mask in range(1 << n):
         if not ind[mask]:
             continue
@@ -348,7 +328,7 @@ def verify_k_system(
     n = len(elems)
     if n > cap:
         raise CapacityError(f"verify_k_system is exhaustive; n={n} exceeds cap {cap}")
-    ind = _independence_table(I, elems)
+    ind = _subset_table(I.ground, elems, I.is_independent)
     full = (1 << n) - 1
     size = 1 << n
     min_base = [n + 1] * size
@@ -427,7 +407,7 @@ def verify_k_extendible(
         k = I.k
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    ind = _independence_table(I, elems)
+    ind = _subset_table(I.ground, elems, I.is_independent)
 
     for B in range(1 << n):
         if not ind[B]:

@@ -155,6 +155,24 @@ class ElementSet:
         return f"ElementSet({list(self.members)})"
 
 
+def _subset_table(ground: GroundSet, elems: Sequence[int], query: Callable[[ElementSet], object]) -> list:
+    """``query`` of every subset of ``elems`` (sorted, distinct, in ``ground``),
+    indexed by mask: one call per subset.  The sets are built in a depth-first
+    walk, each child its parent's members plus a larger element, so only one
+    root-to-leaf path of them is alive at a time."""
+    n = len(elems)
+    table = [None] * (1 << n)
+    raw = ElementSet._raw
+
+    def visit(mask: int, members: tuple, start: int) -> None:
+        table[mask] = query(raw(ground, members))
+        for i in range(start, n):
+            visit(mask | 1 << i, members + (elems[i],), i + 1)
+
+    visit(0, (), 0)
+    return table
+
+
 class ValueOracle:
     """Counted wrapper around a non-negative set function ``f: 2^N -> R``.
 

@@ -30,6 +30,7 @@ from .core import (
     NonNegativityError,
     Rng,
     ValueOracle,
+    _subset_table,
 )
 
 _DENOM = 8.0  # dyadic denominator for synthetic data
@@ -539,17 +540,13 @@ def load_similarity_csv(path) -> tuple[np.ndarray, list]:
 
 
 def _value_table(f: ValueOracle, elems: Sequence[int]) -> np.ndarray:
-    n = len(elems)
-    vals = np.empty(1 << n)
-    ground = f.ground
-    for mask in range(1 << n):
-        members = [elems[i] for i in range(n) if mask >> i & 1]
-        vals[mask] = f.value(ElementSet(ground, members))
-    return vals
+    """f of every subset of ``elems``, indexed by mask: one counted query each."""
+    return np.array(_subset_table(f.ground, elems, f.value), dtype=float)
 
 
 def _elems_for(f: ValueOracle, elements: Optional[Sequence[int]], cap: int, what: str) -> list[int]:
-    elems = sorted(set(elements)) if elements is not None else list(f.ground.elements)
+    # an ElementSet sorts, deduplicates and rejects ids outside the ground set
+    elems = list(f.ground.set(elements if elements is not None else f.ground.elements).members)
     if len(elems) > cap:
         raise CapacityError(f"{what} is exhaustive; n={len(elems)} exceeds cap {cap}")
     return elems

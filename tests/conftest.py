@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import os
-import time
 
 import numpy as np
 import pytest
@@ -19,7 +18,7 @@ from submax import (
     bernoulli,
     generate,
 )
-from submax.algorithms import _counts, _result
+from submax.algorithms import _Run
 
 # CI runs with HYPOTHESIS_PROFILE=ci: the same examples on every run, and a
 # failure prints the blob that replays it locally.
@@ -69,8 +68,7 @@ def reference_double_greedy(f, U, choose_lower, rng, name):
     """Double greedy as an evaluate loop over the sets X + u and Y - u: the
     reference for ``algorithms._double_greedy`` (same signature), its
     solutions, values, coins, oracle counts and the cached base it leaves."""
-    t0 = time.perf_counter()
-    before = _counts(f, None)
+    run = _Run(f)
     X, Y = U.universe.empty(), U
     fx, fy = f.value(X), f.value(Y)
     for u in U.members:
@@ -87,7 +85,7 @@ def reference_double_greedy(f, U, choose_lower, rng, name):
         else:
             Y, fy = Y_minus, vy
     seed = rng.master_seed if rng is not None else None
-    return _result(X, fx, before, _counts(f, None), t0, seed, name)
+    return run.result(name, seed, X, fx)
 
 
 @pytest.fixture

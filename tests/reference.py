@@ -1,9 +1,9 @@
 """Test references: the plain exhaustive routines that the package's faster
 ones are checked against.
 
-- ``independence_table`` and the three verifiers build every subset with
-  ``ElementSet(...)`` in mask order and run the exchange check once per
-  (A, B, e) triple;
+- ``independence_table``, ``value_table`` and the three verifiers build every
+  subset with ``ElementSet(...)`` in mask order, and the verifiers run the
+  exchange check once per (A, B, e) triple;
 - ``check_submodular_pairwise`` checks the union/intersection form of
   submodularity, an independent route to ``check_submodular``'s answer;
 - ``genre_as_intersection`` writes a genre constraint as a uniform matroid
@@ -20,7 +20,7 @@ import numpy as np
 
 from submax import CapacityError, ElementSet, IndependenceOracle, IntersectionSystem, UniformMatroid
 from submax.constraints import _element_list
-from submax.objectives import _elems_for, _value_table
+from submax.objectives import _elems_for
 
 logger = logging.getLogger(__name__)
 
@@ -33,6 +33,14 @@ def _mask_set(I: IndependenceOracle, elems: Sequence[int], mask: int) -> Element
 def independence_table(I: IndependenceOracle, elems: Sequence[int]) -> list[bool]:
     n = len(elems)
     return [I.is_independent(_mask_set(I, elems, m)) for m in range(1 << n)]
+
+
+def value_table(f, elems: Sequence[int]) -> np.ndarray:
+    n = len(elems)
+    vals = np.empty(1 << n)
+    for mask in range(1 << n):
+        vals[mask] = f.value(_mask_set(f, elems, mask))
+    return vals
 
 
 def verify_downward_closed(
@@ -196,7 +204,7 @@ def check_submodular_pairwise(f, elements: Optional[Sequence[int]] = None, *, ca
     """
     elems = _elems_for(f, elements, cap, "check_submodular_pairwise")
     n = len(elems)
-    vals = _value_table(f, elems)
+    vals = value_table(f, elems)
     all_masks = np.arange(1 << n)
     for X in range(1 << n):
         if np.any(vals[X] + vals < vals[X | all_masks] + vals[X & all_masks]):

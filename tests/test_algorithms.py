@@ -8,8 +8,10 @@ import pytest
 from submax import (
     CapacityError,
     CutObjective,
+    GenreConstraint,
     GroundSet,
     ModularObjective,
+    PartitionMatroid,
     PropertyViolation,
     Rng,
     UniformMatroid,
@@ -24,6 +26,7 @@ from submax import (
     sample_greedy_linear,
     unconstrained_max_det,
     unconstrained_max_rand,
+    ValueOracle,
 )
 from conftest import (
     make_objective,
@@ -347,10 +350,11 @@ def test_sample_greedy_linear_zero_weights():
 def test_sample_greedy_linear_rejects_non_modular():
     f, g = make_objective("cut", 6, 3)
     I = make_partition_intersection(6, 2, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="modular=True"):
         sample_greedy_linear(f, I, g, rng=Rng(0, 0))
-    # explicit attestation overrides the flag check
-    res = sample_greedy_linear(f, I, g, rng=Rng(0, 0), assume_modular=True)
+    # the oracle's flag is the one attestation
+    res = sample_greedy_linear(ValueOracle(f.objective.evaluate, g, modular=True), I, g,
+                               rng=Rng(0, 0))
     assert res.algorithm_name == "sample-greedy-linear"
 
 
@@ -453,7 +457,39 @@ def test_instrumented_needs_coins_or_rng():
         instrumented_sample_greedy(f1, I1, opt, g)
 
 
+def _constraint(kind: str, g: GroundSet, seed: int):
+    gen = Rng(seed, 5).generator
+    if kind == "uniform":
+        return UniformMatroid(g, 4)
+    if kind == "partition":
+        block_of = {e: int(gen.integers(0, 3)) for e in g.elements}
+        return PartitionMatroid(g, block_of, {0: 1, 1: 2, 2: 2})
+    genre_of = {e: {f"g{int(i)}" for i in gen.choice(3, size=int(gen.integers(1, 3)), replace=False)}
+                for e in g.elements}
+    return GenreConstraint(g, genre_of, ["g0", "g1"], m=4, m_g=2)
+
+
+@pytest.mark.parametrize("constraint", ["uniform", "partition", "genre"])
+@pytest.mark.parametrize("kind", ["coverage_dispersion", "weighted_coverage", "cut"])
+def test_greedy_family_leaves_its_solution_as_the_cached_base(kind, constraint):
+    """Every greedy-family run leaves (solution, value) as the oracle's cached
+    base: the base repeated greedy's unconstrained pass starts from."""
+    for seed in range(3):
+        runs = [lambda f, I, g: greedy(f, I, g)[0],
+                lambda f, I, g: greedy(f, I, g, lazy=True)[0],
+                lambda f, I, g: sample_greedy(f, I, g, rng=Rng(seed, 0)),
+                lambda f, I, g: sample_greedy(f, I, g, rng=Rng(seed, 0), lazy=True)]
+        runs += [lambda f, I, g, heads=heads: instrumented_sample_greedy(
+                     f, I, g.empty(), g, coin_source=lambda u: heads)[0]
+                 for heads in (True, False)]
+        for run in runs:
+            f, g = make_objective(kind, 12, seed)
+            res = run(f, _constraint(constraint, g, seed), g)
+            assert f.cached_base == (res.solution, res.value), (res.algorithm_name, seed)
+
+
 def test_property_violation_carries_context():
+
     err = PropertyViolation("P2", iteration=4, detail="S escaped O")
     assert err.prop == "P2" and err.iteration == 4
     assert "P2" in str(err)

@@ -238,7 +238,26 @@ def test_csv_rows_missing_a_field_are_config_errors(tmp_path, capsys, flag, body
     assert out.out == "" and f"error: {path}: line 3: missing field" in out.err
 
 
+@pytest.mark.parametrize("flag, body", [
+    ("--instance", "element_id,weight\n0,1\n1,2.0\n1,5.0\n"),
+    ("--constraint", "element_id,block_id,capacity\n0,a,1\n1,a,1\n1,b,1\n"),
+    ("--genres", "element_id,genres\n0,action\n1,action\n1,drama\n"),
+])
+def test_csv_rows_repeating_an_id_are_config_errors(tmp_path, capsys, flag, body):
+    """A second row for one element id is refused, not left to overwrite the first."""
+    path = tmp_path / "twice.csv"
+    path.write_text(body)
+    argv = {"--instance": ["--instance", str(path), "--constraint", "uniform:2"],
+            "--constraint": ["--instance", MODULAR, "--constraint", f"partition:{path}"],
+            "--genres": ["--instance", MODULAR, "--genres", str(path),
+                         "--constraint", "genre:m=2,mg=1,g=action"]}[flag]
+    assert run(["solve", "--alg", "greedy"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: {path}: line 4: element id 1 listed twice" in out.err
+
+
 def test_report_lines_refuse_nan():
+
     report = dict.fromkeys(REPORT_FIELDS)
     report["value"] = float("nan")
     with pytest.raises(ValueError):
@@ -306,7 +325,17 @@ def test_bench_jobs_do_not_change_output(tmp_path):
     assert Path(a + ".jsonl").read_bytes() == Path(b + ".jsonl").read_bytes()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-5"])
+def test_bench_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
+    stem = tmp_path / "b"
+    assert run(BENCH_BASE + ["--out", str(stem), "--jobs", jobs]) == 2
+    out = capsys.readouterr()
+    assert f"--jobs must be >= 1, got {jobs}" in out.err
+    assert not os.path.exists(str(stem) + ".jsonl")  # no trial ran
+
+
 def test_bench_summary_recomputable_from_jsonl(tmp_path):
+
     stem = str(tmp_path / "b")
     assert run(BENCH_BASE + ["--out", stem]) == 0
     lines = [json.loads(l) for l in Path(stem + ".jsonl").read_text().splitlines()]

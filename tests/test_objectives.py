@@ -20,7 +20,8 @@ from submax import (
     generate,
     load_similarity_csv,
 )
-from reference import check_submodular_pairwise
+from submax.objectives import _value_table
+from reference import check_submodular_pairwise, value_table
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +210,29 @@ def test_check_forms_agree():
         == check_submodular_pairwise(ValueOracle(quad, g)) is False
 
 
+@pytest.mark.parametrize("kind", ["coverage_dispersion", "weighted_coverage", "cut", "modular"])
+def test_value_table_equals_the_mask_loop_reference(kind):
+    """The depth-first value table gives the mask-order loop's values index for
+    index and makes the same counted evaluations, one per subset."""
+    elems = [0, 2, 3, 5, 6, 8]
+    f, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
+    ref, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
+    assert _value_table(f, elems).tolist() == value_table(ref, elems).tolist()
+    assert (f.eval_count, f.marginal_count) == (ref.eval_count, ref.marginal_count) \
+        == (1 << len(elems), 0)
+
+
+@pytest.mark.parametrize("check", [check_submodular, check_monotone])
+@pytest.mark.parametrize("bad", [-1, 9])
+def test_property_checks_reject_elements_outside_the_ground_set(check, bad):
+    f, _ = generate(SyntheticSpec(kind="cut", n=9, seed=4))
+    with pytest.raises(ValueError, match=f"element {bad} outside ground set of size 9"):
+        check(f, [0, bad, 3])
+    assert f.eval_count == 0
+
+
 def test_oracle_negativity_guard_end_to_end():
+
     g = GroundSet(4)
     f = ValueOracle(lambda S: 1.0 - len(S), g)
     with pytest.raises(NonNegativityError):
