@@ -22,7 +22,6 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from .core import (
-    CapacityError,
     ElementSet,
     GroundSet,
     IndependenceOracle,
@@ -30,6 +29,8 @@ from .core import (
     Rng,
     SolveResult,
     ValueOracle,
+    _check_cap,
+    _elements,
     bernoulli,
 )
 
@@ -387,17 +388,14 @@ def brute_force_opt(
     I: IndependenceOracle,
     ground: Optional[GroundSet] = None,
     candidates: Optional[Iterable[int]] = None,
-    *,
-    cap: int = 22,
 ) -> SolveResult:
     """Exact optimum over all independent sets, by depth-first enumeration
     pruned through downward closure (a dependent set's supersets are never
-    visited).  Refuses ground sets larger than ``cap``."""
+    visited).  Refuses more than 22 candidates."""
     ground = ground or f.ground
-    elems = sorted(set(candidates)) if candidates is not None else list(ground.elements)
+    elems = _elements(ground, candidates)
     n = len(elems)
-    if n > cap:
-        raise CapacityError(f"brute_force_opt enumerates independent sets; n={n} exceeds cap {cap}")
+    _check_cap("brute_force_opt", n)
     run = _Run(f, I)
     empty = ground.empty()
     best_set = empty

@@ -16,9 +16,7 @@ config therefore reproduces the JSONL byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
-import inspect
 import json
 import os
 import sys
@@ -54,6 +52,8 @@ from .core import (
     PropertyViolation,
     Rng,
     ValueOracle,
+    _check_cap,
+    _read_id_rows,
 )
 from .hardness import (
     MODE_M,
@@ -192,8 +192,12 @@ def parse_genres_spec(s: str) -> dict:
     """``synth:count=G,seed=S[,maxper=P]`` or a genres CSV path."""
     if s.startswith("synth:"):
         kv = _parse_kv(s[len("synth:"):], "synthetic genres", ("count", "seed"))
-        return {"source": "synth", "count": int(kv["count"]), "seed": int(kv["seed"]),
+        spec = {"source": "synth", "count": int(kv["count"]), "seed": int(kv["seed"]),
                 "maxper": int(kv.get("maxper", 2))}
+        for key in ("count", "maxper"):
+            if spec[key] < 1:
+                raise ConfigError(f"synthetic genres: {key} must be >= 1, got {spec[key]}")
+        return spec
     return {"source": "csv", "file": s}
 
 
@@ -222,68 +226,31 @@ def parse_sweep_spec(s: str) -> tuple[str, int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _check_ids(path: str, ids: Iterable[int], n: Optional[int] = None) -> None:
-    """The id-range rule of every loader: element ids are dense, ``0 <= id``,
-    and ``id < n`` when the ground set is sized elsewhere."""
-    bad = sorted(e for e in ids if e < 0 or (n is not None and e >= n))
+def _check_ids(path: str, ids: Iterable[int], n: int) -> None:
+    """Element ids of a file whose ground set the objective sizes lie below n."""
+    bad = sorted(e for e in ids if e >= n)
     if bad:
-        upper = f" and < {n}" if n is not None else ""
-        raise ConfigError(f"{path}: element ids must be >= 0{upper}; got {bad[:5]}")
-
-
-def _fields(path: str, reader: csv.DictReader, row: dict, names: Sequence[str]) -> list[str]:
-    """The named fields of one CSV row; a row too short to hold them all is
-    a config error naming the file and line."""
-    values = [row[name] for name in names]
-    if None in values:
-        missing = [name for name, v in zip(names, values) if v is None]
-        raise ConfigError(f"{path}: line {reader.line_num}: missing field(s) {', '.join(missing)}")
-    return values
-
-
-def _new_id(path: str, reader: csv.DictReader, e: int, seen: dict) -> int:
-    """``e``, unless an earlier row of the file already listed it: a config
-    error naming the file and line."""
-    if e in seen:
-        raise ConfigError(f"{path}: line {reader.line_num}: element id {e} listed twice")
-    return e
+        raise ConfigError(f"{path}: element ids must be < {n}; got {bad[:5]}")
 
 
 def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
-    weights: dict[int, float] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "element_id" not in reader.fieldnames \
-                or "weight" not in reader.fieldnames:
-            raise ConfigError(f"{path}: expected header 'element_id,weight'")
-        for row in reader:
-            e, w = _fields(path, reader, row, ("element_id", "weight"))
-            weights[_new_id(path, reader, int(e), weights)] = float(w)
+    weights = {e: w for e, (w,) in _read_id_rows(path, {"weight": float}).items()}
     if not weights:
         raise ConfigError(f"{path}: no weight rows")
-    _check_ids(path, weights)
     n = max(weights) + 1
     return GroundSet(n), [weights.get(e, 0.0) for e in range(n)]
 
 
 def _load_partition_csv(path: str, n: int) -> tuple[dict[int, str], dict[str, int]]:
-    block_of: dict[int, str] = {}
-    capacities: dict[str, int] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        need = {"element_id", "block_id", "capacity"}
-        if reader.fieldnames is None or not need <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: expected header 'element_id,block_id,capacity'")
-        for row in reader:
-            e, b, cap = _fields(path, reader, row, ("element_id", "block_id", "capacity"))
-            e, b, cap = _new_id(path, reader, int(e), block_of), b.strip(), int(cap)
-            block_of[e] = b
-            if b in capacities and capacities[b] != cap:
-                raise ConfigError(f"{path}: block {b!r} has conflicting capacities")
-            capacities[b] = cap
-    if not block_of:
+    rows = _read_id_rows(path, {"block_id": str.strip, "capacity": int})
+    if not rows:
         raise ConfigError(f"{path}: no partition rows")
-    _check_ids(path, block_of, n)
+    _check_ids(path, rows, n)
+    block_of = {e: b for e, (b, _cap) in rows.items()}
+    capacities: dict[str, int] = {}
+    for b, cap in rows.values():
+        if capacities.setdefault(b, cap) != cap:
+            raise ConfigError(f"{path}: block {b!r} has conflicting capacities")
     return block_of, capacities
 
 
@@ -341,6 +308,10 @@ def _instance(cfg: dict) -> _Instance:
             if cfg["genres"] is None:
                 raise ConfigError("genre constraint requires --genres (CSV or synth spec)")
             genre_of = _load_genres(cfg["genres"], ground.n)
+            labelled = set().union(*genre_of.values())
+            absent = [g for g in spec["g"] if g not in labelled]
+            if absent:  # it would still count in the declared k
+                raise ConfigError(f"favourite genre(s) {', '.join(absent)} label no element")
             if cfg["similarity"] is not None or isinstance(obj, CoverageDispersionObjective):
                 # a sweep never moves N_u
                 nu = GenreConstraint(ground, genre_of, spec["g"], m=spec["m"],
@@ -737,9 +708,7 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
         runs += [(check, elems) for check in
                  (verify_downward_closed, verify_k_system, verify_k_extendible)]
     for check, e in runs:  # refuse a --limit past any cap before running a check
-        cap = inspect.signature(check).parameters["cap"].default
-        if len(e) > cap:
-            raise CapacityError(f"{check.__name__} is exhaustive; n={len(e)} exceeds cap {cap}")
+        _check_cap(check.__name__, len(e))
 
     if obj is not None:
         f = obj.oracle()

@@ -13,7 +13,16 @@ import itertools
 import logging
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .core import CapacityError, ElementSet, ExtensionState, GroundSet, IndependenceOracle, _subset_table
+from .core import (
+    ElementSet,
+    ExtensionState,
+    GroundSet,
+    IndependenceOracle,
+    _check_cap,
+    _elements,
+    _read_id_rows,
+    _subset_table,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -21,10 +30,10 @@ logger = logging.getLogger(__name__)
 class UniformMatroid(IndependenceOracle):
     """S independent iff |S| <= m.  A matroid (declared k = 1)."""
 
-    def __init__(self, ground: GroundSet, m: int, name: str = ""):
+    def __init__(self, ground: GroundSet, m: int):
         if m < 0:
             raise ValueError(f"uniform matroid rank must be >= 0, got {m}")
-        super().__init__(ground=ground, k=1, name=name or f"uniform({m})")
+        super().__init__(ground=ground, k=1)
         self.m = int(m)
 
     def _accepts(self, S: ElementSet) -> bool:
@@ -59,9 +68,8 @@ class PartitionMatroid(IndependenceOracle):
         ground: GroundSet,
         block_of: Mapping[int, object],
         capacities: Mapping[object, int],
-        name: str = "",
     ):
-        super().__init__(ground=ground, k=1, name=name or "partition")
+        super().__init__(ground=ground, k=1)
         self.block_of = dict(block_of)
         self.capacities = dict(capacities)
         for b, cap in self.capacities.items():
@@ -113,7 +121,7 @@ class IntersectionSystem(IndependenceOracle):
     components when all are matroids.
     """
 
-    def __init__(self, components: Sequence[IndependenceOracle], name: str = ""):
+    def __init__(self, components: Sequence[IndependenceOracle]):
         if not components:
             raise ValueError("intersection needs at least one component")
         grounds = {c.ground.n for c in components if c.ground is not None}
@@ -121,7 +129,7 @@ class IntersectionSystem(IndependenceOracle):
             raise ValueError(f"components disagree on ground-set size: {sorted(grounds)}")
         ground = next(c.ground for c in components if c.ground is not None)
         k = sum(c.k for c in components)
-        super().__init__(ground=ground, k=k, name=name or f"intersection({len(components)})")
+        super().__init__(ground=ground, k=k)
         self.components = list(components)
 
     def _accepts(self, S: ElementSet) -> bool:
@@ -160,9 +168,9 @@ class GenreConstraint(IndependenceOracle):
         S independent  iff  S ⊆ N_u  and  |S| <= m  and  |S ∩ N(g)| <= m_g ∀g.
 
     An element carrying several favourite genres counts against each of
-    their limits.  Declared k defaults to ``len(favorites)`` (the careful
-    bound for this structure); callers may override, e.g. with
-    ``1 + len(favorites)`` for the naive one-matroid-per-cap count.
+    their limits.  Declared k is ``len(favorites)``, the careful bound for
+    this structure (the naive one-matroid-per-cap count is
+    ``1 + len(favorites)``).
     """
 
     def __init__(
@@ -172,9 +180,6 @@ class GenreConstraint(IndependenceOracle):
         favorites: Sequence[str],
         m: int,
         m_g: int | Mapping[str, int],
-        *,
-        k: Optional[int] = None,
-        name: str = "",
     ):
         favorites = list(dict.fromkeys(favorites))
         if not favorites:
@@ -187,8 +192,7 @@ class GenreConstraint(IndependenceOracle):
             limits = {g: int(m_g) for g in favorites}
         if any(v < 0 for v in limits.values()):
             raise ValueError("per-genre limits must be >= 0")
-        super().__init__(ground=ground, k=len(favorites) if k is None else int(k),
-                         name=name or "genre")
+        super().__init__(ground=ground, k=len(favorites))
         self.genre_of = {e: frozenset(gs) for e, gs in genre_of.items()}
         self.favorites = favorites
         self.m = int(m)
@@ -244,27 +248,13 @@ class _GenreExtensions(ExtensionState):
         ]
 
 
+def _labels(genres: str) -> frozenset:
+    return frozenset(g.strip() for g in genres.split(";") if g.strip())
+
+
 def load_genres_csv(path) -> dict[int, frozenset]:
     """Read ``element_id,genres`` rows; genres are semicolon-separated labels."""
-    import csv
-
-    genre_of: dict[int, frozenset] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or "element_id" not in reader.fieldnames \
-                or "genres" not in reader.fieldnames:
-            raise ValueError(f"{path}: expected header 'element_id,genres'")
-        for row in reader:
-            missing = [name for name in ("element_id", "genres") if row[name] is None]
-            if missing:
-                raise ValueError(f"{path}: line {reader.line_num}: missing field(s) "
-                                 f"{', '.join(missing)}")
-            e = int(row["element_id"])
-            if e in genre_of:
-                raise ValueError(f"{path}: line {reader.line_num}: element id {e} listed twice")
-            labels = frozenset(g.strip() for g in row["genres"].split(";") if g.strip())
-            genre_of[e] = labels
-    return genre_of
+    return {e: labels for e, (labels,) in _read_id_rows(path, {"genres": _labels}).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -275,33 +265,19 @@ def load_genres_csv(path) -> dict[int, frozenset]:
 # ---------------------------------------------------------------------------
 
 
-def _element_list(I: IndependenceOracle, elements: Optional[Sequence[int]]) -> list[int]:
-    if I.ground is None:
-        raise ValueError("oracle has no ground set")
-    if elements is None:
-        return list(I.ground.elements)
-    return list(I.ground.set(elements).members)  # sorted, distinct, range-checked
-
-
 def _members(elems: Sequence[int], mask: int) -> list[int]:
     return [e for i, e in enumerate(elems) if mask >> i & 1]
 
 
-def verify_downward_closed(
-    I: IndependenceOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 20
-) -> bool:
+def verify_downward_closed(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustively check downward closure over all subsets of ``elements``.
 
     True iff every independent set stays independent after any single-element
     deletion (which implies closure under arbitrary deletions).
     """
-    elems = _element_list(I, elements)
+    elems = _elements(I.ground, elements)
     n = len(elems)
-    if n > cap:
-        raise CapacityError(
-            f"verify_downward_closed is exhaustive; n={n} exceeds cap {cap} "
-            f"(verify a truncation or sample subsets instead)"
-        )
+    _check_cap("verify_downward_closed", n)
     ind = _subset_table(I.ground, elems, I.is_independent)
     for mask in range(1 << n):
         if not ind[mask]:
@@ -315,19 +291,16 @@ def verify_downward_closed(
     return True
 
 
-def verify_k_system(
-    I: IndependenceOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 16
-) -> float:
+def verify_k_system(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> float:
     """Exact k-system parameter: max over X of (largest base of X) / (smallest base of X).
 
     A base of X is a maximal independent subset of X.  The empty-ground case
     (and any X whose only base is empty) contributes ratio 1.  Assumes the
     system is downward closed.
     """
-    elems = _element_list(I, elements)
+    elems = _elements(I.ground, elements)
     n = len(elems)
-    if n > cap:
-        raise CapacityError(f"verify_k_system is exhaustive; n={n} exceeds cap {cap}")
+    _check_cap("verify_k_system", n)
     ind = _subset_table(I.ground, elems, I.is_independent)
     full = (1 << n) - 1
     size = 1 << n
@@ -384,8 +357,6 @@ def verify_k_extendible(
     I: IndependenceOracle,
     elements: Optional[Sequence[int]] = None,
     k: Optional[int] = None,
-    *,
-    cap: int = 14,
 ) -> bool:
     """Exhaustively check k-extendibility over subsets of ``elements``.
 
@@ -399,10 +370,9 @@ def verify_k_extendible(
     (B \\ Y) + e independent) are listed once, and each A needs one that
     misses it.
     """
-    elems = _element_list(I, elements)
+    elems = _elements(I.ground, elements)
     n = len(elems)
-    if n > cap:
-        raise CapacityError(f"verify_k_extendible is exhaustive; n={n} exceeds cap {cap}")
+    _check_cap("verify_k_extendible", n)
     if k is None:
         k = I.k
     if k < 0:
@@ -436,21 +406,20 @@ def verify_k_extendible(
     return True
 
 
-_bound_warned: set[tuple[int, int]] = set()  # (n, cap) pairs already warned about
+_EXACT_RANK_CAP = 16
+_bound_warned: set[int] = set()  # sizes n already warned about
 
 
-def max_feasible_size(
-    I: IndependenceOracle, elements: Optional[Sequence[int]] = None, *, exhaustive_cap: int = 16
-) -> int:
+def max_feasible_size(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> int:
     """Size of a largest independent subset of ``elements``.
 
     Exact (depth-first search over independent sets, pruned by downward
-    closure) when n <= ``exhaustive_cap``; otherwise a greedy-augmentation
-    lower bound, flagged by a log warning once per process and ``(n, cap)``.
+    closure) when n <= 16; otherwise a greedy-augmentation lower bound,
+    flagged by a log warning once per process and n.
     """
-    elems = _element_list(I, elements)
+    elems = _elements(I.ground, elements)
     n = len(elems)
-    if n <= exhaustive_cap:
+    if n <= _EXACT_RANK_CAP:
         best = 0
         empty = ElementSet(I.ground, ())
 
@@ -467,13 +436,13 @@ def max_feasible_size(
 
         visit(empty, 0, 0)
         return best
-    if (n, exhaustive_cap) not in _bound_warned:
-        _bound_warned.add((n, exhaustive_cap))
+    if n not in _bound_warned:
+        _bound_warned.add(n)
         logger.warning(
             "max_feasible_size: n=%d exceeds exhaustive cap %d; returning a greedy "
             "lower bound (exact for matroids, may undercount general systems)",
             n,
-            exhaustive_cap,
+            _EXACT_RANK_CAP,
         )
     S = ElementSet(I.ground, ())
     state = I.extension_state()

@@ -19,8 +19,9 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import bisect
+import csv
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -155,6 +156,42 @@ class ElementSet:
         return f"ElementSet({list(self.members)})"
 
 
+def _read_id_rows(path, fields: Mapping[str, Callable[[str], object]]) -> dict[int, tuple]:
+    """The rows of an id-keyed CSV file: element id -> the row's ``fields``,
+    each read by its function, in order.  The header must name
+    ``element_id`` and every field.  A row missing a field, an id that is not
+    an integer >= 0 or that an earlier row listed, and a field its function
+    refuses are each a ValueError naming the file and line."""
+    names = ("element_id", *fields)
+    rows: dict[int, tuple] = {}
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None or not set(names) <= set(reader.fieldnames):
+            raise ValueError(f"{path}: expected header '{','.join(names)}'")
+        for row in reader:
+            where = f"{path}: line {reader.line_num}"
+            raw = [row[name] for name in names]
+            if None in raw:
+                missing = [name for name, v in zip(names, raw) if v is None]
+                raise ValueError(f"{where}: missing field(s) {', '.join(missing)}")
+            try:
+                e = int(raw[0])
+            except ValueError:
+                raise ValueError(f"{where}: element id {raw[0]!r} is not an integer") from None
+            if e < 0:
+                raise ValueError(f"{where}: element ids must be >= 0; got [{e}]")
+            if e in rows:
+                raise ValueError(f"{where}: element id {e} listed twice")
+            values = []
+            for (name, read), v in zip(fields.items(), raw[1:]):
+                try:
+                    values.append(read(v))
+                except ValueError:
+                    raise ValueError(f"{where}: cannot read {name} from {v!r}") from None
+            rows[e] = tuple(values)
+    return rows
+
+
 def _subset_table(ground: GroundSet, elems: Sequence[int], query: Callable[[ElementSet], object]) -> list:
     """``query`` of every subset of ``elems`` (sorted, distinct, in ``ground``),
     indexed by mask: one call per subset.  The sets are built in a depth-first
@@ -171,6 +208,34 @@ def _subset_table(ground: GroundSet, elems: Sequence[int], query: Callable[[Elem
 
     visit(0, (), 0)
     return table
+
+
+# The largest element list each exhaustive routine accepts: each enumerates up
+# to 2^n subsets, so one more element doubles its worst case.
+_CAPS = {
+    "brute_force_opt": 22,
+    "check_submodular": 14,
+    "check_monotone": 14,
+    "verify_downward_closed": 20,
+    "verify_k_system": 16,
+    "verify_k_extendible": 14,
+}
+
+
+def _elements(ground: Optional[GroundSet], elements: Optional[Iterable[int]]) -> list[int]:
+    """``elements`` sorted, distinct and range-checked against ``ground``; all
+    of ``ground`` when None."""
+    if ground is None:
+        raise ValueError("oracle has no ground set")
+    if elements is None:
+        return list(ground.elements)
+    return list(ground.set(elements).members)
+
+
+def _check_cap(name: str, n: int) -> None:
+    """Refuse ``n`` elements past the cap of the exhaustive routine ``name``."""
+    if n > _CAPS[name]:
+        raise CapacityError(f"{name} is exhaustive; n={n} exceeds cap {_CAPS[name]}")
 
 
 class ValueOracle:
@@ -390,14 +455,12 @@ class IndependenceOracle:
         ground: Optional[GroundSet] = None,
         *,
         k: int = 1,
-        name: str = "",
     ):
         if fn is None and type(self) is IndependenceOracle:
             raise ValueError("IndependenceOracle needs a membership callback")
         self._fn = fn
         self.ground = ground
         self.k = int(k)
-        self.name = name
         self.membership_count = 0
 
     def _accepts(self, S: ElementSet) -> bool:

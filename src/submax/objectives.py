@@ -15,7 +15,6 @@ inequalities exactly.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -23,17 +22,27 @@ from typing import Iterable, Mapping, Optional, Sequence
 import numpy as np
 
 from .core import (
-    CapacityError,
     ElementSet,
     GainState,
     GroundSet,
     NonNegativityError,
     Rng,
     ValueOracle,
+    _check_cap,
+    _elements,
     _subset_table,
 )
 
 _DENOM = 8.0  # dyadic denominator for synthetic data
+
+
+def _check_total(data, what: str) -> None:
+    """Refuse data with a non-finite entry, or finite entries whose total
+    overflows: a finite total of non-negative data bounds every f(S)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(data)
+    if not np.isfinite(total):
+        raise ValueError(f"{what} and their total must be finite")
 
 
 class _ObjectiveBase:
@@ -76,8 +85,7 @@ class ModularObjective(_ObjectiveBase):
             w = [float(x) for x in weights]
             if len(w) != ground.n:
                 raise ValueError(f"expected {ground.n} weights, got {len(w)}")
-        if not all(math.isfinite(x) for x in w):
-            raise ValueError("modular weights must be finite")
+        _check_total(w, "modular weights")
         if any(x < 0 for x in w):
             raise ValueError("modular weights must be non-negative")
         self.ground = ground
@@ -171,8 +179,7 @@ class CutObjective(_ObjectiveBase):
         weights = np.asarray(weights, dtype=float)
         if weights.shape != (ground.n, ground.n):
             raise ValueError(f"weight matrix must be {ground.n}x{ground.n}, got {weights.shape}")
-        if not np.all(np.isfinite(weights)):
-            raise ValueError("cut weights must be finite")
+        _check_total(weights, "cut weights")
         if np.any(weights < 0):
             raise ValueError("cut weights must be non-negative")
         if np.any(np.diag(weights) != 0):
@@ -244,8 +251,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
             raise ValueError(
                 f"similarity must be {ground.n}x{ground.n}, got {similarity.shape}"
             )
-        if not np.all(np.isfinite(similarity)):
-            raise ValueError("similarity entries must be finite")
+        _check_total(similarity, "similarity entries")
         if np.any(similarity < 0):
             raise ValueError("similarity entries must be non-negative")
         exact = _check_symmetric(similarity, "similarity must be symmetric (within 1e-9)")
@@ -316,8 +322,7 @@ class WeightedCoverageObjective(_ObjectiveBase):
             raise ValueError(f"expected {ground.n} cover sets, got {len(covers)}")
         if isinstance(item_weights, Mapping):
             raise ValueError("item_weights must be a sequence indexed by item id, not a mapping")
-        if not all(math.isfinite(w) for w in item_weights):
-            raise ValueError("item weights must be finite")
+        _check_total(item_weights, "item weights")
         if any(w < 0 for w in item_weights):
             raise ValueError("item weights must be non-negative")
         self.ground = ground
@@ -544,25 +549,16 @@ def _value_table(f: ValueOracle, elems: Sequence[int]) -> np.ndarray:
     return np.array(_subset_table(f.ground, elems, f.value), dtype=float)
 
 
-def _elems_for(f: ValueOracle, elements: Optional[Sequence[int]], cap: int, what: str) -> list[int]:
-    # an ElementSet sorts, deduplicates and rejects ids outside the ground set
-    elems = list(f.ground.set(elements if elements is not None else f.ground.elements).members)
-    if len(elems) > cap:
-        raise CapacityError(f"{what} is exhaustive; n={len(elems)} exceeds cap {cap}")
-    return elems
-
-
-def check_submodular(
-    f: ValueOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 14
-) -> bool:
+def check_submodular(f: ValueOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustive diminishing-returns check over all subsets of ``elements``.
 
     Verifies f(A+e) - f(A) >= f(A+x+e) - f(A+x) for every A and distinct
     e, x outside A — the single-step form, which is equivalent to the general
     nested-sets form by induction.  Exact comparisons (no tolerance).
     """
-    elems = _elems_for(f, elements, cap, "check_submodular")
+    elems = _elements(f.ground, elements)
     n = len(elems)
+    _check_cap("check_submodular", n)
     vals = _value_table(f, elems)
     all_masks = np.arange(1 << n)
     for ei in range(n):
@@ -579,12 +575,11 @@ def check_submodular(
     return True
 
 
-def check_monotone(
-    f: ValueOracle, elements: Optional[Sequence[int]] = None, *, cap: int = 14
-) -> bool:
+def check_monotone(f: ValueOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustive monotonicity check: f(S + e) >= f(S) for all S and e ∉ S."""
-    elems = _elems_for(f, elements, cap, "check_monotone")
+    elems = _elements(f.ground, elements)
     n = len(elems)
+    _check_cap("check_monotone", n)
     vals = _value_table(f, elems)
     all_masks = np.arange(1 << n)
     for ei in range(n):

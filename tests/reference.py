@@ -19,8 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from submax import CapacityError, ElementSet, IndependenceOracle, IntersectionSystem, UniformMatroid
-from submax.constraints import _element_list
-from submax.objectives import _elems_for
+from submax.core import _elements
 
 logger = logging.getLogger(__name__)
 
@@ -51,7 +50,7 @@ def verify_downward_closed(
     True iff every independent set stays independent after any single-element
     deletion (which implies closure under arbitrary deletions).
     """
-    elems = _element_list(I, elements)
+    elems = _elements(I.ground, elements)
     n = len(elems)
     if n > cap:
         raise CapacityError(
@@ -80,7 +79,7 @@ def verify_k_system(
     (and any X whose only base is empty) contributes ratio 1.  Assumes the
     system is downward closed.
     """
-    elems = _element_list(I, elements)
+    elems = _elements(I.ground, elements)
     n = len(elems)
     if n > cap:
         raise CapacityError(f"verify_k_system is exhaustive; n={n} exceeds cap {cap}")
@@ -141,7 +140,7 @@ def verify_k_extendible(
     |Y| <= k and (B \\ Y) + e independent.  (The new element is quantified
     over e ∉ B; for e ∈ B \\ A the exchange demand would be ill-posed.)
     """
-    elems = _element_list(I, elements)
+    elems = _elements(I.ground, elements)
     n = len(elems)
     if n > cap:
         raise CapacityError(f"verify_k_extendible is exhaustive; n={n} exceeds cap {cap}")
@@ -202,8 +201,10 @@ def check_submodular_pairwise(f, elements: Optional[Sequence[int]] = None, *, ca
     Mathematically equivalent to ``check_submodular``; kept as an
     independent route so the equivalence itself can be tested.
     """
-    elems = _elems_for(f, elements, cap, "check_submodular_pairwise")
+    elems = _elements(f.ground, elements)
     n = len(elems)
+    if n > cap:
+        raise CapacityError(f"check_submodular_pairwise is exhaustive; n={n} exceeds cap {cap}")
     vals = value_table(f, elems)
     all_masks = np.arange(1 << n)
     for X in range(1 << n):
@@ -214,7 +215,7 @@ def check_submodular_pairwise(f, elements: Optional[Sequence[int]] = None, *, ca
 
 class _Restricted(IndependenceOracle):
     def __init__(self, ground, nu):
-        super().__init__(ground=ground, k=1, name="restrict")
+        super().__init__(ground=ground, k=1)
         self._nu = nu
 
     def _accepts(self, S):
@@ -222,8 +223,8 @@ class _Restricted(IndependenceOracle):
 
 
 class _Cap(IndependenceOracle):
-    def __init__(self, ground, members, cap, g):
-        super().__init__(ground=ground, k=1, name=f"cap({g})")
+    def __init__(self, ground, members, cap):
+        super().__init__(ground=ground, k=1)
         self._members = members
         self._cap = cap
 
@@ -240,5 +241,5 @@ def genre_as_intersection(I) -> IntersectionSystem:
     ]
     for g in I.favorites:
         members = {e for e, gs in I.genre_of.items() if g in gs}
-        components.append(_Cap(I.ground, members, I.limits[g], g))
-    return IntersectionSystem(components, name="genre-as-intersection")
+        components.append(_Cap(I.ground, members, I.limits[g]))
+    return IntersectionSystem(components)

@@ -12,8 +12,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import submax
 import submax.cli as cli
-from submax import NonNegativityError
+from submax import CapacityError, GroundSet, ModularObjective, NonNegativityError, UniformMatroid
 from submax.cli import REPORT_FIELDS, main, verify_report_pair
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -221,6 +222,15 @@ def test_solve_rejects_genre_ids_outside_the_ground_set(tmp_path, capsys, bad):
     assert out.out == "" and str(genres) in out.err and f"[{bad}]" in out.err
 
 
+def _solve_reading(flag, path):
+    """``solve`` argv that reads ``path`` as the id-keyed CSV named by ``flag``."""
+    argv = {"--instance": ["--instance", str(path), "--constraint", "uniform:2"],
+            "--constraint": ["--instance", MODULAR, "--constraint", f"partition:{path}"],
+            "--genres": ["--instance", MODULAR, "--genres", str(path),
+                         "--constraint", "genre:m=2,mg=1,g=action"]}[flag]
+    return ["solve", "--alg", "greedy"] + argv
+
+
 @pytest.mark.parametrize("flag, body", [
     ("--instance", "element_id,weight\n0,1\n1\n2,2\n"),
     ("--constraint", "element_id,block_id,capacity\n0,a,1\n1,a\n"),
@@ -229,11 +239,7 @@ def test_solve_rejects_genre_ids_outside_the_ground_set(tmp_path, capsys, bad):
 def test_csv_rows_missing_a_field_are_config_errors(tmp_path, capsys, flag, body):
     path = tmp_path / "short.csv"
     path.write_text(body)
-    argv = {"--instance": ["--instance", str(path), "--constraint", "uniform:2"],
-            "--constraint": ["--instance", MODULAR, "--constraint", f"partition:{path}"],
-            "--genres": ["--instance", MODULAR, "--genres", str(path),
-                         "--constraint", "genre:m=2,mg=1,g=action"]}[flag]
-    assert run(["solve", "--alg", "greedy"] + argv) == 2
+    assert run(_solve_reading(flag, path)) == 2
     out = capsys.readouterr()
     assert out.out == "" and f"error: {path}: line 3: missing field" in out.err
 
@@ -247,13 +253,44 @@ def test_csv_rows_repeating_an_id_are_config_errors(tmp_path, capsys, flag, body
     """A second row for one element id is refused, not left to overwrite the first."""
     path = tmp_path / "twice.csv"
     path.write_text(body)
-    argv = {"--instance": ["--instance", str(path), "--constraint", "uniform:2"],
-            "--constraint": ["--instance", MODULAR, "--constraint", f"partition:{path}"],
-            "--genres": ["--instance", MODULAR, "--genres", str(path),
-                         "--constraint", "genre:m=2,mg=1,g=action"]}[flag]
-    assert run(["solve", "--alg", "greedy"] + argv) == 2
+    assert run(_solve_reading(flag, path)) == 2
     out = capsys.readouterr()
     assert out.out == "" and f"error: {path}: line 4: element id 1 listed twice" in out.err
+
+
+@pytest.mark.parametrize("flag, row", [
+    ("--instance", "x,2"),
+    ("--instance", "1.0,2"),
+    ("--instance", "1,heavy"),
+    ("--constraint", "x,a,1"),
+    ("--constraint", "1.0,a,1"),
+    ("--constraint", "1,a,one"),
+    ("--genres", "x,drama"),
+    ("--genres", "1.0,drama"),
+])
+def test_csv_rows_with_a_malformed_field_are_config_errors(tmp_path, capsys, flag, row):
+    """A non-integer id, weight or capacity names the file and line it is on."""
+    header, first = {"--instance": ("element_id,weight", "0,1"),
+                     "--constraint": ("element_id,block_id,capacity", "0,a,1"),
+                     "--genres": ("element_id,genres", "0,action")}[flag]
+    path = tmp_path / "malformed.csv"
+    path.write_text(f"{header}\n{first}\n{row}\n")
+    assert run(_solve_reading(flag, path)) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: {path}: line 3: " in out.err
+
+
+@pytest.mark.parametrize("flag, body", [
+    ("--instance", "element_id,weight\n0,1e308\n1,1e308\n"),
+    ("--similarity", "a,b\n1e308,1e308\n1e308,1e308\n"),
+])
+def test_finite_data_whose_total_overflows_is_a_config_error(tmp_path, capsys, flag, body):
+    """Every entry is finite, but f of the whole ground set is not."""
+    path = tmp_path / "huge.csv"
+    path.write_text(body)
+    assert run(["solve", "--alg", "greedy", flag, str(path), "--constraint", "uniform:2"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "total must be finite" in out.err
 
 
 def test_report_lines_refuse_nan():
@@ -279,6 +316,22 @@ def test_solve_genre_constraint_with_shipped_data(capsys):
     assert rep["k"] == 2  # one matroid per favourite genre
     assert rep["ell"] == 2
     assert len(rep["solution"]) <= 4
+
+
+@pytest.mark.parametrize("genres, constraint, message", [
+    (GENRES, "genre:m=4,mg=2,g=action+dramma", "favourite genre(s) dramma label no element"),
+    (GENRES, "genre:m=4,mg=2,g=actoin", "favourite genre(s) actoin label no element"),
+    ("synth:count=2,seed=1,maxper=0", "genre:m=4,mg=2,g=g0", "maxper must be >= 1, got 0"),
+    ("synth:count=-1,seed=1", "genre:m=4,mg=2,g=g0", "count must be >= 1, got -1"),
+    ("synth:count=0,seed=1", "genre:m=4,mg=2,g=g0", "count must be >= 1, got 0"),
+], ids=["typo-beside-a-genre", "typo-alone", "maxper-0", "count-negative", "count-0"])
+def test_genre_inputs_that_would_skew_k_or_n_are_config_errors(capsys, genres, constraint,
+                                                               message):
+    """A favourite genre that labels no element still counts in the declared k."""
+    assert run(["solve", "--alg", "repeated-greedy", "--similarity", SIM,
+                "--genres", genres, "--constraint", constraint]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and message in out.err
 
 
 def test_solve_hard_constraint_end_to_end(capsys):
@@ -567,6 +620,23 @@ def test_verify_limit_past_a_verifier_cap_is_a_config_error(capsys, monkeypatch)
     # the spies do run the checks when the limit fits
     assert run(["verify", "--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "6"]) == 0
     assert called == ["verify_downward_closed", "verify_k_system", "verify_k_extendible"]
+
+
+@pytest.mark.parametrize("argv, routine", [
+    (["--instance", "synth:kind=modular,n=16,seed=1", "--limit", "15"], "check_submodular"),
+    (["--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "21"], "verify_downward_closed"),
+    (["--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "17"], "verify_k_system"),
+    (["--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "15"], "verify_k_extendible"),
+])
+def test_verify_limit_past_a_cap_prints_the_routines_message(capsys, argv, routine):
+    n = int(argv[-1])
+    g = GroundSet(n)
+    system = ModularObjective(g, [0.0] * n).oracle() if routine.startswith("check") \
+        else UniformMatroid(g, 1)
+    with pytest.raises(CapacityError) as exc:
+        getattr(submax, routine)(system)
+    assert run(["verify"] + argv) == 2
+    assert capsys.readouterr().err == f"error: {exc.value}\n"
 
 
 def test_verify_rejects_a_negative_limit(capsys):

@@ -312,7 +312,7 @@ def extension_system(kind: str, size: int, seed: int) -> IndependenceOracle:
         cap = int(gen.integers(0, 3))
         return IntersectionSystem([
             UniformMatroid(g, int(gen.integers(0, n + 1))),
-            IndependenceOracle(lambda S: sum(e in marked for e in S) <= cap, g, name="marked"),
+            IndependenceOracle(lambda S: sum(e in marked for e in S) <= cap, g),
             make_partition_intersection(n, 1, seed).components[0],
         ])
     k, h, m = HARD_PARAMS[size]

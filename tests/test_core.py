@@ -7,15 +7,20 @@ import dataclasses
 import numpy as np
 import pytest
 
+import submax
 from submax import (
+    CapacityError,
     ElementSet,
     GroundSet,
+    ModularObjective,
     NonNegativityError,
     Rng,
     SolveResult,
+    UniformMatroid,
     ValueOracle,
     bernoulli,
 )
+from submax.core import _CAPS
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +179,24 @@ def test_bernoulli_mean_near_half():
     r = Rng(1234, 1)
     mean = np.mean([bernoulli(r, 0.5) for _ in range(20_000)])
     assert abs(mean - 0.5) < 0.02
+
+
+# ---------------------------------------------------------------------------
+# Exhaustive caps
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(_CAPS))
+def test_exhaustive_routines_refuse_their_cap_plus_one_before_any_query(name):
+    n = _CAPS[name] + 1
+    g = GroundSet(n)
+    f = ModularObjective(g, [1.0] * n).oracle()
+    I = UniformMatroid(g, 2)
+    args = {"brute_force_opt": (f, I), "check_submodular": (f,),
+            "check_monotone": (f,)}.get(name, (I,))
+    with pytest.raises(CapacityError, match=f"^{name} is exhaustive; n={n} exceeds cap {n - 1}$"):
+        getattr(submax, name)(*args)
+    assert (f.eval_count, f.marginal_count, I.membership_count) == (0, 0, 0)
 
 
 # ---------------------------------------------------------------------------

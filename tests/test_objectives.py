@@ -412,6 +412,19 @@ def test_objectives_reject_non_finite_data(bad):
         WeightedCoverageObjective(g, [[0], [1]], [1.0, bad])
 
 
+def test_objectives_reject_finite_data_whose_total_overflows():
+    g = GroundSet(2)
+    m = np.array([[0.0, 1e308], [1e308, 0.0]])
+    with pytest.raises(ValueError, match="total must be finite"):
+        ModularObjective(g, [1e308, 1e308])
+    with pytest.raises(ValueError, match="total must be finite"):
+        CutObjective(g, m)
+    with pytest.raises(ValueError, match="total must be finite"):
+        CoverageDispersionObjective(g, m, lam=0.5)
+    with pytest.raises(ValueError, match="total must be finite"):
+        WeightedCoverageObjective(g, [[0], [1]], [1e308, 1e308])
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(kind="nope", n=5, seed=1).validate()
