@@ -30,7 +30,7 @@ from .core import (
     SolveResult,
     ValueOracle,
     _check_cap,
-    _elements,
+    _walk,
     bernoulli,
 )
 
@@ -113,9 +113,11 @@ class _Run:
         self.fits.add(u)
         self.trace.append(GreedyStep(u, gain, self.value))
 
-    def result(self, name: str, seed: Optional[int] = None,
+    def result(self, name: str, rng: Optional[Rng] = None,
                solution: Optional[ElementSet] = None, value: Optional[float] = None) -> SolveResult:
-        """The run's :class:`SolveResult`: S and f(S) unless given."""
+        """The run's :class:`SolveResult`: S and f(S) unless given, and the
+        master seed of ``rng``, the stream that drove the run's random
+        choices, if any."""
         after = self._counts()
         return SolveResult(
             solution=self.S if solution is None else solution,
@@ -124,7 +126,7 @@ class _Run:
             marginal_evals=after[1] - self._before[1],
             independence_checks=after[2] - self._before[2],
             wall_ms=(time.perf_counter() - self._t0) * 1000.0,
-            seed=seed,
+            seed=rng.master_seed if rng is not None else None,
             algorithm_name=name,
         )
 
@@ -137,24 +139,23 @@ class _Run:
 def greedy(
     f: ValueOracle,
     I: IndependenceOracle,
-    ground: Optional[GroundSet] = None,
-    candidates: Optional[Iterable[int]] = None,
     *,
+    candidates: Optional[Iterable[int]] = None,
     lazy: bool = False,
 ) -> tuple[SolveResult, list[GreedyStep]]:
     """Feasibility-respecting greedy: repeatedly add the feasible element of
     strictly positive maximal marginal gain (ties to the smallest id); stop
     when none remains.
 
-    Elements whose addition is infeasible are dropped permanently (supersets
-    of dependent sets stay dependent).  ``lazy=True`` uses a stale-gain max
-    heap — valid for submodular objectives, where stale gains upper-bound
-    fresh ones — and returns the identical solution with fewer marginal
-    evaluations.
+    ``candidates`` restricts the scan to those elements (default: all of
+    ``f.ground``).  Elements whose addition is infeasible are dropped
+    permanently (supersets of dependent sets stay dependent).  ``lazy=True``
+    uses a stale-gain max heap — valid for submodular objectives, where stale
+    gains upper-bound fresh ones — and returns the identical solution with
+    fewer marginal evaluations.
     """
-    ground = ground or f.ground
-    run = _Run(f, I, ground)
-    pool = sorted(set(candidates)) if candidates is not None else list(ground.elements)
+    run = _Run(f, I, f.ground)
+    pool = sorted(set(candidates)) if candidates is not None else list(f.ground.elements)
     if lazy:
         pool = I.extensions(run.fits, run.S, pool)
         heap = [(-g, u, 0) for g, u in zip(f.gains(run.state, run.S, pool).tolist(), pool)]
@@ -180,16 +181,11 @@ def greedy(
 # ---------------------------------------------------------------------------
 
 
-def _double_greedy(
-    f: ValueOracle,
-    U: ElementSet,
-    choose_lower: Optional[Callable[[float, float], bool]],
-    rng: Optional[Rng],
-    name: str,
-) -> SolveResult:
-    """Double greedy over the subsets of U, weighing f(X + u) - f(X) against
-    f(Y - u) - f(Y) on two gain states: ``up`` at the growing set X,
-    ``down`` at the shrinking set Y.
+def _double_greedy(f: ValueOracle, U: ElementSet, rng: Optional[Rng], name: str) -> SolveResult:
+    """Double greedy over the subsets of U, weighing a = f(X + u) - f(X)
+    against b = f(Y - u) - f(Y) on two gain states: ``up`` at the growing set
+    X, ``down`` at the shrinking set Y.  The deterministic rule (keep u when
+    a >= b) applies exactly when ``rng`` is None.
 
     Counts and the cached base it leaves are those of asking
     :meth:`ValueOracle.value` for X + u and then Y - u at every element, which
@@ -208,8 +204,8 @@ def _double_greedy(
     last = U.members[-1] if U.members else None
     for u in U.members:
         a, b = f.double_gains(up, down, u, x_cached=y_cached and u == last)
-        if choose_lower is not None:
-            keep = choose_lower(a, b)
+        if rng is None:
+            keep = a >= b
         else:
             a_pos = max(a, 0.0)
             b_pos = max(b, 0.0)
@@ -229,8 +225,7 @@ def _double_greedy(
     if last is not None:
         # Y - u at the last element is X before that step
         f.set_base(X.without_element(last), fx_before)
-    seed = rng.master_seed if rng is not None else None
-    return run.result(name, seed, X, fx)
+    return run.result(name, rng, X, fx)
 
 
 def unconstrained_max_det(f: ValueOracle, U: ElementSet) -> SolveResult:
@@ -241,14 +236,14 @@ def unconstrained_max_det(f: ValueOracle, U: ElementSet) -> SolveResult:
     growing set against the gain of deleting u from the shrinking set; keeps
     u when the former is at least the latter.
     """
-    return _double_greedy(f, U, lambda a, b: a >= b, None, "double-greedy-det")
+    return _double_greedy(f, U, None, "double-greedy-det")
 
 
 def unconstrained_max_rand(f: ValueOracle, U: ElementSet, rng: Rng) -> SolveResult:
     """Randomized double greedy (1/2 of the unconstrained optimum in
     expectation): keeps u with probability max(a,0)/(max(a,0)+max(b,0)),
     keeping outright when both clamped gains are zero."""
-    return _double_greedy(f, U, None, rng, "double-greedy-rand")
+    return _double_greedy(f, U, rng, "double-greedy-rand")
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +271,6 @@ def default_rounds(k: int) -> int:
 def repeated_greedy(
     f: ValueOracle,
     I: IndependenceOracle,
-    ground: Optional[GroundSet] = None,
     *,
     ell: int | str = "auto",
     subroutine: str = "det",
@@ -294,7 +288,6 @@ def repeated_greedy(
     ceil(sqrt(k)).  ``subroutine`` is ``"det"`` (alpha=3) or ``"rand"``
     (alpha=2, requires rng).
     """
-    ground = ground or f.ground
     if subroutine not in ("det", "rand"):
         raise ValueError(f"subroutine must be 'det' or 'rand', got {subroutine!r}")
     if subroutine == "rand" and rng is None:
@@ -307,11 +300,11 @@ def repeated_greedy(
             raise ValueError(f"ell must be >= 1, got {rounds}")
 
     run = _Run(f, I)
-    remaining = list(ground.elements)
+    remaining = list(f.ground.elements)
     best_set: Optional[ElementSet] = None
     best_value = -1.0
     for _ in range(rounds):
-        res_i, _trace = greedy(f, I, ground, candidates=remaining, lazy=lazy)
+        res_i, _trace = greedy(f, I, candidates=remaining, lazy=lazy)
         if subroutine == "det":
             res_u = unconstrained_max_det(f, res_i.solution)
         else:
@@ -321,8 +314,7 @@ def repeated_greedy(
                 best_set, best_value = cand.solution, cand.value
         picked = set(res_i.solution.members)
         remaining = [u for u in remaining if u not in picked]
-    seed = rng.master_seed if rng is not None else None
-    return run.result(f"repeated-greedy-{subroutine}", seed, best_set, best_value)
+    return run.result(f"repeated-greedy-{subroutine}", rng, best_set, best_value)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +325,6 @@ def repeated_greedy(
 def sample_greedy(
     f: ValueOracle,
     I: IndependenceOracle,
-    ground: Optional[GroundSet] = None,
     *,
     rng: Rng,
     p: Optional[float] = None,
@@ -347,22 +338,20 @@ def sample_greedy(
     tests rely on.  p must lie in (0, 1]; p=1 reproduces plain greedy
     exactly.
     """
-    ground = ground or f.ground
     if p is None:
         p = 1.0 / (I.k + 1.0)
     p = float(p)
     if not 0.0 < p <= 1.0:
         raise ValueError(f"sampling probability must lie in (0, 1], got {p}")
     run = _Run(f, I)
-    kept = [u for u in ground.elements if bernoulli(rng, p)]
-    res, _trace = greedy(f, I, ground, candidates=kept, lazy=lazy)
-    return run.result("sample-greedy", rng.master_seed, res.solution, res.value)
+    kept = [u for u in f.ground.elements if bernoulli(rng, p)]
+    res, _trace = greedy(f, I, candidates=kept, lazy=lazy)
+    return run.result("sample-greedy", rng, res.solution, res.value)
 
 
 def sample_greedy_linear(
     f: ValueOracle,
     I: IndependenceOracle,
-    ground: Optional[GroundSet] = None,
     *,
     rng: Rng,
     lazy: bool = False,
@@ -374,7 +363,7 @@ def sample_greedy_linear(
         raise ValueError("sample_greedy_linear requires an oracle flagged modular=True")
     if I.k < 1:
         raise ValueError(f"declared k must be >= 1, got {I.k}")
-    res = sample_greedy(f, I, ground, rng=rng, p=1.0 / I.k, lazy=lazy)
+    res = sample_greedy(f, I, rng=rng, p=1.0 / I.k, lazy=lazy)
     return replace(res, algorithm_name="sample-greedy-linear")
 
 
@@ -383,36 +372,19 @@ def sample_greedy_linear(
 # ---------------------------------------------------------------------------
 
 
-def brute_force_opt(
-    f: ValueOracle,
-    I: IndependenceOracle,
-    ground: Optional[GroundSet] = None,
-    candidates: Optional[Iterable[int]] = None,
-) -> SolveResult:
-    """Exact optimum over all independent sets, by depth-first enumeration
-    pruned through downward closure (a dependent set's supersets are never
-    visited).  Refuses more than 22 candidates."""
-    ground = ground or f.ground
-    elems = _elements(ground, candidates)
-    n = len(elems)
-    _check_cap("brute_force_opt", n)
+def brute_force_opt(f: ValueOracle, I: IndependenceOracle) -> SolveResult:
+    """Exact optimum over all independent subsets of ``f.ground``: f of
+    every set the depth-first :func:`~submax.core._walk` reaches, pruned
+    through downward closure (a dependent set's supersets are never built);
+    ties go to the first set in walk order.  Refuses more than 22 elements."""
+    ground = f.ground
+    _check_cap("brute_force_opt", ground.n)
     run = _Run(f, I)
-    empty = ground.empty()
-    best_set = empty
-    best_value = f.value(empty)
-
-    def visit(S: ElementSet, value: float, start: int):
-        nonlocal best_set, best_value
-        for i in range(start, n):
-            S2 = S.with_element(elems[i])
-            if not I.is_independent(S2):
-                continue
-            v2 = f.value(S2)
-            if v2 > best_value:
-                best_set, best_value = S2, v2
-            visit(S2, v2, i + 1)
-
-    visit(empty, best_value, 0)
+    best_set, best_value = None, -1.0  # f >= 0, so the empty set, walked first, replaces it
+    for _mask, S in _walk(ground, ground.elements, I.is_independent):
+        v = f.value(S)
+        if v > best_value:
+            best_set, best_value = S, v
     return run.result("brute-force", None, best_set, best_value)
 
 
@@ -425,7 +397,6 @@ def instrumented_sample_greedy(
     f: ValueOracle,
     I: IndependenceOracle,
     opt: ElementSet,
-    ground: Optional[GroundSet] = None,
     *,
     rng: Optional[Rng] = None,
     p: Optional[float] = None,
@@ -452,7 +423,6 @@ def instrumented_sample_greedy(
     - P3: every element of O \\ S is still unconsidered;
     - the repair set never exceeds k elements.
     """
-    ground = ground or f.ground
     if coin_source is None and rng is None:
         raise ValueError("instrumented run needs an rng or an explicit coin_source")
     if p is None:
@@ -463,9 +433,9 @@ def instrumented_sample_greedy(
     if not I.is_independent(opt):
         raise ValueError("reference set opt must be independent")
     k = I.k
-    run = _Run(f, I, ground)  # S, its states and f(S) move on heads only
+    run = _Run(f, I, f.ground)  # S, its states and f(S) move on heads only
     O = opt
-    pool = list(ground.elements)
+    pool = list(f.ground.elements)
     considered: set[int] = set()
     trace: list[InstrumentedStep] = []
 
@@ -515,5 +485,4 @@ def instrumented_sample_greedy(
         trace.append(InstrumentedStep(element=u, s_before=s_before, coin=coin, o_after=O,
                                       removed=removed, y_u=y_u))
 
-    seed = rng.master_seed if rng is not None else None
-    return run.result("instrumented-sample-greedy", seed), trace
+    return run.result("instrumented-sample-greedy", rng), trace

@@ -234,7 +234,7 @@ def _check_ids(path: str, ids: Iterable[int], n: int) -> None:
 
 
 def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
-    weights = {e: w for e, (w,) in _read_id_rows(path, {"weight": float}).items()}
+    weights = {e: w for e, (_line, w) in _read_id_rows(path, {"weight": float}).items()}
     if not weights:
         raise ConfigError(f"{path}: no weight rows")
     n = max(weights) + 1
@@ -246,11 +246,11 @@ def _load_partition_csv(path: str, n: int) -> tuple[dict[int, str], dict[str, in
     if not rows:
         raise ConfigError(f"{path}: no partition rows")
     _check_ids(path, rows, n)
-    block_of = {e: b for e, (b, _cap) in rows.items()}
+    block_of = {e: b for e, (_line, b, _cap) in rows.items()}
     capacities: dict[str, int] = {}
-    for b, cap in rows.values():
+    for line, b, cap in rows.values():
         if capacities.setdefault(b, cap) != cap:
-            raise ConfigError(f"{path}: block {b!r} has conflicting capacities")
+            raise ConfigError(f"{path}: line {line}: block {b!r} has conflicting capacities")
     return block_of, capacities
 
 
@@ -411,17 +411,17 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
 
     ell_resolved = None
     if alg in ("greedy", "lazy-greedy"):
-        res, _trace = greedy(f, constraint, ground, lazy=(alg == "lazy-greedy" or cfg["lazy"]))
+        res, _trace = greedy(f, constraint, lazy=(alg == "lazy-greedy" or cfg["lazy"]))
     elif alg == "repeated-greedy":
         ell = cfg.get("ell", "auto")
         ell_resolved = default_rounds(constraint.k) if ell == "auto" else int(ell)
-        res = repeated_greedy(f, constraint, ground, ell=ell, subroutine=subroutine, rng=rng,
+        res = repeated_greedy(f, constraint, ell=ell, subroutine=subroutine, rng=rng,
                               lazy=cfg.get("lazy", False))
     elif alg == "sample-greedy":
-        res = sample_greedy(f, constraint, ground, rng=rng, p=cfg.get("p"),
+        res = sample_greedy(f, constraint, rng=rng, p=cfg.get("p"),
                             lazy=cfg.get("lazy", False))
     elif alg == "sample-greedy-linear":
-        res = sample_greedy_linear(f, constraint, ground, rng=rng, lazy=cfg.get("lazy", False))
+        res = sample_greedy_linear(f, constraint, rng=rng, lazy=cfg.get("lazy", False))
     elif alg == "double-greedy":
         U = ground.full()
         if isinstance(obj, CoverageDispersionObjective):
@@ -431,7 +431,7 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
         else:
             res = unconstrained_max_det(f, U)
     elif alg == "brute-force":
-        res = brute_force_opt(f, constraint, ground)
+        res = brute_force_opt(f, constraint)
     else:
         raise ConfigError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
 
@@ -587,6 +587,9 @@ def cmd_bench(args) -> int:
     unknown = [a for a in algs if a not in ALGORITHMS]
     if unknown:
         raise ConfigError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
+    twice = [a for i, a in enumerate(algs) if a in algs[:i]]
+    if twice:
+        raise ConfigError(f"--alg lists algorithm {twice[0]!r} twice")
     if not algs:
         raise ConfigError("bench needs at least one algorithm in --alg")
     sweep_param, lo, hi = parse_sweep_spec(args.sweep)

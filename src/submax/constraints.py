@@ -22,6 +22,7 @@ from .core import (
     _elements,
     _read_id_rows,
     _subset_table,
+    _walk,
 )
 
 logger = logging.getLogger(__name__)
@@ -254,7 +255,7 @@ def _labels(genres: str) -> frozenset:
 
 def load_genres_csv(path) -> dict[int, frozenset]:
     """Read ``element_id,genres`` rows; genres are semicolon-separated labels."""
-    return {e: labels for e, (labels,) in _read_id_rows(path, {"genres": _labels}).items()}
+    return {e: labels for e, (_line, labels) in _read_id_rows(path, {"genres": _labels}).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -410,31 +411,27 @@ _EXACT_RANK_CAP = 16
 _bound_warned: set[int] = set()  # sizes n already warned about
 
 
-def max_feasible_size(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> int:
-    """Size of a largest independent subset of ``elements``.
+def max_feasible_size(I: IndependenceOracle) -> int:
+    """Size of a largest independent subset of ``I.ground``.
 
-    Exact (depth-first search over independent sets, pruned by downward
-    closure) when n <= 16; otherwise a greedy-augmentation lower bound,
-    flagged by a log warning once per process and n.
+    Exact when n <= 16: a depth-first :func:`~submax.core._walk` over the
+    independent sets, pruned by downward closure and by the incumbent, a
+    set being skipped before its membership query when it and every larger
+    element together cannot beat the largest found so far.  Otherwise a
+    greedy-augmentation lower bound, flagged by a log warning once per
+    process and n.
     """
-    elems = _elements(I.ground, elements)
+    elems = _elements(I.ground, None)
     n = len(elems)
     if n <= _EXACT_RANK_CAP:
         best = 0
-        empty = ElementSet(I.ground, ())
 
-        def visit(S: ElementSet, start: int, depth: int):
-            nonlocal best
-            if depth > best:
-                best = depth
-            if depth + (n - start) <= best:
-                return  # cannot beat the incumbent
-            for i in range(start, n):
-                S2 = S.with_element(elems[i])
-                if I.is_independent(S2):
-                    visit(S2, i + 1, depth + 1)
+        def keep(S: ElementSet) -> bool:
+            # elems[i] == i: the elements after S's last are n - 1 - last
+            return len(S) + n - 1 - S.members[-1] > best and I.is_independent(S)
 
-        visit(empty, 0, 0)
+        for _mask, S in _walk(I.ground, elems, keep):
+            best = max(best, len(S))
         return best
     if n not in _bound_warned:
         _bound_warned.add(n)

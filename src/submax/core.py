@@ -157,11 +157,12 @@ class ElementSet:
 
 
 def _read_id_rows(path, fields: Mapping[str, Callable[[str], object]]) -> dict[int, tuple]:
-    """The rows of an id-keyed CSV file: element id -> the row's ``fields``,
-    each read by its function, in order.  The header must name
-    ``element_id`` and every field.  A row missing a field, an id that is not
-    an integer >= 0 or that an earlier row listed, and a field its function
-    refuses are each a ValueError naming the file and line."""
+    """The rows of an id-keyed CSV file: element id -> the row's line number
+    and then its ``fields``, each read by its function, in order.  The
+    header must name ``element_id`` and every field.  A row missing a field,
+    an id that is not an integer >= 0 or that an earlier row listed, and a
+    field its function refuses are each a ValueError naming the file and
+    line."""
     names = ("element_id", *fields)
     rows: dict[int, tuple] = {}
     with open(path, newline="") as fh:
@@ -188,25 +189,50 @@ def _read_id_rows(path, fields: Mapping[str, Callable[[str], object]]) -> dict[i
                     values.append(read(v))
                 except ValueError:
                     raise ValueError(f"{where}: cannot read {name} from {v!r}") from None
-            rows[e] = tuple(values)
+            rows[e] = (reader.line_num, *values)
     return rows
+
+
+def _walk(
+    ground: GroundSet, elems: Sequence[int], keep: Optional[Callable[[ElementSet], bool]] = None,
+) -> Iterator[tuple[int, ElementSet]]:
+    """The subsets of ``elems`` (sorted, distinct, in ``ground``) as
+    ``(mask, set)`` pairs, bit i of the mask standing for ``elems[i]``, in
+    depth-first pre-order: the empty set first, and after each set the sets
+    that extend it by larger elements, smallest addition first.
+
+    A child is its parent's members plus one larger element.  ``keep`` is
+    called once on each child when it is built; a child it refuses is not
+    yielded and none of its extensions is built.  Child i is built only after
+    child i - 1 and all its extensions have been yielded and the caller has
+    resumed the walk, so ``keep`` sees what the caller learned from every set
+    before it.  Only the sets on one root-to-leaf path are held at a time."""
+    n = len(elems)
+    raw = ElementSet._raw
+    yield 0, raw(ground, ())
+    path = []  # the ancestors of the current set, each with its next child index
+    mask, members, i = 0, (), 0
+    while True:
+        if i < n:
+            child_mask, child = mask | 1 << i, members + (elems[i],)
+            S = raw(ground, child)
+            i += 1
+            if keep is None or keep(S):
+                yield child_mask, S
+                path.append((mask, members, i))
+                mask, members = child_mask, child
+        elif path:
+            mask, members, i = path.pop()
+        else:
+            return
 
 
 def _subset_table(ground: GroundSet, elems: Sequence[int], query: Callable[[ElementSet], object]) -> list:
     """``query`` of every subset of ``elems`` (sorted, distinct, in ``ground``),
-    indexed by mask: one call per subset.  The sets are built in a depth-first
-    walk, each child its parent's members plus a larger element, so only one
-    root-to-leaf path of them is alive at a time."""
-    n = len(elems)
-    table = [None] * (1 << n)
-    raw = ElementSet._raw
-
-    def visit(mask: int, members: tuple, start: int) -> None:
-        table[mask] = query(raw(ground, members))
-        for i in range(start, n):
-            visit(mask | 1 << i, members + (elems[i],), i + 1)
-
-    visit(0, (), 0)
+    indexed by mask: one call per subset, in :func:`_walk` order."""
+    table = [None] * (1 << len(elems))
+    for mask, S in _walk(ground, elems):
+        table[mask] = query(S)
     return table
 
 
@@ -242,18 +268,15 @@ class ValueOracle:
     """Counted wrapper around a non-negative set function ``f: 2^N -> R``.
 
     ``eval_count`` counts evaluations and ``marginal_count`` logical
-    marginal-gain queries: the paper's cost model, not Python calls.  A
-    marginal against the currently cached base set costs one evaluation,
-    otherwise two.  The cache holds a single ``(base_set, value)`` pair;
-    callers commit a new base with :meth:`set_base` after deciding to extend
-    their working set.
-
-    :meth:`gains` answers a batch of marginal queries against one base from
-    an incremental-gain state (:meth:`gain_state`) and counts it exactly as
-    the same queries asked one by one through :meth:`marginal`; :meth:`gain`
-    is the same for a batch of one.  :meth:`double_gains` answers double
-    greedy's two queries from two states and counts them as the two
-    evaluations the values would cost.
+    marginal-gain queries: the paper's cost model, not Python calls.
+    :meth:`gains` answers a batch of marginal queries f(S + u) - f(S) against
+    one base S from an incremental-gain state (:meth:`gain_state`), and
+    :meth:`gain` a batch of one; both count as evaluating f(S) through
+    :meth:`value` and then each f(S + u), one marginal each.  The cache
+    holds a single ``(base_set, value)`` pair; callers commit a new base
+    with :meth:`set_base` after deciding to extend their working set.
+    :meth:`double_gains` answers double greedy's two queries from two states
+    and counts them as the two evaluations the values would cost.
     """
 
     def __init__(
@@ -295,14 +318,6 @@ class ValueOracle:
         self.cached_base = (S, v)
         return v
 
-    def marginal(self, e: int, S: ElementSet) -> float:
-        """Marginal gain f(S + e) - f(S).  Requires ``e not in S``."""
-        if e in S:
-            raise ValueError(f"marginal gain requires e not in S; got e={e} in {S!r}")
-        self.marginal_count += 1
-        base = self.value(S)
-        return self._evaluate(S.with_element(e)) - base
-
     def gain_state(self) -> "GainState":
         """A fresh incremental-gain state at the empty set: the objective's
         own when this oracle wraps one, else :class:`EvaluatedGains`."""
@@ -314,9 +329,8 @@ class ValueOracle:
         """Marginal gains f(S + u) - f(S) of every candidate u, none of them in
         ``S``, scored by ``state``, which must hold exactly the elements of ``S``.
 
-        Counted as ``len(candidates)`` calls of :meth:`marginal`: one logical
-        marginal and one evaluation each, plus one evaluation of ``S`` when it
-        is not the cached base.
+        Counted as one logical marginal and one evaluation per candidate, plus
+        one evaluation of ``S`` when it is not the cached base.
         """
         if not len(candidates):
             return np.empty(0)

@@ -94,7 +94,10 @@ class ModularObjective(_ObjectiveBase):
 
     def evaluate(self, S: ElementSet) -> float:
         w = self.weights
-        return float(sum(w[e] for e in S))
+        total = 0.0  # added left to right: builtin sum is compensated from Python 3.12 on
+        for e in S:
+            total += w[e]
+        return total
 
     def gain_state(self) -> GainState:
         return _ModularGains(self._weight_array)
@@ -347,7 +350,10 @@ class WeightedCoverageObjective(_ObjectiveBase):
         for e in S:
             covered |= self.covers[e]
         w = self.item_weights
-        return float(sum(w[i] for i in covered))
+        total = 0.0  # added left to right, in the set's order, as in ModularObjective
+        for i in covered:
+            total += w[i]
+        return total
 
     @cached_property
     def _weight_array(self) -> np.ndarray:

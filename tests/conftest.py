@@ -64,7 +64,7 @@ def make_uniform_partition_system(n: int, m: int, seed: int, extra_parts: int = 
     return IntersectionSystem(comps)
 
 
-def reference_double_greedy(f, U, choose_lower, rng, name):
+def reference_double_greedy(f, U, rng, name):
     """Double greedy as an evaluate loop over the sets X + u and Y - u: the
     reference for ``algorithms._double_greedy`` (same signature), its
     solutions, values, coins, oracle counts and the cached base it leaves."""
@@ -75,8 +75,8 @@ def reference_double_greedy(f, U, choose_lower, rng, name):
         X_plus, Y_minus = X.with_element(u), Y.without_element(u)
         vx, vy = f.value(X_plus), f.value(Y_minus)
         a, b = vx - fx, vy - fy
-        if choose_lower is not None:
-            keep = choose_lower(a, b)
+        if rng is None:
+            keep = a >= b
         else:
             a_pos, b_pos = max(a, 0.0), max(b, 0.0)
             keep = a_pos + b_pos == 0.0 or bernoulli(rng, a_pos / (a_pos + b_pos))
@@ -84,8 +84,7 @@ def reference_double_greedy(f, U, choose_lower, rng, name):
             X, fx = X_plus, vx
         else:
             Y, fy = Y_minus, vy
-    seed = rng.master_seed if rng is not None else None
-    return run.result(name, seed, X, fx)
+    return run.result(name, rng, X, fx)
 
 
 @pytest.fixture

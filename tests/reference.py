@@ -6,6 +6,9 @@ ones are checked against.
   exchange check once per (A, B, e) triple;
 - ``check_submodular_pairwise`` checks the union/intersection form of
   submodularity, an independent route to ``check_submodular``'s answer;
+- ``marginal`` asks one marginal gain the way ``ValueOracle.gains`` counts
+  each of its queries, and ``brute_force_opt`` is a recursive depth-first
+  search over the independent sets;
 - ``genre_as_intersection`` writes a genre constraint as a uniform matroid
   intersected with one cap per favourite genre, restricted to N_u.
 """
@@ -19,6 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from submax import CapacityError, ElementSet, IndependenceOracle, IntersectionSystem, UniformMatroid
+from submax.algorithms import _Run
 from submax.core import _elements
 
 logger = logging.getLogger(__name__)
@@ -211,6 +215,43 @@ def check_submodular_pairwise(f, elements: Optional[Sequence[int]] = None, *, ca
         if np.any(vals[X] + vals < vals[X | all_masks] + vals[X & all_masks]):
             return False
     return True
+
+
+def marginal(f, e: int, S: ElementSet) -> float:
+    """f(S + e) - f(S), for e not in S, one query at a time: f(S) through
+    ``f.value`` (served from the cached base when S is it), then f(S + e),
+    counted as one marginal.  ``ValueOracle.gains`` and ``gain`` count each
+    of their queries as this does."""
+    if e in S:
+        raise ValueError(f"marginal gain requires e not in S; got e={e} in {S!r}")
+    f.marginal_count += 1
+    base = f.value(S)
+    return f._evaluate(S.with_element(e)) - base
+
+
+def brute_force_opt(f, I: IndependenceOracle):
+    """Exact optimum over the independent subsets of ``f.ground`` by a
+    recursive depth-first search: f of the empty set, then of each
+    independent extension of a visited set by a larger element, built with
+    ``with_element``; the first maximiser found wins."""
+    n = f.ground.n
+    run = _Run(f, I)
+    empty = f.ground.empty()
+    best_set, best_value = empty, f.value(empty)
+
+    def visit(S: ElementSet, start: int) -> None:
+        nonlocal best_set, best_value
+        for e in range(start, n):
+            S2 = S.with_element(e)
+            if not I.is_independent(S2):
+                continue
+            v2 = f.value(S2)
+            if v2 > best_value:
+                best_set, best_value = S2, v2
+            visit(S2, e + 1)
+
+    visit(empty, 0)
+    return run.result("brute-force", None, best_set, best_value)
 
 
 class _Restricted(IndependenceOracle):

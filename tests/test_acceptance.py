@@ -65,7 +65,7 @@ def _fresh_pair(kind: str, n: int, seed: int, k: int, **kw):
 
 def _opt_for(kind: str, n: int, seed: int, k: int, **kw) -> float:
     f, I, g = _fresh_pair(kind, n, seed, k, **kw)
-    return brute_force_opt(f, I, g).value
+    return brute_force_opt(f, I).value
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +86,7 @@ def test_acceptance_1_repeated_greedy_bound():
                 opt = _opt_for("coverage_dispersion", n, seed, k)
                 for ell in (2, 3):
                     f, I, g = _fresh_pair("coverage_dispersion", n, seed, k)
-                    res = repeated_greedy(f, I, g, ell=ell)
+                    res = repeated_greedy(f, I, ell=ell)
                     bound = repeated_greedy_bound(k, ell, 3.0)
                     assert res.value >= bound * opt - 1e-9, (k, seed, ell)
                 checked += 1
@@ -116,7 +116,7 @@ def test_acceptance_2_greedy_monotone_factor():
         for kind, k, seed, kw in cases:
             opt = _opt_for(kind, n, seed, k, **kw)
             f, I, g = _fresh_pair(kind, n, seed, k, **kw)
-            res, _ = greedy(f, I, g)
+            res, _ = greedy(f, I)
             assert res.value >= opt / (k + 1.0) - 1e-9, (kind, k, seed)
         elapsed = time.monotonic() - t0
         assert len(cases) == 50
@@ -153,7 +153,7 @@ def test_acceptance_3_sample_greedy_expectation_targets():
             f, I, g = _fresh_pair("coverage_dispersion", n, seed, k, **kw)
 
             def run(t, f=f, I=I, g=g):
-                return sample_greedy(f, I, g, rng=Rng(900 + t, 0)).value
+                return sample_greedy(f, I, rng=Rng(900 + t, 0)).value
 
             mean, sem = _mean_over_seeds(run, trials)
             assert mean >= opt / (k + 1.0) - 3.0 * sem, ("monotone", seed, mean, opt)
@@ -166,7 +166,7 @@ def test_acceptance_3_sample_greedy_expectation_targets():
             f, I, g = _fresh_pair("coverage_dispersion", n, seed, k)
 
             def run(t, f=f, I=I, g=g):
-                return sample_greedy(f, I, g, rng=Rng(700 + t, 0)).value
+                return sample_greedy(f, I, rng=Rng(700 + t, 0)).value
 
             mean, sem = _mean_over_seeds(run, trials)
             target = k / (k + 1.0) ** 2 * opt
@@ -180,7 +180,7 @@ def test_acceptance_3_sample_greedy_expectation_targets():
             f, I, g = _fresh_pair("modular", n, seed, k)
 
             def run(t, f=f, I=I, g=g):
-                return sample_greedy_linear(f, I, g, rng=Rng(500 + t, 0)).value
+                return sample_greedy_linear(f, I, rng=Rng(500 + t, 0)).value
 
             mean, sem = _mean_over_seeds(run, trials)
             assert mean >= opt / k - 3.0 * sem, ("linear", seed, mean, opt)
@@ -208,7 +208,7 @@ def test_acceptance_4_double_greedy_factors():
             f, g = make_objective(kind, n, seed)
             res = unconstrained_max_det(f, g.full())
             f2, _ = make_objective(kind, n, seed)
-            opt = brute_force_opt(f2, UniformMatroid(g, n), g).value
+            opt = brute_force_opt(f2, UniformMatroid(g, n)).value
             assert res.value >= opt / 3.0 - 1e-9, (kind, seed)
 
         # randomized variant: E[f(X)] >= OPT/2, tested at 3 sigma
@@ -216,7 +216,7 @@ def test_acceptance_4_double_greedy_factors():
         for seed in range(5):
             f, g = make_objective("cut", n, seed)
             f2, _ = make_objective("cut", n, seed)
-            opt = brute_force_opt(f2, UniformMatroid(g, n), g).value
+            opt = brute_force_opt(f2, UniformMatroid(g, n)).value
 
             def run(t, f=f, g=g):
                 return unconstrained_max_rand(f, g.full(), Rng(300 + t, 0)).value
@@ -243,12 +243,12 @@ def test_acceptance_5_instrumented_invariants():
             n = 10 + inst_seed % 3  # 10..12
             f0, g = make_objective("coverage_dispersion", n, inst_seed)
             I0 = make_partition_intersection(n, 2, inst_seed)
-            opt = brute_force_opt(f0, I0, g).solution
+            opt = brute_force_opt(f0, I0).solution
             for t in range(50):
                 f, _ = make_objective("coverage_dispersion", n, inst_seed)
                 I = make_partition_intersection(n, 2, inst_seed)
                 # any PropertyViolation raises and fails the criterion
-                res, trace = instrumented_sample_greedy(f, I, opt, g, rng=Rng(t, inst_seed))
+                res, trace = instrumented_sample_greedy(f, I, opt, rng=Rng(t, inst_seed))
                 assert all(len(s.removed) <= I.k for s in trace)
                 runs += 1
         elapsed = time.monotonic() - t0
@@ -336,7 +336,7 @@ def test_acceptance_7_query_accounting_at_scale():
 
         f_greedy = ModularObjective(g, list(weights)).oracle()
         g_sys, I_greedy = _big_system(n, m)
-        res_greedy, _ = greedy(f_greedy, I_greedy, g)
+        res_greedy, _ = greedy(f_greedy, I_greedy)
         r = len(res_greedy.solution.members)
         assert r == m  # rank 10 is achievable: uniform cap binds first
 
@@ -345,7 +345,7 @@ def test_acceptance_7_query_accounting_at_scale():
         for t in range(trials):
             f = ModularObjective(g, list(weights)).oracle()
             _, I_t = _big_system(n, m)
-            res = sample_greedy(f, I_t, g, rng=Rng(t, 3))
+            res = sample_greedy(f, I_t, rng=Rng(t, 3))
             marginals[t] = res.marginal_evals
         budget = 2.0 * (n + n * r / I.k)
         assert marginals.mean() <= budget, (marginals.mean(), budget)
@@ -391,8 +391,8 @@ def test_acceptance_8_reproducibility_and_lazy_equivalence(tmp_path):
             f2, _ = make_objective(kind, 10, 3000 + i, tie_free=tie_free)
             I1 = make_partition_intersection(10, 2, i)
             I2 = make_partition_intersection(10, 2, i)
-            naive, t_naive = greedy(f1, I1, g)
-            lazy, t_lazy = greedy(f2, I2, g, lazy=True)
+            naive, t_naive = greedy(f1, I1)
+            lazy, t_lazy = greedy(f2, I2, lazy=True)
             assert naive.solution == lazy.solution, (kind, i)
             assert naive.value == lazy.value
             assert [s.element for s in t_naive] == [s.element for s in t_lazy]

@@ -94,8 +94,8 @@ def test_lazy_matches_naive_traces(kind):
         f2, _ = make_objective(kind, 9, seed)
         I1 = make_partition_intersection(9, 2, seed)
         I2 = make_partition_intersection(9, 2, seed)
-        r1, t1 = greedy(f1, I1, g)
-        r2, t2 = greedy(f2, I2, g, lazy=True)
+        r1, t1 = greedy(f1, I1)
+        r2, t2 = greedy(f2, I2, lazy=True)
         assert r1.solution == r2.solution, (kind, seed)
         assert [(s.element, s.gain) for s in t1] == [(s.element, s.gain) for s in t2]
         assert r2.algorithm_name == "lazy-greedy"
@@ -107,8 +107,8 @@ def test_lazy_never_uses_more_marginals():
         f2, _ = make_objective("coverage_dispersion", 10, seed)
         I1 = make_uniform_partition_system(10, 4, seed)
         I2 = make_uniform_partition_system(10, 4, seed)
-        r1, _ = greedy(f1, I1, g)
-        r2, _ = greedy(f2, I2, g, lazy=True)
+        r1, _ = greedy(f1, I1)
+        r2, _ = greedy(f2, I2, lazy=True)
         assert r2.marginal_evals <= r1.marginal_evals
 
 
@@ -118,7 +118,7 @@ def test_greedy_marginal_budget():
         n = 12
         f, g = make_objective("coverage_dispersion", n, seed)
         I = make_uniform_partition_system(n, 4, seed)
-        res, _ = greedy(f, I, g)
+        res, _ = greedy(f, I)
         r = len(res.solution.members)
         assert res.marginal_evals <= n + n * r
 
@@ -162,7 +162,7 @@ def test_double_greedy_eval_budget():
         f, g = make_objective(kind, n, seed)
         res = unconstrained_max_det(f, g.full())
         ref_f, _ = make_objective(kind, n, seed)
-        ref = reference_double_greedy(ref_f, g.full(), lambda a, b: a >= b, None, "reference")
+        ref = reference_double_greedy(ref_f, g.full(), None, "reference")
         assert (res.solution, res.f_evals) == (ref.solution, ref.f_evals)
         assert 2 * g.n <= res.f_evals <= 2 * g.n + 2
     assert res.f_evals == 601  # the last element hits the cache
@@ -173,7 +173,7 @@ def test_double_greedy_det_third_of_optimum():
         f, g = make_objective("cut", 9, seed)
         res = unconstrained_max_det(f, g.full())
         f2, _ = make_objective("cut", 9, seed)
-        opt = brute_force_opt(f2, UniformMatroid(g, 9), g)
+        opt = brute_force_opt(f2, UniformMatroid(g, 9))
         assert res.value >= opt.value / 3.0 - 1e-9
 
 
@@ -220,11 +220,11 @@ def test_repeated_greedy_single_round_composition():
         n = 10
         f1, g = make_objective("coverage_dispersion", n, seed)
         I1 = make_partition_intersection(n, 2, seed)
-        res = repeated_greedy(f1, I1, g, ell=1)
+        res = repeated_greedy(f1, I1, ell=1)
 
         f2, _ = make_objective("coverage_dispersion", n, seed)
         I2 = make_partition_intersection(n, 2, seed)
-        g_res, _ = greedy(f2, I2, g)
+        g_res, _ = greedy(f2, I2)
         u_res = unconstrained_max_det(f2, g_res.solution)
         assert res.value == max(g_res.value, u_res.value)
 
@@ -232,12 +232,12 @@ def test_repeated_greedy_single_round_composition():
 def test_repeated_greedy_auto_rounds_reported():
     f, g = make_objective("cut", 8, 1)
     I = make_partition_intersection(8, 4, 1)  # declared k = 4 -> auto ell = 2
-    res = repeated_greedy(f, I, g, ell="auto")
+    res = repeated_greedy(f, I, ell="auto")
     assert res.algorithm_name == "repeated-greedy-det"
     # ell=2 means two greedy passes over disjoint pools plus refinements
     f2, _ = make_objective("cut", 8, 1)
     I2 = make_partition_intersection(8, 4, 1)
-    res2 = repeated_greedy(f2, I2, g, ell=2)
+    res2 = repeated_greedy(f2, I2, ell=2)
     assert res.value == res2.value and res.solution == res2.solution
 
 
@@ -246,10 +246,10 @@ def test_repeated_greedy_rounds_disjoint_and_best_reported():
     # every single-round outcome it examined
     f, g = make_objective("coverage_dispersion", 12, 8)
     I = make_uniform_partition_system(12, 5, 8)
-    res = repeated_greedy(f, I, g, ell=3)
+    res = repeated_greedy(f, I, ell=3)
     f1, _ = make_objective("coverage_dispersion", 12, 8)
     I1 = make_uniform_partition_system(12, 5, 8)
-    first, _ = greedy(f1, I1, g)
+    first, _ = greedy(f1, I1)
     assert res.value >= first.value  # round one is among the candidates
 
 
@@ -257,11 +257,11 @@ def test_repeated_greedy_validation():
     f, g = make_objective("cut", 6, 0)
     I = make_partition_intersection(6, 2, 0)
     with pytest.raises(ValueError):
-        repeated_greedy(f, I, g, ell=0)
+        repeated_greedy(f, I, ell=0)
     with pytest.raises(ValueError):
-        repeated_greedy(f, I, g, subroutine="nope")
+        repeated_greedy(f, I, subroutine="nope")
     with pytest.raises(ValueError):
-        repeated_greedy(f, I, g, subroutine="rand")  # rng required
+        repeated_greedy(f, I, subroutine="rand")  # rng required
 
 
 def test_repeated_greedy_rand_seeded():
@@ -269,8 +269,8 @@ def test_repeated_greedy_rand_seeded():
     I1 = make_partition_intersection(10, 2, 2)
     f2, _ = make_objective("cut", 10, 2)
     I2 = make_partition_intersection(10, 2, 2)
-    a = repeated_greedy(f1, I1, g, ell=2, subroutine="rand", rng=Rng(3, 0))
-    b = repeated_greedy(f2, I2, g, ell=2, subroutine="rand", rng=Rng(3, 0))
+    a = repeated_greedy(f1, I1, ell=2, subroutine="rand", rng=Rng(3, 0))
+    b = repeated_greedy(f2, I2, ell=2, subroutine="rand", rng=Rng(3, 0))
     assert a.solution == b.solution
     assert a.algorithm_name == "repeated-greedy-rand"
     assert a.seed == 3
@@ -287,8 +287,8 @@ def test_sample_greedy_p_one_is_plain_greedy():
         I1 = make_partition_intersection(10, 2, seed)
         f2, _ = make_objective("coverage_dispersion", 10, seed)
         I2 = make_partition_intersection(10, 2, seed)
-        plain, _ = greedy(f1, I1, g)
-        sampled = sample_greedy(f2, I2, g, rng=Rng(seed, 0), p=1.0)
+        plain, _ = greedy(f1, I1)
+        sampled = sample_greedy(f2, I2, rng=Rng(seed, 0), p=1.0)
         assert sampled.solution == plain.solution
         assert sampled.value == plain.value
 
@@ -300,7 +300,7 @@ def test_sample_greedy_default_probability_uses_declared_k():
     for seed in range(60):
         f, g = make_objective("modular", n, 1000 + seed)
         I = make_partition_intersection(n, k, 0)
-        res = sample_greedy(f, I, g, rng=Rng(seed, 0))
+        res = sample_greedy(f, I, rng=Rng(seed, 0))
         sizes.append(res.independence_checks)  # one check per sampled element at least
     # crude sanity: far fewer checks than plain greedy's n*(r+1) scale
     assert sum(sizes) / len(sizes) < n * 3
@@ -311,7 +311,7 @@ def test_sample_greedy_probability_domain():
     I = make_partition_intersection(5, 1, 0)
     for bad in (0.0, -0.2, 1.2):
         with pytest.raises(ValueError):
-            sample_greedy(f, I, g, rng=Rng(0, 0), p=bad)
+            sample_greedy(f, I, rng=Rng(0, 0), p=bad)
 
 
 def test_sample_greedy_reproducible():
@@ -319,8 +319,8 @@ def test_sample_greedy_reproducible():
     I1 = make_partition_intersection(12, 2, 6)
     f2, _ = make_objective("cut", 12, 6)
     I2 = make_partition_intersection(12, 2, 6)
-    a = sample_greedy(f1, I1, g, rng=Rng(42, 5))
-    b = sample_greedy(f2, I2, g, rng=Rng(42, 5))
+    a = sample_greedy(f1, I1, rng=Rng(42, 5))
+    b = sample_greedy(f2, I2, rng=Rng(42, 5))
     assert a.solution == b.solution
     assert a.seed == 42
 
@@ -332,10 +332,10 @@ def test_sample_greedy_linear_on_matroid_is_exact():
         f1, g = make_objective("modular", n, seed)
         I1 = make_uniform_partition_system(n, 4, seed, extra_parts=0)
         assert I1.k == 1
-        res = sample_greedy_linear(f1, I1, g, rng=Rng(seed, 0))
+        res = sample_greedy_linear(f1, I1, rng=Rng(seed, 0))
         f2, _ = make_objective("modular", n, seed)
         I2 = make_uniform_partition_system(n, 4, seed, extra_parts=0)
-        opt = brute_force_opt(f2, I2, g)
+        opt = brute_force_opt(f2, I2)
         assert res.value == opt.value
 
 
@@ -343,7 +343,7 @@ def test_sample_greedy_linear_zero_weights():
     g = GroundSet(6)
     f = ModularObjective(g, [0.0] * 6).oracle()
     I = make_partition_intersection(6, 2, 1)
-    res = sample_greedy_linear(f, I, g, rng=Rng(1, 0))
+    res = sample_greedy_linear(f, I, rng=Rng(1, 0))
     assert res.value == 0.0 and res.solution.members == ()
 
 
@@ -351,10 +351,9 @@ def test_sample_greedy_linear_rejects_non_modular():
     f, g = make_objective("cut", 6, 3)
     I = make_partition_intersection(6, 2, 3)
     with pytest.raises(ValueError, match="modular=True"):
-        sample_greedy_linear(f, I, g, rng=Rng(0, 0))
+        sample_greedy_linear(f, I, rng=Rng(0, 0))
     # the oracle's flag is the one attestation
-    res = sample_greedy_linear(ValueOracle(f.objective.evaluate, g, modular=True), I, g,
-                               rng=Rng(0, 0))
+    res = sample_greedy_linear(ValueOracle(f.objective.evaluate, g, modular=True), I, rng=Rng(0, 0))
     assert res.algorithm_name == "sample-greedy-linear"
 
 
@@ -367,7 +366,7 @@ def test_brute_force_matches_manual_enumeration():
     g = GroundSet(8)
     f1, _ = make_objective("coverage_dispersion", 8, 5)
     I1 = make_partition_intersection(8, 2, 5)
-    res = brute_force_opt(f1, I1, g)
+    res = brute_force_opt(f1, I1)
 
     f2, _ = make_objective("coverage_dispersion", 8, 5)
     I2 = make_partition_intersection(8, 2, 5)
@@ -383,14 +382,7 @@ def test_brute_force_capacity_guard():
     g = GroundSet(23)
     f = ModularObjective(g, [1.0] * 23).oracle()
     with pytest.raises(CapacityError):
-        brute_force_opt(f, UniformMatroid(g, 3), g)
-
-
-def test_brute_force_candidate_restriction():
-    g = GroundSet(30)
-    f = ModularObjective(g, list(range(30))).oracle()
-    res = brute_force_opt(f, UniformMatroid(g, 2), g, candidates=list(range(10)))
-    assert res.value == 17.0  # 8 + 9
+        brute_force_opt(f, UniformMatroid(g, 3))
 
 
 # ---------------------------------------------------------------------------
@@ -405,14 +397,14 @@ def _paired_setup(seed: int, n: int = 10, k: int = 2):
     I2 = make_partition_intersection(n, k, seed)
     f3, _ = make_objective("coverage_dispersion", n, seed)
     I3 = make_partition_intersection(n, k, seed)
-    opt = brute_force_opt(f3, I3, g)
+    opt = brute_force_opt(f3, I3)
     return g, (f1, I1), (f2, I2), opt.solution
 
 
 def test_instrumented_all_heads_matches_plain_greedy():
     g, (f1, I1), (f2, I2), opt = _paired_setup(3)
-    plain, _ = greedy(f1, I1, g)
-    res, trace = instrumented_sample_greedy(f2, I2, opt, g, coin_source=lambda u: True)
+    plain, _ = greedy(f1, I1)
+    res, trace = instrumented_sample_greedy(f2, I2, opt, coin_source=lambda u: True)
     assert res.solution == plain.solution
     assert res.value == plain.value
     assert (res.f_evals, res.marginal_evals) == (plain.f_evals, plain.marginal_evals)
@@ -424,10 +416,10 @@ def test_instrumented_paired_seed_equivalence():
     for seed in range(50):
         g, (f1, I1), (f2, I2), opt = _paired_setup(seed % 10)
         p = 1.0 / (I1.k + 1.0)
-        direct = sample_greedy(f1, I1, g, rng=Rng(seed, 0))
+        direct = sample_greedy(f1, I1, rng=Rng(seed, 0))
         rng2 = Rng(seed, 0)
         coins = {u: bernoulli(rng2, p) for u in g.elements}
-        res, _ = instrumented_sample_greedy(f2, I2, opt, g, p=p,
+        res, _ = instrumented_sample_greedy(f2, I2, opt, p=p,
                                             coin_source=lambda u: coins[u])
         assert res.solution == direct.solution, seed
         runs += 1
@@ -437,7 +429,7 @@ def test_instrumented_paired_seed_equivalence():
 def test_instrumented_audits_hold_across_seeds():
     for seed in range(20):
         g, (f1, I1), (f2, I2), opt = _paired_setup(seed)
-        res, trace = instrumented_sample_greedy(f2, I2, opt, g, rng=Rng(seed, 1))
+        res, trace = instrumented_sample_greedy(f2, I2, opt, rng=Rng(seed, 1))
         for step in trace:
             assert len(step.removed) <= I2.k
             assert step.y_u in (0, 1)
@@ -448,13 +440,13 @@ def test_instrumented_requires_independent_reference():
     dependent = g.full()
     assert not I2.is_independent(dependent)
     with pytest.raises(ValueError):
-        instrumented_sample_greedy(f2, I2, dependent, g, rng=Rng(0, 0))
+        instrumented_sample_greedy(f2, I2, dependent, rng=Rng(0, 0))
 
 
 def test_instrumented_needs_coins_or_rng():
     g, (f1, I1), _, opt = _paired_setup(2)
     with pytest.raises(ValueError):
-        instrumented_sample_greedy(f1, I1, opt, g)
+        instrumented_sample_greedy(f1, I1, opt)
 
 
 def _constraint(kind: str, g: GroundSet, seed: int):
@@ -475,16 +467,16 @@ def test_greedy_family_leaves_its_solution_as_the_cached_base(kind, constraint):
     """Every greedy-family run leaves (solution, value) as the oracle's cached
     base: the base repeated greedy's unconstrained pass starts from."""
     for seed in range(3):
-        runs = [lambda f, I, g: greedy(f, I, g)[0],
-                lambda f, I, g: greedy(f, I, g, lazy=True)[0],
-                lambda f, I, g: sample_greedy(f, I, g, rng=Rng(seed, 0)),
-                lambda f, I, g: sample_greedy(f, I, g, rng=Rng(seed, 0), lazy=True)]
-        runs += [lambda f, I, g, heads=heads: instrumented_sample_greedy(
-                     f, I, g.empty(), g, coin_source=lambda u: heads)[0]
+        runs = [lambda f, I: greedy(f, I)[0],
+                lambda f, I: greedy(f, I, lazy=True)[0],
+                lambda f, I: sample_greedy(f, I, rng=Rng(seed, 0)),
+                lambda f, I: sample_greedy(f, I, rng=Rng(seed, 0), lazy=True)]
+        runs += [lambda f, I, heads=heads: instrumented_sample_greedy(
+                     f, I, f.ground.empty(), coin_source=lambda u: heads)[0]
                  for heads in (True, False)]
         for run in runs:
             f, g = make_objective(kind, 12, seed)
-            res = run(f, _constraint(constraint, g, seed), g)
+            res = run(f, _constraint(constraint, g, seed))
             assert f.cached_base == (res.solution, res.value), (res.algorithm_name, seed)
 
 

@@ -258,6 +258,14 @@ def test_csv_rows_repeating_an_id_are_config_errors(tmp_path, capsys, flag, body
     assert out.out == "" and f"error: {path}: line 4: element id 1 listed twice" in out.err
 
 
+def test_partition_block_with_conflicting_capacities_names_the_line(tmp_path, capsys):
+    path = tmp_path / "conflict.csv"
+    path.write_text("element_id,block_id,capacity\n0,a,1\n\n1,a,2\n")
+    assert run(_solve_reading("--constraint", path)) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"error: {path}: line 4: block 'a' has conflicting capacities" in out.err
+
+
 @pytest.mark.parametrize("flag, row", [
     ("--instance", "x,2"),
     ("--instance", "1.0,2"),
@@ -384,6 +392,18 @@ def test_bench_jobs_below_one_is_a_config_error(tmp_path, capsys, jobs):
     assert run(BENCH_BASE + ["--out", str(stem), "--jobs", jobs]) == 2
     out = capsys.readouterr()
     assert f"--jobs must be >= 1, got {jobs}" in out.err
+    assert not os.path.exists(str(stem) + ".jsonl")  # no trial ran
+
+
+def test_bench_repeated_algorithm_is_a_config_error(tmp_path, capsys):
+    """A repeated --alg entry would write duplicate trial lines, each with
+    trial_index 0, that the summary merges; it is refused before any trial."""
+    stem = tmp_path / "b"
+    argv = ["bench", "--instance", MODULAR, "--constraint", "uniform:3", "--alg", "greedy,greedy",
+            "--sweep", "m=2:3", "--out", str(stem)]
+    assert run(argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "--alg lists algorithm 'greedy' twice" in out.err
     assert not os.path.exists(str(stem) + ".jsonl")  # no trial ran
 
 

@@ -4,23 +4,27 @@ from __future__ import annotations
 
 import logging
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from submax import constraints
-from submax.core import _subset_table
+from submax.core import _subset_table, _walk
 from submax import (
     CheckedExtensions,
+    CutObjective,
     GenreConstraint,
     GroundSet,
     HardInstance,
     IndependenceOracle,
     IntersectionSystem,
+    ModularObjective,
     PartitionMatroid,
     PropertyViolation,
     Rng,
     SyntheticSpec,
     UniformMatroid,
+    brute_force_opt,
     generate,
     greedy,
     instrumented_sample_greedy,
@@ -416,6 +420,87 @@ def test_extensions_reject_candidates_in_s():
     state.add(1)
     with pytest.raises(ValueError):
         I.extensions(state, I.ground.set([1]), [0, 1])
+
+
+# ---------------------------------------------------------------------------
+# The depth-first walk and the exact routines on it
+# ---------------------------------------------------------------------------
+
+
+@given(bare_systems())
+@settings(max_examples=300, deadline=None)
+def test_walk_is_the_recursive_pre_order(system):
+    """``_walk`` yields the masks of a recursive pre-order search, asks
+    ``keep`` once per child it builds, and builds each child only after
+    everything before it in that order has been yielded."""
+    size, elems, fn = system
+    ground = GroundSet(size)
+    expected = []
+
+    def visit(mask: int, members: tuple, start: int) -> None:
+        expected.append(("yield", mask, members))
+        for i in range(start, len(elems)):
+            child = members + (elems[i],)
+            expected.append(("keep", child))
+            if fn(ground.set(child)):
+                visit(mask | 1 << i, child, i + 1)
+
+    visit(0, (), 0)
+    events = []
+
+    def keep(S):
+        events.append(("keep", S.members))
+        return fn(S)
+
+    for mask, S in _walk(ground, elems, keep):
+        events.append(("yield", mask, S.members))
+    assert events == expected
+    everything = [mask for mask, _S in _walk(ground, elems)]
+    assert sorted(everything) == list(range(1 << len(elems)))
+
+
+# Ground sets of at most 12 elements: every uniform, partition, genre and
+# intersection system of extension_systems, and the smallest hard instance.
+exact_systems = extension_systems.filter(lambda system: ground_size(*system[:2]) <= 12)
+
+
+def exact_objective(kind: str, n: int, seed: int):
+    """A fresh oracle: a synthetic objective (dyadic data) or, for the
+    "real-" kinds, a modular or cut objective on real-valued weights."""
+    if not kind.startswith("real-"):
+        return generate(SyntheticSpec(kind=kind, n=n, seed=seed))[0]
+    gen = Rng(seed, 41).generator
+    g = GroundSet(n)
+    if kind == "real-modular":
+        return ModularObjective(g, gen.random(n)).oracle()
+    upper = np.triu(gen.random((n, n)), 1)
+    return CutObjective(g, upper + upper.T).oracle()
+
+
+@given(exact_systems, st.sampled_from(("modular", "coverage_dispersion", "weighted_coverage",
+                                       "real-modular", "real-cut")))
+@settings(max_examples=300, deadline=None)
+def test_brute_force_equals_the_recursive_reference(system, objective):
+    """Solution, value, the three counts, each component's membership count
+    and the cached base left behind are the recursive search's."""
+    kind, size, seed = system
+    runs = []
+    for solve in (brute_force_opt, reference.brute_force_opt):
+        f = exact_objective(objective, ground_size(kind, size), seed)
+        I = extension_system(kind, size, seed)
+        res = solve(f, I)
+        runs.append((res.solution, res.value, res.f_evals, res.marginal_evals,
+                     res.independence_checks, membership_counts(I), f.cached_base))
+    assert runs[0] == runs[1]
+
+
+@given(exact_systems)
+@settings(max_examples=200, deadline=None)
+def test_exact_rank_is_the_largest_independent_set_of_the_table(system):
+    kind, size, seed = system
+    I = extension_system(kind, size, seed)
+    table = reference.independence_table(extension_system(kind, size, seed), list(I.ground))
+    assert max_feasible_size(I) == max(bin(mask).count("1") for mask, ok in enumerate(table) if ok)
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,7 @@ from submax import (
     unconstrained_max_rand,
 )
 from conftest import make_partition_intersection, reference_double_greedy
+import reference
 
 KINDS = ("modular", "cut", "coverage_dispersion", "weighted_coverage")
 CONSTRAINTS = ("uniform", "partition", "genre")
@@ -80,12 +81,12 @@ def run_all(make_oracle, g: GroundSet, constraint: str, seed: int) -> list:
                 res.independence_checks)
 
     for lazy in (False, True):
-        res, trace = greedy(make_oracle(), make_constraint(constraint, g.n, seed), g, lazy=lazy)
+        res, trace = greedy(make_oracle(), make_constraint(constraint, g.n, seed), lazy=lazy)
         out.append((summary(res), [(s.element, s.gain, s.value_after) for s in trace]))
-        res = sample_greedy(make_oracle(), make_constraint(constraint, g.n, seed), g,
+        res = sample_greedy(make_oracle(), make_constraint(constraint, g.n, seed),
                             rng=Rng(seed, 1), p=0.7, lazy=lazy)
         out.append(summary(res))
-        res = repeated_greedy(make_oracle(), make_constraint(constraint, g.n, seed), g,
+        res = repeated_greedy(make_oracle(), make_constraint(constraint, g.n, seed),
                               ell=2, lazy=lazy)
         out.append(summary(res))
     return out
@@ -148,7 +149,7 @@ def test_batched_gains_match_reference_on_real_data(instance, lam):
     I = make_constraint(constraint, n, seed)
     runs = []
     for lazy in (False, True):
-        res, trace = greedy(obj.oracle(), make_constraint(constraint, n, seed), g, lazy=lazy)
+        res, trace = greedy(obj.oracle(), make_constraint(constraint, n, seed), lazy=lazy)
         # every step is a reference greedy step, within the float64 tolerance
         S = g.empty()
         for step in trace:
@@ -197,10 +198,10 @@ def test_coverage_dispersion_candidates_outside_universe_raise():
     for oracle in (obj.oracle(), ValueOracle(obj.evaluate, g)):
         for lazy in (False, True):
             with pytest.raises(ValueError, match="restricted universe"):
-                greedy(oracle, UniformMatroid(g, 3), g, lazy=lazy)
+                greedy(oracle, UniformMatroid(g, 3), lazy=lazy)
         with pytest.raises(ValueError, match="restricted universe"):
             unconstrained_max_det(oracle, g.full())
-    res, _ = greedy(obj.oracle(), UniformMatroid(g, 3), g, candidates=[0, 1, 2, 3])
+    res, _ = greedy(obj.oracle(), UniformMatroid(g, 3), candidates=[0, 1, 2, 3])
     assert res.solution.issubset(obj.universe_u)
 
 
@@ -308,7 +309,7 @@ def test_repeated_greedy_refinement_equals_the_evaluate_loop(instance, subroutin
         for lazy in (False, True):
             f = obj.oracle()
             with on_reference_double_greedy(patched):
-                res = repeated_greedy(f, make_constraint(constraint, n, seed), g, ell=3,
+                res = repeated_greedy(f, make_constraint(constraint, n, seed), ell=3,
                                       subroutine=subroutine, rng=Rng(seed, 3), lazy=lazy)
             runs.append((res.solution, res.value, res.f_evals, res.marginal_evals,
                          res.independence_checks, f.cached_base))
@@ -381,6 +382,9 @@ def test_gains_count_like_one_marginal_per_candidate():
     S = g.set([0])
     assert f.gains(f.gain_state(), S, [1, 2, 5]).tolist() == [2.0, 3.0, 6.0]
     assert (f.marginal_count, f.eval_count) == (3, 4)  # S was not the cached base
+    one_by_one = ModularObjective(g, [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]).oracle()
+    assert [reference.marginal(one_by_one, u, S) for u in [1, 2, 5]] == [2.0, 3.0, 6.0]
+    assert (one_by_one.marginal_count, one_by_one.eval_count) == (3, 4)
     f.gains(f.gain_state(), S, [3])
     assert (f.marginal_count, f.eval_count) == (4, 5)
     assert f.gains(f.gain_state(), S, []).size == 0
@@ -439,8 +443,8 @@ def test_weighted_coverage_greedy_imports_numpy_only():
         "import sys\n"
         "from submax import SyntheticSpec, UniformMatroid, generate, greedy\n"
         "f, g = generate(SyntheticSpec(kind='weighted_coverage', n=40, seed=1, density=0.2))\n"
-        "greedy(f, UniformMatroid(g, 6), g)\n"
-        "greedy(f.objective.oracle(), UniformMatroid(g, 6), g, lazy=True)\n"
+        "greedy(f, UniformMatroid(g, 6))\n"
+        "greedy(f.objective.oracle(), UniformMatroid(g, 6), lazy=True)\n"
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))

@@ -40,6 +40,37 @@ def test_modular_value_and_flags():
     assert check_submodular(f)
 
 
+def _left_to_right(values) -> float:
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
+def test_evaluate_adds_left_to_right():
+    """Modular and weighted-coverage values are plain left-to-right float
+    sums, on every Python: from 3.12 on the builtin ``sum`` compensates, and
+    0.1 + 0.2 + 0.3 would read 0.6 instead of 0.6000000000000001."""
+    g = GroundSet(3)
+    assert ModularObjective(g, [0.1, 0.2, 0.3]).evaluate(g.full()) == 0.1 + 0.2 + 0.3
+    assert WeightedCoverageObjective(g, [{0}, {1}, {2}], [0.1, 0.2, 0.3]).evaluate(g.full()) \
+        == 0.1 + 0.2 + 0.3
+    gen = np.random.default_rng(5)
+    n = 12
+    weights = gen.random(n).tolist()
+    covers = [set(np.flatnonzero(row).tolist()) for row in gen.random((n, 3 * n)) < 0.3]
+    item_weights = gen.random(3 * n).tolist()
+    modular = ModularObjective(GroundSet(n), weights)
+    coverage = WeightedCoverageObjective(GroundSet(n), covers, item_weights)
+    for _ in range(50):
+        S = GroundSet(n).set(np.flatnonzero(gen.random(n) < 0.5).tolist())
+        assert modular.evaluate(S) == _left_to_right(weights[e] for e in S)
+        covered: set[int] = set()
+        for e in S:
+            covered |= covers[e]
+        assert coverage.evaluate(S) == _left_to_right(item_weights[i] for i in covered)
+
+
 def test_modular_rejects_negative_weights():
     with pytest.raises(ValueError):
         ModularObjective(GroundSet(2), [1.0, -0.5])

@@ -52,7 +52,7 @@ def test_greedy_output_is_always_independent(seed, k):
     n = 8
     f, g = make_objective("coverage_dispersion", n, seed)
     I = make_partition_intersection(n, k, seed)
-    res, trace = greedy(f, I, g)
+    res, trace = greedy(f, I)
     probe = make_partition_intersection(n, k, seed)
     assert probe.is_independent(res.solution)
     # gains recorded along the trace are non-increasing only for modular f;
