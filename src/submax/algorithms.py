@@ -23,13 +23,13 @@ import numpy as np
 
 from .core import (
     ElementSet,
-    GroundSet,
     IndependenceOracle,
     PropertyViolation,
     Rng,
     SolveResult,
     ValueOracle,
     _check_cap,
+    _id_array,
     _walk,
     bernoulli,
 )
@@ -59,50 +59,53 @@ class InstrumentedStep:
 
 
 class _Run:
-    """One algorithm run's accounting and, given a ground set, the working set
-    of a greedy-family run.
+    """One algorithm run's accounting and, given a candidate pool, the working
+    set of a greedy-family run.
 
     Built at the start of a run, it takes the clock and the entry counts of
     ``f`` and ``I`` (None for an unconstrained run); :meth:`result` reports
-    the counts since.  Given ``ground`` it also starts S = ∅, counts f(∅),
-    and keeps S, f(S), the cached base, a gain state, an extension state and
-    the :class:`GreedyStep` trace in step: :meth:`add` alone advances them.
+    the counts since.  Given ``pool``, an ascending ``np.intp`` array of
+    candidates, it also starts S = ∅, counts f(∅), and keeps S, f(S), the
+    cached base, a gain state, an extension state and the
+    :class:`GreedyStep` trace in step: :meth:`add` alone advances them.
     """
 
     def __init__(self, f: ValueOracle, I: Optional[IndependenceOracle] = None,
-                 ground: Optional[GroundSet] = None):
+                 pool: Optional[np.ndarray] = None):
         self.f, self.I = f, I
         self._t0 = time.perf_counter()
         self._before = self._counts()
-        if ground is not None:
-            self.S = ground.empty()
+        if pool is not None:
+            self.pool = pool
+            self.S = f.ground.empty()
             self.value = f.value(self.S)
             self.state = f.gain_state()
-            self.fits = I.extension_state()
+            self.ext = I.extension_state()
             self.trace: list[GreedyStep] = []
 
     def _counts(self) -> tuple[int, int, int]:
         I = self.I
         return self.f.eval_count, self.f.marginal_count, I.membership_count if I is not None else 0
 
-    def best(self, pool: list[int]) -> Optional[tuple[int, float]]:
+    def best(self) -> Optional[tuple[int, float]]:
         """One naive greedy round at S: the feasible candidate of strictly
-        positive maximal gain, removed from ``pool``, and its gain; None when
+        positive maximal gain, removed from the pool, and its gain; None when
         there is none.
 
-        Candidates whose addition is infeasible leave ``pool`` for good
+        Candidates whose addition is infeasible leave the pool for good
         (supersets of dependent sets stay dependent).  The rest are scored in
         one :meth:`ValueOracle.gains` batch and the first maximum wins, so
-        ties go to the smallest id of an ascending pool.
+        ties go to the smallest id of the ascending pool.
         """
-        pool[:] = self.I.extensions(self.fits, self.S, pool)
-        if not pool:
+        pool = self.pool = self.I.extensions(self.ext, self.S, self.pool)
+        if not pool.size:
             return None
         gains = self.f.gains(self.state, self.S, pool)
         i = int(np.argmax(gains))
         if gains[i] <= 0.0:
             return None
-        return pool.pop(i), float(gains[i])
+        self.pool = np.concatenate((pool[:i], pool[i + 1:]))
+        return int(pool[i]), float(gains[i])
 
     def add(self, u: int, gain: float) -> None:
         """Move S to S + u, of marginal gain ``gain``, and commit it as the base."""
@@ -110,7 +113,7 @@ class _Run:
         self.value += gain
         self.f.set_base(self.S, self.value)
         self.state.add(u)
-        self.fits.add(u)
+        self.ext.add(u)
         self.trace.append(GreedyStep(u, gain, self.value))
 
     def result(self, name: str, rng: Optional[Rng] = None,
@@ -148,21 +151,21 @@ def greedy(
     when none remains.
 
     ``candidates`` restricts the scan to those elements (default: all of
-    ``f.ground``).  Elements whose addition is infeasible are dropped
-    permanently (supersets of dependent sets stay dependent).  ``lazy=True``
-    uses a stale-gain max heap — valid for submodular objectives, where stale
-    gains upper-bound fresh ones — and returns the identical solution with
-    fewer marginal evaluations.
+    ``f.ground``); an id outside the ground set is a ValueError.  Elements
+    whose addition is infeasible are dropped permanently (supersets of
+    dependent sets stay dependent).  ``lazy=True`` uses a stale-gain max
+    heap — valid for submodular objectives, where stale gains upper-bound
+    fresh ones — and returns the identical solution with fewer marginal
+    evaluations.
     """
-    run = _Run(f, I, f.ground)
-    pool = sorted(set(candidates)) if candidates is not None else list(f.ground.elements)
+    run = _Run(f, I, _id_array(f.ground, candidates))
     if lazy:
-        pool = I.extensions(run.fits, run.S, pool)
-        heap = [(-g, u, 0) for g, u in zip(f.gains(run.state, run.S, pool).tolist(), pool)]
+        pool = I.extensions(run.ext, run.S, run.pool)
+        heap = [(-g, u, 0) for g, u in zip(f.gains(run.state, run.S, pool).tolist(), pool.tolist())]
         heapq.heapify(heap)
         while heap:
             neg_gain, u, stamp = heapq.heappop(heap)
-            if not I.extensions(run.fits, run.S, (u,)):
+            if not I.fits(run.ext, run.S, u):
                 continue  # drop permanently
             if stamp == len(run.trace):  # scored at the current S
                 if neg_gain >= 0.0:
@@ -171,7 +174,7 @@ def greedy(
             else:
                 heapq.heappush(heap, (-f.gain(run.state, run.S, u), u, len(run.trace)))
     else:
-        while (pick := run.best(pool)) is not None:
+        while (pick := run.best()) is not None:
             run.add(*pick)
     return run.result("lazy-greedy" if lazy else "greedy"), run.trace
 
@@ -300,11 +303,11 @@ def repeated_greedy(
             raise ValueError(f"ell must be >= 1, got {rounds}")
 
     run = _Run(f, I)
-    remaining = list(f.ground.elements)
+    remaining = np.ones(f.ground.n, dtype=bool)  # not picked by an earlier round
     best_set: Optional[ElementSet] = None
     best_value = -1.0
     for _ in range(rounds):
-        res_i, _trace = greedy(f, I, candidates=remaining, lazy=lazy)
+        res_i, _trace = greedy(f, I, candidates=np.flatnonzero(remaining), lazy=lazy)
         if subroutine == "det":
             res_u = unconstrained_max_det(f, res_i.solution)
         else:
@@ -312,8 +315,7 @@ def repeated_greedy(
         for cand in (res_i, res_u):
             if best_set is None or cand.value > best_value:
                 best_set, best_value = cand.solution, cand.value
-        picked = set(res_i.solution.members)
-        remaining = [u for u in remaining if u not in picked]
+        remaining[list(res_i.solution.members)] = False
     return run.result(f"repeated-greedy-{subroutine}", rng, best_set, best_value)
 
 
@@ -334,9 +336,10 @@ def sample_greedy(
     1/(k+1) for the constraint's declared k), then run greedy on the sample.
 
     One Bernoulli draw per ground element, taken upfront in ascending id
-    order — the fixed coin-usage discipline that paired-seed equivalence
-    tests rely on.  p must lie in (0, 1]; p=1 reproduces plain greedy
-    exactly.
+    order as one array of ``rng`` doubles, the same ones n scalar
+    ``rng.random()`` calls would give — the fixed coin-usage discipline that
+    paired-seed equivalence tests rely on.  p must lie in (0, 1]; p=1
+    reproduces plain greedy exactly.
     """
     if p is None:
         p = 1.0 / (I.k + 1.0)
@@ -344,7 +347,7 @@ def sample_greedy(
     if not 0.0 < p <= 1.0:
         raise ValueError(f"sampling probability must lie in (0, 1], got {p}")
     run = _Run(f, I)
-    kept = [u for u in f.ground.elements if bernoulli(rng, p)]
+    kept = np.flatnonzero(rng.generator.random(f.ground.n) < p)
     res, _trace = greedy(f, I, candidates=kept, lazy=lazy)
     return run.result("sample-greedy", rng, res.solution, res.value)
 
@@ -433,13 +436,12 @@ def instrumented_sample_greedy(
     if not I.is_independent(opt):
         raise ValueError("reference set opt must be independent")
     k = I.k
-    run = _Run(f, I, f.ground)  # S, its states and f(S) move on heads only
+    run = _Run(f, I, _id_array(f.ground))  # S, its states and f(S) move on heads only
     O = opt
-    pool = list(f.ground.elements)
     considered: set[int] = set()
     trace: list[InstrumentedStep] = []
 
-    while (pick := run.best(pool)) is not None:
+    while (pick := run.best()) is not None:
         u, gain = pick
         iteration = len(trace) + 1
         s_before = run.S

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import itertools
 import logging
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
+
+import numpy as np
 
 from .core import (
     ElementSet,
@@ -20,12 +22,44 @@ from .core import (
     IndependenceOracle,
     _check_cap,
     _elements,
+    _id_array,
     _read_id_rows,
     _subset_table,
     _walk,
 )
 
 logger = logging.getLogger(__name__)
+
+
+_EVERY = object()  # the group of every element, under a global cap
+
+
+class _RoomExtensions(ExtensionState):
+    """Room left in groups of elements, and a mask of the elements that
+    cannot join.  ``room`` and ``members`` give each group its room and its
+    id array (a slice for every element); adding u charges each group named
+    in ``groups_of(u)``.  The mask starts as ``blocked`` and gains a group's
+    members when its room reaches 0, and only then: unmasked means fits."""
+
+    def __init__(self, blocked: np.ndarray, room: Mapping, members: Mapping,
+                 groups_of: Callable[[int], Iterable]):
+        self.blocked, self.room, self.members, self.groups_of = blocked, dict(room), members, groups_of
+        for g, r in self.room.items():
+            if r <= 0:
+                blocked[members[g]] = True
+
+    def add(self, u: int) -> None:
+        for g in self.groups_of(u):
+            if g in self.room:
+                self.room[g] -= 1
+                if self.room[g] == 0:
+                    self.blocked[self.members[g]] = True
+
+    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+        return candidates[~self.blocked[candidates]]
+
+    def fits(self, S: ElementSet, u: int) -> bool:
+        return not self.blocked[u]
 
 
 class UniformMatroid(IndependenceOracle):
@@ -40,28 +74,17 @@ class UniformMatroid(IndependenceOracle):
     def _accepts(self, S: ElementSet) -> bool:
         return len(S) <= self.m
 
-    def extension_state(self) -> "_UniformExtensions":
-        return _UniformExtensions(self.m)
-
-
-class _UniformExtensions(ExtensionState):
-    """Room left under the rank: every candidate fits while some is left."""
-
-    def __init__(self, m: int):
-        self.room = m
-
-    def add(self, u: int) -> None:
-        self.room -= 1
-
-    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
-        return list(candidates) if self.room > 0 else []
+    def extension_state(self) -> _RoomExtensions:  # one group, of every element
+        return _RoomExtensions(np.zeros(self.ground.n, dtype=bool), {_EVERY: self.m},
+                               {_EVERY: slice(None)}, lambda u: (_EVERY,))
 
 
 class PartitionMatroid(IndependenceOracle):
     """S independent iff |S ∩ block_b| <= capacity_b for every block b.
 
     ``block_of`` maps element id -> block label; elements missing from the
-    map are unconstrained.  A matroid (declared k = 1).
+    map are unconstrained, and an id outside the ground set is refused.  A
+    matroid (declared k = 1).
     """
 
     def __init__(
@@ -76,9 +99,16 @@ class PartitionMatroid(IndependenceOracle):
         for b, cap in self.capacities.items():
             if cap < 0:
                 raise ValueError(f"block {b!r} has negative capacity {cap}")
+        if None in self.capacities:
+            raise ValueError("None is not a block label; leave unconstrained elements out of block_of")
         missing = {b for b in self.block_of.values() if b not in self.capacities}
         if missing:
             raise ValueError(f"blocks without a capacity: {sorted(map(str, missing))}")
+        _id_array(ground, self.block_of)  # refuses an id outside the ground set
+        members: dict = {b: [] for b in self.capacities}
+        for e, b in self.block_of.items():
+            members[b].append(e)
+        self._members = {b: np.array(es, dtype=np.intp) for b, es in members.items()}
 
     def _accepts(self, S: ElementSet) -> bool:
         block_of, capacities = self.block_of, self.capacities
@@ -93,26 +123,9 @@ class PartitionMatroid(IndependenceOracle):
             counts[b] = c
         return True
 
-    def extension_state(self) -> "_PartitionExtensions":
-        return _PartitionExtensions(self.block_of, self.capacities)
-
-
-class _PartitionExtensions(ExtensionState):
-    """Room left in each block: a candidate fits when its block has some, or
-    when it belongs to no block."""
-
-    def __init__(self, block_of: Mapping[int, object], capacities: Mapping[object, int]):
-        self.block_of = block_of
-        self.room = dict(capacities)
-
-    def add(self, u: int) -> None:
-        b = self.block_of.get(u)
-        if b is not None:
-            self.room[b] -= 1
-
-    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
-        block_of, room = self.block_of, self.room
-        return [u for u in candidates if (b := block_of.get(u)) is None or room[b] > 0]
+    def extension_state(self) -> _RoomExtensions:  # one group per block
+        return _RoomExtensions(np.zeros(self.ground.n, dtype=bool), self.capacities,
+                               self._members, lambda u: (self.block_of.get(u),))
 
 
 class IntersectionSystem(IndependenceOracle):
@@ -153,10 +166,13 @@ class _IntersectionExtensions(ExtensionState):
         for _c, state in self.parts:
             state.add(u)
 
-    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
         for c, state in self.parts:
             candidates = c.extensions(state, S, candidates)
         return candidates
+
+    def fits(self, S: ElementSet, u: int) -> bool:
+        return all(c.fits(state, S, u) for c, state in self.parts)
 
 
 class GenreConstraint(IndependenceOracle):
@@ -198,55 +214,25 @@ class GenreConstraint(IndependenceOracle):
         self.favorites = favorites
         self.m = int(m)
         self.limits = limits
-        # each element's favourite genres, in favourites order; () is outside N_u
-        self._favorites_of = {
-            e: tuple(g for g in favorites if g in gs) for e, gs in self.genre_of.items()
-        }
-        self.restricted_universe = ground.set(e for e, fs in self._favorites_of.items() if fs)
+        # the elements carrying each favourite genre; N_u is their union
+        holders = {g: [e for e, gs in self.genre_of.items() if g in gs] for g in favorites}
+        nu = _id_array(ground, itertools.chain(*holders.values()))
+        self.restricted_universe = ElementSet._raw(ground, tuple(nu.tolist()))
+        self._holders = {g: np.array(es, dtype=np.intp) for g, es in holders.items()}
+        self._outside = np.ones(ground.n, dtype=bool)
+        self._outside[nu] = False
 
     def _accepts(self, S: ElementSet) -> bool:
-        if len(S) > self.m:
-            return False
-        counts = {g: 0 for g in self.favorites}
-        for e in S:
-            gs = self.genre_of.get(e, frozenset())
-            hit = False
-            for g in self.favorites:
-                if g in gs:
-                    hit = True
-                    counts[g] += 1
-                    if counts[g] > self.limits[g]:
-                        return False
-            if not hit:
-                return False  # outside the restricted universe
-        return True
+        labels = [self.genre_of.get(e, frozenset()) for e in S]
+        return (len(S) <= self.m and not any(gs.isdisjoint(self.favorites) for gs in labels)
+                and all(sum(g in gs for gs in labels) <= lim for g, lim in self.limits.items()))
 
-    def extension_state(self) -> "_GenreExtensions":
-        return _GenreExtensions(self.m, self.limits, self._favorites_of)
-
-
-class _GenreExtensions(ExtensionState):
-    """Global room and room per favourite genre: a candidate fits when both
-    are left for each of its favourite genres, of which it needs one."""
-
-    def __init__(self, m: int, limits: Mapping[str, int], favorites_of: Mapping[int, tuple]):
-        self.room = m
-        self.genre_room = dict(limits)
-        self.favorites_of = favorites_of
-
-    def add(self, u: int) -> None:
-        self.room -= 1
-        for g in self.favorites_of[u]:
-            self.genre_room[g] -= 1
-
-    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
-        if self.room <= 0:
-            return []
-        favorites_of, genre_room = self.favorites_of, self.genre_room
-        return [
-            u for u in candidates
-            if (fs := favorites_of.get(u)) and all(genre_room[g] > 0 for g in fs)
-        ]
+    def extension_state(self) -> _RoomExtensions:
+        """One group per favourite genre, with its limit as room, and one of
+        every element, with room m; elements outside N_u start masked."""
+        return _RoomExtensions(self._outside.copy(), {_EVERY: self.m, **self.limits},
+                               {_EVERY: slice(None), **self._holders},
+                               lambda u: (_EVERY, *self.genre_of[u]))
 
 
 def _labels(genres: str) -> frozenset:
@@ -444,7 +430,7 @@ def max_feasible_size(I: IndependenceOracle) -> int:
     S = ElementSet(I.ground, ())
     state = I.extension_state()
     for e in elems:
-        if I.extensions(state, S, (e,)):
+        if I.fits(state, S, e):
             S = S.with_element(e)
             state.add(e)
     return len(S)

@@ -248,14 +248,34 @@ _CAPS = {
 }
 
 
+def _id_array(ground: GroundSet, ids: Optional[Iterable[int]] = None) -> np.ndarray:
+    """``ids`` (all of ``ground`` when None) as an ascending duplicate-free
+    ``np.intp`` array, range-checked as in :class:`ElementSet`, through a mask
+    over ``ground``: ``np.unique`` imports ``numpy.ma``, and a first ``np.sort``
+    adds ~0.4 MiB to a fresh process's peak RSS (numpy 2.4, x86-64)."""
+    if ids is None:
+        return np.arange(ground.n, dtype=np.intp)
+    a = ids.astype(np.intp) if isinstance(ids, np.ndarray) else np.fromiter(ids, np.intp)
+    if a.size and not (0 <= a.min() and a.max() < ground.n):
+        raise ValueError(f"element {int(a.min() if a.min() < 0 else a.max())} outside ground set of size {ground.n}")
+    keep = np.zeros(ground.n, dtype=bool)
+    keep[a] = True
+    return np.flatnonzero(keep)
+
+
 def _elements(ground: Optional[GroundSet], elements: Optional[Iterable[int]]) -> list[int]:
     """``elements`` sorted, distinct and range-checked against ``ground``; all
     of ``ground`` when None."""
     if ground is None:
         raise ValueError("oracle has no ground set")
-    if elements is None:
-        return list(ground.elements)
-    return list(ground.set(elements).members)
+    return _id_array(ground, elements).tolist()
+
+
+def _meets(S: ElementSet, candidates) -> bool:
+    """Whether some of ``candidates`` (ids) is in ``S``, by one mask."""
+    inside = np.zeros(S.universe.n, dtype=bool)
+    inside[list(S.members)] = True
+    return bool(inside[np.asarray(candidates, dtype=np.intp)].any())
 
 
 def _check_cap(name: str, n: int) -> None:
@@ -334,7 +354,7 @@ class ValueOracle:
         """
         if not len(candidates):
             return np.empty(0)
-        if not S._memberset.isdisjoint(candidates):
+        if _meets(S, candidates):
             raise ValueError(f"marginal gains require candidates outside S={S!r}")
         base = self.value(S)
         self.marginal_count += len(candidates)
@@ -343,7 +363,7 @@ class ValueOracle:
         bad = np.flatnonzero(~(base + g >= 0.0))
         if bad.size:
             i = int(bad[0])
-            self._negative(base + g[i], S.with_element(candidates[i]))
+            self._negative(base + g[i], S.with_element(int(candidates[i])))
         return g
 
     def gain(self, state: "GainState", S: ElementSet, u: int) -> float:
@@ -458,9 +478,9 @@ class IndependenceOracle:
     something the oracle enforces.  Subclasses override :meth:`_accepts`.
 
     :meth:`extensions` answers "is S + u independent?" for a batch of
-    candidates from a per-run extension state (:meth:`extension_state`) and
-    counts it exactly as the same queries asked one by one through
-    :meth:`is_independent`.
+    candidates, and :meth:`fits` for one, from a per-run extension state
+    (:meth:`extension_state`); both count exactly as the same queries asked
+    one by one through :meth:`is_independent`.
     """
 
     def __init__(
@@ -489,17 +509,26 @@ class IndependenceOracle:
         has one, else :class:`CheckedExtensions`."""
         return CheckedExtensions(self)
 
-    def extensions(self, state: "ExtensionState", S: ElementSet, candidates: Sequence[int]) -> list[int]:
-        """The candidates u, none of them in ``S``, with S + u independent, in
-        their given order; ``state`` must hold exactly the elements of ``S``,
-        an independent set.
+    def extensions(self, state: "ExtensionState", S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+        """The ``candidates`` u (ids, none in ``S``) with S + u independent,
+        as an ``np.intp`` array in their given order; ``state`` must hold
+        exactly the elements of ``S``, an independent set.
 
         Counted as ``len(candidates)`` calls of :meth:`is_independent`.
         """
-        if not S._memberset.isdisjoint(candidates):
+        candidates = np.asarray(candidates, dtype=np.intp)
+        if _meets(S, candidates):
             raise ValueError(f"extension queries require candidates outside S={S!r}")
         self.membership_count += len(candidates)
         return state.feasible(S, candidates)
+
+    def fits(self, state: "ExtensionState", S: ElementSet, u: int) -> bool:
+        """Whether S + u is independent, for one u not in ``S``: ``extensions``
+        for ``[u]`` without the arrays, counted as one :meth:`is_independent`."""
+        if u in S:
+            raise ValueError(f"extension queries require candidates outside S={S!r}")
+        self.membership_count += 1
+        return state.fits(S, u)
 
 
 class ExtensionState:
@@ -507,16 +536,21 @@ class ExtensionState:
     greedy run.
 
     A state starts at the empty set; :meth:`add` moves it to ``S + u``, which
-    must be independent, and :meth:`feasible` returns, in order, the
-    candidates u not in S with S + u independent.  States are uncounted:
-    callers ask through :meth:`IndependenceOracle.extensions`, which keeps the
-    accounting.
+    must be independent.  :meth:`feasible` takes an ``np.intp`` array of
+    candidates u not in S and returns those with S + u independent, in
+    order; :meth:`fits` answers for one candidate (and by default
+    :meth:`feasible` asks it about each).  States are uncounted: callers
+    ask through :meth:`IndependenceOracle.extensions` and
+    :meth:`IndependenceOracle.fits`, which keep the accounting.
     """
 
     def add(self, u: int) -> None:  # pragma: no cover - interface
         raise NotImplementedError
 
-    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:  # pragma: no cover - interface
+    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+        return candidates[np.array([self.fits(S, u) for u in candidates.tolist()], dtype=bool)]
+
+    def fits(self, S: ElementSet, u: int) -> bool:  # pragma: no cover - interface
         raise NotImplementedError
 
 
@@ -529,11 +563,10 @@ class CheckedExtensions(ExtensionState):
         self._oracle = oracle
 
     def add(self, u: int) -> None:
-        pass  # the set itself is passed to feasible
+        pass  # the set itself is passed to fits
 
-    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
-        accepts = self._oracle._accepts
-        return [u for u in candidates if accepts(S.with_element(u))]
+    def fits(self, S: ElementSet, u: int) -> bool:
+        return self._oracle._accepts(S.with_element(u))
 
 
 class Rng:

@@ -26,7 +26,8 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+
+import numpy as np
 
 from .core import ElementSet, ExtensionState, GroundSet, IndependenceOracle, Rng
 
@@ -141,11 +142,13 @@ class _HardExtensions(ExtensionState):
             self.outside += 1
         self._charge()
 
-    def feasible(self, S: ElementSet, candidates: Sequence[int]) -> list[int]:
+    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
         if self.fits_in == self.fits_out:
-            return list(candidates) if self.fits_in else []
-        bs = self.params.block_size
-        return [u for u in candidates if (u < bs) == self.fits_in]
+            return candidates if self.fits_in else candidates[:0]
+        return candidates[(candidates < self.params.block_size) == self.fits_in]
+
+    def fits(self, S: ElementSet, u: int) -> bool:
+        return self.fits_in if u < self.params.block_size else self.fits_out
 
 
 def witness_size(params: GadgetParams) -> Fraction:

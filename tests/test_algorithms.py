@@ -3,6 +3,7 @@ and the coin-flip-instrumented equivalent."""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from submax import (
@@ -84,6 +85,11 @@ def test_greedy_respects_candidate_pool():
     f = ModularObjective(g, [9.0, 1.0, 8.0, 2.0, 3.0]).oracle()
     res, _ = greedy(f, UniformMatroid(g, 2), candidates=[1, 3, 4])
     assert res.solution.members == (3, 4)
+    res, _ = greedy(f, UniformMatroid(g, 2), candidates=np.array([4, 1, 3, 4, 1]))
+    assert res.solution.members == (3, 4)  # any order, repeats dropped
+    for bad in (-1, 5):  # -1 would alias element 4 in an array index
+        with pytest.raises(ValueError, match=f"element {bad} outside"):
+            greedy(f, UniformMatroid(g, 2), candidates=[1, bad])
 
 
 @pytest.mark.parametrize("kind", ["modular", "cut", "coverage_dispersion",
@@ -416,12 +422,13 @@ def test_instrumented_paired_seed_equivalence():
     for seed in range(50):
         g, (f1, I1), (f2, I2), opt = _paired_setup(seed % 10)
         p = 1.0 / (I1.k + 1.0)
-        direct = sample_greedy(f1, I1, rng=Rng(seed, 0))
-        rng2 = Rng(seed, 0)
+        rng1, rng2 = Rng(seed, 0), Rng(seed, 0)
+        direct = sample_greedy(f1, I1, rng=rng1)
         coins = {u: bernoulli(rng2, p) for u in g.elements}
         res, _ = instrumented_sample_greedy(f2, I2, opt, p=p,
                                             coin_source=lambda u: coins[u])
         assert res.solution == direct.solution, seed
+        assert rng1.random() == rng2.random(), seed  # both streams at the same position
         runs += 1
     assert runs == 50
 

@@ -69,6 +69,10 @@ def test_partition_matroid_validation():
         PartitionMatroid(g, {0: "a"}, {"a": -1})
     with pytest.raises(ValueError):
         PartitionMatroid(g, {0: "a"}, {})  # block without a capacity
+    with pytest.raises(ValueError, match="element -1 outside"):
+        PartitionMatroid(g, {-1: "a", 7: "a", 0: "b"}, {"a": 1, "b": 1})
+    with pytest.raises(ValueError):
+        PartitionMatroid(g, {0: None}, {None: 1})  # None marks no block in membership
 
 
 def test_intersection_sums_declared_k():
@@ -352,8 +356,8 @@ def ground_size(kind: str, size: int) -> int:
 def test_extensions_equal_whole_set_checks(system, pack):
     """Grow an independent S; at every step the state's answer for all
     remaining elements, in a random order, is the whole-set answer, counts
-    included.  ``pack`` adds the smallest feasible id, which fills H_1 of a
-    hard instance first."""
+    included, and so is its scalar answer for each of them.  ``pack`` adds
+    the smallest feasible id, which fills H_1 of a hard instance first."""
     kind, size, seed = system
     I, ref = extension_system(kind, size, seed), extension_system(kind, size, seed)
     gen = Rng(seed, 37).generator
@@ -361,9 +365,14 @@ def test_extensions_equal_whole_set_checks(system, pack):
     S = I.ground.empty()
     while True:
         candidates = [int(u) for u in gen.permutation([u for u in I.ground if u not in S])]
-        got = I.extensions(state, S, candidates)
+        got = I.extensions(state, S, np.array(candidates, dtype=np.intp))
+        assert got.dtype == np.intp
+        got = got.tolist()
         assert got == [u for u in candidates if ref.is_independent(S.with_element(u))]
         assert membership_counts(I) == membership_counts(ref)
+        for u in candidates:
+            assert I.fits(state, S, u) == ref.is_independent(S.with_element(u))
+            assert membership_counts(I) == membership_counts(ref)
         if not got:
             break
         u = min(got) if pack else got[int(gen.integers(len(got)))]
@@ -420,6 +429,8 @@ def test_extensions_reject_candidates_in_s():
     state.add(1)
     with pytest.raises(ValueError):
         I.extensions(state, I.ground.set([1]), [0, 1])
+    with pytest.raises(ValueError):
+        I.fits(state, I.ground.set([1]), 1)
 
 
 # ---------------------------------------------------------------------------

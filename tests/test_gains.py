@@ -437,15 +437,29 @@ def test_evaluated_gains_is_the_default_state():
     assert not isinstance(ModularObjective(g, [1, 2, 3]).oracle().gain_state(), EvaluatedGains)
 
 
-def test_weighted_coverage_greedy_imports_numpy_only():
+@pytest.mark.parametrize("run", [
+    "f, g = generate(SyntheticSpec(kind='weighted_coverage', n=40, seed=1, density=0.2))\n"
+    "greedy(f, UniformMatroid(g, 6))\n"
+    "greedy(f.objective.oracle(), UniformMatroid(g, 6), lazy=True)\n",
+    # the pools, masks and coins of the genre sweep's algorithms
+    "f, g = generate(SyntheticSpec(kind='coverage_dispersion', n=40, seed=1))\n"
+    "genres = {e: {'ab'[e % 2], 'cd'[e % 3 % 2]} for e in range(40)}\n"
+    "parts = IntersectionSystem([PartitionMatroid(g, {e: e % j for e in range(40)},\n"
+    "                                             {b: 2 for b in range(j)}) for j in (3, 5)])\n"
+    "for I in (GenreConstraint(g, genres, ['a', 'c'], m=6, m_g=2), parts):\n"
+    "    sample_greedy(f, I, rng=Rng(1))\n"
+    "    repeated_greedy(f, I, ell=2, lazy=True)\n",
+], ids=["weighted-coverage", "genre-and-partitions"])
+def test_weighted_coverage_greedy_imports_numpy_only(run):
+    """Neither scipy nor ``numpy.ma`` (which ``np.unique`` imports on its
+    first call) is imported by a greedy-family run."""
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     code = (
         "import sys\n"
-        "from submax import SyntheticSpec, UniformMatroid, generate, greedy\n"
-        "f, g = generate(SyntheticSpec(kind='weighted_coverage', n=40, seed=1, density=0.2))\n"
-        "greedy(f, UniformMatroid(g, 6))\n"
-        "greedy(f.objective.oracle(), UniformMatroid(g, 6), lazy=True)\n"
+        "from submax import *\n"
+        + run +
         "assert 'scipy' not in sys.modules, 'scipy was imported'\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma was imported'\n"
     )
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
