@@ -276,7 +276,6 @@ def repeated_greedy(
     I: IndependenceOracle,
     *,
     ell: int | str = "auto",
-    subroutine: str = "det",
     rng: Optional[Rng] = None,
     lazy: bool = False,
 ) -> SolveResult:
@@ -288,13 +287,9 @@ def repeated_greedy(
     S_i; the unconstrained subroutine then searches the subsets of S_i
     (feasible by downward closure), yielding S'_i.  Ties between candidates
     go to the earliest round, S_i before S'_i.  ``ell="auto"`` uses
-    ceil(sqrt(k)).  ``subroutine`` is ``"det"`` (alpha=3) or ``"rand"``
-    (alpha=2, requires rng).
+    ceil(sqrt(k)).  The subroutine is randomized double greedy (alpha=2)
+    driven by ``rng`` when one is given, else deterministic (alpha=3).
     """
-    if subroutine not in ("det", "rand"):
-        raise ValueError(f"subroutine must be 'det' or 'rand', got {subroutine!r}")
-    if subroutine == "rand" and rng is None:
-        raise ValueError("randomized subroutine requires an rng")
     if ell == "auto":
         rounds = default_rounds(I.k)
     else:
@@ -308,7 +303,7 @@ def repeated_greedy(
     best_value = -1.0
     for _ in range(rounds):
         res_i, _trace = greedy(f, I, candidates=np.flatnonzero(remaining), lazy=lazy)
-        if subroutine == "det":
+        if rng is None:
             res_u = unconstrained_max_det(f, res_i.solution)
         else:
             res_u = unconstrained_max_rand(f, res_i.solution, rng)
@@ -316,7 +311,8 @@ def repeated_greedy(
             if best_set is None or cand.value > best_value:
                 best_set, best_value = cand.solution, cand.value
         remaining[list(res_i.solution.members)] = False
-    return run.result(f"repeated-greedy-{subroutine}", rng, best_set, best_value)
+    name = "repeated-greedy-det" if rng is None else "repeated-greedy-rand"
+    return run.result(name, rng, best_set, best_value)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -36,7 +37,6 @@ from .algorithms import (
 )
 from .constraints import (
     GenreConstraint,
-    IntersectionSystem,
     PartitionMatroid,
     UniformMatroid,
     load_genres_csv,
@@ -48,9 +48,11 @@ from .constraints import (
 from .core import (
     CapacityError,
     GroundSet,
+    IndependenceOracle,
     NonNegativityError,
     PropertyViolation,
     Rng,
+    SolveResult,
     ValueOracle,
     _check_cap,
     _read_id_rows,
@@ -78,16 +80,6 @@ EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
 
-ALGORITHMS = (
-    "greedy",
-    "lazy-greedy",
-    "repeated-greedy",
-    "sample-greedy",
-    "sample-greedy-linear",
-    "double-greedy",
-    "brute-force",
-)
-
 REPORT_FIELDS = (
     "algorithm",
     "config_hash",
@@ -108,14 +100,6 @@ REPORT_FIELDS = (
 
 class ConfigError(Exception):
     """A problem with flags, specs, or input files."""
-
-
-def _is_randomized(alg: str, subroutine: str) -> bool:
-    if alg in ("sample-greedy", "sample-greedy-linear"):
-        return True
-    if alg in ("repeated-greedy", "double-greedy"):
-        return subroutine == "rand"
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +206,7 @@ def parse_sweep_spec(s: str) -> tuple[str, int, int]:
 
 
 # ---------------------------------------------------------------------------
-# Instance construction (cached where read-only, fresh counters per trial)
+# Instance construction (built once per process; a trial's counts are deltas)
 # ---------------------------------------------------------------------------
 
 
@@ -283,8 +267,7 @@ def _instance(cfg: dict) -> _Instance:
     """The read-only part of a config, built once per process: the objective
     (a coverage objective over the genre universe N_u under a genre
     constraint), its ground set, the genre map and the partition blocks.
-    Trials take their counters fresh from it: ``objective.oracle()`` and
-    :func:`_build_constraint`."""
+    Each trial takes a fresh value oracle from it: ``objective.oracle()``."""
     if cfg["hash"] in _instances:
         return _instances[cfg["hash"]]
     source, spec = cfg["instance"], cfg["constraint"] or {"kind": None}
@@ -333,8 +316,11 @@ _SWEEPABLE = {"uniform": ("m",), "genre": ("m", "mg"), "hard": ("m",)}
 
 
 def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):
-    """A fresh constraint (fresh counters) at a sweep point, from the config's
-    :func:`_instance`: the one constraint builder of solve, bench and verify."""
+    """The constraint at a sweep point (None without ``--constraint``), from
+    the config's :func:`_instance`: the one constraint builder of solve,
+    bench and verify."""
+    if cfg["constraint"] is None:
+        return None
     spec = dict(cfg["constraint"])
     kind = spec["kind"]
     if sweep is not None:
@@ -365,6 +351,26 @@ def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):
     return oracle
 
 
+@dataclass
+class _Point:
+    """A sweep point's constraint, shared by the point's trials: it holds no
+    per-run state (extension states are built per run, and a run's counts
+    are deltas).  ``r`` is its :func:`max_feasible_size`, once a trial ran."""
+
+    constraint: Optional[IndependenceOracle]
+    r: Optional[int] = None
+
+
+_points: dict[tuple, _Point] = {}  # (config hash, sweep point) -> point, per process
+
+
+def _point(cfg: dict, sweep: Optional[tuple[str, int]]) -> _Point:
+    key = (cfg["hash"], sweep)
+    if key not in _points:
+        _points[key] = _Point(_build_constraint(cfg, sweep))
+    return _points[key]
+
+
 def config_hash(cfg: dict) -> str:
     semantic = {k: v for k, v in cfg.items() if k not in ("out", "jobs")}
     blob = json.dumps(semantic, sort_keys=True, separators=(",", ":"))
@@ -376,83 +382,77 @@ def config_hash(cfg: dict) -> str:
 # ---------------------------------------------------------------------------
 
 
-_rank_cache: dict[tuple, int] = {}  # (config hash, sweep point) -> r, per process
+class _Algorithm(NamedTuple):
+    randomized_under: tuple[str, ...]  # the --subroutine values under which it draws coins
+    run: Callable[..., SolveResult]  # (f, constraint, rng or None, cfg) -> its result
+
+
+def _run_double_greedy(f: ValueOracle, _I, rng: Optional[Rng], _cfg: dict) -> SolveResult:
+    obj = f.objective  # under a genre constraint, restricted to N_u
+    U = obj.universe_u if isinstance(obj, CoverageDispersionObjective) else f.ground.full()
+    return unconstrained_max_det(f, U) if rng is None else unconstrained_max_rand(f, U, rng)
+
+
+# The runners look the algorithms up in this module when they run, so a
+# replaced module attribute (a profiler's span, a test's spy) is the one run.
+_ALGORITHMS = {
+    "greedy": _Algorithm((), lambda f, I, rng, cfg: greedy(f, I, lazy=cfg["lazy"])[0]),
+    "lazy-greedy": _Algorithm((), lambda f, I, rng, cfg: greedy(f, I, lazy=True)[0]),
+    "repeated-greedy": _Algorithm(("rand",), lambda f, I, rng, cfg: repeated_greedy(
+        f, I, ell=cfg["ell"], rng=rng, lazy=cfg["lazy"])),
+    "sample-greedy": _Algorithm(("det", "rand"), lambda f, I, rng, cfg: sample_greedy(
+        f, I, rng=rng, p=cfg["p"], lazy=cfg["lazy"])),
+    "sample-greedy-linear": _Algorithm(("det", "rand"), lambda f, I, rng, cfg: sample_greedy_linear(
+        f, I, rng=rng, lazy=cfg["lazy"])),
+    "double-greedy": _Algorithm(("rand",), _run_double_greedy),
+    "brute-force": _Algorithm((), lambda f, I, rng, cfg: brute_force_opt(f, I)),
+}
+ALGORITHMS = tuple(_ALGORITHMS)
+
+
+def _randomized(cfg: dict, alg: str) -> bool:
+    return cfg["subroutine"] in _ALGORITHMS[alg].randomized_under
 
 
 def _check_algorithm(cfg: dict, alg: str) -> None:
-    """Reject a config that ``alg`` cannot run on, whatever the sweep point."""
+    """Reject a config that ``alg`` cannot run on, whatever the sweep point;
+    solve and bench ask before any trial runs."""
+    if alg not in _ALGORITHMS:
+        raise ConfigError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
     if cfg["constraint"] is None and alg != "double-greedy":
         raise ConfigError(f"algorithm {alg!r} requires --constraint")
-    obj = _instance(cfg).objective
-    if alg == "sample-greedy-linear" and not obj.is_modular:
-        raise ConfigError(f"{alg} needs a modular objective, got {type(obj).__name__}")
+    if _randomized(cfg, alg) and cfg["seed"] is None:
+        when = " with --subroutine rand" if _ALGORITHMS[alg].randomized_under == ("rand",) else ""
+        raise ConfigError(f"algorithm {alg!r}{when} is randomized and requires --seed")
+    inst = _instance(cfg)
+    if alg == "sample-greedy-linear" and not inst.objective.is_modular:
+        raise ConfigError(f"{alg} needs a modular objective, got {type(inst.objective).__name__}")
+    if alg == "brute-force":
+        _check_cap("brute_force_opt", inst.ground.n)
 
 
 def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_index: int) -> dict:
-    """Run one algorithm trial with fresh counters over the config's cached
-    :func:`_instance`; returns the report dict (with real wall_ms; bench mode
-    nulls it before writing)."""
-    _check_algorithm(cfg, alg)
-    inst = _instance(cfg)
-    obj, ground = inst.objective, inst.ground
-    f = obj.oracle()
-    constraint = _build_constraint(cfg, sweep) if cfg["constraint"] is not None else None
-
-    rng = None
-    subroutine = cfg.get("subroutine", "det")
-    if _is_randomized(alg, subroutine):
-        if cfg.get("seed") is None:
-            raise ConfigError(
-                f"algorithm {alg!r}"
-                + (f" with subroutine {subroutine!r}" if alg in ("repeated-greedy", "double-greedy") else "")
-                + " is randomized and requires --seed"
-            )
-        rng = Rng(cfg["seed"], trial_index)
-
-    ell_resolved = None
-    if alg in ("greedy", "lazy-greedy"):
-        res, _trace = greedy(f, constraint, lazy=(alg == "lazy-greedy" or cfg["lazy"]))
-    elif alg == "repeated-greedy":
-        ell = cfg.get("ell", "auto")
-        ell_resolved = default_rounds(constraint.k) if ell == "auto" else int(ell)
-        res = repeated_greedy(f, constraint, ell=ell, subroutine=subroutine, rng=rng,
-                              lazy=cfg.get("lazy", False))
-    elif alg == "sample-greedy":
-        res = sample_greedy(f, constraint, rng=rng, p=cfg.get("p"),
-                            lazy=cfg.get("lazy", False))
-    elif alg == "sample-greedy-linear":
-        res = sample_greedy_linear(f, constraint, rng=rng, lazy=cfg.get("lazy", False))
-    elif alg == "double-greedy":
-        U = ground.full()
-        if isinstance(obj, CoverageDispersionObjective):
-            U = obj.universe_u
-        if subroutine == "rand":
-            res = unconstrained_max_rand(f, U, rng)
-        else:
-            res = unconstrained_max_det(f, U)
-    elif alg == "brute-force":
-        res = brute_force_opt(f, constraint)
-    else:
-        raise ConfigError(f"unknown algorithm {alg!r}; choose from {ALGORITHMS}")
-
-    r = None
-    k = None
-    if constraint is not None:
-        k = constraint.k
-        key = (cfg["hash"], sweep)  # they fix the constraint, so r; trials do not
-        if key not in _rank_cache:  # after the run: its counts are already taken
-            _rank_cache[key] = max_feasible_size(constraint)
-        r = _rank_cache[key]
+    """Run one algorithm trial with a fresh value oracle over the config's
+    cached :func:`_instance`, under the sweep point's cached constraint;
+    returns the report dict (with real wall_ms; bench mode nulls it before
+    writing).  :func:`_check_algorithm` must have accepted ``alg``."""
+    inst, point = _instance(cfg), _point(cfg, sweep)
+    I = point.constraint
+    rng = Rng(cfg["seed"], trial_index) if _randomized(cfg, alg) else None
+    res = _ALGORITHMS[alg].run(inst.objective.oracle(), I, rng, cfg)
+    if I is not None and point.r is None:  # after the run: its counts are already taken
+        point.r = max_feasible_size(I)
+    ell = cfg["ell"] if alg == "repeated-greedy" else None  # "auto" is reported resolved
     return {
         "algorithm": alg,
         "config_hash": cfg["hash"],
-        "ell": ell_resolved,
+        "ell": default_rounds(I.k) if ell == "auto" else ell,
         "f_evals": res.f_evals,
         "independence_checks": res.independence_checks,
-        "k": k,
+        "k": None if I is None else I.k,
         "marginal_evals": res.marginal_evals,
-        "n": ground.n,
-        "r": r,
+        "n": inst.ground.n,
+        "r": point.r,
         "seed": res.seed,
         "solution": list(res.solution.members),
         "trial_index": trial_index,
@@ -467,8 +467,7 @@ def _report_line(report: dict) -> str:
 
 
 def _bench_task(args: tuple) -> dict:
-    cfg, sweep, alg, trial = args
-    return run_one_trial(cfg, sweep, alg, trial)
+    return run_one_trial(*args)  # (cfg, sweep, alg, trial_index)
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +489,16 @@ def _common_config(args, cmd: str) -> dict:
         raise ConfigError("an objective is required: --instance and/or --similarity")
     if args.instance is not None and args.similarity is not None:
         raise ConfigError("--instance and --similarity are mutually exclusive")
+    if args.lam is not None and args.similarity is None:
+        raise ConfigError("--lam weighs the --similarity objective only; "
+                          "give a synthetic objective's weight in its spec: synth:...,lam=")
     cfg = {
         "cmd": cmd,
         "instance": _parse(parse_instance_spec, args.instance, "--instance"),
         "similarity": args.similarity,
         "genres": _parse(parse_genres_spec, args.genres, "--genres"),
         "constraint": _parse(parse_constraint_spec, args.constraint, "--constraint"),
-        "lam": args.lam,
+        "lam": 0.5 if args.lam is None else args.lam,  # unset hashes as 0.5 did
         "k_override": args.k,
         "ell": args.ell,
         "p": args.p,
@@ -525,12 +527,10 @@ def cmd_solve(args) -> int:
     cfg["best_of"] = args.best_of
     if args.best_of < 1:
         raise ConfigError(f"--best-of must be >= 1, got {args.best_of}")
-    if args.alg not in ALGORITHMS:
-        raise ConfigError(f"unknown algorithm {args.alg!r}; choose from {ALGORITHMS}")
     cfg["algs"] = [args.alg]
     cfg["hash"] = config_hash(cfg)
-
-    if args.best_of > 1 and not _is_randomized(args.alg, cfg["subroutine"]):
+    _check_algorithm(cfg, args.alg)
+    if args.best_of > 1 and not _randomized(cfg, args.alg):
         raise ConfigError(f"--best-of needs a randomized algorithm; {args.alg!r} is deterministic")
 
     if args.out:
@@ -557,24 +557,6 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def _summary_rows(order: list[tuple[int, str]], grouped: dict, walls: dict) -> list[list]:
-    rows = []
-    for point, alg in order:
-        reps = grouped[(point, alg)]
-        vals = np.array([r["value"] for r in reps], dtype=float)
-        evs = np.array([r["f_evals"] for r in reps], dtype=float)
-        ws = walls[(point, alg)]
-        rows.append([
-            point,
-            alg,
-            repr(float(vals.mean())),
-            repr(float(vals.std(ddof=0))),
-            repr(float(evs.mean())),
-            f"{float(np.mean(ws)):.3f}",
-        ])
-    return rows
-
-
 def cmd_bench(args) -> int:
     cfg = _common_config(args, "bench")
     if args.out is None:
@@ -584,9 +566,6 @@ def cmd_bench(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     algs = [a.strip() for a in args.alg.split(",") if a.strip()]
-    unknown = [a for a in algs if a not in ALGORITHMS]
-    if unknown:
-        raise ConfigError(f"unknown algorithms {unknown}; choose from {ALGORITHMS}")
     twice = [a for i, a in enumerate(algs) if a in algs[:i]]
     if twice:
         raise ConfigError(f"--alg lists algorithm {twice[0]!r} twice")
@@ -597,21 +576,15 @@ def cmd_bench(args) -> int:
         raise ConfigError("bench requires --constraint (the sweep applies to it)")
     cfg.update({"algs": algs, "sweep": args.sweep, "trials": args.trials})
     cfg["hash"] = config_hash(cfg)
-    if any(_is_randomized(a, cfg["subroutine"]) for a in algs) and cfg["seed"] is None:
-        raise ConfigError("bench includes a randomized algorithm and requires --seed")
 
-    # every sweep point and algorithm is checked before the first trial runs
-    for point in range(lo, hi + 1):
-        _build_constraint(cfg, (sweep_param, point))
+    # every algorithm and sweep point is checked before the first trial runs
     for alg in algs:
         _check_algorithm(cfg, alg)
-
-    tasks = []
-    for point in range(lo, hi + 1):
-        for alg in algs:
-            n_trials = args.trials if _is_randomized(alg, cfg["subroutine"]) else 1
-            for t in range(n_trials):
-                tasks.append((cfg, (sweep_param, point), alg, t))
+    points = [(sweep_param, value) for value in range(lo, hi + 1)]
+    for sweep in points:
+        _point(cfg, sweep)
+    tasks = [(cfg, sweep, alg, t) for sweep in points for alg in algs
+             for t in range(args.trials if _randomized(cfg, alg) else 1)]
 
     os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     if args.jobs > 1:
@@ -622,29 +595,23 @@ def cmd_bench(args) -> int:
     else:
         results = [_bench_task(t) for t in tasks]
 
-    grouped: dict = {}
-    walls: dict = {}
-    order: list[tuple[int, str]] = []
-    lines = []
-    for (cfg_, sweep, alg, trial), rep in zip(tasks, results):
-        point = sweep[1]
-        key = (point, alg)
-        if key not in grouped:
-            grouped[key] = []
-            walls[key] = []
-            order.append(key)
-        walls[key].append(rep["wall_ms"])
-        rep = dict(rep)
-        rep["wall_ms"] = None  # timing stays out of the reproducibility artifact
-        grouped[key].append(rep)
-        lines.append(_report_line(rep))
+    groups: dict[tuple[int, str], list[dict]] = {}  # (sweep value, algorithm) -> reports
+    for (_cfg, (_param, value), alg, _t), rep in zip(tasks, results):
+        groups.setdefault((value, alg), []).append(rep)
+    # timing stays out of the reproducibility artifact
+    lines = [_report_line({**rep, "wall_ms": None}) for rep in results]
 
     jsonl_path = f"{args.out}.jsonl"
     with open(jsonl_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
     csv_path = f"{args.out}.summary.csv"
-    rows = _summary_rows(order, grouped, walls)
+    rows = []
+    for (value, alg), reps in groups.items():
+        vals = np.array([r["value"] for r in reps], dtype=float)
+        evs = np.array([r["f_evals"] for r in reps], dtype=float)
+        rows.append([value, alg, repr(float(vals.mean())), repr(float(vals.std(ddof=0))),
+                     repr(float(evs.mean())), f"{float(np.mean([r['wall_ms'] for r in reps])):.3f}"])
     with open(csv_path, "w") as fh:
         fh.write(f"# config_hash={cfg['hash']}\n")
         fh.write("sweep_value,algorithm,mean_value,std_value,mean_f_evals,mean_wall_ms\n")
@@ -653,11 +620,8 @@ def cmd_bench(args) -> int:
 
     for alg in algs:
         for metric, col in (("value", 2), ("evals", 4)):
-            path = f"{args.out}.{alg}.{metric}.dat"
-            with open(path, "w") as fh:
-                for row in rows:
-                    if row[1] == alg:
-                        fh.write(f"{row[0]} {row[col]}\n")
+            with open(f"{args.out}.{alg}.{metric}.dat", "w") as fh:
+                fh.writelines(f"{row[0]} {row[col]}\n" for row in rows if row[1] == alg)
 
     ok, detail = verify_report_pair(jsonl_path, csv_path)
     status = "consistent" if ok else f"MISMATCH ({detail})"
@@ -698,7 +662,7 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
 
     inst = _instance(cfg)
     obj = inst.objective
-    oracle = _build_constraint(cfg, None) if cfg["constraint"] is not None else None
+    oracle = _build_constraint(cfg, None)
     runs = []  # (exhaustive check, its elements)
     if obj is not None:
         f_elems = list(inst.ground.elements)
@@ -739,12 +703,8 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
 
         if cfg["constraint"]["kind"] == "hard":
             p = oracle.params
-            ok = True
-            for x in range(p.block_size):
-                step = gadget_g(x + 1, p) - gadget_g(x, p)
-                if not (1 <= step * p.k and step <= 1):
-                    ok = False
-                    break
+            steps = (gadget_g(x + 1, p) - gadget_g(x, p) for x in range(p.block_size))
+            ok = all(1 <= step * p.k and step <= 1 for step in steps)
             checks.append(("gadget-increments", "PASS" if ok else "FAIL",
                            f"1/k <= g(x+1)-g(x) <= 1 over x in 0..{p.block_size - 1}"))
             if oracle.mode == MODE_M:
@@ -788,7 +748,7 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--similarity", help="similarity-matrix CSV (coverage-dispersion objective)")
     p.add_argument("--genres", help="genres CSV or synth:count=..,seed=..")
     p.add_argument("--constraint", help="uniform:M | partition:FILE | genre:m=..,mg=..,g=a+b | hard:k=..,h=..,m=..,mode=M|M'")
-    p.add_argument("--lam", type=float, default=0.5, help="coverage-dispersion mixing weight (similarity route)")
+    p.add_argument("--lam", type=float, help="coverage-dispersion mixing weight of --similarity (default 0.5)")
     p.add_argument("--k", type=int, default=None, help="override the constraint's declared k")
     p.add_argument("--ell", default="auto", help="repeated-greedy rounds (integer or 'auto')")
     p.add_argument("--p", type=float, default=None, help="sample-greedy sampling probability override")

@@ -68,7 +68,7 @@ class UniformMatroid(IndependenceOracle):
     def __init__(self, ground: GroundSet, m: int):
         if m < 0:
             raise ValueError(f"uniform matroid rank must be >= 0, got {m}")
-        super().__init__(ground=ground, k=1)
+        super().__init__(None, ground, k=1)
         self.m = int(m)
 
     def _accepts(self, S: ElementSet) -> bool:
@@ -93,7 +93,7 @@ class PartitionMatroid(IndependenceOracle):
         block_of: Mapping[int, object],
         capacities: Mapping[object, int],
     ):
-        super().__init__(ground=ground, k=1)
+        super().__init__(None, ground, k=1)
         self.block_of = dict(block_of)
         self.capacities = dict(capacities)
         for b, cap in self.capacities.items():
@@ -138,12 +138,10 @@ class IntersectionSystem(IndependenceOracle):
     def __init__(self, components: Sequence[IndependenceOracle]):
         if not components:
             raise ValueError("intersection needs at least one component")
-        grounds = {c.ground.n for c in components if c.ground is not None}
+        grounds = {c.ground.n for c in components}
         if len(grounds) > 1:
             raise ValueError(f"components disagree on ground-set size: {sorted(grounds)}")
-        ground = next(c.ground for c in components if c.ground is not None)
-        k = sum(c.k for c in components)
-        super().__init__(ground=ground, k=k)
+        super().__init__(None, components[0].ground, k=sum(c.k for c in components))
         self.components = list(components)
 
     def _accepts(self, S: ElementSet) -> bool:
@@ -209,7 +207,7 @@ class GenreConstraint(IndependenceOracle):
             limits = {g: int(m_g) for g in favorites}
         if any(v < 0 for v in limits.values()):
             raise ValueError("per-genre limits must be >= 0")
-        super().__init__(ground=ground, k=len(favorites))
+        super().__init__(None, ground, k=len(favorites))
         self.genre_of = {e: frozenset(gs) for e, gs in genre_of.items()}
         self.favorites = favorites
         self.m = int(m)

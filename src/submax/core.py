@@ -263,11 +263,9 @@ def _id_array(ground: GroundSet, ids: Optional[Iterable[int]] = None) -> np.ndar
     return np.flatnonzero(keep)
 
 
-def _elements(ground: Optional[GroundSet], elements: Optional[Iterable[int]]) -> list[int]:
+def _elements(ground: GroundSet, elements: Optional[Iterable[int]]) -> list[int]:
     """``elements`` sorted, distinct and range-checked against ``ground``; all
     of ``ground`` when None."""
-    if ground is None:
-        raise ValueError("oracle has no ground set")
     return _id_array(ground, elements).tolist()
 
 
@@ -475,7 +473,8 @@ class IndependenceOracle:
 
     ``k`` is the declared system parameter (k-system / k-extendibility bound)
     used by algorithms for sampling rates and by reports; it is metadata, not
-    something the oracle enforces.  Subclasses override :meth:`_accepts`.
+    something the oracle enforces.  Subclasses pass ``fn=None`` and override
+    :meth:`_accepts`.
 
     :meth:`extensions` answers "is S + u independent?" for a batch of
     candidates, and :meth:`fits` for one, from a per-run extension state
@@ -485,8 +484,8 @@ class IndependenceOracle:
 
     def __init__(
         self,
-        fn: Optional[Callable[[ElementSet], bool]] = None,
-        ground: Optional[GroundSet] = None,
+        fn: Optional[Callable[[ElementSet], bool]],
+        ground: GroundSet,
         *,
         k: int = 1,
     ):

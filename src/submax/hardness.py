@@ -88,7 +88,7 @@ class HardInstance(IndependenceOracle):
         if mode not in (MODE_M, MODE_M_PRIME):
             raise ValueError(f"mode must be {MODE_M!r} or {MODE_M_PRIME!r}, got {mode!r}")
         params = GadgetParams(k, h, m)
-        super().__init__(ground=GroundSet(params.n), k=k)
+        super().__init__(None, GroundSet(params.n), k=k)
         self.params = params
         self.mode = mode
 

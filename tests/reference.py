@@ -256,7 +256,7 @@ def brute_force_opt(f, I: IndependenceOracle):
 
 class _Restricted(IndependenceOracle):
     def __init__(self, ground, nu):
-        super().__init__(ground=ground, k=1)
+        super().__init__(None, ground, k=1)
         self._nu = nu
 
     def _accepts(self, S):
@@ -265,7 +265,7 @@ class _Restricted(IndependenceOracle):
 
 class _Cap(IndependenceOracle):
     def __init__(self, ground, members, cap):
-        super().__init__(ground=ground, k=1)
+        super().__init__(None, ground, k=1)
         self._members = members
         self._cap = cap
 

@@ -264,10 +264,6 @@ def test_repeated_greedy_validation():
     I = make_partition_intersection(6, 2, 0)
     with pytest.raises(ValueError):
         repeated_greedy(f, I, ell=0)
-    with pytest.raises(ValueError):
-        repeated_greedy(f, I, subroutine="nope")
-    with pytest.raises(ValueError):
-        repeated_greedy(f, I, subroutine="rand")  # rng required
 
 
 def test_repeated_greedy_rand_seeded():
@@ -275,8 +271,8 @@ def test_repeated_greedy_rand_seeded():
     I1 = make_partition_intersection(10, 2, 2)
     f2, _ = make_objective("cut", 10, 2)
     I2 = make_partition_intersection(10, 2, 2)
-    a = repeated_greedy(f1, I1, ell=2, subroutine="rand", rng=Rng(3, 0))
-    b = repeated_greedy(f2, I2, ell=2, subroutine="rand", rng=Rng(3, 0))
+    a = repeated_greedy(f1, I1, ell=2, rng=Rng(3, 0))
+    b = repeated_greedy(f2, I2, ell=2, rng=Rng(3, 0))
     assert a.solution == b.solution
     assert a.algorithm_name == "repeated-greedy-rand"
     assert a.seed == 3

@@ -138,6 +138,20 @@ def test_bad_input_values_are_config_errors(capsys, argv):
     assert out.out == "" and out.err.startswith("error: ")
 
 
+def test_lam_weighs_the_similarity_objective_only(capsys):
+    synth = "synth:kind=coverage_dispersion,n=40,seed=3"
+    base = ["solve", "--alg", "greedy", "--constraint", "uniform:5"]
+    assert run(base + ["--instance", synth, "--lam", "0.9"]) == 2
+    assert "synth:...,lam=" in capsys.readouterr().err
+    assert run(base + ["--instance", synth + ",lam=0.9"]) == 0
+    assert json.loads(capsys.readouterr().out)["solution"] == [2, 10, 17, 21, 29]
+    hashes = []
+    for lam in ([], ["--lam", "0.5"]):  # unset weighs and hashes as 0.5
+        assert run(base + ["--similarity", SIM] + lam) == 0
+        hashes.append(json.loads(capsys.readouterr().out)["config_hash"])
+    assert hashes[0] == hashes[1]
+
+
 def test_solve_genre_constraint_without_genres(capsys):
     assert run(["solve", "--alg", "greedy", "--similarity", SIM,
                 "--constraint", "genre:m=2,mg=1,g=action"]) == 2
@@ -526,6 +540,8 @@ def test_bench_reads_the_similarity_csv_once(tmp_path, monkeypatch):
      "--alg", "greedy", "--sweep", "m=2:3"],  # n = h*k*m holds at m=2 only
     ["--instance", MODULAR, "--constraint", "uniform:3", "--alg", "greedy,lazy-greedy",
      "--sweep", "m=-1:2"],
+    ["--instance", "synth:kind=modular,n=30,seed=1", "--constraint", "uniform:3",
+     "--alg", "greedy,sample-greedy,brute-force", "--sweep", "m=2:3"],  # past brute force's cap
 ])
 def test_bench_checks_every_point_and_algorithm_before_any_trial(tmp_path, monkeypatch, capsys,
                                                                   argv):
@@ -556,17 +572,19 @@ def test_bench_instances_are_keyed_by_config(tmp_path):
 
 
 def test_bench_computes_r_once_per_sweep_point(tmp_path, monkeypatch):
-    calls = []
-    rank = cli.max_feasible_size
+    calls, builds = [], []
+    rank, build = cli.max_feasible_size, cli._build_constraint
     monkeypatch.setattr(cli, "max_feasible_size", lambda I: calls.append(I) or rank(I))
-    monkeypatch.setattr(cli, "_rank_cache", {})
+    monkeypatch.setattr(cli, "_build_constraint", lambda *a: builds.append(a) or build(*a))
+    monkeypatch.setattr(cli, "_points", {})
     cold, warm = str(tmp_path / "cold"), str(tmp_path / "warm")
     assert run(BENCH_BASE + ["--out", cold]) == 0  # 3 points x 4 trials
     assert [I.m for I in calls] == [2, 3, 4]
+    assert len(builds) == 3  # one constraint per point, shared by its trials
     lines = [json.loads(l) for l in Path(cold + ".jsonl").read_text().splitlines()]
     assert [r["r"] for r in lines] == [2] * 4 + [3] * 4 + [4] * 4
     assert run(BENCH_BASE + ["--out", warm]) == 0
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(builds) == 3
     assert Path(cold + ".jsonl").read_bytes() == Path(warm + ".jsonl").read_bytes()
 
 

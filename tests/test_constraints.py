@@ -84,6 +84,8 @@ def test_intersection_sums_declared_k():
     assert I.is_independent(g.set([0, 2]))
     assert not I.is_independent(g.set([0, 1]))  # violates the partition
     assert not I.is_independent(g.set([2, 3, 4]))  # violates the uniform rank
+    with pytest.raises(TypeError, match="ground"):  # every oracle has a ground set
+        IntersectionSystem([IndependenceOracle(fn=lambda S: True)])
 
 
 # ---------------------------------------------------------------------------
