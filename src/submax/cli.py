@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -107,16 +106,15 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _parse_kv(body: str, what: str, required: Iterable[str]) -> dict:
+def _parse_kv(body: str, what: str, required: tuple, optional: tuple = ()) -> dict:
     out = {}
-    for part in body.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
+    for part in filter(None, (p.strip() for p in body.split(","))):
+        key, eq, val = (x.strip() for x in part.partition("="))
+        if not eq:
             raise ConfigError(f"{what}: expected key=value, got {part!r}")
-        key, val = part.split("=", 1)
-        out[key.strip()] = val.strip()
+        if key not in required + optional:
+            raise ConfigError(f"{what}: unknown key {key!r}; expected {'/'.join(required + optional)}")
+        out[key] = val
     missing = set(required) - out.keys()
     if missing:
         raise ConfigError(f"{what} missing {sorted(missing)} in {body!r}")
@@ -155,11 +153,18 @@ def parse_constraint_spec(s: str) -> dict:
     raise ConfigError(f"unknown constraint kind {kind!r} in {s!r}")
 
 
+_FLAGS = {"0": False, "1": True, "false": False, "true": True, "no": False, "yes": True}
+
+
 def parse_instance_spec(s: str) -> dict:
     """``synth:kind=..,n=..,seed=..[,density=..][,lam=..][,tie_free=0|1]`` or a
     modular-weights CSV path."""
     if s.startswith("synth:"):
-        kv = _parse_kv(s[len("synth:"):], "synthetic instance", ("kind", "n", "seed"))
+        kv = _parse_kv(s[len("synth:"):], "synthetic instance", ("kind", "n", "seed"),
+                       ("density", "lam", "tie_free"))
+        tie_free = kv.get("tie_free", "0")
+        if tie_free not in _FLAGS:
+            raise ValueError(f"tie_free must be one of {'/'.join(_FLAGS)}, got {tie_free!r}")
         return {
             "source": "synth",
             "kind": kv["kind"],
@@ -167,7 +172,7 @@ def parse_instance_spec(s: str) -> dict:
             "seed": int(kv["seed"]),
             "density": float(kv.get("density", 0.5)),
             "lam": float(kv.get("lam", 0.5)),
-            "tie_free": kv.get("tie_free", "0") not in ("0", "false", "no"),
+            "tie_free": _FLAGS[tie_free],
         }
     return {"source": "modular_csv", "file": s}
 
@@ -175,7 +180,7 @@ def parse_instance_spec(s: str) -> dict:
 def parse_genres_spec(s: str) -> dict:
     """``synth:count=G,seed=S[,maxper=P]`` or a genres CSV path."""
     if s.startswith("synth:"):
-        kv = _parse_kv(s[len("synth:"):], "synthetic genres", ("count", "seed"))
+        kv = _parse_kv(s[len("synth:"):], "synthetic genres", ("count", "seed"), ("maxper",))
         spec = {"source": "synth", "count": int(kv["count"]), "seed": int(kv["seed"]),
                 "maxper": int(kv.get("maxper", 2))}
         for key in ("count", "maxper"):
@@ -295,8 +300,8 @@ def _instance(cfg: dict) -> _Instance:
             absent = [g for g in spec["g"] if g not in labelled]
             if absent:  # it would still count in the declared k
                 raise ConfigError(f"favourite genre(s) {', '.join(absent)} label no element")
-            if cfg["similarity"] is not None or isinstance(obj, CoverageDispersionObjective):
-                # a sweep never moves N_u
+            # a sweep never moves N_u; a cut (a subclass) keeps the whole ground set
+            if cfg["similarity"] is not None or type(obj) is CoverageDispersionObjective:
                 nu = GenreConstraint(ground, genre_of, spec["g"], m=spec["m"],
                                      m_g=spec["mg"]).restricted_universe
         elif spec["kind"] == "partition":
@@ -351,14 +356,13 @@ def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):
     return oracle
 
 
-@dataclass
-class _Point:
+class _Point(NamedTuple):
     """A sweep point's constraint, shared by the point's trials: it holds no
     per-run state (extension states are built per run, and a run's counts
-    are deltas).  ``r`` is its :func:`max_feasible_size`, once a trial ran."""
+    are deltas), and its :func:`max_feasible_size` ``r``."""
 
     constraint: Optional[IndependenceOracle]
-    r: Optional[int] = None
+    r: Optional[int]
 
 
 _points: dict[tuple, _Point] = {}  # (config hash, sweep point) -> point, per process
@@ -367,7 +371,8 @@ _points: dict[tuple, _Point] = {}  # (config hash, sweep point) -> point, per pr
 def _point(cfg: dict, sweep: Optional[tuple[str, int]]) -> _Point:
     key = (cfg["hash"], sweep)
     if key not in _points:
-        _points[key] = _Point(_build_constraint(cfg, sweep))
+        I = _build_constraint(cfg, sweep)
+        _points[key] = _Point(I, None if I is None else max_feasible_size(I))
     return _points[key]
 
 
@@ -440,8 +445,6 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
     I = point.constraint
     rng = Rng(cfg["seed"], trial_index) if _randomized(cfg, alg) else None
     res = _ALGORITHMS[alg].run(inst.objective.oracle(), I, rng, cfg)
-    if I is not None and point.r is None:  # after the run: its counts are already taken
-        point.r = max_feasible_size(I)
     ell = cfg["ell"] if alg == "repeated-greedy" else None  # "auto" is reported resolved
     return {
         "algorithm": alg,
@@ -466,10 +469,6 @@ def _report_line(report: dict) -> str:
     return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
-def _bench_task(args: tuple) -> dict:
-    return run_one_trial(*args)  # (cfg, sweep, alg, trial_index)
-
-
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
@@ -480,7 +479,7 @@ def _parse(parse: Callable[[str], dict], spec: Optional[str], flag: str) -> Opti
         return None
     try:
         return parse(spec)
-    except ValueError as exc:  # a malformed number in the spec
+    except ValueError as exc:  # a malformed value in the spec
         raise ConfigError(f"{flag} {spec!r}: {exc}") from None
 
 
@@ -591,9 +590,9 @@ def cmd_bench(args) -> int:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = list(pool.map(_bench_task, tasks, chunksize=1))
+            results = list(pool.map(run_one_trial, *zip(*tasks), chunksize=1))
     else:
-        results = [_bench_task(t) for t in tasks]
+        results = [run_one_trial(*t) for t in tasks]
 
     groups: dict[tuple[int, str], list[dict]] = {}  # (sweep value, algorithm) -> reports
     for (_cfg, (_param, value), alg, _t), rep in zip(tasks, results):

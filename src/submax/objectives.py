@@ -25,7 +25,6 @@ from .core import (
     ElementSet,
     GainState,
     GroundSet,
-    NonNegativityError,
     Rng,
     ValueOracle,
     _check_cap,
@@ -170,59 +169,14 @@ class _DispersionGains(GainState):
         return float(self._cov[u]) - self._lam * (float(self._acc[u]) - float(self._diag[u]))
 
 
-class CutObjective(_ObjectiveBase):
-    """Weighted undirected cut: f(S) = total weight of edges leaving S.
-
-    Non-negative, submodular, symmetric (f(S) = f(N\\S)), generally
-    non-monotone.  The weight matrix must be square, symmetric, non-negative,
-    with zero diagonal.
-    """
-
-    def __init__(self, ground: GroundSet, weights: np.ndarray):
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (ground.n, ground.n):
-            raise ValueError(f"weight matrix must be {ground.n}x{ground.n}, got {weights.shape}")
-        _check_total(weights, "cut weights")
-        if np.any(weights < 0):
-            raise ValueError("cut weights must be non-negative")
-        if np.any(np.diag(weights) != 0):
-            raise ValueError("cut weight matrix must have a zero diagonal")
-        if not np.array_equal(weights, weights.T):
-            raise ValueError("cut weight matrix must be symmetric")
-        self.ground = ground
-        self.weights = weights
-        self._row_sums = weights.sum(axis=1)
-
-    @classmethod
-    def from_edges(cls, ground: GroundSet, edges: Iterable[tuple[int, int, float]]) -> "CutObjective":
-        w = np.zeros((ground.n, ground.n))
-        for i, j, wt in edges:
-            w[i, j] += wt
-            w[j, i] += wt
-        return cls(ground, w)
-
-    def evaluate(self, S: ElementSet) -> float:
-        if not S.members or len(S) == self.ground.n:
-            return 0.0
-        inside = np.fromiter(S.members, dtype=np.intp, count=len(S))
-        mask = np.zeros(self.ground.n, dtype=bool)
-        mask[inside] = True
-        outside = np.flatnonzero(~mask)
-        return float(self.weights[np.ix_(inside, outside)].sum())
-
-    def gain_state(self) -> GainState:
-        # the cut is coverage-dispersion with coverage = row sums and lam = 1
-        return _DispersionGains(self.weights, self._row_sums, 1.0)
-
-
-def _check_symmetric(a: np.ndarray, message: str) -> bool:
-    """Raise ``ValueError(message)`` unless |a - a.T| <= 1e-9 everywhere, and
+def _check_symmetric(a: np.ndarray, message: str, atol: float = 1e-9) -> bool:
+    """Raise ``ValueError(message)`` unless |a - a.T| <= atol everywhere, and
     return whether a equals a.T bit for bit.  That exact test, the common
     case, runs first: the tolerant one allocates several full-size temporaries."""
     bits = a.view(np.int64)
     if np.array_equal(bits, bits.T):
         return True
-    if not np.allclose(a, a.T, rtol=0.0, atol=1e-9):
+    if not np.allclose(a, a.T, rtol=0.0, atol=atol):
         raise ValueError(message)
     return False
 
@@ -236,11 +190,18 @@ class CoverageDispersionObjective(_ObjectiveBase):
         f(S) = sum_{i in S} sum_{j in N_u} s_ij  -  lam * sum_{i in S} sum_{j in S} s_ij
 
     The dispersion term runs over all ordered pairs including the diagonal.
-    f is submodular and non-negative on subsets of N_u whenever lam <= 1
-    (evaluation asserts non-negativity rather than clamping).  With lam = 1,
-    N_u = N and a zero diagonal it reduces exactly to the cut function of s.
-    Evaluating any S not contained in N_u is a domain error.
+    f is submodular and non-negative on subsets of N_u whenever lam <= 1.
+    Evaluation sums it from non-negative terms, so no rounding takes it
+    below 0:
+
+        f(S) = sum_{i in S} sum_{j in N_u \\ S} s_ij  +  (1 - lam) * sum_{i in S} sum_{j in S} s_ij
+
+    With lam = 1, N_u = N and a zero diagonal it is the cut function of s
+    (:class:`CutObjective`).  Evaluating any S not contained in N_u is a
+    domain error.
     """
+
+    _symmetry = ("similarity must be symmetric (within 1e-9)", 1e-9)  # (message, atol)
 
     def __init__(
         self,
@@ -257,7 +218,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
         _check_total(similarity, "similarity entries")
         if np.any(similarity < 0):
             raise ValueError("similarity entries must be non-negative")
-        exact = _check_symmetric(similarity, "similarity must be symmetric (within 1e-9)")
+        exact = _check_symmetric(similarity, *self._symmetry)
         lam = float(lam)
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {lam}")
@@ -278,32 +239,53 @@ class CoverageDispersionObjective(_ObjectiveBase):
             self._row_coverage = similarity[:, nu].sum(axis=1)
         else:
             self._row_coverage = np.zeros(ground.n)
-        if nu.size == ground.n:
-            self._universe_mask = None
-        else:
-            self._universe_mask = np.zeros(ground.n, dtype=bool)
-            self._universe_mask[nu] = True
+        self._universe_mask = np.zeros(ground.n, dtype=bool)
+        self._universe_mask[nu] = True
         self.declares_monotone = True if lam == 0.0 else None
 
     def evaluate(self, S: ElementSet) -> float:
         if not S.issubset(self.universe_u):
             extra = sorted(set(S.members) - set(self.universe_u.members))
             raise ValueError(f"set leaves the restricted universe: elements {extra}")
-        if not S.members:
-            return 0.0
         idx = np.fromiter(S.members, dtype=np.intp, count=len(S))
-        cov = float(self._row_coverage[idx].sum())
-        disp = float(self.similarity[np.ix_(idx, idx)].sum())
-        v = cov - self.lam * disp
-        if v < 0.0:
-            raise NonNegativityError(
-                f"coverage-dispersion value {v} < 0 on {S!r} (lam={self.lam})"
-            )
+        rows = self.similarity[idx]
+        rest = self._universe_mask.astype(float)  # 1.0 on N_u \ S, 0.0 elsewhere
+        rest[idx] = 0.0
+        v = float((rows @ rest).sum())
+        if self.lam != 1.0:
+            v += (1.0 - self.lam) * float(rows[:, idx].sum())
         return v
 
     def gain_state(self) -> GainState:
+        full = len(self.universe_u) == self.ground.n
         return _DispersionGains(self.similarity, self._row_coverage, self.lam,
-                                self._universe_mask)
+                                None if full else self._universe_mask)
+
+
+class CutObjective(CoverageDispersionObjective):
+    """Weighted undirected cut: f(S) = total weight of edges leaving S.
+
+    Non-negative, submodular, symmetric (f(S) = f(N\\S)), generally
+    non-monotone.  It is coverage-dispersion with lam = 1 over the whole
+    ground set, on a weight matrix that is also exactly symmetric with a
+    zero diagonal.
+    """
+
+    _symmetry = ("cut weight matrix must be symmetric", 0.0)
+
+    def __init__(self, ground: GroundSet, weights: np.ndarray):
+        super().__init__(ground, weights, lam=1.0)
+        self.weights = self.similarity
+        if np.any(np.diagonal(self.weights) != 0):
+            raise ValueError("cut weight matrix must have a zero diagonal")
+
+    @classmethod
+    def from_edges(cls, ground: GroundSet, edges: Iterable[tuple[int, int, float]]) -> "CutObjective":
+        w = np.zeros((ground.n, ground.n))
+        for i, j, wt in edges:
+            w[i, j] += wt
+            w[j, i] += wt
+        return cls(ground, w)
 
 
 class WeightedCoverageObjective(_ObjectiveBase):

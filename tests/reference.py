@@ -10,7 +10,8 @@ ones are checked against.
   each of its queries, and ``brute_force_opt`` is a recursive depth-first
   search over the independent sets;
 - ``genre_as_intersection`` writes a genre constraint as a uniform matroid
-  intersected with one cap per favourite genre, restricted to N_u.
+  intersected with one cap per favourite genre, restricted to N_u;
+- ``cut_value`` sums the weights of the edges leaving a set one by one.
 """
 
 from __future__ import annotations
@@ -284,3 +285,10 @@ def genre_as_intersection(I) -> IntersectionSystem:
         members = {e for e, gs in I.genre_of.items() if g in gs}
         components.append(_Cap(I.ground, members, I.limits[g]))
     return IntersectionSystem(components)
+
+
+def cut_value(w: np.ndarray, S) -> float:
+    """Total weight of the edges that leave S, added edge by edge."""
+    inside = set(S)
+    outside = [j for j in range(len(w)) if j not in inside]
+    return sum(float(w[i, j]) for i in sorted(inside) for j in outside)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import functools
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -150,6 +151,58 @@ def test_lam_weighs_the_similarity_objective_only(capsys):
         assert run(base + ["--similarity", SIM] + lam) == 0
         hashes.append(json.loads(capsys.readouterr().out)["config_hash"])
     assert hashes[0] == hashes[1]
+
+
+@pytest.mark.parametrize("argv,unknown", [
+    (["--instance", "synth:kind=coverage_dispersion,n=40,seed=3,lamm=0.9",
+      "--constraint", "uniform:3"], "lamm"),
+    (["--similarity", SIM, "--genres", GENRES,
+      "--constraint", "genre:m=4,mg=2,g=action+drama,mgg=1"], "mgg"),
+    (["--similarity", SIM, "--genres", "synth:count=3,seed=1,maxpr=1",
+      "--constraint", "genre:m=4,mg=2,g=g0"], "maxpr"),
+    (["--instance", "synth:kind=modular,n=16,seed=2",
+      "--constraint", "hard:k=2,h=4,m=2,mode=M,hh=3"], "hh"),
+], ids=["synth-instance", "genre", "synth-genres", "hard"])
+def test_misspelled_spec_keys_are_config_errors(capsys, argv, unknown):
+    assert run(["solve", "--alg", "greedy"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"unknown key {unknown!r}" in out.err
+
+
+def test_tie_free_takes_only_the_listed_values(capsys):
+    base = ["solve", "--alg", "greedy", "--constraint", "uniform:3", "--instance"]
+    for value in ("ture", "False", "2", ""):
+        assert run(base + [f"{SYNTH},tie_free={value}"]) == 2
+        assert "tie_free must be one of 0/1/false/true/no/yes" in capsys.readouterr().err
+    # each accepted value hashes and solves as it did when any value but 0/false/no read as true
+    expected = {False: ("42d75e1c0ee044d0", [1, 7, 10]), True: ("b0e96ebfae417089", [0, 2, 11])}
+    for value, flag in (("0", False), ("1", True), ("false", False), ("true", True),
+                        ("no", False), ("yes", True)):
+        assert run(base + [f"{SYNTH},tie_free={value}"]) == 0
+        rep = json.loads(capsys.readouterr().out)
+        assert (rep["config_hash"], rep["solution"]) == expected[flag], value
+
+
+def test_lam_one_double_greedy_on_real_valued_similarity(tmp_path, capsys):
+    # coverage - dispersion summed as two sums rounded below 0 at N on this matrix
+    w = np.triu(np.random.default_rng(17).random((40, 40)), 1)
+    w = w + w.T
+    path = tmp_path / "real.csv"
+    path.write_text(",".join(f"e{i}" for i in range(40)) + "\n"
+                    + "".join(",".join(repr(float(x)) for x in row) + "\n" for row in w))
+    assert run(["solve", "--alg", "double-greedy", "--similarity", str(path), "--lam", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["value"] >= 0.0
+
+
+def test_cut_under_genre_constraint_keeps_the_whole_ground_set(capsys):
+    """A cut is a coverage-dispersion objective, but the genre constraint does
+    not restrict it to N_u: double greedy walks all 40 elements."""
+    assert run(["solve", "--alg", "double-greedy", "--instance", "synth:kind=cut,n=40,seed=3",
+                "--genres", "synth:count=4,seed=2", "--constraint", "genre:m=6,mg=2,g=g0+g1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["f_evals"], rep["value"], rep["r"]) == (81, 1042.125, 3)
+    assert rep["solution"] == [0, 1, 3, 4, 7, 8, 9, 10, 13, 19, 21, 23, 25, 26, 27, 29, 30, 31,
+                               34, 35]
 
 
 def test_solve_genre_constraint_without_genres(capsys):
@@ -586,6 +639,23 @@ def test_bench_computes_r_once_per_sweep_point(tmp_path, monkeypatch):
     assert run(BENCH_BASE + ["--out", warm]) == 0
     assert len(calls) == 3 and len(builds) == 3
     assert Path(cold + ".jsonl").read_bytes() == Path(warm + ".jsonl").read_bytes()
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="workers see the patched module only when forked")
+def test_bench_jobs_compute_r_in_the_parent_process(tmp_path, monkeypatch):
+    log = tmp_path / "pids"
+    rank = cli.max_feasible_size
+
+    def logged(I):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return rank(I)
+
+    monkeypatch.setattr(cli, "max_feasible_size", logged)
+    monkeypatch.setattr(cli, "_points", {})
+    assert run(BENCH_BASE + ["--out", str(tmp_path / "b"), "--jobs", "2"]) == 0
+    assert log.read_text().split() == [str(os.getpid())] * 3  # once per sweep point
 
 
 # ---------------------------------------------------------------------------

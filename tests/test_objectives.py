@@ -21,7 +21,7 @@ from submax import (
     load_similarity_csv,
 )
 from submax.objectives import _value_table
-from reference import check_submodular_pairwise, value_table
+from reference import check_submodular_pairwise, cut_value, value_table
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +113,10 @@ def test_cut_validation():
         CutObjective(g, np.array([[1.0, 0, 0], [0, 0, 0], [0, 0, 0]]))  # diagonal
     with pytest.raises(ValueError):
         CutObjective(g, np.zeros((2, 2)))  # wrong shape
+    near = np.array([[0.0, 0.5, 0], [0.5 + 1e-12, 0, 0], [0, 0, 0]])
+    assert CoverageDispersionObjective(g, near, lam=1.0).similarity is not None
+    with pytest.raises(ValueError, match="cut weight matrix must be symmetric"):
+        CutObjective(g, near)  # coverage-dispersion's 1e-9 tolerance is not enough
 
 
 # ---------------------------------------------------------------------------
@@ -152,7 +156,7 @@ def test_coverage_dispersion_matches_direct_formula():
         S = g.set(members)
         cov = sum(s[i, j] for i in members for j in range(n))
         disp = sum(s[i, j] for i in members for j in members)
-        assert f.value(S) == pytest.approx(cov - 0.5 * disp, abs=1e-12)
+        assert f.value(S) == cov - 0.5 * disp  # dyadic data: exact
 
 
 def test_coverage_dispersion_lam_one_zero_diag_equals_cut():
@@ -162,8 +166,20 @@ def test_coverage_dispersion_lam_one_zero_diag_equals_cut():
     cd = CoverageDispersionObjective(g, s, lam=1.0).oracle()
     cut = CutObjective(g, s).oracle()
     for mask in range(1 << n):
-        S = g.set([e for e in range(n) if mask >> e & 1])
-        assert cd.value(S) == cut.value(S)
+        members = [e for e in range(n) if mask >> e & 1]
+        S = g.set(members)
+        assert cd.value(S) == cut.value(S) == cut_value(s, members)
+
+
+@pytest.mark.parametrize("cls", ["cut", "coverage_dispersion"])
+def test_lam_one_full_set_is_zero_on_real_valued_weights(cls):
+    # cov - disp, summed as two sums, came out below 0 at N on 43 of these
+    g = GroundSet(40)
+    for seed in range(200):
+        w = np.triu(np.random.default_rng(seed).random((40, 40)), 1)
+        w = w + w.T
+        obj = CutObjective(g, w) if cls == "cut" else CoverageDispersionObjective(g, w, lam=1.0)
+        assert obj.oracle().value(g.full()) == 0.0, seed
 
 
 def test_coverage_dispersion_is_submodular_any_lam():

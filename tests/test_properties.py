@@ -3,14 +3,17 @@ dyadic exactness, and solver feasibility on arbitrary systems."""
 
 from __future__ import annotations
 
+import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from submax import (
+    CoverageDispersionObjective,
     GroundSet,
     ModularObjective,
     UniformMatroid,
     greedy,
 )
+from submax.objectives import _value_table
 from conftest import make_objective, make_partition_intersection
 
 N = 12
@@ -70,3 +73,18 @@ def test_greedy_modular_uniform_selects_top_m(nums, m):
     res, _ = greedy(f, UniformMatroid(g, m))
     expected = sum(sorted((w for w in weights if w > 0), reverse=True)[:m])
     assert res.value == expected
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=10),
+       st.one_of(st.just(1.0), st.floats(min_value=0.0, max_value=1.0)),
+       st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_coverage_dispersion_is_non_negative_on_real_valued_data(seed, n, lam, zero_diag, data):
+    gen = np.random.default_rng(seed)
+    s = gen.random((n, n)) * 10.0 ** gen.integers(-3, 4, size=(n, n))
+    s = s + s.T
+    if zero_diag:
+        np.fill_diagonal(s, 0.0)
+    universe = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
+    f = CoverageDispersionObjective(GroundSet(n), s, lam=lam, universe_u=universe).oracle()
+    assert (_value_table(f, sorted(universe)) >= 0.0).all()  # the oracle raises below 0
