@@ -320,6 +320,14 @@ def repeated_greedy(
 # ---------------------------------------------------------------------------
 
 
+def _sampling_probability(I: IndependenceOracle, p: Optional[float]) -> float:
+    """``p`` as a float, 1/(k+1) when None; refused outside (0, 1]."""
+    p = float(1.0 / (I.k + 1.0) if p is None else p)
+    if not 0.0 < p <= 1.0:
+        raise ValueError(f"sampling probability must lie in (0, 1], got {p}")
+    return p
+
+
 def sample_greedy(
     f: ValueOracle,
     I: IndependenceOracle,
@@ -337,11 +345,7 @@ def sample_greedy(
     paired-seed equivalence tests rely on.  p must lie in (0, 1]; p=1
     reproduces plain greedy exactly.
     """
-    if p is None:
-        p = 1.0 / (I.k + 1.0)
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling probability must lie in (0, 1], got {p}")
+    p = _sampling_probability(I, p)
     run = _Run(f, I)
     kept = np.flatnonzero(rng.generator.random(f.ground.n) < p)
     res, _trace = greedy(f, I, candidates=kept, lazy=lazy)
@@ -424,11 +428,7 @@ def instrumented_sample_greedy(
     """
     if coin_source is None and rng is None:
         raise ValueError("instrumented run needs an rng or an explicit coin_source")
-    if p is None:
-        p = 1.0 / (I.k + 1.0)
-    p = float(p)
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"sampling probability must lie in (0, 1], got {p}")
+    p = _sampling_probability(I, p)
     if not I.is_independent(opt):
         raise ValueError("reference set opt must be independent")
     k = I.k

@@ -114,6 +114,8 @@ def _parse_kv(body: str, what: str, required: tuple, optional: tuple = ()) -> di
             raise ConfigError(f"{what}: expected key=value, got {part!r}")
         if key not in required + optional:
             raise ConfigError(f"{what}: unknown key {key!r}; expected {'/'.join(required + optional)}")
+        if key in out:
+            raise ConfigError(f"{what}: key {key!r} given twice")
         out[key] = val
     missing = set(required) - out.keys()
     if missing:

@@ -254,79 +254,59 @@ def _members(elems: Sequence[int], mask: int) -> list[int]:
     return [e for i, e in enumerate(elems) if mask >> i & 1]
 
 
+def _independence_table(I: IndependenceOracle, elements: Optional[Sequence[int]], name: str,
+                        k: int = 0) -> tuple[list[int], np.ndarray]:
+    """The element list of the verifier ``name`` and the boolean table of
+    ``I.is_independent`` over its subsets, indexed by mask: 2^n counted
+    queries, asked only once the list has passed the verifier's cap and
+    ``k`` is >= 0."""
+    elems = _elements(I.ground, elements)
+    _check_cap(name, len(elems))
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    return elems, np.array(_subset_table(I.ground, elems, I.is_independent), dtype=bool)
+
+
+def _halves(table: np.ndarray, i: int) -> np.ndarray:
+    """A mask-indexed ``table`` as [:, 0] the masks without bit i and [:, 1] with it."""
+    return table.reshape(-1, 2, 1 << i)
+
+
 def verify_downward_closed(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustively check downward closure over all subsets of ``elements``.
 
     True iff every independent set stays independent after any single-element
-    deletion (which implies closure under arbitrary deletions).
+    deletion (which implies closure under arbitrary deletions): one pass over
+    the table per element.
     """
-    elems = _elements(I.ground, elements)
-    n = len(elems)
-    _check_cap("verify_downward_closed", n)
-    ind = _subset_table(I.ground, elems, I.is_independent)
-    for mask in range(1 << n):
-        if not ind[mask]:
-            continue
-        m = mask
-        while m:
-            low = m & -m
-            if not ind[mask ^ low]:
-                return False
-            m ^= low
-    return True
+    elems, ind = _independence_table(I, elements, "verify_downward_closed")
+    return not any((t[:, 1] & ~t[:, 0]).any() for t in (_halves(ind, i) for i in range(len(elems))))
 
 
 def verify_k_system(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> float:
     """Exact k-system parameter: max over X of (largest base of X) / (smallest base of X).
 
-    A base of X is a maximal independent subset of X.  The empty-ground case
-    (and any X whose only base is empty) contributes ratio 1.  Assumes the
-    system is downward closed.
+    A base of X is an independent B ⊆ X that no single element of X \\ B
+    extends, so B is a base of exactly the X between B and its closure
+    cl(B): B plus every e with B + e dependent.  The largest base of X is its
+    rank (its largest independent subset), which grows with X, so the
+    parameter is the largest rank(cl(B)) / |B| over independent B, and at
+    least 1; B = ∅ scores 1 when rank(cl ∅) = 0 and inf otherwise.  No
+    downward closure is assumed.  One pass over the table per element builds
+    |B| and cl(B), and one more per element the rank (a subset-max transform).
     """
-    elems = _elements(I.ground, elements)
+    elems, ind = _independence_table(I, elements, "verify_k_system")
     n = len(elems)
-    _check_cap("verify_k_system", n)
-    ind = _subset_table(I.ground, elems, I.is_independent)
-    full = (1 << n) - 1
-    size = 1 << n
-    min_base = [n + 1] * size
-    max_base = [-1] * size
-    for B in range(size):
-        if not ind[B]:
-            continue
-        # elements outside B that cannot extend B: B is a base of exactly
-        # the sets B ∪ T with T a subset of these
-        blocked = 0
-        rest = full ^ B
-        r = rest
-        while r:
-            low = r & -r
-            if not ind[B | low]:
-                blocked |= low
-            r ^= low
-        nb = bin(B).count("1")
-        T = blocked
-        while True:
-            X = B | T
-            if nb < min_base[X]:
-                min_base[X] = nb
-            if nb > max_base[X]:
-                max_base[X] = nb
-            if T == 0:
-                break
-            T = (T - 1) & blocked
-    worst = 1.0
-    for X in range(size):
-        if max_base[X] < 0:
-            continue  # no base recorded: X unreachable (impossible when ∅ independent)
-        lo, hi = min_base[X], max_base[X]
-        if lo == 0:
-            ratio = 1.0 if hi == 0 else float("inf")
-        else:
-            ratio = hi / lo
-        if ratio > worst:
-            worst = ratio
-    return worst
+    size, closure = np.zeros(1 << n, dtype=np.intp), np.arange(1 << n)
+    for i in range(n):
+        _halves(size, i)[:, 1] += 1
+        _halves(closure, i)[:, 0] |= np.where(_halves(ind, i)[:, 1], 0, 1 << i)
+    rank = np.where(ind, size, -1)
+    for r in (_halves(rank, i) for i in range(n)):
+        np.maximum(r[:, 0], r[:, 1], out=r[:, 1])
+    top, low = rank[closure[ind]], size[ind]
+    ratios = np.divide(top, low, out=np.where(top > 0, np.inf, 1.0), where=low > 0)
+    return float(ratios.max(initial=1.0))
 
 
 def _submasks(B: int):
@@ -355,14 +335,10 @@ def verify_k_extendible(
     (B \\ Y) + e independent) are listed once, and each A needs one that
     misses it.
     """
-    elems = _elements(I.ground, elements)
-    n = len(elems)
-    _check_cap("verify_k_extendible", n)
     if k is None:
         k = I.k
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    ind = _subset_table(I.ground, elems, I.is_independent)
+    elems, table = _independence_table(I, elements, "verify_k_extendible", k)
+    n, ind = len(elems), table.tolist()
 
     for B in range(1 << n):
         if not ind[B]:

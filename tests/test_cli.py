@@ -169,6 +169,22 @@ def test_misspelled_spec_keys_are_config_errors(capsys, argv, unknown):
     assert out.out == "" and f"unknown key {unknown!r}" in out.err
 
 
+@pytest.mark.parametrize("argv,repeated", [
+    (["--instance", "synth:kind=modular,n=10,seed=1,n=20", "--constraint", "uniform:2"], "n"),
+    (["--similarity", SIM, "--genres", GENRES,
+      "--constraint", "genre:m=4,mg=2,g=action+drama,mg=3"], "mg"),
+    (["--similarity", SIM, "--genres", "synth:count=3,seed=1,seed=2",
+      "--constraint", "genre:m=4,mg=2,g=g0"], "seed"),
+    (["--instance", "synth:kind=modular,n=16,seed=2",
+      "--constraint", "hard:k=2,h=4,m=2,mode=M,k=3"], "k"),
+], ids=["synth-instance", "genre", "synth-genres", "hard"])
+def test_repeated_spec_keys_are_config_errors(capsys, argv, repeated):
+    """A key given twice is refused, not read as its last value."""
+    assert run(["solve", "--alg", "greedy"] + argv) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and f"key {repeated!r} given twice" in out.err
+
+
 def test_tie_free_takes_only_the_listed_values(capsys):
     base = ["solve", "--alg", "greedy", "--constraint", "uniform:3", "--instance"]
     for value in ("ture", "False", "2", ""):

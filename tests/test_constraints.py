@@ -18,6 +18,8 @@ from submax import (
     HardInstance,
     IndependenceOracle,
     IntersectionSystem,
+    MODE_M,
+    MODE_M_PRIME,
     ModularObjective,
     PartitionMatroid,
     PropertyViolation,
@@ -215,6 +217,42 @@ def test_verifiers_equal_the_references(system):
         I = fresh()
         assert verify(I, elems, **kw) == verify_reference(fresh(), elems, **kw), (verify, kw)
         assert I.membership_count == queries
+
+
+def shipped_system(kind: str, n: int) -> IndependenceOracle:
+    if kind == "partitions":
+        return make_partition_intersection(n, 3, 0)
+    if kind == "genre":
+        rng = np.random.default_rng(n)
+        genre_of = {e: frozenset(rng.choice(list("abc"), size=rng.integers(1, 3), replace=False))
+                    for e in range(n)}
+        return GenreConstraint(GroundSet(n), genre_of, ["a", "b"], m=5, m_g=3)
+    return HardInstance(2, 8, 4, kind)
+
+
+@pytest.mark.parametrize("n", [11, 13])
+@pytest.mark.parametrize("kind", ["partitions", MODE_M, MODE_M_PRIME, "genre"])
+def test_table_verifiers_equal_the_references_on_shipped_constraints(kind, n):
+    """Past the sizes the drawn systems reach, on the shipped constraints:
+    the reference's answer, from 2^n membership queries per call."""
+    elems = list(range(n))
+    for verify, verify_reference in ((verify_downward_closed, reference.verify_downward_closed),
+                                     (verify_k_system, reference.verify_k_system)):
+        I = shipped_system(kind, n)
+        assert verify(I, elems) == verify_reference(shipped_system(kind, n), elems)
+        assert I.membership_count == 1 << n
+
+
+@pytest.mark.parametrize("accepts,ratio", [
+    (lambda S: False, 1.0),  # no independent set
+    (lambda S: len(S) == 0, 1.0),  # only the empty set
+    (lambda S: len(S) != 1, float("inf")),  # {a} and {b} dependent, {a, b} independent
+], ids=["none", "empty-only", "pair-without-singletons"])
+def test_k_system_ratio_edge_cases(accepts, ratio):
+    def fresh():
+        return IndependenceOracle(accepts, GroundSet(2))
+
+    assert verify_k_system(fresh()) == reference.verify_k_system(fresh()) == ratio
 
 
 # ---------------------------------------------------------------------------
