@@ -4,7 +4,10 @@ All constraint classes are counted membership oracles (see
 :class:`submax.core.IndependenceOracle`).  The verifiers in this module are
 exhaustive brute-force checkers meant for small ground sets; they are the
 ground truth the rest of the package is tested against, so they deliberately
-use no class-specific shortcuts — only membership queries.
+use no class-specific shortcuts — only membership queries.  They ask them in
+one batch, :meth:`~submax.core.IndependenceOracle.independent_masks`, which
+each class answers by its own membership rule over arrays of subset masks;
+a test checks those answers and counts against one query per set.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from .core import (
     ExtensionState,
     GroundSet,
     IndependenceOracle,
+    _CAPS,
     _check_cap,
     _elements,
     _id_array,
+    _mask_members,
     _read_id_rows,
-    _subset_table,
     _walk,
 )
 
@@ -62,6 +66,24 @@ class _RoomExtensions(ExtensionState):
         return not self.blocked[u]
 
 
+def _within_rooms(elems: Sequence[int], masks: np.ndarray, room: Mapping,
+                  groups_of: Callable[[int], Iterable]) -> np.ndarray:
+    """Whether each mask over ``elems`` holds at most ``room[g]`` members of
+    each group g, a member e counting in each group of ``groups_of(e)`` that
+    has a room: the batch form of :class:`_RoomExtensions`, one popcount per
+    group with a member in ``elems``."""
+    bits = dict.fromkeys(room, 0)
+    for i, e in enumerate(elems):
+        for g in groups_of(e):
+            if g in bits:
+                bits[g] |= 1 << i
+    ok = np.ones(len(masks), dtype=bool)
+    for g, b in bits.items():
+        if b:
+            ok &= np.bitwise_count(masks & b) <= room[g]
+    return ok
+
+
 class UniformMatroid(IndependenceOracle):
     """S independent iff |S| <= m.  A matroid (declared k = 1)."""
 
@@ -73,6 +95,9 @@ class UniformMatroid(IndependenceOracle):
 
     def _accepts(self, S: ElementSet) -> bool:
         return len(S) <= self.m
+
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        return np.bitwise_count(masks) <= self.m
 
     def extension_state(self) -> _RoomExtensions:  # one group, of every element
         return _RoomExtensions(np.zeros(self.ground.n, dtype=bool), {_EVERY: self.m},
@@ -123,9 +148,15 @@ class PartitionMatroid(IndependenceOracle):
             counts[b] = c
         return True
 
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        return _within_rooms(elems, masks, self.capacities, self._groups_of)
+
+    def _groups_of(self, u: int) -> tuple:
+        return (self.block_of.get(u),)
+
     def extension_state(self) -> _RoomExtensions:  # one group per block
         return _RoomExtensions(np.zeros(self.ground.n, dtype=bool), self.capacities,
-                               self._members, lambda u: (self.block_of.get(u),))
+                               self._members, self._groups_of)
 
 
 class IntersectionSystem(IndependenceOracle):
@@ -146,6 +177,15 @@ class IntersectionSystem(IndependenceOracle):
 
     def _accepts(self, S: ElementSet) -> bool:
         return all(c.is_independent(S) for c in self.components)
+
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        """Each component's counted batch query, on the masks every earlier
+        component accepted: the counts of the short-circuiting :meth:`_accepts`."""
+        ok = np.ones(len(masks), dtype=bool)
+        for c in self.components:
+            live = np.flatnonzero(ok)
+            ok[live] = c.independent_masks(elems, masks[live])
+        return ok
 
     def extension_state(self) -> "_IntersectionExtensions":
         return _IntersectionExtensions(self.components)
@@ -225,12 +265,19 @@ class GenreConstraint(IndependenceOracle):
         return (len(S) <= self.m and not any(gs.isdisjoint(self.favorites) for gs in labels)
                 and all(sum(g in gs for gs in labels) <= lim for g, lim in self.limits.items()))
 
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        outside = sum(1 << i for i, e in enumerate(elems) if self._outside[e])
+        return ((masks & outside) == 0) & _within_rooms(
+            elems, masks, {_EVERY: self.m, **self.limits}, self._groups_of)
+
+    def _groups_of(self, u: int) -> tuple:
+        return (_EVERY, *self.genre_of.get(u, ()))
+
     def extension_state(self) -> _RoomExtensions:
         """One group per favourite genre, with its limit as room, and one of
         every element, with room m; elements outside N_u start masked."""
         return _RoomExtensions(self._outside.copy(), {_EVERY: self.m, **self.limits},
-                               {_EVERY: slice(None), **self._holders},
-                               lambda u: (_EVERY, *self.genre_of[u]))
+                               {_EVERY: slice(None), **self._holders}, self._groups_of)
 
 
 def _labels(genres: str) -> frozenset:
@@ -246,25 +293,22 @@ def load_genres_csv(path) -> dict[int, frozenset]:
 # Exhaustive verifiers.  All operate on an explicit element list (default: the
 # oracle's full ground set), so callers can verify truncations of large
 # instances.  Masks index into that element list.  Each verifier asks
-# ``I.is_independent`` once per subset of the list and nothing else.
+# ``I.independent_masks`` once, about every subset of the list, counted as one
+# membership query per subset, and nothing else.
 # ---------------------------------------------------------------------------
-
-
-def _members(elems: Sequence[int], mask: int) -> list[int]:
-    return [e for i, e in enumerate(elems) if mask >> i & 1]
 
 
 def _independence_table(I: IndependenceOracle, elements: Optional[Sequence[int]], name: str,
                         k: int = 0) -> tuple[list[int], np.ndarray]:
     """The element list of the verifier ``name`` and the boolean table of
-    ``I.is_independent`` over its subsets, indexed by mask: 2^n counted
-    queries, asked only once the list has passed the verifier's cap and
-    ``k`` is >= 0."""
+    ``I.is_independent`` over its subsets, indexed by mask: one batch of 2^n
+    counted queries, asked only once the list has passed the verifier's cap
+    and ``k`` is >= 0."""
     elems = _elements(I.ground, elements)
     _check_cap(name, len(elems))
     if k < 0:
         raise ValueError(f"k must be >= 0, got {k}")
-    return elems, np.array(_subset_table(I.ground, elems, I.is_independent), dtype=bool)
+    return elems, I.independent_masks(elems, np.arange(1 << len(elems), dtype=np.int64))
 
 
 def _halves(table: np.ndarray, i: int) -> np.ndarray:
@@ -361,13 +405,13 @@ def verify_k_extendible(
             singles = sum(Y for Y in good if not Y & (Y - 1))
             for A in subsets:
                 if ind[A | eb] and A & singles == singles and all(Y & A for Y in good):
+                    members = _mask_members(elems)
                     logger.debug("k-extendibility fails: A=%s B=%s e=%s",
-                                 _members(elems, A), _members(elems, B), elems[i])
+                                 members(A), members(B), elems[i])
                     return False
     return True
 
 
-_EXACT_RANK_CAP = 16
 _bound_warned: set[int] = set()  # sizes n already warned about
 
 
@@ -382,8 +426,8 @@ def max_feasible_size(I: IndependenceOracle) -> int:
     process and n.
     """
     elems = _elements(I.ground, None)
-    n = len(elems)
-    if n <= _EXACT_RANK_CAP:
+    n, cap = len(elems), _CAPS["max_feasible_size"]
+    if n <= cap:
         best = 0
 
         def keep(S: ElementSet) -> bool:
@@ -399,7 +443,7 @@ def max_feasible_size(I: IndependenceOracle) -> int:
             "max_feasible_size: n=%d exceeds exhaustive cap %d; returning a greedy "
             "lower bound (exact for matroids, may undercount general systems)",
             n,
-            _EXACT_RANK_CAP,
+            cap,
         )
     S = ElementSet(I.ground, ())
     state = I.extension_state()

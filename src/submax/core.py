@@ -227,6 +227,38 @@ def _walk(
             return
 
 
+def _walk_order(masks: np.ndarray, n: int) -> np.ndarray:
+    """The position of each int64 mask over an ``n``-element list in the
+    order of a full :func:`_walk`.  Before S come its |S| proper prefixes,
+    the empty set included, and for each j not in S below S's largest
+    member, the 2^(n - 1 - j) sets that share S's members below j and take
+    j.  A pruned walk yields its sets in the same relative order."""
+    key = np.bitwise_count(masks).astype(np.int64)
+    for j in range(n - 1):
+        key += np.where(((masks >> j & 1) == 0) & ((masks >> (j + 1)) != 0), 1 << (n - 1 - j), 0)
+    return key
+
+
+def _mask_members(elems: Sequence[int]) -> Callable[[int], tuple]:
+    """mask -> the tuple of the members of ``elems`` it names (bit i for
+    ``elems[i]``), in order, from one table lookup per byte of the mask."""
+    tables = []
+    for lo in range(0, len(elems), 8):
+        table = [()]
+        for e in elems[lo:lo + 8]:  # the masks with e's bit follow those without
+            table += [t + (e,) for t in table]
+        tables.append(table)
+
+    def members(mask: int) -> tuple:
+        out = ()
+        for table in tables:
+            out += table[mask & 255]
+            mask >>= 8
+        return out
+
+    return members
+
+
 def _subset_table(ground: GroundSet, elems: Sequence[int], query: Callable[[ElementSet], object]) -> list:
     """``query`` of every subset of ``elems`` (sorted, distinct, in ``ground``),
     indexed by mask: one call per subset, in :func:`_walk` order."""
@@ -237,9 +269,11 @@ def _subset_table(ground: GroundSet, elems: Sequence[int], query: Callable[[Elem
 
 
 # The largest element list each exhaustive routine accepts: each enumerates up
-# to 2^n subsets, so one more element doubles its worst case.
+# to 2^n subsets, so one more element doubles its worst case.  Past its cap,
+# max_feasible_size returns a greedy bound instead of refusing.
 _CAPS = {
     "brute_force_opt": 22,
+    "max_feasible_size": 16,
     "check_submodular": 14,
     "check_monotone": 14,
     "verify_downward_closed": 20,
@@ -474,7 +508,7 @@ class IndependenceOracle:
     ``k`` is the declared system parameter (k-system / k-extendibility bound)
     used by algorithms for sampling rates and by reports; it is metadata, not
     something the oracle enforces.  Subclasses pass ``fn=None`` and override
-    :meth:`_accepts`.
+    :meth:`_accepts`, and may override :meth:`_accepts_masks` beside it.
 
     :meth:`extensions` answers "is S + u independent?" for a batch of
     candidates, and :meth:`fits` for one, from a per-run extension state
@@ -502,6 +536,32 @@ class IndependenceOracle:
     def is_independent(self, S: ElementSet) -> bool:
         self.membership_count += 1
         return self._accepts(S)
+
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        """:meth:`_accepts` of each subset of ``elems`` named by ``masks``, as a
+        bool array: one call per mask.  A class whose membership follows from
+        counts of S over a few groups of elements overrides this with one
+        numpy pass per group."""
+        ground, members = self.ground, _mask_members(elems)
+        return np.array([self._accepts(ElementSet._raw(ground, members(m))) for m in masks.tolist()],
+                        dtype=bool)
+
+    def independent_masks(self, elems: Sequence[int], masks) -> np.ndarray:
+        """:meth:`is_independent` of each subset of ``elems`` (sorted, distinct,
+        in ``ground``) named by an int64 mask, bit i standing for ``elems[i]``,
+        as a bool array.  Counted as ``len(masks)`` calls of
+        :meth:`is_independent`.
+
+        The class's :meth:`_accepts_masks` answers only when the class that
+        defines it also defines the :meth:`_accepts` in force: a subclass that
+        overrides :meth:`_accepts` alone is asked one set at a time."""
+        masks = np.asarray(masks, dtype=np.int64)
+        self.membership_count += len(masks)
+        mro = type(self).__mro__
+        rule = next(c for c in mro if "_accepts_masks" in vars(c))
+        if rule is not next(c for c in mro if "_accepts" in vars(c)):
+            return IndependenceOracle._accepts_masks(self, elems, masks)
+        return self._accepts_masks(elems, masks)
 
     def extension_state(self) -> "ExtensionState":
         """A fresh extension state at the empty set: the system's own when it

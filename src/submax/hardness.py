@@ -26,6 +26,7 @@ from __future__ import annotations
 import bisect
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -65,11 +66,14 @@ class GadgetParams:
     def n(self) -> int:
         return self.h * self.k * self.m
 
-    def fits(self, x: int, out: int) -> bool:
+    def fits(self, x, out):
         """Whether g(x) + out <= m, with both sides times k*h: since k*h*t =
-        2k^2m, that is min(khx, 2k^2m) + max(hx - 2km, 0) + kh*out <= khm."""
+        2k^2m, k*h*g(x) is khx up to the threshold and 2k^2m + (hx - 2km)
+        past it, which is khx - (k - 1)(hx - 2km).  ``x`` and ``out`` are ints,
+        or int64 arrays answered elementwise."""
         k, h, m = self.k, self.h, self.m
-        return min(k * h * x, 2 * k * k * m) + max(h * x - 2 * k * m, 0) + k * h * out <= k * h * m
+        past = h * x - 2 * k * m
+        return k * h * x - (k - 1) * past * (past > 0) + k * h * out <= k * h * m
 
 
 def gadget_g(x: int, params: GadgetParams) -> Fraction:
@@ -110,6 +114,14 @@ class HardInstance(IndependenceOracle):
             return len(S) <= self.params.m
         in_h1 = bisect.bisect_left(S.members, self.params.block_size)
         return self.params.fits(in_h1, len(S) - in_h1)
+
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        size = np.bitwise_count(masks).astype(np.int64)
+        if self.mode == MODE_M_PRIME:
+            return size <= self.params.m
+        h1 = (1 << bisect.bisect_left(elems, self.params.block_size)) - 1  # a prefix of elems
+        in_h1 = np.bitwise_count(masks & h1).astype(np.int64)
+        return self.params.fits(in_h1, size - in_h1)
 
     def extension_state(self) -> "_HardExtensions":
         return _HardExtensions(self)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submax import constraints
-from submax.core import _subset_table, _walk
+from submax.core import _CAPS, _subset_table, _walk, _walk_order
 from submax import (
     CheckedExtensions,
     CutObjective,
@@ -463,6 +463,51 @@ def test_greedy_family_with_extension_states_equals_checked_reference(system, ob
         == greedy_family(f.objective.oracle, checked, seed)
 
 
+@st.composite
+def mask_queries(draw):
+    """A system of extension_systems, a truncated element list with gaps (up
+    to 10 of its elements, in order), and masks over that list, unsorted,
+    with some repeated."""
+    kind, size, seed = draw(extension_systems)
+    n = ground_size(kind, size)
+    elems = sorted(draw(st.lists(st.integers(0, n - 1), max_size=10, unique=True)))
+    masks = draw(st.lists(st.integers(0, (1 << len(elems)) - 1), max_size=40))
+    return kind, size, seed, elems, masks + masks[::-3]
+
+
+def queried_as(I: IndependenceOracle, how: str) -> IndependenceOracle:
+    """``I`` itself, a bare-callable oracle on its ``_accepts``, or ``I`` as a
+    subclass that overrides ``_accepts`` alone, with the rule negated: its
+    batch queries must ask that override one set at a time."""
+    if how == "callable":
+        return IndependenceOracle(I._accepts, I.ground, k=I.k)
+    if how == "negated-subclass":
+        base = type(I)
+        I.__class__ = type("Negated", (base,), {"_accepts": lambda self, S: not base._accepts(self, S)})
+    return I
+
+
+@given(mask_queries(), st.sampled_from(("rule", "callable", "negated-subclass")))
+@settings(max_examples=300, deadline=None)
+def test_independent_masks_equal_per_set_queries(query, how):
+    """Batch answers are the per-set answers of ``reference.independence_table``,
+    and the counts, each intersection component's included, are those of one
+    ``is_independent`` per mask."""
+    kind, size, seed, elems, masks = query
+
+    def fresh():
+        return queried_as(extension_system(kind, size, seed), how)
+
+    I, one_by_one = fresh(), fresh()
+    got = I.independent_masks(elems, np.array(masks, dtype=np.int64))
+    assert got.dtype == bool
+    table = reference.independence_table(fresh(), elems)
+    assert got.tolist() == [table[m] for m in masks]
+    for m in masks:
+        one_by_one.is_independent(reference._mask_set(one_by_one, elems, m))
+    assert membership_counts(I) == membership_counts(one_by_one)
+
+
 def test_extensions_reject_candidates_in_s():
     I = UniformMatroid(GroundSet(4), 2)
     state = I.extension_state()
@@ -508,6 +553,12 @@ def test_walk_is_the_recursive_pre_order(system):
     assert events == expected
     everything = [mask for mask, _S in _walk(ground, elems)]
     assert sorted(everything) == list(range(1 << len(elems)))
+    # _walk_order is each mask's position in the full walk, so it sorts the
+    # sets of a pruned walk into the order the walk yields them
+    assert _walk_order(np.array(everything, dtype=np.int64), len(elems)).tolist() \
+        == list(range(1 << len(elems)))
+    pruned = np.array([mask for event, mask, *_ in expected if event == "yield"], dtype=np.int64)
+    assert (np.diff(_walk_order(pruned, len(elems))) > 0).all()
 
 
 # Ground sets of at most 12 elements: every uniform, partition, genre and
@@ -574,12 +625,17 @@ def test_max_feasible_size_greedy_path():
 
 def test_max_feasible_size_warns_once_per_size_and_cap(caplog, monkeypatch):
     monkeypatch.setattr(constraints, "_bound_warned", set())
-    g = GroundSet(20)
+    cap = _CAPS["max_feasible_size"]
     with caplog.at_level(logging.WARNING, logger="submax.constraints"):
+        assert max_feasible_size(UniformMatroid(GroundSet(cap), 3)) == 3  # exact, no warning
+        assert not caplog.records
+        g = GroundSet(cap + 1)
         assert max_feasible_size(UniformMatroid(g, 7)) == 7
         assert max_feasible_size(UniformMatroid(g, 5)) == 5
     assert len(caplog.records) == 1
-    assert "lower bound" in caplog.records[0].getMessage()
+    assert caplog.records[0].getMessage() == (
+        f"max_feasible_size: n={cap + 1} exceeds exhaustive cap {cap}; returning a greedy "
+        "lower bound (exact for matroids, may undercount general systems)")
 
 
 def test_max_feasible_size_genre_disjoint():

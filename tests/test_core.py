@@ -188,7 +188,9 @@ def test_bernoulli_mean_near_half():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("name", sorted(_CAPS))
+# Past its cap, max_feasible_size returns a greedy bound instead of refusing
+# (test_constraints.py::test_max_feasible_size_warns_once_per_size_and_cap).
+@pytest.mark.parametrize("name", sorted(set(_CAPS) - {"max_feasible_size"}))
 def test_exhaustive_routines_refuse_their_cap_plus_one_before_any_query(name):
     n = _CAPS[name] + 1
     g = GroundSet(n)
