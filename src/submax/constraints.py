@@ -1,20 +1,24 @@
 """Independence systems: matroids, intersections, genre limits, and verifiers.
 
 All constraint classes are counted membership oracles (see
-:class:`submax.core.IndependenceOracle`).  The verifiers in this module are
+:class:`submax.core.IndependenceOracle`).  Uniform, partition and genre
+constraints are one rule over different groups of elements
+(:class:`_RoomSystem`): S is independent iff it holds at most a group's
+room of members of each group.  The verifiers in this module are
 exhaustive brute-force checkers meant for small ground sets; they are the
 ground truth the rest of the package is tested against, so they deliberately
 use no class-specific shortcuts — only membership queries.  They ask them in
 one batch, :meth:`~submax.core.IndependenceOracle.independent_masks`, which
-each class answers by its own membership rule over arrays of subset masks;
-a test checks those answers and counts against one query per set.
+the room rule, an intersection and a hard instance answer over arrays of
+subset masks; a test checks those answers and counts against one query per
+set.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -27,30 +31,76 @@ from .core import (
     _check_cap,
     _elements,
     _id_array,
+    _independent_levels,
     _mask_members,
     _read_id_rows,
-    _walk,
 )
 
 logger = logging.getLogger(__name__)
 
 
-_EVERY = object()  # the group of every element, under a global cap
+_EVERY = ("every",)  # the group of every element, under a global cap (a tuple: no genre label)
+_OUTSIDE = ("outside",)  # a genre constraint's elements outside N_u, with room 0
+
+
+class _RoomSystem(IndependenceOracle):
+    """S independent iff it holds at most ``rooms[g]`` members of each group
+    g, a member u counting in each group of ``_groups_of(u)`` that has a
+    room.  Uniform, partition and genre constraints are this rule over their
+    own groups: each passes ``rooms`` (group -> room) once ``_groups_of``
+    can answer, and the rule is written once, here, per set, per mask array
+    and per greedy run."""
+
+    def __init__(self, ground: GroundSet, k: int, rooms: Mapping):
+        super().__init__(None, ground, k=k)
+        self.rooms = rooms
+        # each group with a room -> the id array of its members, for the extension states
+        self._members = {g: np.array(pos, dtype=np.intp) for g, pos in self._positions(ground).items()}
+
+    def _positions(self, elems: Sequence[int]) -> dict:
+        """Each group with a room -> the positions in ``elems`` of its members."""
+        pos: dict = {g: [] for g in self.rooms}
+        for i, e in enumerate(elems):
+            for g in self._groups_of(e):
+                if g in pos:
+                    pos[g].append(i)
+        return pos
+
+    def _accepts(self, S: ElementSet) -> bool:
+        rooms, counts = self.rooms, {}
+        for e in S:
+            for g in self._groups_of(e):
+                if g in rooms:
+                    c = counts.get(g, 0) + 1
+                    if c > rooms[g]:
+                        return False
+                    counts[g] = c
+        return True
+
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        """One popcount per group with a member in ``elems``."""
+        ok = np.ones(len(masks), dtype=bool)
+        for g, pos in self._positions(elems).items():
+            if pos:
+                ok &= np.bitwise_count(masks & sum(1 << i for i in pos)) <= self.rooms[g]
+        return ok
+
+    def extension_state(self) -> "_RoomExtensions":
+        return _RoomExtensions(self)
 
 
 class _RoomExtensions(ExtensionState):
-    """Room left in groups of elements, and a mask of the elements that
-    cannot join.  ``room`` and ``members`` give each group its room and its
-    id array (a slice for every element); adding u charges each group named
-    in ``groups_of(u)``.  The mask starts as ``blocked`` and gains a group's
-    members when its room reaches 0, and only then: unmasked means fits."""
+    """The room left in each group of a :class:`_RoomSystem`, and a mask of
+    the elements that cannot join.  Adding u charges each group of u.  The
+    mask gains a group's members when its room reaches 0, and only then
+    (from the start for a room of 0): unmasked means fits."""
 
-    def __init__(self, blocked: np.ndarray, room: Mapping, members: Mapping,
-                 groups_of: Callable[[int], Iterable]):
-        self.blocked, self.room, self.members, self.groups_of = blocked, dict(room), members, groups_of
+    def __init__(self, system: _RoomSystem):
+        self.groups_of, self.room, self.members = system._groups_of, dict(system.rooms), system._members
+        self.blocked = np.zeros(system.ground.n, dtype=bool)
         for g, r in self.room.items():
             if r <= 0:
-                blocked[members[g]] = True
+                self.blocked[self.members[g]] = True
 
     def add(self, u: int) -> None:
         for g in self.groups_of(u):
@@ -66,45 +116,20 @@ class _RoomExtensions(ExtensionState):
         return not self.blocked[u]
 
 
-def _within_rooms(elems: Sequence[int], masks: np.ndarray, room: Mapping,
-                  groups_of: Callable[[int], Iterable]) -> np.ndarray:
-    """Whether each mask over ``elems`` holds at most ``room[g]`` members of
-    each group g, a member e counting in each group of ``groups_of(e)`` that
-    has a room: the batch form of :class:`_RoomExtensions`, one popcount per
-    group with a member in ``elems``."""
-    bits = dict.fromkeys(room, 0)
-    for i, e in enumerate(elems):
-        for g in groups_of(e):
-            if g in bits:
-                bits[g] |= 1 << i
-    ok = np.ones(len(masks), dtype=bool)
-    for g, b in bits.items():
-        if b:
-            ok &= np.bitwise_count(masks & b) <= room[g]
-    return ok
-
-
-class UniformMatroid(IndependenceOracle):
+class UniformMatroid(_RoomSystem):
     """S independent iff |S| <= m.  A matroid (declared k = 1)."""
 
     def __init__(self, ground: GroundSet, m: int):
         if m < 0:
             raise ValueError(f"uniform matroid rank must be >= 0, got {m}")
-        super().__init__(None, ground, k=1)
         self.m = int(m)
+        super().__init__(ground, 1, {_EVERY: self.m})
 
-    def _accepts(self, S: ElementSet) -> bool:
-        return len(S) <= self.m
-
-    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
-        return np.bitwise_count(masks) <= self.m
-
-    def extension_state(self) -> _RoomExtensions:  # one group, of every element
-        return _RoomExtensions(np.zeros(self.ground.n, dtype=bool), {_EVERY: self.m},
-                               {_EVERY: slice(None)}, lambda u: (_EVERY,))
+    def _groups_of(self, u: int) -> tuple:
+        return (_EVERY,)
 
 
-class PartitionMatroid(IndependenceOracle):
+class PartitionMatroid(_RoomSystem):
     """S independent iff |S ∩ block_b| <= capacity_b for every block b.
 
     ``block_of`` maps element id -> block label; elements missing from the
@@ -118,7 +143,6 @@ class PartitionMatroid(IndependenceOracle):
         block_of: Mapping[int, object],
         capacities: Mapping[object, int],
     ):
-        super().__init__(None, ground, k=1)
         self.block_of = dict(block_of)
         self.capacities = dict(capacities)
         for b, cap in self.capacities.items():
@@ -130,33 +154,10 @@ class PartitionMatroid(IndependenceOracle):
         if missing:
             raise ValueError(f"blocks without a capacity: {sorted(map(str, missing))}")
         _id_array(ground, self.block_of)  # refuses an id outside the ground set
-        members: dict = {b: [] for b in self.capacities}
-        for e, b in self.block_of.items():
-            members[b].append(e)
-        self._members = {b: np.array(es, dtype=np.intp) for b, es in members.items()}
-
-    def _accepts(self, S: ElementSet) -> bool:
-        block_of, capacities = self.block_of, self.capacities
-        counts: dict = {}
-        for e in S:
-            b = block_of.get(e)
-            if b is None:
-                continue
-            c = counts.get(b, 0) + 1
-            if c > capacities[b]:
-                return False
-            counts[b] = c
-        return True
-
-    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
-        return _within_rooms(elems, masks, self.capacities, self._groups_of)
+        super().__init__(ground, 1, self.capacities)
 
     def _groups_of(self, u: int) -> tuple:
         return (self.block_of.get(u),)
-
-    def extension_state(self) -> _RoomExtensions:  # one group per block
-        return _RoomExtensions(np.zeros(self.ground.n, dtype=bool), self.capacities,
-                               self._members, self._groups_of)
 
 
 class IntersectionSystem(IndependenceOracle):
@@ -213,7 +214,7 @@ class _IntersectionExtensions(ExtensionState):
         return all(c.fits(state, S, u) for c, state in self.parts)
 
 
-class GenreConstraint(IndependenceOracle):
+class GenreConstraint(_RoomSystem):
     """Per-genre caps plus a global cap over a restricted universe.
 
     Element ids carry genre label sets (``genre_of``).  Given favourite
@@ -223,9 +224,9 @@ class GenreConstraint(IndependenceOracle):
         S independent  iff  S ⊆ N_u  and  |S| <= m  and  |S ∩ N(g)| <= m_g ∀g.
 
     An element carrying several favourite genres counts against each of
-    their limits.  Declared k is ``len(favorites)``, the careful bound for
-    this structure (the naive one-matroid-per-cap count is
-    ``1 + len(favorites)``).
+    their limits; the elements outside N_u form one more group, of room 0.
+    Declared k is ``len(favorites)``, the careful bound for this structure
+    (the naive one-matroid-per-cap count is ``1 + len(favorites)``).
     """
 
     def __init__(
@@ -247,37 +248,18 @@ class GenreConstraint(IndependenceOracle):
             limits = {g: int(m_g) for g in favorites}
         if any(v < 0 for v in limits.values()):
             raise ValueError("per-genre limits must be >= 0")
-        super().__init__(None, ground, k=len(favorites))
         self.genre_of = {e: frozenset(gs) for e, gs in genre_of.items()}
         self.favorites = favorites
         self.m = int(m)
         self.limits = limits
-        # the elements carrying each favourite genre; N_u is their union
-        holders = {g: [e for e, gs in self.genre_of.items() if g in gs] for g in favorites}
-        nu = _id_array(ground, itertools.chain(*holders.values()))
+        nu = _id_array(ground, (e for e, gs in self.genre_of.items() if not gs.isdisjoint(favorites)))
         self.restricted_universe = ElementSet._raw(ground, tuple(nu.tolist()))
-        self._holders = {g: np.array(es, dtype=np.intp) for g, es in holders.items()}
-        self._outside = np.ones(ground.n, dtype=bool)
-        self._outside[nu] = False
-
-    def _accepts(self, S: ElementSet) -> bool:
-        labels = [self.genre_of.get(e, frozenset()) for e in S]
-        return (len(S) <= self.m and not any(gs.isdisjoint(self.favorites) for gs in labels)
-                and all(sum(g in gs for gs in labels) <= lim for g, lim in self.limits.items()))
-
-    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
-        outside = sum(1 << i for i, e in enumerate(elems) if self._outside[e])
-        return ((masks & outside) == 0) & _within_rooms(
-            elems, masks, {_EVERY: self.m, **self.limits}, self._groups_of)
+        super().__init__(ground, len(favorites), {_EVERY: self.m, _OUTSIDE: 0, **limits})
 
     def _groups_of(self, u: int) -> tuple:
-        return (_EVERY, *self.genre_of.get(u, ()))
-
-    def extension_state(self) -> _RoomExtensions:
-        """One group per favourite genre, with its limit as room, and one of
-        every element, with room m; elements outside N_u start masked."""
-        return _RoomExtensions(self._outside.copy(), {_EVERY: self.m, **self.limits},
-                               {_EVERY: slice(None), **self._holders}, self._groups_of)
+        if u in self.restricted_universe:
+            return (_EVERY, *self.genre_of[u])
+        return (_EVERY, _OUTSIDE)
 
 
 def _labels(genres: str) -> frozenset:
@@ -418,25 +400,16 @@ _bound_warned: set[int] = set()  # sizes n already warned about
 def max_feasible_size(I: IndependenceOracle) -> int:
     """Size of a largest independent subset of ``I.ground``.
 
-    Exact when n <= 16: a depth-first :func:`~submax.core._walk` over the
-    independent sets, pruned by downward closure and by the incumbent, a
-    set being skipped before its membership query when it and every larger
-    element together cannot beat the largest found so far.  Otherwise a
+    Exact when n <= 16: the number of non-empty levels of
+    :func:`~submax.core._independent_levels`, the independent sets one size
+    at a time, each size asked about in one batch.  Otherwise a
     greedy-augmentation lower bound, flagged by a log warning once per
     process and n.
     """
     elems = _elements(I.ground, None)
     n, cap = len(elems), _CAPS["max_feasible_size"]
     if n <= cap:
-        best = 0
-
-        def keep(S: ElementSet) -> bool:
-            # elems[i] == i: the elements after S's last are n - 1 - last
-            return len(S) + n - 1 - S.members[-1] > best and I.is_independent(S)
-
-        for _mask, S in _walk(I.ground, elems, keep):
-            best = max(best, len(S))
-        return best
+        return sum(1 for _level in _independent_levels(I, elems)) - 1
     if n not in _bound_warned:
         _bound_warned.add(n)
         logger.warning(

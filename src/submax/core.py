@@ -193,46 +193,28 @@ def _read_id_rows(path, fields: Mapping[str, Callable[[str], object]]) -> dict[i
     return rows
 
 
-def _walk(
-    ground: GroundSet, elems: Sequence[int], keep: Optional[Callable[[ElementSet], bool]] = None,
-) -> Iterator[tuple[int, ElementSet]]:
-    """The subsets of ``elems`` (sorted, distinct, in ``ground``) as
-    ``(mask, set)`` pairs, bit i of the mask standing for ``elems[i]``, in
-    depth-first pre-order: the empty set first, and after each set the sets
-    that extend it by larger elements, smallest addition first.
-
-    A child is its parent's members plus one larger element.  ``keep`` is
-    called once on each child when it is built; a child it refuses is not
-    yielded and none of its extensions is built.  Child i is built only after
-    child i - 1 and all its extensions have been yielded and the caller has
-    resumed the walk, so ``keep`` sees what the caller learned from every set
-    before it.  Only the sets on one root-to-leaf path are held at a time."""
-    n = len(elems)
-    raw = ElementSet._raw
-    yield 0, raw(ground, ())
-    path = []  # the ancestors of the current set, each with its next child index
-    mask, members, i = 0, (), 0
-    while True:
-        if i < n:
-            child_mask, child = mask | 1 << i, members + (elems[i],)
-            S = raw(ground, child)
-            i += 1
-            if keep is None or keep(S):
-                yield child_mask, S
-                path.append((mask, members, i))
-                mask, members = child_mask, child
-        elif path:
-            mask, members, i = path.pop()
-        else:
-            return
+def _independent_levels(I: "IndependenceOracle", elems: Sequence[int]) -> Iterator[np.ndarray]:
+    """The subsets of ``elems`` that a search extending only independent sets
+    reaches from the empty set, as int64 mask arrays (bit i for ``elems[i]``),
+    one size at a time up to the last non-empty size.  A set's children add
+    one bit above its highest; a whole size's children go to
+    :meth:`~IndependenceOracle.independent_masks` in one call, one counted
+    query each."""
+    level = np.zeros(1, dtype=np.int64)
+    while len(level):
+        yield level
+        children = np.concatenate([level[:0], *(level[level < 1 << j] | 1 << j for j in range(len(elems)))])
+        level = children[I.independent_masks(elems, children)]
 
 
 def _walk_order(masks: np.ndarray, n: int) -> np.ndarray:
     """The position of each int64 mask over an ``n``-element list in the
-    order of a full :func:`_walk`.  Before S come its |S| proper prefixes,
-    the empty set included, and for each j not in S below S's largest
-    member, the 2^(n - 1 - j) sets that share S's members below j and take
-    j.  A pruned walk yields its sets in the same relative order."""
+    depth-first pre-order of all its subsets: the empty set first, and after
+    each set the sets that extend it by larger elements, smallest addition
+    first.  Before S come its |S| proper prefixes, the empty set included,
+    and for each j not in S below S's largest member, the 2^(n - 1 - j) sets
+    that share S's members below j and take j.  A search that skips some
+    sets meets the rest in the same relative order."""
     key = np.bitwise_count(masks).astype(np.int64)
     for j in range(n - 1):
         key += np.where(((masks >> j & 1) == 0) & ((masks >> (j + 1)) != 0), 1 << (n - 1 - j), 0)
@@ -257,15 +239,6 @@ def _mask_members(elems: Sequence[int]) -> Callable[[int], tuple]:
         return out
 
     return members
-
-
-def _subset_table(ground: GroundSet, elems: Sequence[int], query: Callable[[ElementSet], object]) -> list:
-    """``query`` of every subset of ``elems`` (sorted, distinct, in ``ground``),
-    indexed by mask: one call per subset, in :func:`_walk` order."""
-    table = [None] * (1 << len(elems))
-    for mask, S in _walk(ground, elems):
-        table[mask] = query(S)
-    return table
 
 
 # The largest element list each exhaustive routine accepts: each enumerates up
@@ -508,7 +481,9 @@ class IndependenceOracle:
     ``k`` is the declared system parameter (k-system / k-extendibility bound)
     used by algorithms for sampling rates and by reports; it is metadata, not
     something the oracle enforces.  Subclasses pass ``fn=None`` and override
-    :meth:`_accepts`, and may override :meth:`_accepts_masks` beside it.
+    :meth:`_accepts`, and may override :meth:`_accepts_masks` beside it; the
+    uniform, partition and genre constraints inherit both from one room rule
+    (``constraints._RoomSystem``).
 
     :meth:`extensions` answers "is S + u independent?" for a batch of
     candidates, and :meth:`fits` for one, from a per-run extension state
@@ -550,12 +525,21 @@ class IndependenceOracle:
         """:meth:`is_independent` of each subset of ``elems`` (sorted, distinct,
         in ``ground``) named by an int64 mask, bit i standing for ``elems[i]``,
         as a bool array.  Counted as ``len(masks)`` calls of
-        :meth:`is_independent`.
+        :meth:`is_independent`.  A list that is not sorted, distinct and in
+        ``ground``, or longer than 63, and a negative mask or one with a bit
+        at or past ``len(elems)`` are ValueErrors, counted as no query.
 
         The class's :meth:`_accepts_masks` answers only when the class that
         defines it also defines the :meth:`_accepts` in force: a subclass that
         overrides :meth:`_accepts` alone is asked one set at a time."""
+        if len(elems) > 63:
+            raise ValueError(f"an int64 mask names at most 63 elements, got {len(elems)}")
+        if _elements(self.ground, elems) != list(elems):
+            raise ValueError(f"elems must be sorted and distinct, got {list(elems)}")
         masks = np.asarray(masks, dtype=np.int64)
+        bad = masks[(masks < 0) | (masks >> len(elems) != 0)]
+        if bad.size:
+            raise ValueError(f"mask {int(bad[0])} names a bit outside the {len(elems)} elements")
         self.membership_count += len(masks)
         mro = type(self).__mro__
         rule = next(c for c in mro if "_accepts_masks" in vars(c))

@@ -95,6 +95,9 @@ class HardInstance(IndependenceOracle):
         super().__init__(None, GroundSet(params.n), k=k)
         self.params = params
         self.mode = mode
+        # whether x members in H_1 and out outside it fit; mode M' is the
+        # gadget at k = 1, where g(x) = x, so |S| <= m
+        self._fits = (params if mode == MODE_M else GadgetParams(1, 2, m)).fits
 
     def element_id(self, i: int, j: int) -> int:
         """Dense id of element (i, j), 1-based block i in 1..h, 1-based j in 1..km."""
@@ -110,18 +113,14 @@ class HardInstance(IndependenceOracle):
         return e // self.params.block_size + 1
 
     def _accepts(self, S: ElementSet) -> bool:
-        if self.mode == MODE_M_PRIME:
-            return len(S) <= self.params.m
         in_h1 = bisect.bisect_left(S.members, self.params.block_size)
-        return self.params.fits(in_h1, len(S) - in_h1)
+        return self._fits(in_h1, len(S) - in_h1)
 
     def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
         size = np.bitwise_count(masks).astype(np.int64)
-        if self.mode == MODE_M_PRIME:
-            return size <= self.params.m
         h1 = (1 << bisect.bisect_left(elems, self.params.block_size)) - 1  # a prefix of elems
         in_h1 = np.bitwise_count(masks & h1).astype(np.int64)
-        return self.params.fits(in_h1, size - in_h1)
+        return self._fits(in_h1, size - in_h1)
 
     def extension_state(self) -> "_HardExtensions":
         return _HardExtensions(self)
@@ -134,18 +133,14 @@ class _HardExtensions(ExtensionState):
 
     def __init__(self, inst: HardInstance):
         self.params = inst.params
-        self.mode = inst.mode
+        self._fits = inst._fits
         self.inside = 0
         self.outside = 0
         self._charge()
 
     def _charge(self) -> None:
-        p = self.params
-        if self.mode == MODE_M_PRIME:
-            self.fits_in = self.fits_out = self.inside + self.outside < p.m
-        else:
-            self.fits_in = p.fits(self.inside + 1, self.outside)
-            self.fits_out = p.fits(self.inside, self.outside + 1)
+        self.fits_in = self._fits(self.inside + 1, self.outside)
+        self.fits_out = self._fits(self.inside, self.outside + 1)
 
     def add(self, u: int) -> None:
         if u < self.params.block_size:

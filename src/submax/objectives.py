@@ -29,7 +29,7 @@ from .core import (
     ValueOracle,
     _check_cap,
     _elements,
-    _subset_table,
+    _mask_members,
 )
 
 _DENOM = 8.0  # dyadic denominator for synthetic data
@@ -533,8 +533,11 @@ def load_similarity_csv(path) -> tuple[np.ndarray, list]:
 
 
 def _value_table(f: ValueOracle, elems: Sequence[int]) -> np.ndarray:
-    """f of every subset of ``elems``, indexed by mask: one counted query each."""
-    return np.array(_subset_table(f.ground, elems, f.value), dtype=float)
+    """f of every subset of ``elems``, indexed by mask: one counted query each,
+    in mask order."""
+    ground, members = f.ground, _mask_members(elems)
+    return np.array([f.value(ElementSet._raw(ground, members(m))) for m in range(1 << len(elems))],
+                    dtype=float)
 
 
 def check_submodular(f: ValueOracle, elements: Optional[Sequence[int]] = None) -> bool:

@@ -390,9 +390,10 @@ def test_brute_force_capacity_guard():
 
 
 def test_brute_force_holds_masks_not_sets():
-    """At n = 18 under |S| <= 9 the walk reaches 155,382 sets.  As int64
-    masks they take 1.2 MiB an array, and the run peaks near 5 MiB; holding
-    one member tuple per set instead peaks near 24 MiB."""
+    """At n = 18 under |S| <= 9 the search reaches 155,382 sets.  As int64
+    masks they take 1.2 MiB an array, and the run peaks near 3.9 MiB, the
+    levels being dropped once joined; holding one member tuple per set
+    instead peaks near 24 MiB."""
     g = GroundSet(18)
     f = ModularObjective(g, np.arange(18) / 8).oracle()
     tracemalloc.start()
@@ -402,7 +403,7 @@ def test_brute_force_holds_masks_not_sets():
     finally:
         tracemalloc.stop()
     assert (res.solution.members, res.f_evals) == (tuple(range(9, 18)), 155_382)
-    assert peak < 10 * 2**20
+    assert peak < 5 * 2**20
 
 
 # ---------------------------------------------------------------------------

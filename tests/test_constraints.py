@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from submax import constraints
-from submax.core import _CAPS, _subset_table, _walk, _walk_order
+from submax.core import _CAPS, _independent_levels, _walk_order
 from submax import (
     CheckedExtensions,
     CutObjective,
@@ -199,7 +199,7 @@ def bare_systems(draw):
 @given(bare_systems())
 @settings(max_examples=300, deadline=None)
 def test_verifiers_equal_the_references(system):
-    """The depth-first table and the hoisted exchange check give the plain
+    """The batch table and the hoisted exchange check give the plain
     references' answers, and each call asks exactly 2^n membership queries."""
     size, elems, fn = system
     queries = 1 << len(elems)
@@ -208,7 +208,8 @@ def test_verifiers_equal_the_references(system):
         return IndependenceOracle(fn, GroundSet(size))
 
     I = fresh()
-    assert _subset_table(I.ground, elems, I.is_independent) == reference.independence_table(fresh(), elems)
+    assert I.independent_masks(elems, np.arange(queries)).tolist() \
+        == reference.independence_table(fresh(), elems)
     assert I.membership_count == queries
     calls = [(verify_downward_closed, reference.verify_downward_closed, {}),
              (verify_k_system, reference.verify_k_system, {})]
@@ -518,47 +519,71 @@ def test_extensions_reject_candidates_in_s():
         I.fits(state, I.ground.set([1]), 1)
 
 
+@pytest.mark.parametrize("how", ("rule", "callable", "negated-subclass"))
+@pytest.mark.parametrize("make", (
+    lambda: UniformMatroid(GroundSet(80), 3),
+    lambda: PartitionMatroid(GroundSet(80), {0: "a", 1: "a", 4: "a"}, {"a": 1}),
+    lambda: HardInstance(2, 8, 5, MODE_M),
+), ids=("uniform", "partition", "hard"))
+def test_independent_masks_refuse_bad_input(make, how):
+    """A list that is not sorted, distinct and in the ground set (n = 80),
+    one longer than 63, and a negative mask or one past the list are
+    ValueErrors, counted as no query, for the class rule, a bare callable and
+    an ``_accepts``-only subclass alike; 63 elements are answered."""
+    I = queried_as(make(), how)
+    bad = [([-1, 0], [3]), ([0, 80], [1]), ([1, 0], [1]), ([0, 0], [1]),
+           ([0], [3]), ([0], [-1]), ([], [1]), (list(range(64)), [0])]
+    for elems, masks in bad:
+        with pytest.raises(ValueError):
+            I.independent_masks(elems, masks)
+    assert I.membership_count == 0
+    elems, masks = list(range(63)), [2**63 - 1, 7, 0b10011]
+    assert I.independent_masks(elems, masks).tolist() \
+        == [I._accepts(reference._mask_set(I, elems, m)) for m in masks]
+
+
 # ---------------------------------------------------------------------------
-# The depth-first walk and the exact routines on it
+# The level-by-level search and the exact routines on it
 # ---------------------------------------------------------------------------
 
 
 @given(bare_systems())
 @settings(max_examples=300, deadline=None)
-def test_walk_is_the_recursive_pre_order(system):
-    """``_walk`` yields the masks of a recursive pre-order search, asks
-    ``keep`` once per child it builds, and builds each child only after
-    everything before it in that order has been yielded."""
+def test_independent_levels_are_the_recursive_pre_order(system):
+    """``_independent_levels`` holds, size by size, exactly the masks that a
+    recursive pre-order search over the independent sets yields, up to the
+    last non-empty size, and asks one counted query per ``keep`` call of that
+    search.  ``_walk_order`` sorts those masks into the search's order, and
+    every mask into the order of the search that keeps every set."""
     size, elems, fn = system
     ground = GroundSet(size)
-    expected = []
 
-    def visit(mask: int, members: tuple, start: int) -> None:
-        expected.append(("yield", mask, members))
-        for i in range(start, len(elems)):
-            child = members + (elems[i],)
-            expected.append(("keep", child))
-            if fn(ground.set(child)):
-                visit(mask | 1 << i, child, i + 1)
+    def search(keep) -> tuple[list, int]:
+        order, calls = [], [0]
 
-    visit(0, (), 0)
-    events = []
+        def visit(mask: int, members: tuple, start: int) -> None:
+            order.append(mask)
+            for i in range(start, len(elems)):
+                child = members + (elems[i],)
+                calls[0] += 1
+                if keep(ground.set(child)):
+                    visit(mask | 1 << i, child, i + 1)
 
-    def keep(S):
-        events.append(("keep", S.members))
-        return fn(S)
+        visit(0, (), 0)
+        return order, calls[0]
 
-    for mask, S in _walk(ground, elems, keep):
-        events.append(("yield", mask, S.members))
-    assert events == expected
-    everything = [mask for mask, _S in _walk(ground, elems)]
-    assert sorted(everything) == list(range(1 << len(elems)))
-    # _walk_order is each mask's position in the full walk, so it sorts the
-    # sets of a pruned walk into the order the walk yields them
+    order, calls = search(fn)
+    I = IndependenceOracle(fn, ground)
+    levels = list(_independent_levels(I, elems))
+    assert I.membership_count == calls
+    assert [sorted(level.tolist()) for level in levels] \
+        == [sorted(m for m in order if bin(m).count("1") == s) for s in range(len(levels))]
+    assert all(len(level) for level in levels) and sum(map(len, levels)) == len(order)
+    masks = np.concatenate(levels)
+    assert masks[np.argsort(_walk_order(masks, len(elems)))].tolist() == order
+    everything, _calls = search(lambda S: True)
     assert _walk_order(np.array(everything, dtype=np.int64), len(elems)).tolist() \
         == list(range(1 << len(elems)))
-    pruned = np.array([mask for event, mask, *_ in expected if event == "yield"], dtype=np.int64)
-    assert (np.diff(_walk_order(pruned, len(elems))) > 0).all()
 
 
 # Ground sets of at most 12 elements: every uniform, partition, genre and

@@ -259,8 +259,9 @@ def test_check_forms_agree():
 
 @pytest.mark.parametrize("kind", ["coverage_dispersion", "weighted_coverage", "cut", "modular"])
 def test_value_table_equals_the_mask_loop_reference(kind):
-    """The depth-first value table gives the mask-order loop's values index for
-    index and makes the same counted evaluations, one per subset."""
+    """The value table, built through ``_mask_members``, gives the reference
+    loop's values index for index and makes the same counted evaluations,
+    one per subset."""
     elems = [0, 2, 3, 5, 6, 8]
     f, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
     ref, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
