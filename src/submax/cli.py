@@ -2,8 +2,9 @@
 
 Exit codes: 0 success; 1 verification failures; 2 configuration/capacity
 errors (flags, specs, input files); 3 oracle violations (negative values,
-broken run-time properties).  Anything else is a program error and
-surfaces with its traceback.
+broken run-time properties); 141 output pipe closed by its reader (128 +
+SIGPIPE, as a shell reports a writer that SIGPIPE killed).  Anything else is
+a program error and surfaces with its traceback.
 
 Reproducibility contract: a ``bench`` run is a pure function of its
 configuration — trial i of any randomized algorithm reads stream i of the
@@ -78,6 +79,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
+EXIT_PIPE_CLOSED = 141
 
 REPORT_FIELDS = (
     "algorithm",
@@ -798,7 +800,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except SystemExit as exc:  # argparse uses exit code 2 for usage errors
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:  # `submax ... | head`: the reader has what it wanted
+        # at exit Python flushes stdout again: let that write go to devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE_CLOSED
     except (NonNegativityError, PropertyViolation) as exc:
         print(f"oracle violation: {exc}", file=sys.stderr)
         return EXIT_ORACLE

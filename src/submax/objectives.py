@@ -14,7 +14,9 @@ inequalities exactly.
 
 from __future__ import annotations
 
+import csv
 import itertools
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
@@ -503,10 +505,47 @@ def generate(spec: SyntheticSpec, rng: Optional[Rng] = None) -> tuple[ValueOracl
 
 def load_similarity_csv(path) -> tuple[np.ndarray, list]:
     """Read a similarity matrix CSV: first row lists element labels, then the
-    square matrix row by row.  Validates shape, symmetry (within 1e-9) and
-    non-negativity; returns (matrix, labels in dense-id order)."""
-    import csv
+    square matrix row by row.  Blank lines are skipped, each cell is read as
+    Python's ``float()`` reads it, and quoted cells are accepted.  Validates
+    shape, symmetry (within 1e-9) and non-negativity; returns (matrix, labels
+    in dense-id order)."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next((r for r in reader if r and any(c.strip() for c in r)), None)
+    # numpy's C parser reads the body when the header is line 1, the only line
+    # its skiprows=1 skips; the row reader takes every file it does not read
+    mat = _loadtxt_square(path, len(header)) if header and reader.line_num == 1 else None
+    if mat is None:
+        mat, labels = _read_similarity_rows(path)
+    else:
+        labels = [c.strip() for c in header]
+    if not np.all(np.isfinite(mat)):
+        raise ValueError(f"{path}: similarity entries must be finite")
+    if np.any(mat < 0):
+        raise ValueError(f"{path}: similarity entries must be non-negative")
+    _check_symmetric(mat, f"{path}: similarity matrix must be symmetric within 1e-9")
+    return mat, labels
 
+
+def _loadtxt_square(path, n: int) -> Optional[np.ndarray]:
+    """The n x n matrix below line 1 as ``np.loadtxt`` parses it, or None when
+    it raises, warns or finds another shape.  Each cell it parses equals
+    ``float()``'s; it refuses some that ``float()`` takes (quoted cells,
+    ``1_0``, non-ASCII digits) and the whitespace- or comma-only lines that
+    the row reader skips."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a header-only file: "input contained no data"
+        try:
+            mat = np.loadtxt(path, delimiter=",", skiprows=1, comments=None, ndmin=2)
+        except (ValueError, Warning):
+            return None
+    return mat if mat.shape == (n, n) else None
+
+
+def _read_similarity_rows(path) -> tuple[np.ndarray, list]:
+    """(matrix, labels) from the non-blank ``csv.reader`` rows, unchecked: the
+    reader of every file :func:`_loadtxt_square` does not read, and the one
+    that says what is wrong with a malformed file."""
     with open(path, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r and any(c.strip() for c in r)]
     if not rows:
@@ -518,12 +557,16 @@ def load_similarity_csv(path) -> tuple[np.ndarray, list]:
     for i, row in enumerate(rows[1:]):
         if len(row) != n:
             raise ValueError(f"{path}: row {i + 1} has {len(row)} columns, expected {n}")
-    mat = np.array(rows[1:], dtype=float)  # numpy parses each cell as float() does
-    if not np.all(np.isfinite(mat)):
-        raise ValueError(f"{path}: similarity entries must be finite")
-    if np.any(mat < 0):
-        raise ValueError(f"{path}: similarity entries must be non-negative")
-    _check_symmetric(mat, f"{path}: similarity matrix must be symmetric within 1e-9")
+    try:
+        mat = np.array(rows[1:], dtype=float)  # numpy parses each cell as float() does
+    except ValueError:
+        for i, row in enumerate(rows[1:]):
+            for j, cell in enumerate(row):
+                try:
+                    float(cell)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: row {i + 1}, column {j + 1}: {exc}") from None
+        raise
     return mat, labels
 
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import functools
+import io
 import json
 import multiprocessing
 import os
@@ -119,6 +121,40 @@ def test_program_errors_are_not_config_errors(monkeypatch):
     monkeypatch.setattr(cli, "greedy", bug)
     with pytest.raises(ValueError, match="a bug inside"):
         run(["solve", "--alg", "greedy", "--instance", MODULAR, "--constraint", "uniform:3"])
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone: every write (unbuffered) or only the
+    flush (buffered) raises BrokenPipeError.  Its file descriptor is a real
+    file's, so that the CLI can point it elsewhere."""
+
+    def __init__(self, fd: int, buffered: bool):
+        self._fd, self._buffered = fd, buffered
+
+    def write(self, s):
+        if not self._buffered:
+            raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+        return len(s)
+
+    def flush(self):
+        raise BrokenPipeError(errno.EPIPE, "Broken pipe")
+
+    def fileno(self):
+        return self._fd
+
+
+@pytest.mark.parametrize("buffered", [False, True])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--constraint", "hard:k=2,h=8,m=2,mode=M", "--limit", "12"],
+    ["solve", "--alg", "greedy", "--instance", MODULAR, "--constraint", "uniform:3"],
+])
+def test_a_closed_output_pipe_exits_141_quietly(tmp_path, monkeypatch, capsys, argv, buffered):
+    with open(tmp_path / "stdout", "w") as fh:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fh.fileno(), buffered))
+        assert run(argv) == 141  # 128 + SIGPIPE, not EXIT_CONFIG
+        # the flush at exit goes to devnull, so it raises no second error
+        assert os.path.samestat(os.fstat(fh.fileno()), os.stat(os.devnull))
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("argv", [

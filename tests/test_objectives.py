@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from submax import (
     generate,
     load_similarity_csv,
 )
+import submax.objectives as objectives
 from submax.objectives import _value_table
 from reference import check_submodular_pairwise, cut_value, value_table
 
@@ -569,6 +572,96 @@ def test_similarity_csv_rejection_messages(tmp_path, body, message):
     with pytest.raises(ValueError) as exc:
         load_similarity_csv(str(p))
     assert str(exc.value).endswith(message)
+
+
+def _symmetric_csv(cells: list[str]) -> str:
+    """A CSV of the square symmetric matrix whose upper triangle, row by row,
+    reads ``cells`` (cycled), under a header e0, e1, ..."""
+    n = 1
+    while n * (n + 1) // 2 < len(cells):
+        n += 1
+    m = [[""] * n for _ in range(n)]
+    k = 0
+    for i in range(n):
+        for j in range(i, n):
+            m[i][j] = m[j][i] = cells[k % len(cells)]
+            k += 1
+    return ",".join(f"e{i}" for i in range(n)) + "\n" + "".join(",".join(r) + "\n" for r in m)
+
+
+_rng = np.random.default_rng(11)
+_DOUBLES = [repr(float(_rng.random() * 10.0 ** int(_rng.integers(-320, 300)))) for _ in range(40)]
+# subnormals (one just above half the smallest), a tie that rounds to even, a
+# 34-digit spelling, signed zeros and short forms
+_EDGES = ["5e-324", "2.4703282292062328e-324", "2.2250738585072014e-308", "9007199254740993",
+          "0.1000000000000000055511151231257827", "-0", "0.0", "+1.5", ".5", "7.", "2.5E+3"]
+
+# (body, whether it is a well-formed n x n numeric block, which the row reader never sees)
+_SIMILARITY_FILES = {
+    "plain": ("a,b,c\n0,1,0.5\n1,0,0.25\n0.5,0.25,0\n", True),
+    "repr doubles": (_symmetric_csv(_DOUBLES + _EDGES), True),
+    "spaces around cells": (" a , b \n 0 ,1\t\n1 , 0\n", True),
+    "blank line mid-body": ("a,b\n0,1\n\n1,0\n", True),
+    "CRLF": ("a,b\r\n0,1\r\n1,0\r\n", True),
+    "1x1": ("a\n5\n", True),
+    "1e400": ("a,b\n0,1e400\n1e400,0\n", True),
+    "nan": ("a,b\n0,nan\nNaN,0\n", True),
+    "-inf": ("a,b\n0,-inf\n-inf,0\n", True),
+    "negative": ("a,b\n0,-1\n-1,0\n", True),
+    "asymmetric": ("a,b\n0,1\n1.000001,0\n", True),
+    "extra row": ("a,b\n0,1\n1,0\n1,0\n", False),
+    "missing row": ("a,b,c\n0,1,1\n1,0,1\n", False),
+    "blank line before header": ("\na,b\n0,1\n1,0\n", False),
+    "numeric header after a blank line": ("\n0,1\n1,0\n", False),
+    "whitespace-only line": ("a,b\n0,1\n \t\n1,0\n", False),
+    "comma-only line": ("a,b\n0,1\n,\n1,0\n", False),
+    "quoted cells": ('a,"b"\n"0",1\n1,"0"\n', False),
+    "quoted newline in header": ('a,"b\n"\n0,1\n1,0\n', False),
+    "trailing comma": ("a,b\n0,1,\n1,0,\n", False),
+    "# inside a cell": ("a,b\n0,1#2\n1#2,0\n", False),
+    "1_0": ("a,b\n0,1_0\n1_0,0\n", False),
+    "arabic-indic digit": ("a,b\n0,١\n١,0\n", False),
+    "header only": ("a,b\n", False),
+    "empty file": ("", False),
+    "ragged row": ("a,b\n0,1\n1\n", False),
+}
+
+
+@pytest.mark.parametrize("name", list(_SIMILARITY_FILES))
+def test_similarity_csv_fast_path_equals_the_row_reader(tmp_path, monkeypatch, name):
+    """np.loadtxt reads what it can; every file gives the labels and matrix
+    bytes, or the message, of the row reader alone."""
+    body, numeric = _SIMILARITY_FILES[name]
+    p = tmp_path / "s.csv"
+    p.write_bytes(body.encode("utf-8"))
+
+    def outcome():
+        try:
+            mat, labels = load_similarity_csv(str(p))
+        except ValueError as exc:
+            return str(exc)
+        return labels, mat.dtype, mat.shape, mat.tobytes()
+
+    calls = []
+    read_rows = objectives._read_similarity_rows
+    monkeypatch.setattr(objectives, "_read_similarity_rows",
+                        lambda path: calls.append(path) or read_rows(path))
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        fast = outcome()
+    assert escaped == []
+    if numeric:
+        assert calls == []
+    monkeypatch.setattr(objectives, "_loadtxt_square", lambda path, n: None)
+    assert fast == outcome()
+
+
+def test_similarity_csv_names_the_unparsable_cell(tmp_path):
+    p = tmp_path / "s.csv"
+    p.write_text("a,b\n0,1\n\nx,0\n")
+    with pytest.raises(ValueError) as exc:
+        load_similarity_csv(str(p))
+    assert str(exc.value) == f"{p}: row 2, column 1: could not convert string to float: 'x'"
 
 
 def test_asymmetry_tolerance_is_1e_9(tmp_path):
