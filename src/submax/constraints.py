@@ -16,7 +16,6 @@ set.
 
 from __future__ import annotations
 
-import itertools
 import logging
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -335,15 +334,6 @@ def verify_k_system(I: IndependenceOracle, elements: Optional[Sequence[int]] = N
     return float(ratios.max(initial=1.0))
 
 
-def _submasks(B: int):
-    A = B
-    while True:
-        yield A
-        if A == 0:
-            return
-        A = (A - 1) & B
-
-
 def verify_k_extendible(
     I: IndependenceOracle,
     elements: Optional[Sequence[int]] = None,
@@ -356,41 +346,52 @@ def verify_k_extendible(
     |Y| <= k and (B \\ Y) + e independent.  (The new element is quantified
     over e ∉ B; for e ∈ B \\ A the exchange demand would be ill-posed.)
 
-    The work per (B, e) is done once, not once per A: when B + e is
-    independent, Y = ∅ serves every A; otherwise the good Y (1 <= |Y| <= k,
-    (B \\ Y) + e independent) are listed once, and each A needs one that
-    misses it.
+    Written with D = B \\ Y: (A, B, e) fails iff A and A + e are
+    independent and no D with A ⊆ D ⊆ B and |B \\ D| <= k has D + e
+    independent.  D = B serves every A when B + e is independent, so only
+    the pairs (B, e) with B + e dependent are checked, one size |B| = s at
+    a time, a row per pair and a column per subset of B: bit j of column c
+    names B's j-th lowest member.  One superset-OR transform (s passes over
+    the columns) answers "some allowed D ⊇ A has D + e independent" for
+    every A of a batch of pairs at once.
     """
     if k is None:
         k = I.k
-    elems, table = _independence_table(I, elements, "verify_k_extendible", k)
-    n, ind = len(elems), table.tolist()
-
-    for B in range(1 << n):
-        if not ind[B]:
-            continue
-        bits = [1 << i for i in range(n) if B >> i & 1]
-        # A ranges over the submasks of B that are independent (all of them
-        # by downward closure, checked anyway so the verifier stays sound on
-        # broken systems); listed when B first has an e to check
-        subsets = None
-        for i in range(n):
-            eb = 1 << i
-            if B & eb or ind[B | eb]:
-                continue
-            if subsets is None:
-                subsets = [A for A in _submasks(B) if ind[A]]
-            good = [Y for size in range(1, min(k, len(bits)) + 1)
-                    for Y in map(sum, itertools.combinations(bits, size))
-                    if ind[(B ^ Y) | eb]]
-            # an A missing a good singleton is served by it
-            singles = sum(Y for Y in good if not Y & (Y - 1))
-            for A in subsets:
-                if ind[A | eb] and A & singles == singles and all(Y & A for Y in good):
-                    members = _mask_members(elems)
-                    logger.debug("k-extendibility fails: A=%s B=%s e=%s",
-                                 members(A), members(B), elems[i])
-                    return False
+    elems, ind = _independence_table(I, elements, "verify_k_extendible", k)
+    n = len(elems)
+    masks, bits = np.arange(1 << n), 1 << np.arange(n)
+    size = np.bitwise_count(masks)
+    for s in range(1, n + 1):
+        Bs = masks[ind & (size == s)]
+        blocked = ~ind[Bs[:, None] | bits]  # [r, i]: Bs[r] + elems[i] dependent, so elems[i] ∉ Bs[r]
+        keep = blocked.any(axis=1)
+        Bs, blocked = Bs[keep], blocked[keep]
+        # sub[r, c]: the subset of Bs[r] named by column c, one member of each B peeled per pass
+        sub, rest = np.zeros((len(Bs), 1), dtype=masks.dtype), Bs.copy()
+        for _ in range(s):
+            low = rest & -rest
+            rest ^= low
+            sub = np.hstack([sub, sub | low[:, None]])
+        sub_ind = ind[sub]
+        allowed = np.bitwise_count(np.arange(1 << s)) >= s - k  # the columns with |B \\ D| <= k
+        rs, es = np.nonzero(blocked)
+        step = max(1, (1 << 14) >> s)  # pairs per batch: at most 128 KiB per array
+        for lo in range(0, len(rs), step):
+            r, e = rs[lo:lo + step], es[lo:lo + step]
+            cells = sub[r]
+            cells |= bits[e, None]
+            with_e = ind[cells]
+            reach = with_e & allowed
+            for j in range(s):
+                h = _halves(reach, j)
+                h[:, 0] |= h[:, 1]
+            fails = sub_ind[r] & with_e & ~reach
+            if fails.any():
+                p, c = np.unravel_index(fails.argmax(), fails.shape)
+                members = _mask_members(elems)
+                logger.debug("k-extendibility fails: A=%s B=%s e=%s",
+                             members(int(sub[r[p], c])), members(int(Bs[r[p]])), elems[e[p]])
+                return False
     return True
 
 

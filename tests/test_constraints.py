@@ -199,7 +199,7 @@ def bare_systems(draw):
 @given(bare_systems())
 @settings(max_examples=300, deadline=None)
 def test_verifiers_equal_the_references(system):
-    """The batch table and the hoisted exchange check give the plain
+    """The batch table and the numpy verifiers give the plain
     references' answers, and each call asks exactly 2^n membership queries."""
     size, elems, fn = system
     queries = 1 << len(elems)
@@ -213,7 +213,8 @@ def test_verifiers_equal_the_references(system):
     assert I.membership_count == queries
     calls = [(verify_downward_closed, reference.verify_downward_closed, {}),
              (verify_k_system, reference.verify_k_system, {})]
-    calls += [(verify_k_extendible, reference.verify_k_extendible, {"k": k}) for k in range(4)]
+    # k = 9 lies past every drawn n: each subset of B may be given up
+    calls += [(verify_k_extendible, reference.verify_k_extendible, {"k": k}) for k in (0, 1, 2, 3, 9)]
     for verify, verify_reference, kw in calls:
         I = fresh()
         assert verify(I, elems, **kw) == verify_reference(fresh(), elems, **kw), (verify, kw)
@@ -235,12 +236,58 @@ def shipped_system(kind: str, n: int) -> IndependenceOracle:
 @pytest.mark.parametrize("kind", ["partitions", MODE_M, MODE_M_PRIME, "genre"])
 def test_table_verifiers_equal_the_references_on_shipped_constraints(kind, n):
     """Past the sizes the drawn systems reach, on the shipped constraints:
-    the reference's answer, from 2^n membership queries per call."""
-    elems = list(range(n))
-    for verify, verify_reference in ((verify_downward_closed, reference.verify_downward_closed),
-                                     (verify_k_system, reference.verify_k_system)):
+    the reference's answer, from 2^n membership queries per call.
+    k-extendibility is asked at the declared k and one below, where all
+    but the mode-M' hard instance fail."""
+    elems, k = list(range(n)), shipped_system(kind, n).k
+    calls = [(verify_downward_closed, reference.verify_downward_closed, {}),
+             (verify_k_system, reference.verify_k_system, {})]
+    calls += [(verify_k_extendible, reference.verify_k_extendible, {"k": kk}) for kk in (k, k - 1)]
+    for verify, verify_reference, kw in calls:
         I = shipped_system(kind, n)
-        assert verify(I, elems) == verify_reference(shipped_system(kind, n), elems)
+        assert verify(I, elems, **kw) == verify_reference(shipped_system(kind, n), elems, **kw), kw
+        assert I.membership_count == 1 << n
+
+
+def _breaks_k_extendibility(fn, size: int, A: tuple, B: tuple, e: int, k: int) -> bool:
+    """Whether (A, B, e) breaks the definition, by one lookup per set in the
+    membership table of ``fn`` over the subsets of A ∪ B + e."""
+    elems = sorted({*A, *B, e})
+    I = IndependenceOracle(fn, GroundSet(size))
+    table = reference.independence_table(I, elems)
+    bit = {x: 1 << i for i, x in enumerate(elems)}
+    a, b, eb = sum(bit[x] for x in A), sum(bit[x] for x in B), bit[e]
+    rest = b & ~a
+    gives = [y for y in range(rest + 1) if y & rest == y and bin(y).count("1") <= k]
+    return (a & b == a and not b & eb and table[a] and table[b] and table[a | eb]
+            and not any(table[(b ^ y) | eb] for y in gives))
+
+
+@pytest.mark.parametrize("system,k", [
+    (lambda: UniformMatroid(GroundSet(6), 3), 0),
+    (lambda: make_partition_intersection(11, 3, 0), 2),
+    (lambda: HardInstance(2, 8, 4, MODE_M), 1),
+    (lambda: IndependenceOracle(lambda S: len(S) != 2 or 0 in S, GroundSet(5)), 0),
+], ids=["uniform", "partitions", "hard-M", "not-downward-closed"])
+def test_k_extendibility_logs_a_triple_that_breaks_the_definition(caplog, system, k):
+    """The (A, B, e) of a failing call's debug line breaks the definition."""
+    I = system()
+    elems = list(range(min(I.ground.n, 11)))
+    with caplog.at_level(logging.DEBUG, logger="submax.constraints"):
+        assert not verify_k_extendible(I, elems, k)
+    (record,) = [r for r in caplog.records if r.getMessage().startswith("k-extendibility fails")]
+    A, B, e = record.args
+    assert _breaks_k_extendibility(I._accepts, I.ground.n, A, B, e, k), record.args
+
+
+@pytest.mark.parametrize("rank", [1, 7, 13, 14])
+def test_k_extendibility_at_the_cap_on_uniform_matroids(rank):
+    """At the cap (n = 14), low to full rank: every uniform matroid is
+    1-extendible, and 0-extendible only when every set is independent."""
+    n = _CAPS["verify_k_extendible"]
+    for k, answer in ((0, rank == n), (1, True)):
+        I = UniformMatroid(GroundSet(n), rank)
+        assert verify_k_extendible(I, k=k) is answer
         assert I.membership_count == 1 << n
 
 
