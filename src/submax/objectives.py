@@ -171,12 +171,19 @@ class _DispersionGains(GainState):
         return float(self._cov[u]) - self._lam * (float(self._acc[u]) - float(self._diag[u]))
 
 
+_TILE = 256  # rows and columns per tile of the blocked transposes below
+
+
 def _check_symmetric(a: np.ndarray, message: str, atol: float = 1e-9) -> bool:
     """Raise ``ValueError(message)`` unless |a - a.T| <= atol everywhere, and
     return whether a equals a.T bit for bit.  That exact test, the common
-    case, runs first: the tolerant one allocates several full-size temporaries."""
+    case, runs first, each tile on or above the diagonal against the
+    transpose of its mirror tile: reading a whole-matrix transpose strides
+    across rows.  The tolerant test allocates several full-size temporaries."""
     bits = a.view(np.int64)
-    if np.array_equal(bits, bits.T):
+    n = len(a)
+    if all(np.array_equal(bits[i:i + _TILE, j:j + _TILE], bits[j:j + _TILE, i:i + _TILE].T)
+           for i in range(0, n, _TILE) for j in range(i, n, _TILE)):
         return True
     if not np.allclose(a, a.T, rtol=0.0, atol=atol):
         raise ValueError(message)
@@ -349,8 +356,10 @@ class WeightedCoverageObjective(_ObjectiveBase):
 
 def _sequential_sum(x: np.ndarray) -> float:
     """x[0] + x[1] + ... left to right, as ``np.bincount`` adds: ``np.sum``
-    is pairwise and the builtin ``sum`` compensated from Python 3.12."""
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
+    is pairwise and the builtin ``sum`` compensated from Python 3.12.
+    ``np.cumsum`` calls this method, through a Python dispatch layer that
+    costs more than the sum of a short gain row."""
+    return float(x.cumsum()[-1]) if x.size else 0.0
 
 
 class _CoverageGains(GainState):
@@ -445,6 +454,9 @@ def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free
 
     ``tie_free`` overrides density: every off-diagonal entry is present and
     pairwise distinct, so no two entries (and no zero entries) can collide.
+    One value is drawn per pair i < j, in row-major pair order, and written
+    through one strict-upper boolean mask; the lower triangle is then copied
+    from it one tile at a time, so that no write strides across whole rows.
     """
     w = np.zeros((n, n))
     pairs = n * (n - 1) // 2
@@ -456,12 +468,15 @@ def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free
     else:
         present = gen.random(pairs) < density
         vals = _dyadic(gen, pairs, low=1, high=64)
-        vals[~present] = 0.0
-    # a boolean mask lists the pairs i < j in row-major order, as drawn;
-    # through the transpose the same mask reaches the mirrored pairs j > i
-    upper = ~np.tri(n, dtype=bool)
-    w[upper] = vals
-    w.T[upper] = vals
+        vals *= present  # +0.0 where absent: every drawn value is positive
+    w[~np.tri(n, dtype=bool)] = vals
+    # below the diagonal a tile is the transpose of its mirror tile; a tile on
+    # it adds its transpose, whose upper part is the still-zero lower triangle
+    for i in range(0, n, _TILE):
+        d = w[i:i + _TILE, i:i + _TILE]
+        d += d.T
+        for j in range(i + _TILE, n, _TILE):
+            w[j:j + _TILE, i:i + _TILE] = w[i:i + _TILE, j:j + _TILE].T
     return w
 
 

@@ -11,7 +11,9 @@ ones are checked against.
   search over the independent sets;
 - ``genre_as_intersection`` writes a genre constraint as a uniform matroid
   intersected with one cap per favourite genre, restricted to N_u;
-- ``cut_value`` sums the weights of the edges leaving a set one by one.
+- ``cut_value`` sums the weights of the edges leaving a set one by one;
+- ``check_symmetric`` tests symmetry on the whole matrix against its
+  transpose, the reference for the tiled ``objectives._check_symmetric``.
 """
 
 from __future__ import annotations
@@ -292,3 +294,14 @@ def cut_value(w: np.ndarray, S) -> float:
     inside = set(S)
     outside = [j for j in range(len(w)) if j not in inside]
     return sum(float(w[i, j]) for i in sorted(inside) for j in outside)
+
+
+def check_symmetric(a: np.ndarray, message: str, atol: float = 1e-9) -> bool:
+    """Raise ``ValueError(message)`` unless |a - a.T| <= atol everywhere, and
+    return whether a equals a.T bit for bit."""
+    bits = a.view(np.int64)
+    if np.array_equal(bits, bits.T):
+        return True
+    if not np.allclose(a, a.T, rtol=0.0, atol=atol):
+        raise ValueError(message)
+    return False

@@ -24,7 +24,7 @@ from submax import (
 )
 import submax.objectives as objectives
 from submax.objectives import _value_table
-from reference import check_submodular_pairwise, cut_value, value_table
+from reference import check_submodular_pairwise, check_symmetric, cut_value, value_table
 
 
 # ---------------------------------------------------------------------------
@@ -382,7 +382,7 @@ GENERATION_SPECS = [
     SyntheticSpec(kind=kind, n=n, seed=seed, density=density, tie_free=tie_free)
     for kind in ("modular", "cut", "coverage_dispersion", "weighted_coverage")
     for n, seed, density in ((0, 1, 0.5), (1, 2, 0.5), (2, 3, 0.9), (9, 4, 0.5), (37, 5, 0.13),
-                             (300, 6, 0.05))
+                             (256, 7, 0.5), (300, 6, 0.05), (513, 8, 0.3))
     for tie_free in (False, True)
 ]
 
@@ -405,6 +405,39 @@ def test_vectorised_generation_equals_loop_reference(spec):
         assert data.dtype == ref.dtype and np.array_equal(data, ref)
     # generation left both streams at the same position
     assert rng.generator.random() == gen.random()
+
+
+def _symmetry_outcome(check, a, atol):
+    try:
+        return check(a, "not symmetric", atol)
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("atol", [1e-9, 0.0])
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 600])
+def test_tiled_symmetry_check_equals_whole_matrix_reference(n, atol):
+    # one perturbed entry in the first diagonal tile, in an off-diagonal tile
+    # and in the last (partial) tile, above or below the diagonal; a zero
+    # entry's +0.0 -> -0.0 flip is symmetric within any tolerance, not bit
+    # for bit
+    base = np.random.default_rng(n).random((n, n))
+    base = base + base.T
+    assert _symmetry_outcome(objectives._check_symmetric, base, atol) is True
+    places = [(i, j) for i, j in ((3, 100), (3, 300), (100, n - 1), (n - 2, n - 1)) if 0 <= i < j < n]
+    seen = set()
+    for i, j in places + [(j, i) for i, j in places]:
+        for kind in ("-0.0", "+1e-12", "+1e-6"):
+            a = base.copy()
+            if kind == "-0.0":
+                a[i, j] = a[j, i] = 0.0
+                a[i, j] = -0.0
+            else:
+                a[i, j] += float(kind)
+            got = _symmetry_outcome(objectives._check_symmetric, a, atol)
+            assert got == _symmetry_outcome(check_symmetric, a, atol), (i, j, kind)
+            seen.add(got)
+    assert seen == ({False, "not symmetric"} if places else set())
 
 
 @pytest.mark.parametrize("layout", ["C", "F", "near"])
