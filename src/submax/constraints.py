@@ -29,9 +29,9 @@ from .core import (
     _CAPS,
     _check_cap,
     _elements,
+    _halves,
     _id_array,
     _independent_levels,
-    _mask_members,
     _read_id_rows,
 )
 
@@ -292,11 +292,6 @@ def _independence_table(I: IndependenceOracle, elements: Optional[Sequence[int]]
     return elems, I.independent_masks(elems, np.arange(1 << len(elems), dtype=np.int64))
 
 
-def _halves(table: np.ndarray, i: int) -> np.ndarray:
-    """A mask-indexed ``table`` as [:, 0] the masks without bit i and [:, 1] with it."""
-    return table.reshape(-1, 2, 1 << i)
-
-
 def verify_downward_closed(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustively check downward closure over all subsets of ``elements``.
 
@@ -388,9 +383,9 @@ def verify_k_extendible(
             fails = sub_ind[r] & with_e & ~reach
             if fails.any():
                 p, c = np.unravel_index(fails.argmax(), fails.shape)
-                members = _mask_members(elems)
-                logger.debug("k-extendibility fails: A=%s B=%s e=%s",
-                             members(int(sub[r[p], c])), members(int(Bs[r[p]])), elems[e[p]])
+                A, B = (tuple(x for i, x in enumerate(elems) if m >> i & 1)
+                        for m in (sub[r[p], c], Bs[r[p]]))
+                logger.debug("k-extendibility fails: A=%s B=%s e=%s", A, B, elems[e[p]])
                 return False
     return True
 

@@ -221,24 +221,33 @@ def _walk_order(masks: np.ndarray, n: int) -> np.ndarray:
     return key
 
 
-def _mask_members(elems: Sequence[int]) -> Callable[[int], tuple]:
-    """mask -> the tuple of the members of ``elems`` it names (bit i for
-    ``elems[i]``), in order, from one table lookup per byte of the mask."""
+def _each_set(ground: GroundSet, elems: Sequence[int], masks: np.ndarray,
+              fn: Callable[[ElementSet], object], dtype: type) -> np.ndarray:
+    """``fn`` of the subset of ``elems`` that each int64 mask of ``masks``
+    names (bit i for ``elems[i]``), in array order, as a ``dtype`` array: the
+    one loop that builds an :class:`ElementSet` per mask.  A set's members
+    come from one table lookup per byte of its mask, and the masks become
+    Python ints 4096 at a time."""
     tables = []
     for lo in range(0, len(elems), 8):
         table = [()]
         for e in elems[lo:lo + 8]:  # the masks with e's bit follow those without
             table += [t + (e,) for t in table]
         tables.append(table)
+    out = np.empty(len(masks), dtype=dtype)
+    for lo in range(0, len(masks), 4096):
+        for i, mask in enumerate(masks[lo:lo + 4096].tolist(), lo):
+            members = ()
+            for table in tables:
+                members += table[mask & 255]
+                mask >>= 8
+            out[i] = fn(ElementSet._raw(ground, members))
+    return out
 
-    def members(mask: int) -> tuple:
-        out = ()
-        for table in tables:
-            out += table[mask & 255]
-            mask >>= 8
-        return out
 
-    return members
+def _halves(table: np.ndarray, i: int) -> np.ndarray:
+    """A mask-indexed ``table`` as [:, 0] the masks without bit i and [:, 1] with it."""
+    return table.reshape(-1, 2, 1 << i)
 
 
 # The largest element list each exhaustive routine accepts: each enumerates up
@@ -517,9 +526,7 @@ class IndependenceOracle:
         bool array: one call per mask.  A class whose membership follows from
         counts of S over a few groups of elements overrides this with one
         numpy pass per group."""
-        ground, members = self.ground, _mask_members(elems)
-        return np.array([self._accepts(ElementSet._raw(ground, members(m))) for m in masks.tolist()],
-                        dtype=bool)
+        return _each_set(self.ground, elems, masks, self._accepts, bool)
 
     def independent_masks(self, elems: Sequence[int], masks) -> np.ndarray:
         """:meth:`is_independent` of each subset of ``elems`` (sorted, distinct,

@@ -30,8 +30,9 @@ from .core import (
     Rng,
     ValueOracle,
     _check_cap,
+    _each_set,
     _elements,
-    _mask_members,
+    _halves,
 )
 
 _DENOM = 8.0  # dyadic denominator for synthetic data
@@ -449,6 +450,12 @@ def _dyadic(gen: np.random.Generator, size, low: int = 0, high: int = 64) -> np.
     return x
 
 
+def _distinct_dyadic(gen: np.random.Generator, k: int) -> np.ndarray:
+    """``k`` pairwise-distinct positive dyadic rationals: a draw without
+    replacement from 1, 2, ..., 8k over the fixed denominator."""
+    return (gen.choice(8 * k, size=k, replace=False) + 1) / _DENOM
+
+
 def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free: bool) -> np.ndarray:
     """Symmetric non-negative dyadic matrix with zero diagonal.
 
@@ -463,8 +470,7 @@ def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free
     if not pairs:
         return w
     if tie_free:
-        nums = gen.choice(np.arange(1, 8 * pairs + 1), size=pairs, replace=False)
-        vals = nums.astype(float) / _DENOM
+        vals = _distinct_dyadic(gen, pairs)
     else:
         present = gen.random(pairs) < density
         vals = _dyadic(gen, pairs, low=1, high=64)
@@ -492,11 +498,7 @@ def generate(spec: SyntheticSpec, rng: Optional[Rng] = None) -> tuple[ValueOracl
     ground = GroundSet(spec.n)
     n = spec.n
     if spec.kind == "modular":
-        if spec.tie_free:
-            nums = gen.choice(np.arange(1, 8 * max(n, 1) + 1), size=n, replace=False)
-            weights = nums.astype(float) / _DENOM
-        else:
-            weights = _dyadic(gen, n, low=0, high=64)
+        weights = _distinct_dyadic(gen, n) if spec.tie_free else _dyadic(gen, n, low=0, high=64)
         obj: _ObjectiveBase = ModularObjective(ground, list(weights))
     elif spec.kind == "cut":
         w = _symmetric_dyadic(gen, n, spec.density, spec.tie_free)
@@ -509,11 +511,7 @@ def generate(spec: SyntheticSpec, rng: Optional[Rng] = None) -> tuple[ValueOracl
         # one row of draws at a time: the same stream as one (n, n_items) draw
         covers = [np.flatnonzero(gen.random(n_items) < spec.density).tolist()
                   for _ in range(n)]
-        if spec.tie_free:
-            nums = gen.choice(np.arange(1, 8 * n_items + 1), size=n_items, replace=False)
-            item_w = nums.astype(float) / _DENOM
-        else:
-            item_w = _dyadic(gen, n_items, low=1, high=64)
+        item_w = _distinct_dyadic(gen, n_items) if spec.tie_free else _dyadic(gen, n_items, low=1, high=64)
         obj = WeightedCoverageObjective(ground, covers, list(item_w))
     return obj.oracle(name=f"{spec.kind}(n={n},seed={spec.seed})"), ground
 
@@ -590,12 +588,33 @@ def _read_similarity_rows(path) -> tuple[np.ndarray, list]:
 # ---------------------------------------------------------------------------
 
 
-def _value_table(f: ValueOracle, elems: Sequence[int]) -> np.ndarray:
-    """f of every subset of ``elems``, indexed by mask: one counted query each,
-    in mask order."""
-    ground, members = f.ground, _mask_members(elems)
-    return np.array([f.value(ElementSet._raw(ground, members(m))) for m in range(1 << len(elems))],
-                    dtype=float)
+def _value_table(f: ValueOracle, elements: Optional[Sequence[int]], name: str) -> np.ndarray:
+    """f of every subset of the element list of the value check ``name``,
+    indexed by mask: one counted query each, in mask order, asked only once
+    the list has passed the check's cap."""
+    elems = _elements(f.ground, elements)
+    _check_cap(name, len(elems))
+    return _each_set(f.ground, elems, np.arange(1 << len(elems), dtype=np.int64), f.value, float)
+
+
+def _diminishing_returns(vals: np.ndarray) -> bool:
+    """Whether a mask-indexed value table has f(A+e) - f(A) >= f(A+x+e) - f(A+x)
+    for every A and distinct e, x outside A: per e, the gains of adding e
+    form a table over the masks without bit e (with that bit deleted), and
+    one pass per x compares its halves."""
+    n = len(vals).bit_length() - 1
+    for e in range(n):
+        h = _halves(vals, e)
+        gains = h[:, 1] - h[:, 0]
+        if any((g[:, 0] < g[:, 1]).any() for g in (_halves(gains, x) for x in range(n - 1))):
+            return False
+    return True
+
+
+def _nondecreasing(vals: np.ndarray) -> bool:
+    """Whether a mask-indexed value table has f(S + e) >= f(S) for all S and e ∉ S."""
+    n = len(vals).bit_length() - 1
+    return not any((h[:, 1] < h[:, 0]).any() for h in (_halves(vals, e) for e in range(n)))
 
 
 def check_submodular(f: ValueOracle, elements: Optional[Sequence[int]] = None) -> bool:
@@ -605,35 +624,9 @@ def check_submodular(f: ValueOracle, elements: Optional[Sequence[int]] = None) -
     e, x outside A — the single-step form, which is equivalent to the general
     nested-sets form by induction.  Exact comparisons (no tolerance).
     """
-    elems = _elements(f.ground, elements)
-    n = len(elems)
-    _check_cap("check_submodular", n)
-    vals = _value_table(f, elems)
-    all_masks = np.arange(1 << n)
-    for ei in range(n):
-        be = 1 << ei
-        for xi in range(n):
-            if xi == ei:
-                continue
-            bx = 1 << xi
-            A = all_masks[(all_masks & (be | bx)) == 0]
-            lhs = vals[A | be] - vals[A]
-            rhs = vals[A | be | bx] - vals[A | bx]
-            if np.any(lhs < rhs):
-                return False
-    return True
+    return _diminishing_returns(_value_table(f, elements, "check_submodular"))
 
 
 def check_monotone(f: ValueOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustive monotonicity check: f(S + e) >= f(S) for all S and e ∉ S."""
-    elems = _elements(f.ground, elements)
-    n = len(elems)
-    _check_cap("check_monotone", n)
-    vals = _value_table(f, elems)
-    all_masks = np.arange(1 << n)
-    for ei in range(n):
-        be = 1 << ei
-        A = all_masks[(all_masks & be) == 0]
-        if np.any(vals[A | be] < vals[A]):
-            return False
-    return True
+    return _nondecreasing(_value_table(f, elements, "check_monotone"))

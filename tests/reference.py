@@ -6,6 +6,10 @@ ones are checked against.
   exchange check once per (A, B, e) triple;
 - ``check_submodular_pairwise`` checks the union/intersection form of
   submodularity, an independent route to ``check_submodular``'s answer;
+- ``diminishing_returns`` and ``nondecreasing`` read a mask-indexed value
+  table with one fancy-index gather per (e, x) pair and per e, the
+  references for the half-table passes behind ``check_submodular`` and
+  ``check_monotone``;
 - ``marginal`` asks one marginal gain the way ``ValueOracle.gains`` counts
   each of its queries, and ``brute_force_opt`` is a recursive depth-first
   search over the independent sets;
@@ -216,6 +220,38 @@ def check_submodular_pairwise(f, elements: Optional[Sequence[int]] = None, *, ca
     all_masks = np.arange(1 << n)
     for X in range(1 << n):
         if np.any(vals[X] + vals < vals[X | all_masks] + vals[X & all_masks]):
+            return False
+    return True
+
+
+def diminishing_returns(vals: np.ndarray) -> bool:
+    """f(A+e) - f(A) >= f(A+x+e) - f(A+x) for every A and distinct e, x
+    outside A, on a mask-indexed value table, one pair (e, x) at a time."""
+    n = len(vals).bit_length() - 1
+    all_masks = np.arange(1 << n)
+    for ei in range(n):
+        be = 1 << ei
+        for xi in range(n):
+            if xi == ei:
+                continue
+            bx = 1 << xi
+            A = all_masks[(all_masks & (be | bx)) == 0]
+            lhs = vals[A | be] - vals[A]
+            rhs = vals[A | be | bx] - vals[A | bx]
+            if np.any(lhs < rhs):
+                return False
+    return True
+
+
+def nondecreasing(vals: np.ndarray) -> bool:
+    """f(S + e) >= f(S) for all S and e ∉ S, on a mask-indexed value table,
+    one element at a time."""
+    n = len(vals).bit_length() - 1
+    all_masks = np.arange(1 << n)
+    for ei in range(n):
+        be = 1 << ei
+        A = all_masks[(all_masks & be) == 0]
+        if np.any(vals[A | be] < vals[A]):
             return False
     return True
 

@@ -14,6 +14,7 @@ from submax import (
     GenreConstraint,
     GroundSet,
     ModularObjective,
+    NonNegativityError,
     PartitionMatroid,
     PropertyViolation,
     Rng,
@@ -31,6 +32,7 @@ from submax import (
     unconstrained_max_rand,
     ValueOracle,
 )
+import reference
 from conftest import (
     make_objective,
     make_partition_intersection,
@@ -387,6 +389,27 @@ def test_brute_force_capacity_guard():
     f = ModularObjective(g, [1.0] * 23).oracle()
     with pytest.raises(CapacityError):
         brute_force_opt(f, UniformMatroid(g, 3))
+
+
+@pytest.mark.parametrize("negative,first", [
+    ({(3,), (0, 4)}, (0, 4)),  # {3} is first by size and by mask, {0, 4} in the walk
+    ({(2,), (1, 2)}, (1, 2)),
+    ({(0, 1, 4), (0, 2)}, (0, 1, 4)),
+])
+def test_brute_force_raises_on_the_first_negative_set_of_the_walk(negative, first):
+    """A bare-function objective negative on two independent sets: the error
+    names the one that the recursive reference search meets first."""
+    def fn(S):
+        return -1.0 if S.members in negative else float(len(S))
+
+    g = GroundSet(5)
+    messages = []
+    for solve in (brute_force_opt, reference.brute_force_opt):
+        with pytest.raises(NonNegativityError) as exc:
+            solve(ValueOracle(fn, g), UniformMatroid(g, 3))
+        messages.append(str(exc.value))
+    assert messages[0] == messages[1]
+    assert messages[0].endswith(f"< 0 on {g.set(first)!r}")
 
 
 def test_brute_force_holds_masks_not_sets():

@@ -722,6 +722,23 @@ def test_verify_shipped_similarity(capsys):
     assert "submodular" in out and "PASS" in out and "FAIL" not in out
 
 
+def test_verify_evaluates_each_subset_once(capsys, monkeypatch):
+    """The submodular and monotone checks read one value table: 2^10
+    calls of ``evaluate`` at --limit 10, not one table per check."""
+    calls = []
+    evaluate = submax.CoverageDispersionObjective.evaluate
+
+    def spy(self, S):
+        calls.append(S)
+        return evaluate(self, S)
+
+    monkeypatch.setattr(submax.CoverageDispersionObjective, "evaluate", spy)
+    assert run(["verify", "--instance", "synth:kind=coverage_dispersion,n=40,seed=1",
+                "--constraint", "uniform:5", "--limit", "10"]) == 0
+    assert "non-negative       PASS  all 1024 subsets evaluated" in capsys.readouterr().out
+    assert len(calls) == 1 << 10
+
+
 def test_verify_hard_instance(capsys):
     assert run(["verify", "--constraint", "hard:k=2,h=8,m=2,mode=M"]) == 0
     out = capsys.readouterr().out

@@ -13,8 +13,9 @@ from submax import (
     UniformMatroid,
     greedy,
 )
-from submax.objectives import _value_table
+from submax.objectives import _diminishing_returns, _nondecreasing, _value_table
 from conftest import make_objective, make_partition_intersection
+import reference
 
 N = 12
 members = st.lists(st.integers(min_value=0, max_value=N - 1), max_size=N)
@@ -87,4 +88,34 @@ def test_coverage_dispersion_is_non_negative_on_real_valued_data(seed, n, lam, z
         np.fill_diagonal(s, 0.0)
     universe = data.draw(st.lists(st.integers(min_value=0, max_value=n - 1), unique=True))
     f = CoverageDispersionObjective(GroundSet(n), s, lam=lam, universe_u=universe).oracle()
-    assert (_value_table(f, sorted(universe)) >= 0.0).all()  # the oracle raises below 0
+    assert (_value_table(f, sorted(universe), "check_monotone") >= 0.0).all()  # the oracle raises below 0
+
+
+@given(st.integers(min_value=0, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans(), st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_value_check_passes_equal_the_pair_loop_reference(n, seed, dyadic, plant):
+    """The half-table passes behind ``check_submodular`` and ``check_monotone``
+    give the pair-loop reference's booleans on non-negative value tables with
+    ties and +-0.0 entries: a sum of three concave functions of |S ∩ G| over
+    random groups G (submodular; monotone when no step is negative), dyadic
+    or real-valued, with one diminishing-returns violation planted at a
+    random (A, e, x)."""
+    gen = np.random.default_rng(seed)
+    bits = np.arange(1 << n)[:, None] >> np.arange(n) & 1
+    vals = np.zeros(1 << n)
+    for _ in range(3):
+        steps = gen.integers(-8, 24, size=n) / 8 if dyadic else gen.normal(1.0, 2.0, size=n)
+        concave = np.concatenate([[0.0], np.cumsum(np.sort(steps)[::-1])])
+        vals += concave[bits[:, gen.random(n) < 0.5].sum(axis=1)]
+    planted = plant and n >= 2
+    if planted:
+        be, bx = (1 << int(i) for i in gen.choice(n, size=2, replace=False))
+        A = int(gen.integers(1 << n)) & ~(be | bx)
+        vals[A | be | bx] = vals[A | bx] + vals[A | be] - vals[A] + gen.integers(1, 8) / 8
+    vals -= vals.min()  # non-negative; the smallest entries become +0.0
+    vals[(vals == 0) & (gen.random(1 << n) < 0.5)] = -0.0
+    expected = (reference.diminishing_returns(vals), reference.nondecreasing(vals))
+    assert (_diminishing_returns(vals), _nondecreasing(vals)) == expected
+    if dyadic:  # exact arithmetic: submodular unless a violation was planted
+        assert expected[0] is not planted
