@@ -29,7 +29,6 @@ from .core import (
     SolveResult,
     ValueOracle,
     _check_cap,
-    _each_set,
     _id_array,
     _independent_levels,
     _walk_order,
@@ -384,11 +383,11 @@ def brute_force_opt(f: ValueOracle, I: IndependenceOracle) -> SolveResult:
     dependent set; ties go to the first set in the search's pre-order.
     Refuses more than 22 elements.
 
-    f is evaluated in that pre-order (:func:`~submax.core._walk_order`),
-    which keeps the ties and the cached base of the recursive search, into
-    one value array whose first maximum wins; the sets are held as one int64
-    array of masks, never as one object each, and the levels only until they
-    are joined."""
+    f is asked in that pre-order (:func:`~submax.core._walk_order`), which
+    keeps the ties and the cached base of the recursive search, in one
+    :meth:`~submax.core.ValueOracle.values_masks` batch whose first maximum
+    wins; the sets are held as one int64 array of masks, never as one
+    object each, and the levels only until they are joined."""
     ground = f.ground
     _check_cap("brute_force_opt", ground.n)
     run = _Run(f, I)
@@ -397,7 +396,7 @@ def brute_force_opt(f: ValueOracle, I: IndependenceOracle) -> SolveResult:
     # the keys are distinct; a stable sort faults in less of numpy's code than
     # the default one (0.12 against 0.38 MiB of peak RSS in a fresh process)
     masks = masks[np.argsort(_walk_order(masks, n), kind="stable")]
-    values = _each_set(ground, elems, masks, f.value, float)
+    values = f.values_masks(elems, masks)
     i = int(values.argmax())  # f >= 0, never NaN: the first maximum in walk order
     best = int(masks[i])
     solution = ground.set(e for e in elems if best >> e & 1)

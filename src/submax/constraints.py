@@ -90,29 +90,29 @@ class _RoomSystem(IndependenceOracle):
 
 class _RoomExtensions(ExtensionState):
     """The room left in each group of a :class:`_RoomSystem`, and a mask of
-    the elements that cannot join.  Adding u charges each group of u.  The
-    mask gains a group's members when its room reaches 0, and only then
-    (from the start for a room of 0): unmasked means fits."""
+    the elements that can still join.  Adding u charges each group of u.
+    The mask loses a group's members when its room reaches 0, and only then
+    (from the start for a room of 0): masked means fits."""
 
     def __init__(self, system: _RoomSystem):
         self.groups_of, self.room, self.members = system._groups_of, dict(system.rooms), system._members
-        self.blocked = np.zeros(system.ground.n, dtype=bool)
+        self.open = np.ones(system.ground.n, dtype=bool)
         for g, r in self.room.items():
             if r <= 0:
-                self.blocked[self.members[g]] = True
+                self.open[self.members[g]] = False
 
     def add(self, u: int) -> None:
         for g in self.groups_of(u):
             if g in self.room:
                 self.room[g] -= 1
                 if self.room[g] == 0:
-                    self.blocked[self.members[g]] = True
+                    self.open[self.members[g]] = False
 
     def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
-        return candidates[~self.blocked[candidates]]
+        return candidates[self.open[candidates]]
 
     def fits(self, S: ElementSet, u: int) -> bool:
-        return not self.blocked[u]
+        return bool(self.open[u])
 
 
 class UniformMatroid(_RoomSystem):

@@ -85,24 +85,32 @@ class GroundSet:
         return ElementSet(self, members)
 
 
+def _outside(e: int, ground: GroundSet) -> ValueError:
+    """The error for an id ``e`` outside ``ground``."""
+    return ValueError(f"element {e} outside ground set of size {ground.n}")
+
+
 class ElementSet:
     """An immutable subset of a :class:`GroundSet`.
 
     Members are stored as a sorted duplicate-free tuple; a frozenset backs
     O(1) membership tests.  Equality and hashing consider the universe size
-    and the member tuple.
+    and the member tuple.  ``_table``, filled on first use by
+    :func:`_meets`, is the set's membership table for batch checks: the set
+    never changes, so the table never goes stale.
     """
 
-    __slots__ = ("universe", "members", "_memberset")
+    __slots__ = ("universe", "members", "_memberset", "_table")
 
     def __init__(self, universe: GroundSet, members: Iterable[int] = ()):
         ms = sorted(set(int(e) for e in members))
         if ms and (ms[0] < 0 or ms[-1] >= universe.n):
             bad = ms[0] if ms[0] < 0 else ms[-1]
-            raise ValueError(f"element {bad} outside ground set of size {universe.n}")
+            raise _outside(bad, universe)
         self.universe = universe
         self.members = tuple(ms)
         self._memberset = frozenset(ms)
+        self._table = None
 
     @classmethod
     def _raw(cls, universe: GroundSet, sorted_members: tuple) -> "ElementSet":
@@ -111,13 +119,14 @@ class ElementSet:
         obj.universe = universe
         obj.members = sorted_members
         obj._memberset = frozenset(sorted_members)
+        obj._table = None
         return obj
 
     def with_element(self, e: int) -> "ElementSet":
         if e in self._memberset:
             return self
         if e < 0 or e >= self.universe.n:
-            raise ValueError(f"element {e} outside ground set of size {self.universe.n}")
+            raise _outside(e, self.universe)
         i = bisect.bisect_left(self.members, e)
         return ElementSet._raw(self.universe, self.members[:i] + (e,) + self.members[i:])
 
@@ -273,7 +282,7 @@ def _id_array(ground: GroundSet, ids: Optional[Iterable[int]] = None) -> np.ndar
         return np.arange(ground.n, dtype=np.intp)
     a = ids.astype(np.intp) if isinstance(ids, np.ndarray) else np.fromiter(ids, np.intp)
     if a.size and not (0 <= a.min() and a.max() < ground.n):
-        raise ValueError(f"element {int(a.min() if a.min() < 0 else a.max())} outside ground set of size {ground.n}")
+        raise _outside(int(a.min() if a.min() < 0 else a.max()), ground)
     keep = np.zeros(ground.n, dtype=bool)
     keep[a] = True
     return np.flatnonzero(keep)
@@ -286,10 +295,44 @@ def _elements(ground: GroundSet, elements: Optional[Iterable[int]]) -> list[int]
 
 
 def _meets(S: ElementSet, candidates) -> bool:
-    """Whether some of ``candidates`` (ids) is in ``S``, by one mask."""
-    inside = np.zeros(S.universe.n, dtype=bool)
-    inside[list(S.members)] = True
-    return bool(inside[np.asarray(candidates, dtype=np.intp)].any())
+    """Whether some of ``candidates`` (ids) is in ``S``, by one gather from
+    S's membership table, built on S's first check; an id outside the ground
+    set is a ValueError, as in :class:`ElementSet`.  The range is checked
+    first, by the largest id read as unsigned (a negative id reads as at
+    least 2^63): numpy casts an unsigned index array back to intp, so no
+    gather refuses every negative id.  ``argmax`` finds it at a third of the
+    call cost of ``np.max`` on a few hundred ids."""
+    table = S._table
+    if table is None:
+        table = S._table = np.zeros(S.universe.n, dtype=bool)
+        table[list(S.members)] = True
+    candidates = np.asarray(candidates, dtype=np.intp)
+    if candidates.size:
+        unsigned = candidates.view(np.uintp)
+        if unsigned[unsigned.argmax()] >= len(table):
+            _id_array(S.universe, candidates)  # raises, naming an id outside the ground set
+    return np.count_nonzero(table.take(candidates)) > 0
+
+
+def _mask_array(ground: GroundSet, elems: Sequence[int], masks) -> np.ndarray:
+    """``masks`` as an int64 array of subsets of ``elems``, bit i standing for
+    ``elems[i]``.  A list that is not sorted, distinct and in ``ground``, or
+    longer than 63, and a negative mask or one with a bit at or past
+    ``len(elems)`` are ValueErrors."""
+    if len(elems) > 63:
+        raise ValueError(f"an int64 mask names at most 63 elements, got {len(elems)}")
+    if _elements(ground, elems) != list(elems):
+        raise ValueError(f"elems must be sorted and distinct, got {list(elems)}")
+    masks = np.asarray(masks, dtype=np.int64)
+    bad = masks[(masks < 0) | (masks >> len(elems) != 0)]
+    if bad.size:
+        raise ValueError(f"mask {int(bad[0])} names a bit outside the {len(elems)} elements")
+    return masks
+
+
+def _mask_set(ground: GroundSet, elems: Sequence[int], mask: int) -> ElementSet:
+    """The subset of ``elems`` that the int ``mask`` names."""
+    return ElementSet._raw(ground, tuple(e for i, e in enumerate(elems) if mask >> i & 1))
 
 
 def _check_cap(name: str, n: int) -> None:
@@ -311,6 +354,9 @@ class ValueOracle:
     with :meth:`set_base` after deciding to extend their working set.
     :meth:`double_gains` answers double greedy's two queries from two states
     and counts them as the two evaluations the values would cost.
+    :meth:`values_masks` answers :meth:`value` for an array of subset masks
+    and counts as that loop.  A candidate id outside the ground set is a
+    ValueError, counted as no query.
     """
 
     def __init__(
@@ -352,6 +398,40 @@ class ValueOracle:
         self.cached_base = (S, v)
         return v
 
+    def values_masks(self, elems: Sequence[int], masks) -> np.ndarray:
+        """:meth:`value` of each subset of ``elems`` named by an int64 mask,
+        bit i standing for ``elems[i]``, asked in array order, as a float
+        array.  Values, counts and the cached base left behind are those of
+        that loop: a run of masks equal to the cached base is served its
+        cached value uncounted, the last set becomes the cached base, and the
+        first negative or NaN value evaluated raises
+        :class:`NonNegativityError`.  The input checks and their errors are
+        those of :meth:`IndependenceOracle.independent_masks`; a refused
+        input counts as no query.
+
+        An objective whose class defines a batch rule, ``_evaluate_masks``,
+        beside the ``evaluate`` in force answers every set in one pass; any
+        other oracle, and a batch with a negative or NaN value, asks
+        :meth:`value` one set at a time."""
+        masks = _mask_array(self.ground, elems, masks)
+        mro = type(self.objective).__mro__  # NoneType's without an objective
+        rule = next((c for c in mro if "_evaluate_masks" in vars(c)), None)
+        if rule is None or rule is not next(c for c in mro if "evaluate" in vars(c)) or not len(masks):
+            return _each_set(self.ground, elems, masks, self.value, float)
+        values = self.objective._evaluate_masks(elems, masks)
+        if not (values >= 0.0).all():  # the loop finds the first negative set it evaluates
+            return _each_set(self.ground, elems, masks, self.value, float)
+        fresh = np.ones(len(masks), dtype=bool)  # the masks the loop would evaluate
+        np.not_equal(masks[1:], masks[:-1], out=fresh[1:])
+        cached = self.cached_base
+        if cached is not None and cached[0] == _mask_set(self.ground, elems, int(masks[0])):
+            fresh[0] = False
+            ends = np.flatnonzero(fresh)
+            values[:int(ends[0]) if ends.size else len(masks)] = cached[1]
+        self.eval_count += int(np.count_nonzero(fresh))
+        self.cached_base = (_mask_set(self.ground, elems, int(masks[-1])), float(values[-1]))
+        return values
+
     def gain_state(self) -> "GainState":
         """A fresh incremental-gain state at the empty set: the objective's
         own when this oracle wraps one, else :class:`EvaluatedGains`."""
@@ -374,9 +454,8 @@ class ValueOracle:
         self.marginal_count += len(candidates)
         self.eval_count += len(candidates)
         g = state.gains(candidates)
-        bad = np.flatnonzero(~(base + g >= 0.0))
-        if bad.size:
-            i = int(bad[0])
+        if not (base + g >= 0.0).all():
+            i = int(np.flatnonzero(~(base + g >= 0.0))[0])
             self._negative(base + g[i], S.with_element(int(candidates[i])))
         return g
 
@@ -388,6 +467,8 @@ class ValueOracle:
         logical marginal and one evaluation, plus one evaluation of ``S``
         when it is not the cached base.
         """
+        if not 0 <= u < self.ground.n:
+            raise _outside(u, self.ground)
         if u in S:
             raise ValueError(f"marginal gains require candidates outside S={S!r}")
         base = self.value(S)
@@ -539,14 +620,7 @@ class IndependenceOracle:
         The class's :meth:`_accepts_masks` answers only when the class that
         defines it also defines the :meth:`_accepts` in force: a subclass that
         overrides :meth:`_accepts` alone is asked one set at a time."""
-        if len(elems) > 63:
-            raise ValueError(f"an int64 mask names at most 63 elements, got {len(elems)}")
-        if _elements(self.ground, elems) != list(elems):
-            raise ValueError(f"elems must be sorted and distinct, got {list(elems)}")
-        masks = np.asarray(masks, dtype=np.int64)
-        bad = masks[(masks < 0) | (masks >> len(elems) != 0)]
-        if bad.size:
-            raise ValueError(f"mask {int(bad[0])} names a bit outside the {len(elems)} elements")
+        masks = _mask_array(self.ground, elems, masks)
         self.membership_count += len(masks)
         mro = type(self).__mro__
         rule = next(c for c in mro if "_accepts_masks" in vars(c))
@@ -575,6 +649,8 @@ class IndependenceOracle:
     def fits(self, state: "ExtensionState", S: ElementSet, u: int) -> bool:
         """Whether S + u is independent, for one u not in ``S``: ``extensions``
         for ``[u]`` without the arrays, counted as one :meth:`is_independent`."""
+        if not 0 <= u < self.ground.n:
+            raise _outside(u, self.ground)
         if u in S:
             raise ValueError(f"extension queries require candidates outside S={S!r}")
         self.membership_count += 1

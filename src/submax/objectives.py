@@ -30,7 +30,6 @@ from .core import (
     Rng,
     ValueOracle,
     _check_cap,
-    _each_set,
     _elements,
     _halves,
 )
@@ -100,6 +99,21 @@ class ModularObjective(_ObjectiveBase):
         for e in S:
             total += w[e]
         return total
+
+    def _evaluate_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        """:meth:`evaluate` of each subset of ``elems`` named by ``masks``, bit
+        for bit: per element, in ascending order, every sum adds the weight
+        times the element's bit (a sum of non-negative weights from 0.0 is
+        never -0.0, so adding 0.0 leaves it unchanged), a block of 2^14 masks
+        at a time to bound the temporaries.  ``masks @ w`` would add in
+        another order."""
+        w = self.weights
+        values = np.zeros(len(masks))
+        for lo in range(0, len(masks), 1 << 14):
+            block, acc = masks[lo:lo + (1 << 14)], values[lo:lo + (1 << 14)]
+            for j, e in enumerate(elems):
+                acc += w[e] * (block >> j & 1)
+        return values
 
     def gain_state(self) -> GainState:
         return _ModularGains(self._weight_array)
@@ -594,7 +608,7 @@ def _value_table(f: ValueOracle, elements: Optional[Sequence[int]], name: str) -
     the list has passed the check's cap."""
     elems = _elements(f.ground, elements)
     _check_cap(name, len(elems))
-    return _each_set(f.ground, elems, np.arange(1 << len(elems), dtype=np.int64), f.value, float)
+    return f.values_masks(elems, np.arange(1 << len(elems), dtype=np.int64))
 
 
 def _diminishing_returns(vals: np.ndarray) -> bool:

@@ -4,6 +4,7 @@ and the coin-flip-instrumented equivalent."""
 from __future__ import annotations
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -427,6 +428,24 @@ def test_brute_force_holds_masks_not_sets():
         tracemalloc.stop()
     assert (res.solution.members, res.f_evals) == (tuple(range(9, 18)), 155_382)
     assert peak < 5 * 2**20
+
+
+def test_modular_brute_force_evaluates_no_set_one_at_a_time():
+    """A modular objective's values come from its batch rule: ``evaluate``
+    is never called, and the result and counts are the recursive search's."""
+    g = GroundSet(10)
+    runs = []
+    for solve in (brute_force_opt, reference.brute_force_opt):
+        with mock.patch.object(ModularObjective, "evaluate", autospec=True,
+                               side_effect=ModularObjective.evaluate) as spy:
+            f = ModularObjective(g, np.arange(10) / 8).oracle()
+            res = solve(f, make_partition_intersection(10, 2, 3))
+        runs.append((res.solution, res.value, res.f_evals, res.independence_checks, f.cached_base))
+        if solve is brute_force_opt:
+            assert spy.call_count == 0
+        else:
+            assert spy.call_count == res.f_evals > 0
+    assert runs[0] == runs[1]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import submax
 from submax import (
@@ -16,13 +17,16 @@ from submax import (
     NonNegativityError,
     Rng,
     SolveResult,
+    SyntheticSpec,
     UniformMatroid,
     ValueOracle,
     bernoulli,
+    generate,
 )
 from submax.core import _CAPS
 
 import reference
+from conftest import make_partition_intersection
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +139,186 @@ def test_set_base_preloads_cache():
     f.set_base(s, 2.0)
     assert f.value(s) == 2.0
     assert calls == []
+
+
+@pytest.mark.parametrize("system", ("uniform", "intersection"))
+@pytest.mark.parametrize("bad", [-1, -5, -6, -11, 5, 99])
+def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
+    """On ``synth:kind=modular,n=5``, an id outside 0..4 is the ValueError of
+    ``ElementSet`` in all four candidate queries, scalar and batch, counted
+    as no query: -1 does not read element 4's gain or room, and 5 raises no
+    bare IndexError."""
+    f, g = generate(SyntheticSpec(kind="modular", n=5, seed=1))
+    I = UniformMatroid(g, 3) if system == "uniform" else make_partition_intersection(5, 2, 1)
+    S = g.set([0])
+    state, ext = f.gain_state(), I.extension_state()
+    state.add(0)
+    ext.add(0)
+    counts = (f.eval_count, f.marginal_count, I.membership_count)
+    queries = (lambda: f.gain(state, S, bad), lambda: f.gains(state, S, [bad]),
+               lambda: f.gains(state, S, [1, bad, 2]), lambda: I.fits(ext, S, bad),
+               lambda: I.extensions(ext, S, [bad]), lambda: I.extensions(ext, S, np.array([1, bad, 2])))
+    for query in queries:
+        with pytest.raises(ValueError, match=f"^element {bad} outside ground set of size 5$"):
+            query()
+    assert (f.eval_count, f.marginal_count, I.membership_count) == counts
+
+
+def test_membership_table_belongs_to_its_set():
+    """A batch check reads the table of the set it is given: a larger set
+    built after its parent's table still refuses its own new member."""
+    g = GroundSet(6)
+    f, I = ModularObjective(g, [1.0] * 6).oracle(), UniformMatroid(g, 4)
+    S = g.set([0])
+    assert f.gains(f.gain_state(), S, [1, 2]).tolist() == [1.0, 1.0]
+    assert I.extensions(I.extension_state(), S, [1, 2]).tolist() == [1, 2]
+    T = S.with_element(1)
+    with pytest.raises(ValueError, match="outside S"):
+        f.gains(f.gain_state(), T, [2, 1])
+    with pytest.raises(ValueError, match="outside S"):
+        I.extensions(I.extension_state(), T, [2, 1])
+
+
+# ---------------------------------------------------------------------------
+# Values of mask arrays
+# ---------------------------------------------------------------------------
+
+
+def _bits(values) -> list[int]:
+    """Float values as IEEE bit patterns, so that -0.0 differs from 0.0."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+def _forbidden(S: ElementSet) -> float:
+    raise AssertionError(f"evaluated {S!r} one set at a time")
+
+
+def _loop(f: ValueOracle, elems, masks) -> list[float]:
+    return [f.value(reference._mask_set(f, elems, m)) for m in masks]
+
+
+def _state(f: ValueOracle):
+    """The counts and the cached base, its value as bits."""
+    base = f.cached_base and (f.cached_base[0], _bits([f.cached_base[1]]))
+    return f.eval_count, f.marginal_count, base
+
+
+@st.composite
+def modular_mask_batches(draw):
+    """Dyadic or real-valued weights (-0.0 among them), an element list,
+    masks with consecutive repeats (the empty mask among them), and the
+    cached base before the batch: none, the first mask's set at its value or
+    at another, or some other set."""
+    n = draw(st.integers(1, 9))
+    weight = st.integers(0, 40).map(lambda k: k / 8)
+    if draw(st.booleans()):
+        weight = st.floats(0.0, 1e6)
+    weights = draw(st.lists(st.one_of(st.just(-0.0), weight), min_size=n, max_size=n))
+    elems = sorted(draw(st.lists(st.integers(0, n - 1), unique=True)))
+    runs = draw(st.lists(st.tuples(st.integers(0, (1 << len(elems)) - 1), st.integers(1, 3)), max_size=12))
+    masks = [m for m, times in runs for _ in range(times)]
+    return weights, elems, masks, draw(st.sampled_from(("none", "first", "first-other-value", "other")))
+
+
+@given(modular_mask_batches())
+@settings(max_examples=300, deadline=None)
+def test_values_masks_equal_per_set_values_bit_for_bit(batch):
+    """The modular batch rule gives the loop of ``f.value`` bit for bit,
+    values, counts and cached base alike, without evaluating a set."""
+    weights, elems, masks, base = batch
+    g = GroundSet(len(weights))
+    batched, one_by_one = ModularObjective(g, weights).oracle(), ModularObjective(g, weights).oracle()
+    first = reference._mask_set(batched, elems, masks[0] if masks else 0)
+    for f in (batched, one_by_one):
+        if base == "first":
+            f.value(first)
+        elif base == "first-other-value":
+            f.set_base(first, 0.5)
+        elif base == "other":
+            f.value(g.full())
+    batched._fn = _forbidden
+    assert _bits(batched.values_masks(elems, masks)) == _bits(_loop(one_by_one, elems, masks))
+    assert _state(batched) == _state(one_by_one)
+
+
+class _Doubled(ModularObjective):
+    """Overrides ``evaluate`` alone: its batch queries must ask it."""
+
+    def evaluate(self, S):
+        return 2.0 * ModularObjective.evaluate(self, S)
+
+
+_WEIGHTS = [0.25, 1.5, 0.1, 3.0, 0.7, 2.0]
+_NO_BATCH_RULE = {
+    "bare-function": lambda: ValueOracle(ModularObjective(GroundSet(6), _WEIGHTS).evaluate, GroundSet(6)),
+    "evaluate-only-subclass": lambda: _Doubled(GroundSet(6), _WEIGHTS).oracle(),
+    "coverage-dispersion": lambda: generate(SyntheticSpec(kind="coverage_dispersion", n=6, seed=2))[0],
+}
+
+
+@pytest.mark.parametrize("make", _NO_BATCH_RULE.values(), ids=_NO_BATCH_RULE)
+def test_values_masks_ask_one_set_at_a_time_without_a_batch_rule(make):
+    elems, masks = [0, 2, 3, 5], [0, 5, 5, 15, 9, 0]
+    batched, one_by_one = make(), make()
+    asked, fn = [], batched._fn
+    batched._fn = lambda S: asked.append(S) or fn(S)
+    assert batched.values_masks(elems, masks).tolist() == _loop(one_by_one, elems, masks)
+    assert asked == [reference._mask_set(batched, elems, m) for m in (0, 5, 15, 9, 0)]
+    assert _state(batched) == _state(one_by_one)
+
+
+@pytest.mark.parametrize("how", ("rule", "bare-function", "coverage-dispersion"))
+def test_values_masks_refuse_bad_input(how):
+    """The refusals of ``independent_masks`` (n = 80), counted as no query
+    and leaving the cached base alone; 63 elements are answered."""
+    g = GroundSet(80)
+    if how == "coverage-dispersion":
+        f = generate(SyntheticSpec(kind="coverage_dispersion", n=80, seed=2))[0]
+    else:
+        f = ModularObjective(g, np.arange(80) / 8).oracle()
+        if how == "bare-function":
+            f = ValueOracle(f.objective.evaluate, g)
+    bad = [([-1, 0], [3]), ([0, 80], [1]), ([1, 0], [1]), ([0, 0], [1]),
+           ([0], [3]), ([0], [-1]), ([], [1]), (list(range(64)), [0])]
+    for elems, masks in bad:
+        with pytest.raises(ValueError):
+            f.values_masks(elems, masks)
+    assert (f.eval_count, f.cached_base) == (0, None)
+    elems, masks = list(range(63)), [2**63 - 1, 7, 0b10011]
+    assert f.values_masks(elems, masks).tolist() == [f._fn(reference._mask_set(f, elems, m)) for m in masks]
+
+
+class _Shifted(ModularObjective):
+    """f(S) = w(S) - 1, negative on light sets, with a batch rule of its own."""
+
+    def evaluate(self, S):
+        return ModularObjective.evaluate(self, S) - 1.0
+
+    def _evaluate_masks(self, elems, masks):
+        return ModularObjective._evaluate_masks(self, elems, masks) - 1.0
+
+
+@pytest.mark.parametrize("masks,cached,error", [
+    ([3, 3, 1, 0, 2], None, "-1.0 < 0 on ElementSet([])"),  # fourth: the first negative evaluated
+    ([0, 0, 1], (0, 2.5), None),  # a cached base is served unchecked, as value() serves it
+    ([1, 2, 4], (0, 2.5), "-0.5 < 0 on ElementSet([2])"),
+])
+def test_values_masks_raise_on_the_first_negative_set_evaluated(masks, cached, error):
+    """A batch rule's negative values raise as the loop of ``f.value``
+    does: the same message, counts and cached base left behind."""
+    g = GroundSet(3)
+    runs = []
+    for batch in (True, False):
+        f = _Shifted(g, [1.0, 1.0, 0.5]).oracle()
+        if cached is not None:
+            f.set_base(reference._mask_set(f, [0, 1, 2], cached[0]), cached[1])
+        try:
+            outcome = _bits(f.values_masks([0, 1, 2], masks) if batch else _loop(f, [0, 1, 2], masks))
+        except NonNegativityError as exc:
+            outcome = str(exc)
+        runs.append((outcome, _state(f)))
+    assert runs[0] == runs[1]
+    assert isinstance(runs[0][0], list) if error is None else runs[0][0].endswith(error)
 
 
 # ---------------------------------------------------------------------------

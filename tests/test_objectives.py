@@ -262,9 +262,10 @@ def test_check_forms_agree():
 
 @pytest.mark.parametrize("kind", ["coverage_dispersion", "weighted_coverage", "cut", "modular"])
 def test_value_table_equals_the_per_set_reference(kind):
-    """The value table, built by the package's one per-set loop
-    (``core._each_set``), gives the reference's values index for index and
-    makes the same counted evaluations, one per subset."""
+    """The value table, built by ``f.values_masks`` (modular's batch rule,
+    the per-set loop ``core._each_set`` for the other kinds), gives the
+    reference's values index for index and makes the same counted
+    evaluations, one per subset."""
     elems = [0, 2, 3, 5, 6, 8]
     f, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
     ref, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
