@@ -400,13 +400,14 @@ def max_feasible_size(I: IndependenceOracle) -> int:
     :func:`~submax.core._independent_levels`, the independent sets one size
     at a time, each size asked about in one batch.  Otherwise a
     greedy-augmentation lower bound, flagged by a log warning once per
-    process and n.
+    process and n, except on a uniform or partition matroid, whose greedy
+    bound is its rank.
     """
     elems = _elements(I.ground, None)
     n, cap = len(elems), _CAPS["max_feasible_size"]
     if n <= cap:
         return sum(1 for _level in _independent_levels(I, elems)) - 1
-    if n not in _bound_warned:
+    if type(I) not in (UniformMatroid, PartitionMatroid) and n not in _bound_warned:
         _bound_warned.add(n)
         logger.warning(
             "max_feasible_size: n=%d exceeds exhaustive cap %d; returning a greedy "

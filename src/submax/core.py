@@ -254,6 +254,17 @@ def _each_set(ground: GroundSet, elems: Sequence[int], masks: np.ndarray,
     return out
 
 
+def _batch_rule(obj, batch: str, single: str) -> Optional[Callable]:
+    """``obj``'s method ``batch``, when the class that defines it also defines
+    the method ``single`` in force, else None: a subclass that overrides
+    ``single`` alone is asked one set at a time."""
+    mro = type(obj).__mro__
+    rule = next((c for c in mro if batch in vars(c)), None)
+    if rule is None or rule is not next((c for c in mro if single in vars(c)), None):
+        return None
+    return getattr(obj, batch)
+
+
 def _halves(table: np.ndarray, i: int) -> np.ndarray:
     """A mask-indexed ``table`` as [:, 0] the masks without bit i and [:, 1] with it."""
     return table.reshape(-1, 2, 1 << i)
@@ -414,11 +425,10 @@ class ValueOracle:
         other oracle, and a batch with a negative or NaN value, asks
         :meth:`value` one set at a time."""
         masks = _mask_array(self.ground, elems, masks)
-        mro = type(self.objective).__mro__  # NoneType's without an objective
-        rule = next((c for c in mro if "_evaluate_masks" in vars(c)), None)
-        if rule is None or rule is not next(c for c in mro if "evaluate" in vars(c)) or not len(masks):
+        rule = _batch_rule(self.objective, "_evaluate_masks", "evaluate")
+        if rule is None or not len(masks):
             return _each_set(self.ground, elems, masks, self.value, float)
-        values = self.objective._evaluate_masks(elems, masks)
+        values = rule(elems, masks)
         if not (values >= 0.0).all():  # the loop finds the first negative set it evaluates
             return _each_set(self.ground, elems, masks, self.value, float)
         fresh = np.ones(len(masks), dtype=bool)  # the masks the loop would evaluate
@@ -571,9 +581,9 @@ class IndependenceOracle:
     ``k`` is the declared system parameter (k-system / k-extendibility bound)
     used by algorithms for sampling rates and by reports; it is metadata, not
     something the oracle enforces.  Subclasses pass ``fn=None`` and override
-    :meth:`_accepts`, and may override :meth:`_accepts_masks` beside it; the
-    uniform, partition and genre constraints inherit both from one room rule
-    (``constraints._RoomSystem``).
+    :meth:`_accepts`, and may define a batch rule ``_accepts_masks`` beside
+    it; the uniform, partition and genre constraints inherit both from one
+    room rule (``constraints._RoomSystem``).
 
     :meth:`extensions` answers "is S + u independent?" for a batch of
     candidates, and :meth:`fits` for one, from a per-run extension state
@@ -602,13 +612,6 @@ class IndependenceOracle:
         self.membership_count += 1
         return self._accepts(S)
 
-    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
-        """:meth:`_accepts` of each subset of ``elems`` named by ``masks``, as a
-        bool array: one call per mask.  A class whose membership follows from
-        counts of S over a few groups of elements overrides this with one
-        numpy pass per group."""
-        return _each_set(self.ground, elems, masks, self._accepts, bool)
-
     def independent_masks(self, elems: Sequence[int], masks) -> np.ndarray:
         """:meth:`is_independent` of each subset of ``elems`` (sorted, distinct,
         in ``ground``) named by an int64 mask, bit i standing for ``elems[i]``,
@@ -617,16 +620,16 @@ class IndependenceOracle:
         ``ground``, or longer than 63, and a negative mask or one with a bit
         at or past ``len(elems)`` are ValueErrors, counted as no query.
 
-        The class's :meth:`_accepts_masks` answers only when the class that
-        defines it also defines the :meth:`_accepts` in force: a subclass that
-        overrides :meth:`_accepts` alone is asked one set at a time."""
+        A class's batch rule ``_accepts_masks`` (one numpy pass per group of
+        elements, say) answers only beside the :meth:`_accepts` in force, as
+        :func:`_batch_rule` reads it; any other oracle is asked one set at a
+        time."""
         masks = _mask_array(self.ground, elems, masks)
         self.membership_count += len(masks)
-        mro = type(self).__mro__
-        rule = next(c for c in mro if "_accepts_masks" in vars(c))
-        if rule is not next(c for c in mro if "_accepts" in vars(c)):
-            return IndependenceOracle._accepts_masks(self, elems, masks)
-        return self._accepts_masks(elems, masks)
+        rule = _batch_rule(self, "_accepts_masks", "_accepts")
+        if rule is None:
+            return _each_set(self.ground, elems, masks, self._accepts, bool)
+        return rule(elems, masks)
 
     def extension_state(self) -> "ExtensionState":
         """A fresh extension state at the empty set: the system's own when it

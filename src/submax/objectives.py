@@ -15,10 +15,8 @@ inequalities exactly.
 from __future__ import annotations
 
 import csv
-import itertools
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -37,13 +35,24 @@ from .core import (
 _DENOM = 8.0  # dyadic denominator for synthetic data
 
 
-def _check_total(data, what: str) -> None:
-    """Refuse data with a non-finite entry, or finite entries whose total
-    overflows: a finite total of non-negative data bounds every f(S)."""
+def _check_data(data: np.ndarray, what: str) -> None:
+    """Refuse data with a non-finite entry, finite entries whose total
+    overflows, or a negative entry: a finite total of non-negative data
+    bounds every f(S)."""
     with np.errstate(over="ignore", invalid="ignore"):
         total = np.sum(data)
     if not np.isfinite(total):
         raise ValueError(f"{what} and their total must be finite")
+    if np.any(data < 0):
+        raise ValueError(f"{what} must be non-negative")
+
+
+def _sequential_sum(x: np.ndarray) -> float:
+    """0.0 + x[0] + x[1] + ... left to right, as ``np.bincount`` adds (so -0.0
+    terms sum to 0.0): ``np.sum`` is pairwise and the builtin ``sum``
+    compensated from Python 3.12.  ``np.cumsum`` calls this method, through
+    a Python dispatch layer that costs more than the sum of a short row."""
+    return float(x.cumsum()[-1]) + 0.0 if x.size else 0.0
 
 
 class _ObjectiveBase:
@@ -81,24 +90,17 @@ class ModularObjective(_ObjectiveBase):
 
     def __init__(self, ground: GroundSet, weights: Mapping[int, float] | Sequence[float]):
         if isinstance(weights, Mapping):
-            w = [float(weights.get(e, 0.0)) for e in ground.elements]
-        else:
-            w = [float(x) for x in weights]
-            if len(w) != ground.n:
-                raise ValueError(f"expected {ground.n} weights, got {len(w)}")
-        _check_total(w, "modular weights")
-        if any(x < 0 for x in w):
-            raise ValueError("modular weights must be non-negative")
+            weights = [weights.get(e, 0.0) for e in ground.elements]
+        w = np.fromiter(weights, dtype=float)
+        if len(w) != ground.n:
+            raise ValueError(f"expected {ground.n} weights, got {len(w)}")
+        _check_data(w, "modular weights")
+        w.flags.writeable = False
         self.ground = ground
-        self.weights = tuple(w)
-        self._weight_array = np.array(w, dtype=float)
+        self.weights = w
 
     def evaluate(self, S: ElementSet) -> float:
-        w = self.weights
-        total = 0.0  # added left to right: builtin sum is compensated from Python 3.12 on
-        for e in S:
-            total += w[e]
-        return total
+        return _sequential_sum(self.weights[np.fromiter(S.members, dtype=np.intp, count=len(S))])
 
     def _evaluate_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
         """:meth:`evaluate` of each subset of ``elems`` named by ``masks``, bit
@@ -116,7 +118,7 @@ class ModularObjective(_ObjectiveBase):
         return values
 
     def gain_state(self) -> GainState:
-        return _ModularGains(self._weight_array)
+        return _ModularGains(self.weights)
 
 
 class _ModularGains(GainState):
@@ -239,9 +241,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
             raise ValueError(
                 f"similarity must be {ground.n}x{ground.n}, got {similarity.shape}"
             )
-        _check_total(similarity, "similarity entries")
-        if np.any(similarity < 0):
-            raise ValueError("similarity entries must be non-negative")
+        _check_data(similarity, "similarity entries")
         exact = _check_symmetric(similarity, *self._symmetry)
         lam = float(lam)
         if not 0.0 <= lam <= 1.0:
@@ -315,66 +315,52 @@ class CutObjective(CoverageDispersionObjective):
 class WeightedCoverageObjective(_ObjectiveBase):
     """f(S) = total weight of items covered by at least one element of S.
 
-    Monotone and submodular.  ``covers[e]`` is the set of item indices element
-    e covers; ``item_weights`` are non-negative.
+    Monotone and submodular.  ``covers[e]`` lists the item indices element e
+    covers, a repeated item once; ``item_weights`` are non-negative.  The
+    covers are kept as compressed rows: element e covers
+    ``_items[_indptr[e]:_indptr[e + 1]]``, in ascending order.
     """
 
     declares_monotone = True
 
-    def __init__(
-        self,
-        ground: GroundSet,
-        covers: Sequence[Iterable[int]],
-        item_weights: Sequence[float],
-    ):
+    def __init__(self, ground: GroundSet, covers: Sequence[Iterable[int]],
+                 item_weights: Sequence[float]):
         if len(covers) != ground.n:
             raise ValueError(f"expected {ground.n} cover sets, got {len(covers)}")
         if isinstance(item_weights, Mapping):
             raise ValueError("item_weights must be a sequence indexed by item id, not a mapping")
-        _check_total(item_weights, "item weights")
-        if any(w < 0 for w in item_weights):
-            raise ValueError("item weights must be non-negative")
+        w = np.fromiter(item_weights, dtype=float)
+        _check_data(w, "item weights")
+        w.flags.writeable = False
         self.ground = ground
-        self.item_weights = tuple(float(w) for w in item_weights)
-        self.covers = tuple(frozenset(c) for c in covers)
-        # covers in compressed rows: element e covers items[indptr[e]:indptr[e+1]]
-        sizes = np.fromiter(map(len, self.covers), dtype=np.intp, count=ground.n)
-        self._indptr = np.zeros(ground.n + 1, dtype=np.intp)
-        np.cumsum(sizes, out=self._indptr[1:])
-        items = np.fromiter(itertools.chain.from_iterable(self.covers), dtype=np.intp,
-                            count=int(self._indptr[-1]))
-        bad = (items < 0) | (items >= len(self.item_weights))
+        self.item_weights = w
+        rows = [np.fromiter(c, dtype=np.intp) for c in covers]
+        sizes = np.fromiter(map(len, rows), dtype=np.intp, count=ground.n)
+        items = np.concatenate([np.empty(0, dtype=np.intp), *rows])
+        bad = (items < 0) | (items >= w.size)
         if bad.any():
             raise ValueError(f"cover refers to unknown items: {np.unique(items[bad])[:5].tolist()}")
-        # each cover's items ascending, the order its gains are summed in: one
-        # sort on (element, item) keys, which are distinct
-        key = np.repeat(np.arange(ground.n) * len(self.item_weights), sizes) + items
-        self._items = items[np.argsort(key, kind="stable")]
+        # one stable sort of (element, item) keys puts each cover's items in
+        # ascending order, the order its gains are summed in; a repeated item
+        # repeats its key, kept once
+        m = max(w.size, 1)  # without items every cover is empty
+        key = np.repeat(np.arange(ground.n) * m, sizes)
+        key += items
+        key.sort(kind="stable")
+        keep = np.ones(key.size, dtype=bool)
+        np.not_equal(key[1:], key[:-1], out=keep[1:])
+        key = key[keep]
+        self._indptr = np.searchsorted(key, np.arange(ground.n + 1) * m)
+        self._items = key % m
 
     def evaluate(self, S: ElementSet) -> float:
-        covered: set[int] = set()
+        covered = np.zeros(self.item_weights.size, dtype=bool)
         for e in S:
-            covered |= self.covers[e]
-        w = self.item_weights
-        total = 0.0  # added left to right, in the set's order, as in ModularObjective
-        for i in covered:
-            total += w[i]
-        return total
-
-    @cached_property
-    def _weight_array(self) -> np.ndarray:
-        return np.array(self.item_weights, dtype=float)
+            covered[self._items[self._indptr[e]:self._indptr[e + 1]]] = True
+        return _sequential_sum(self.item_weights[covered])  # in item order, as the gains add
 
     def gain_state(self) -> GainState:
-        return _CoverageGains(self._indptr, self._items, self._weight_array)
-
-
-def _sequential_sum(x: np.ndarray) -> float:
-    """x[0] + x[1] + ... left to right, as ``np.bincount`` adds: ``np.sum``
-    is pairwise and the builtin ``sum`` compensated from Python 3.12.
-    ``np.cumsum`` calls this method, through a Python dispatch layer that
-    costs more than the sum of a short gain row."""
-    return float(x.cumsum()[-1]) if x.size else 0.0
+        return _CoverageGains(self._indptr, self._items, self.item_weights)
 
 
 class _CoverageGains(GainState):

@@ -257,6 +257,26 @@ def test_cut_under_genre_constraint_keeps_the_whole_ground_set(capsys):
                                34, 35]
 
 
+def test_synthetic_coverage_dispersion_under_genre_constraint_is_restricted_to_n_u(capsys):
+    """A synthetic coverage-dispersion objective under a genre constraint is
+    the same objective restricted to N_u: double greedy walks N_u only."""
+    genres = "synth:count=4,seed=2"
+    assert run(["solve", "--alg", "double-greedy", "--genres", genres,
+                "--instance", "synth:kind=coverage_dispersion,n=40,seed=3",
+                "--constraint", "genre:m=6,mg=2,g=g0+g1"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    f, g = submax.generate(submax.SyntheticSpec(kind="coverage_dispersion", n=40, seed=3))
+    genre_of = cli._load_genres(cli.parse_genres_spec(genres), g.n)
+    nu = submax.GenreConstraint(g, genre_of, ["g0", "g1"], m=6, m_g=2).restricted_universe
+    assert 0 < len(nu) < g.n
+    obj = submax.CoverageDispersionObjective(g, f.objective.similarity, lam=0.5, universe_u=nu)
+    res = submax.unconstrained_max_det(obj.oracle(), nu)
+    assert (rep["solution"], rep["value"], rep["f_evals"]) == \
+        (list(res.solution.members), res.value, res.f_evals)
+    unrestricted = submax.unconstrained_max_det(f, g.full())
+    assert rep["solution"] != list(unrestricted.solution.members)
+
+
 def test_solve_genre_constraint_without_genres(capsys):
     assert run(["solve", "--alg", "greedy", "--similarity", SIM,
                 "--constraint", "genre:m=2,mg=1,g=action"]) == 2
@@ -445,6 +465,40 @@ def test_solve_genre_constraint_with_shipped_data(capsys):
     assert len(rep["solution"]) <= 4
 
 
+def test_solve_ell_two_equals_the_library_run(capsys):
+    assert run(["solve", "--alg", "repeated-greedy", "--ell", "2", "--instance", SYNTH,
+                "--constraint", "uniform:3"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    f, g = submax.generate(submax.SyntheticSpec(kind="coverage_dispersion", n=12, seed=3))
+    res = submax.repeated_greedy(f, UniformMatroid(g, 3), ell=2)
+    assert rep["ell"] == 2
+    assert (rep["solution"], rep["value"], rep["f_evals"], rep["marginal_evals"],
+            rep["independence_checks"]) == (list(res.solution.members), res.value, res.f_evals,
+                                            res.marginal_evals, res.independence_checks)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--alg", "repeated-greedy", "--ell", "0"], "--ell must be >= 1, got 0"),
+    (["solve", "--alg", "repeated-greedy", "--ell", "x"],
+     "--ell must be an integer or 'auto', got 'x'"),
+    (["solve", "--alg", "sample-greedy", "--seed", "1", "--best-of", "0"],
+     "--best-of must be >= 1, got 0"),
+    (["solve", "--alg", "greedy", "--best-of", "2"],
+     "--best-of needs a randomized algorithm; 'greedy' is deterministic"),
+    (["solve", "--alg", "sample-greedy", "--seed", "-1"],
+     "--seed must be an unsigned 64-bit integer, got -1"),
+    (["bench", "--alg", "greedy", "--trials", "0", "--sweep", "m=2:3"],
+     "--trials must be >= 1, got 0"),
+    (["bench", "--alg", ",", "--sweep", "m=2:3"], "bench needs at least one algorithm in --alg"),
+], ids=["ell-0", "ell-x", "best-of-0", "best-of-greedy", "seed-negative", "trials-0", "alg-empty"])
+def test_out_of_range_run_options_are_config_errors(tmp_path, capsys, argv, message):
+    out = ["--out", str(tmp_path / "b")] if argv[0] == "bench" else []
+    assert run(argv + ["--instance", SYNTH, "--constraint", "uniform:2"] + out) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err == f"error: {message}\n"
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("genres, constraint, message", [
     (GENRES, "genre:m=4,mg=2,g=action+dramma", "favourite genre(s) dramma label no element"),
     (GENRES, "genre:m=4,mg=2,g=actoin", "favourite genre(s) actoin label no element"),
@@ -584,6 +638,19 @@ def test_bench_report_pair_verification(tmp_path):
     csv_path.write_text("\n".join(text) + "\n")
     ok, detail = verify_report_pair(stem + ".jsonl", str(csv_path))
     assert not ok and "deadbeef" in detail
+
+
+def test_report_pair_verification_refuses_a_missing_header_and_mixed_hashes(tmp_path):
+    jsonl, csv_path = tmp_path / "b.jsonl", tmp_path / "b.summary.csv"
+    jsonl.write_text('{"config_hash": "aaaa"}\n\n{"config_hash": "aaaa"}\n')
+    csv_path.write_text("algorithm,m\ngreedy,2\n")
+    assert verify_report_pair(str(jsonl), str(csv_path)) == (
+        False, f"{csv_path} lacks a config_hash header")
+    csv_path.write_text("# config_hash=aaaa\nalgorithm,m\n")
+    assert verify_report_pair(str(jsonl), str(csv_path)) == (True, "")
+    jsonl.write_text('{"config_hash": "aaaa"}\n{"config_hash": "bbbb"}\n')
+    assert verify_report_pair(str(jsonl), str(csv_path)) == (
+        False, f"{jsonl} mixes config hashes: ['aaaa', 'bbbb']")
 
 
 def test_bench_requires_out_seed_and_constraint(tmp_path):
@@ -743,6 +810,12 @@ def test_verify_hard_instance(capsys):
     assert run(["verify", "--constraint", "hard:k=2,h=8,m=2,mode=M"]) == 0
     out = capsys.readouterr().out
     assert "witness" in out and "gadget-increments" in out
+
+
+def test_verify_skips_a_witness_of_non_integral_size(capsys):
+    assert run(["verify", "--constraint", "hard:k=2,h=8,m=3,mode=M", "--limit", "8"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert "witness            INFO  size formula 9/2 not integral; skipped" in lines
 
 
 def test_verify_catches_wrong_declared_k(capsys):

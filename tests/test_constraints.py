@@ -696,13 +696,20 @@ def test_max_feasible_size_greedy_path():
 
 
 def test_max_feasible_size_warns_once_per_size_and_cap(caplog, monkeypatch):
+    """A general system past the cap warns once per n; a uniform or partition
+    matroid, whose greedy bound is its rank, stays silent."""
     monkeypatch.setattr(constraints, "_bound_warned", set())
     cap = _CAPS["max_feasible_size"]
+    g = GroundSet(cap + 1)
+    genre_of = {e: {f"g{e % 3}"} for e in g}
     with caplog.at_level(logging.WARNING, logger="submax.constraints"):
         assert max_feasible_size(UniformMatroid(GroundSet(cap), 3)) == 3  # exact, no warning
-        assert not caplog.records
-        g = GroundSet(cap + 1)
         assert max_feasible_size(UniformMatroid(g, 7)) == 7
+        assert max_feasible_size(PartitionMatroid(g, {e: f"b{e % 5}" for e in g},
+                                                  {f"b{i}": 1 for i in range(5)})) == 5
+        assert not caplog.records
+        assert max_feasible_size(GenreConstraint(g, genre_of, ["g0", "g1"], m=5, m_g=2)) == 4
+        assert max_feasible_size(GenreConstraint(g, genre_of, ["g0", "g1", "g2"], m=3, m_g=2)) == 3
         assert max_feasible_size(UniformMatroid(g, 5)) == 5
     assert len(caplog.records) == 1
     assert caplog.records[0].getMessage() == (

@@ -205,17 +205,24 @@ def test_coverage_dispersion_candidates_outside_universe_raise():
     assert res.solution.issubset(obj.universe_u)
 
 
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", [*KINDS, "negative_zero_coverage"])
 def test_scalar_gain_is_its_batch_entry_bit_for_bit(kind):
     # 40 elements over 80 items: a weighted-coverage gain sums ~40 weights,
     # where np.sum's pairwise blocks would round differently from bincount
-    obj, g = real_objective(kind, 40, 4, 0.5, 0.5)
+    if kind == "negative_zero_coverage":
+        # -0.0 passes the sign check; elements 0 and 1 cover only -0.0 items,
+        # which bincount adds to 0.0 from its 0.0 start
+        g = GroundSet(40)
+        covers = [[0, 1], [1]] + [[i] for i in range(2, 40)]
+        obj = WeightedCoverageObjective(g, covers, [-0.0, -0.0] + [0.5] * 38)
+    else:
+        obj, g = real_objective(kind, 40, 4, 0.5, 0.5)
     state = obj.gain_state()
     for u in (3, 7, 9, 20):
         state.add(u)
     state.remove(7)
     rest = [u for u in g if u not in (3, 9, 20)]
-    assert [state.gain(u) for u in rest] == state.gains(rest).tolist()
+    assert np.array([state.gain(u) for u in rest]).tobytes() == state.gains(rest).tobytes()
 
 
 @pytest.mark.parametrize("kind", KINDS)

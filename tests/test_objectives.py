@@ -53,11 +53,18 @@ def _left_to_right(values) -> float:
 def test_evaluate_adds_left_to_right():
     """Modular and weighted-coverage values are plain left-to-right float
     sums, on every Python: from 3.12 on the builtin ``sum`` compensates, and
-    0.1 + 0.2 + 0.3 would read 0.6 instead of 0.6000000000000001."""
+    0.1 + 0.2 + 0.3 would read 0.6 instead of 0.6000000000000001.  Modular
+    adds in ascending element order and weighted coverage in ascending item
+    order, whatever order a cover lists its items in."""
     g = GroundSet(3)
     assert ModularObjective(g, [0.1, 0.2, 0.3]).evaluate(g.full()) == 0.1 + 0.2 + 0.3
     assert WeightedCoverageObjective(g, [{0}, {1}, {2}], [0.1, 0.2, 0.3]).evaluate(g.full()) \
         == 0.1 + 0.2 + 0.3
+    # the set {1, 2, 8} iterates as 8, 1, 2, which adds to 0.6
+    w = [0.0, 0.2, 0.1] + [0.0] * 5 + [0.3]
+    two = GroundSet(2)
+    assert WeightedCoverageObjective(two, [{8}, {2, 1}], w).evaluate(two.full()) \
+        == _left_to_right([0.2, 0.1, 0.3]) != _left_to_right(w[i] for i in {1, 2, 8})
     gen = np.random.default_rng(5)
     n = 12
     weights = gen.random(n).tolist()
@@ -71,7 +78,7 @@ def test_evaluate_adds_left_to_right():
         covered: set[int] = set()
         for e in S:
             covered |= covers[e]
-        assert coverage.evaluate(S) == _left_to_right(item_weights[i] for i in covered)
+        assert coverage.evaluate(S) == _left_to_right(item_weights[i] for i in sorted(covered))
 
 
 def test_modular_rejects_negative_weights():
@@ -398,7 +405,7 @@ def test_vectorised_generation_equals_loop_reference(spec):
         assert list(obj.weights) == _modular_loop(gen, spec.n, spec.tie_free)
     elif spec.kind == "weighted_coverage":
         covers, item_w = _coverage_loop(gen, spec.n, spec.density, spec.tie_free)
-        assert [sorted(c) for c in obj.covers] == covers
+        assert _cover_rows(obj) == covers
         assert list(obj.item_weights) == item_w
     else:
         ref = _symmetric_dyadic_loop(gen, spec.n, spec.density, spec.tie_free)
@@ -457,17 +464,30 @@ def test_full_universe_row_coverage_is_the_column_copy_sum(n, layout):
     assert obj._row_coverage.tobytes() == ref.tobytes()
 
 
+def _cover_rows(obj) -> list:
+    """Each element's cover, read from the compressed rows (at n = 0,
+    ``np.split`` still returns one empty piece)."""
+    return [r.tolist() for r in np.split(obj._items, obj._indptr[1:-1])][:obj.ground.n]
+
+
 def test_weighted_coverage_gain_rows_are_sorted_covers():
     covers = [{9, 1, 8, 0}, set(), {3}, {7, 2, 16, 5}]
     obj = WeightedCoverageObjective(GroundSet(4), covers, [1.0] * 17)
-    rows = np.split(obj._items, obj._indptr[1:-1])
-    assert [r.tolist() for r in rows] == [sorted(c) for c in covers]
+    assert _cover_rows(obj) == [sorted(c) for c in covers]
+    # an item a cover repeats is covered once
+    repeated = [[9, 1, 9, 0, 1], [3, 3], [], [16, 2, 16]]
+    obj = WeightedCoverageObjective(GroundSet(4), repeated, [2.0 ** -i for i in range(17)])
+    assert _cover_rows(obj) == [[0, 1, 9], [3], [], [2, 16]]
+    assert obj.evaluate(GroundSet(4).set([0, 1])) == 1 + 0.5 + 2.0 ** -9 + 2.0 ** -3
+    assert obj.gain_state().gains([0, 1]).tolist() == [1 + 0.5 + 2.0 ** -9, 2.0 ** -3]
     with pytest.raises(ValueError, match=r"cover refers to unknown items: \[-2, -1, 17, 20, 30\]"):
         WeightedCoverageObjective(GroundSet(2), [{30, 0, -1, 17, 40}, {20, -2, 17}], [1.0] * 17)
 
 
 @pytest.mark.parametrize("kind,density,tie_free,cap_mib", [
     ("weighted_coverage", 0.01, False, 16),
+    # the covers arrive as 4M Python ints, one list per element
+    ("weighted_coverage", 0.5, False, 360),
     ("coverage_dispersion", 0.5, False, 72),
     # the tie-free draw permutes its 8 * 1,999,000 candidates (122 MiB), and
     # drawing from an array of them would hold another copy
@@ -521,6 +541,25 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SyntheticSpec(kind="cut", n=5, seed=1, density=1.5).validate()
     SyntheticSpec(kind="cut", n=0, seed=1).validate()  # empty ground is legal
+
+
+def test_objectives_refuse_negative_data_by_name():
+    g = GroundSet(2)
+    with pytest.raises(ValueError, match="^modular weights must be non-negative$"):
+        ModularObjective(g, [1.0, -0.5])
+    with pytest.raises(ValueError, match="^item weights must be non-negative$"):
+        WeightedCoverageObjective(g, [[0], [1]], [1.0, -0.5])
+    with pytest.raises(ValueError, match="^similarity entries must be non-negative$"):
+        CoverageDispersionObjective(g, np.array([[0.0, -1.0], [-1.0, 0.0]]), lam=0.5)
+
+
+def test_weights_are_one_read_only_array():
+    g = GroundSet(2)
+    for w in (ModularObjective(g, {1: 2.0}).weights,
+              WeightedCoverageObjective(g, [[0], [1, 0]], (1.0, 2.0)).item_weights):
+        assert w.dtype == float and w.tolist() in ([0.0, 2.0], [1.0, 2.0])
+        with pytest.raises(ValueError, match="read-only"):
+            w[0] = 5.0
 
 
 def test_weighted_coverage_rejects_mapping_weights():
