@@ -31,6 +31,7 @@ from .core import (
     _check_cap,
     _id_array,
     _independent_levels,
+    _mask_set,
     _walk_order,
     bernoulli,
 )
@@ -398,9 +399,7 @@ def brute_force_opt(f: ValueOracle, I: IndependenceOracle) -> SolveResult:
     masks = masks[np.argsort(_walk_order(masks, n), kind="stable")]
     values = f.values_masks(elems, masks)
     i = int(values.argmax())  # f >= 0, never NaN: the first maximum in walk order
-    best = int(masks[i])
-    solution = ground.set(e for e in elems if best >> e & 1)
-    return run.result("brute-force", None, solution, float(values[i]))
+    return run.result("brute-force", None, _mask_set(ground, elems, int(masks[i])), float(values[i]))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ from .core import (
     ValueOracle,
     _check_cap,
     _read_id_rows,
+    _subset_table,
 )
 from .hardness import (
     MODE_M,
@@ -71,7 +72,6 @@ from .objectives import (
     SyntheticSpec,
     _diminishing_returns,
     _nondecreasing,
-    _value_table,
     generate,
     load_similarity_csv,
 )
@@ -266,8 +266,7 @@ def _load_genres(spec: dict, n: int) -> dict:
 class _Instance(NamedTuple):
     objective: Optional[object]  # None when verify checks a constraint alone
     ground: Optional[GroundSet]
-    genre_of: Optional[dict]  # genre constraints only
-    partition: Optional[tuple[dict, dict]]  # (block_of, capacities); partition only
+    constraint: Optional[Callable[[dict], IndependenceOracle]]  # spec -> constraint; None without one
 
 
 _instances: dict[str, _Instance] = {}  # config hash -> instance, per process
@@ -276,12 +275,13 @@ _instances: dict[str, _Instance] = {}  # config hash -> instance, per process
 def _instance(cfg: dict) -> _Instance:
     """The read-only part of a config, built once per process: the objective
     (a coverage objective over the genre universe N_u under a genre
-    constraint), its ground set, the genre map and the partition blocks.
-    Each trial takes a fresh value oracle from it: ``objective.oracle()``."""
+    constraint), its ground set, and its constraint's builder (spec ->
+    constraint), which holds any genre map or partition blocks read.  Each
+    trial takes a fresh value oracle from it: ``objective.oracle()``."""
     if cfg["hash"] in _instances:
         return _instances[cfg["hash"]]
     source, spec = cfg["instance"], cfg["constraint"] or {"kind": None}
-    obj = ground = genre_of = partition = nu = None
+    obj = ground = build = nu = None
     try:
         if cfg["similarity"] is not None:  # its objective waits for N_u, below
             mat, _labels = load_similarity_csv(cfg["similarity"])
@@ -297,7 +297,12 @@ def _instance(cfg: dict) -> _Instance:
             obj = oracle.objective
         if spec["kind"] in ("uniform", "partition", "genre") and ground is None:
             raise ConfigError(f"{spec['kind']} constraint needs an objective for its ground set")
-        if spec["kind"] == "genre":
+        if spec["kind"] == "uniform":
+            build = lambda s: UniformMatroid(ground, s["m"])
+        elif spec["kind"] == "partition":
+            blocks = _load_partition_csv(spec["file"], ground.n)
+            build = lambda s: PartitionMatroid(ground, *blocks)
+        elif spec["kind"] == "genre":
             if cfg["genres"] is None:
                 raise ConfigError("genre constraint requires --genres (CSV or synth spec)")
             genre_of = _load_genres(cfg["genres"], ground.n)
@@ -305,12 +310,12 @@ def _instance(cfg: dict) -> _Instance:
             absent = [g for g in spec["g"] if g not in labelled]
             if absent:  # it would still count in the declared k
                 raise ConfigError(f"favourite genre(s) {', '.join(absent)} label no element")
+            build = lambda s: GenreConstraint(ground, genre_of, s["g"], m=s["m"], m_g=s["mg"])
             # a sweep never moves N_u; a cut (a subclass) keeps the whole ground set
             if cfg["similarity"] is not None or type(obj) is CoverageDispersionObjective:
-                nu = GenreConstraint(ground, genre_of, spec["g"], m=spec["m"],
-                                     m_g=spec["mg"]).restricted_universe
-        elif spec["kind"] == "partition":
-            partition = _load_partition_csv(spec["file"], ground.n)
+                nu = build(spec).restricted_universe
+        elif spec["kind"] == "hard":
+            build = lambda s: HardInstance(s["k"], s["h"], s["m"], s["mode"])
         if cfg["similarity"] is not None:
             obj = CoverageDispersionObjective(ground, mat, lam=cfg["lam"], universe_u=nu)
         elif nu is not None:  # a synthetic coverage-dispersion objective, restricted
@@ -318,7 +323,7 @@ def _instance(cfg: dict) -> _Instance:
                                               universe_u=nu)
     except ValueError as exc:  # malformed input data or parameters
         raise ConfigError(str(exc)) from None
-    _instances[cfg["hash"]] = _Instance(obj, ground, genre_of, partition)
+    _instances[cfg["hash"]] = _Instance(obj, ground, build)
     return _instances[cfg["hash"]]
 
 
@@ -327,8 +332,8 @@ _SWEEPABLE = {"uniform": ("m",), "genre": ("m", "mg"), "hard": ("m",)}
 
 def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):
     """The constraint at a sweep point (None without ``--constraint``), from
-    the config's :func:`_instance`: the one constraint builder of solve,
-    bench and verify."""
+    the builder of the config's :func:`_instance`: the one constraint
+    builder of solve, bench and verify."""
     if cfg["constraint"] is None:
         return None
     spec = dict(cfg["constraint"])
@@ -340,18 +345,10 @@ def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):
         spec[param] = value
     inst = _instance(cfg)
     try:
-        if kind == "uniform":
-            oracle = UniformMatroid(inst.ground, spec["m"])
-        elif kind == "partition":
-            oracle = PartitionMatroid(inst.ground, *inst.partition)
-        elif kind == "genre":
-            oracle = GenreConstraint(inst.ground, inst.genre_of, spec["g"], m=spec["m"],
-                                     m_g=spec["mg"])
-        else:  # hard
-            oracle = HardInstance(spec["k"], spec["h"], spec["m"], spec["mode"])
+        oracle = inst.constraint(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if kind == "hard" and inst.ground is not None and oracle.ground.n != inst.ground.n:
+    if inst.ground is not None and oracle.ground.n != inst.ground.n:  # a hard instance sizes its own
         raise ConfigError(
             f"hard constraint universe has n={oracle.ground.n} but the objective "
             f"has n={inst.ground.n}; size the instance to h*k*m"
@@ -669,10 +666,7 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
     oracle = _build_constraint(cfg, None)
     runs = []  # (exhaustive check's name, its elements)
     if obj is not None:
-        f_elems = list(inst.ground.elements)
-        if isinstance(obj, CoverageDispersionObjective):
-            f_elems = [e for e in f_elems if e in obj.universe_u]
-        f_elems = f_elems[:limit]
+        f_elems = list(obj.universe_u if isinstance(obj, CoverageDispersionObjective) else inst.ground)[:limit]
         runs += [("check_submodular", f_elems), ("check_monotone", f_elems)]
     if oracle is not None:
         elems = list(oracle.ground.elements)[:limit]
@@ -684,7 +678,7 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
     if obj is not None:
         f = obj.oracle()
         try:
-            vals = _value_table(f, f_elems, "check_submodular")  # 2^n evaluations for both checks
+            _, vals = _subset_table(f.ground, f_elems, "check_submodular", f.values_masks)  # 2^n evaluations for both checks
             for name, observed in (("submodular", _diminishing_returns(vals)),
                                    ("monotone", _nondecreasing(vals))):
                 declared = getattr(obj, f"declares_{name}", None)

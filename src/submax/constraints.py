@@ -27,12 +27,12 @@ from .core import (
     GroundSet,
     IndependenceOracle,
     _CAPS,
-    _check_cap,
-    _elements,
     _halves,
     _id_array,
     _independent_levels,
+    _mask_set,
     _read_id_rows,
+    _subset_table,
 )
 
 logger = logging.getLogger(__name__)
@@ -241,12 +241,15 @@ class GenreConstraint(_RoomSystem):
             raise ValueError("genre constraint needs at least one favourite genre")
         if m < 0:
             raise ValueError(f"global limit m must be >= 0, got {m}")
-        if isinstance(m_g, Mapping):
-            limits = {g: int(m_g[g]) for g in favorites}
-        else:
-            limits = {g: int(m_g) for g in favorites}
+        if not isinstance(m_g, Mapping):
+            m_g = dict.fromkeys(favorites, m_g)
+        missing = [g for g in favorites if g not in m_g]
+        if missing:
+            raise ValueError(f"no per-genre limit for favourite genre(s) {', '.join(missing)}")
+        limits = {g: int(m_g[g]) for g in favorites}
         if any(v < 0 for v in limits.values()):
             raise ValueError("per-genre limits must be >= 0")
+        _id_array(ground, genre_of)  # refuses an id outside the ground set
         self.genre_of = {e: frozenset(gs) for e, gs in genre_of.items()}
         self.favorites = favorites
         self.m = int(m)
@@ -279,19 +282,6 @@ def load_genres_csv(path) -> dict[int, frozenset]:
 # ---------------------------------------------------------------------------
 
 
-def _independence_table(I: IndependenceOracle, elements: Optional[Sequence[int]], name: str,
-                        k: int = 0) -> tuple[list[int], np.ndarray]:
-    """The element list of the verifier ``name`` and the boolean table of
-    ``I.is_independent`` over its subsets, indexed by mask: one batch of 2^n
-    counted queries, asked only once the list has passed the verifier's cap
-    and ``k`` is >= 0."""
-    elems = _elements(I.ground, elements)
-    _check_cap(name, len(elems))
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
-    return elems, I.independent_masks(elems, np.arange(1 << len(elems), dtype=np.int64))
-
-
 def verify_downward_closed(I: IndependenceOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustively check downward closure over all subsets of ``elements``.
 
@@ -299,7 +289,7 @@ def verify_downward_closed(I: IndependenceOracle, elements: Optional[Sequence[in
     deletion (which implies closure under arbitrary deletions): one pass over
     the table per element.
     """
-    elems, ind = _independence_table(I, elements, "verify_downward_closed")
+    elems, ind = _subset_table(I.ground, elements, "verify_downward_closed", I.independent_masks)
     return not any((t[:, 1] & ~t[:, 0]).any() for t in (_halves(ind, i) for i in range(len(elems))))
 
 
@@ -315,7 +305,7 @@ def verify_k_system(I: IndependenceOracle, elements: Optional[Sequence[int]] = N
     downward closure is assumed.  One pass over the table per element builds
     |B| and cl(B), and one more per element the rank (a subset-max transform).
     """
-    elems, ind = _independence_table(I, elements, "verify_k_system")
+    elems, ind = _subset_table(I.ground, elements, "verify_k_system", I.independent_masks)
     n = len(elems)
     size, closure = np.zeros(1 << n, dtype=np.intp), np.arange(1 << n)
     for i in range(n):
@@ -352,7 +342,9 @@ def verify_k_extendible(
     """
     if k is None:
         k = I.k
-    elems, ind = _independence_table(I, elements, "verify_k_extendible", k)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    elems, ind = _subset_table(I.ground, elements, "verify_k_extendible", I.independent_masks)
     n = len(elems)
     masks, bits = np.arange(1 << n), 1 << np.arange(n)
     size = np.bitwise_count(masks)
@@ -383,8 +375,7 @@ def verify_k_extendible(
             fails = sub_ind[r] & with_e & ~reach
             if fails.any():
                 p, c = np.unravel_index(fails.argmax(), fails.shape)
-                A, B = (tuple(x for i, x in enumerate(elems) if m >> i & 1)
-                        for m in (sub[r[p], c], Bs[r[p]]))
+                A, B = (_mask_set(I.ground, elems, int(m)).members for m in (sub[r[p], c], Bs[r[p]]))
                 logger.debug("k-extendibility fails: A=%s B=%s e=%s", A, B, elems[e[p]])
                 return False
     return True
@@ -403,7 +394,7 @@ def max_feasible_size(I: IndependenceOracle) -> int:
     process and n, except on a uniform or partition matroid, whose greedy
     bound is its rank.
     """
-    elems = _elements(I.ground, None)
+    elems = list(I.ground.elements)
     n, cap = len(elems), _CAPS["max_feasible_size"]
     if n <= cap:
         return sum(1 for _level in _independent_levels(I, elems)) - 1

@@ -352,6 +352,16 @@ def _check_cap(name: str, n: int) -> None:
         raise CapacityError(f"{name} is exhaustive; n={n} exceeds cap {_CAPS[name]}")
 
 
+def _subset_table(ground: GroundSet, elements: Optional[Iterable[int]], name: str,
+                  ask: Callable[[list[int], np.ndarray], np.ndarray]) -> tuple[list[int], np.ndarray]:
+    """:func:`_elements` of ``elements`` and ``ask`` (``values_masks`` or
+    ``independent_masks``) of its every subset, indexed by mask: one batch,
+    asked only once the list has passed the cap of the exhaustive ``name``."""
+    elems = _elements(ground, elements)
+    _check_cap(name, len(elems))
+    return elems, ask(elems, np.arange(1 << len(elems), dtype=np.int64))
+
+
 class ValueOracle:
     """Counted wrapper around a non-negative set function ``f: 2^N -> R``.
 
@@ -429,7 +439,7 @@ class ValueOracle:
         if rule is None or not len(masks):
             return _each_set(self.ground, elems, masks, self.value, float)
         values = rule(elems, masks)
-        if not (values >= 0.0).all():  # the loop finds the first negative set it evaluates
+        if not values[values.argmin()] >= 0.0:  # argmin: the least value or a NaN; the loop finds the first bad set
             return _each_set(self.ground, elems, masks, self.value, float)
         fresh = np.ones(len(masks), dtype=bool)  # the masks the loop would evaluate
         np.not_equal(masks[1:], masks[:-1], out=fresh[1:])
@@ -464,8 +474,9 @@ class ValueOracle:
         self.marginal_count += len(candidates)
         self.eval_count += len(candidates)
         g = state.gains(candidates)
-        if not (base + g >= 0.0).all():
-            i = int(np.flatnonzero(~(base + g >= 0.0))[0])
+        ok = base + g >= 0.0
+        i = int(ok.argmin())  # the first offender, if any
+        if not ok[i]:
             self._negative(base + g[i], S.with_element(int(candidates[i])))
         return g
 

@@ -27,9 +27,9 @@ from .core import (
     GroundSet,
     Rng,
     ValueOracle,
-    _check_cap,
-    _elements,
     _halves,
+    _id_array,
+    _subset_table,
 )
 
 _DENOM = 8.0  # dyadic denominator for synthetic data
@@ -90,6 +90,7 @@ class ModularObjective(_ObjectiveBase):
 
     def __init__(self, ground: GroundSet, weights: Mapping[int, float] | Sequence[float]):
         if isinstance(weights, Mapping):
+            _id_array(ground, weights)  # refuses an id outside the ground set
             weights = [weights.get(e, 0.0) for e in ground.elements]
         w = np.fromiter(weights, dtype=float)
         if len(w) != ground.n:
@@ -259,10 +260,8 @@ class CoverageDispersionObjective(_ObjectiveBase):
             # adds those row after row: the order in which the F-ordered copy
             # similarity[:, nu] adds its columns, at none of its cost
             self._row_coverage = similarity.sum(axis=0)
-        elif nu.size:
+        else:  # with N_u empty, n sums of no terms: +0.0
             self._row_coverage = similarity[:, nu].sum(axis=1)
-        else:
-            self._row_coverage = np.zeros(ground.n)
         self._universe_mask = np.zeros(ground.n, dtype=bool)
         self._universe_mask[nu] = True
         self.declares_monotone = True if lam == 0.0 else None
@@ -588,15 +587,6 @@ def _read_similarity_rows(path) -> tuple[np.ndarray, list]:
 # ---------------------------------------------------------------------------
 
 
-def _value_table(f: ValueOracle, elements: Optional[Sequence[int]], name: str) -> np.ndarray:
-    """f of every subset of the element list of the value check ``name``,
-    indexed by mask: one counted query each, in mask order, asked only once
-    the list has passed the check's cap."""
-    elems = _elements(f.ground, elements)
-    _check_cap(name, len(elems))
-    return f.values_masks(elems, np.arange(1 << len(elems), dtype=np.int64))
-
-
 def _diminishing_returns(vals: np.ndarray) -> bool:
     """Whether a mask-indexed value table has f(A+e) - f(A) >= f(A+x+e) - f(A+x)
     for every A and distinct e, x outside A: per e, the gains of adding e
@@ -624,9 +614,9 @@ def check_submodular(f: ValueOracle, elements: Optional[Sequence[int]] = None) -
     e, x outside A — the single-step form, which is equivalent to the general
     nested-sets form by induction.  Exact comparisons (no tolerance).
     """
-    return _diminishing_returns(_value_table(f, elements, "check_submodular"))
+    return _diminishing_returns(_subset_table(f.ground, elements, "check_submodular", f.values_masks)[1])
 
 
 def check_monotone(f: ValueOracle, elements: Optional[Sequence[int]] = None) -> bool:
     """Exhaustive monotonicity check: f(S + e) >= f(S) for all S and e ∉ S."""
-    return _nondecreasing(_value_table(f, elements, "check_monotone"))
+    return _nondecreasing(_subset_table(f.ground, elements, "check_monotone", f.values_masks)[1])

@@ -362,6 +362,19 @@ def test_sample_greedy_linear_rejects_non_modular():
     # the oracle's flag is the one attestation
     res = sample_greedy_linear(ValueOracle(f.objective.evaluate, g, modular=True), I, rng=Rng(0, 0))
     assert res.algorithm_name == "sample-greedy-linear"
+    I = UniformMatroid(g, 2)
+    I.k = 0
+    with pytest.raises(ValueError, match="^declared k must be >= 1, got 0$"):
+        sample_greedy_linear(ModularObjective(g, [1.0] * 6).oracle(), I, rng=Rng(0, 0))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: default_rounds(0), "k must be >= 1, got 0"),
+    (lambda: repeated_greedy_bound(2, 0, 3), "ell must be >= 1, got 0"),
+], ids=["rounds-k-0", "bound-ell-0"])
+def test_round_counts_below_one_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
 
 
 # ---------------------------------------------------------------------------

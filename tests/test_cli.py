@@ -908,6 +908,43 @@ def test_constraint_spec_parsing_errors():
                 "--constraint", "hard:k=2,h=7,m=2,mode=M"]) == 2  # h % 2k != 0
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["solve", "--instance", MODULAR, "--constraint", "genre:m=2,mg"],
+     "genre constraint: expected key=value, got 'mg'"),
+    (["solve", "--instance", MODULAR, "--constraint", "uniform"],
+     "constraint spec needs 'kind:...', got 'uniform'"),
+    (["solve", "--instance", MODULAR, "--constraint", "partition:"],
+     "partition constraint needs a CSV path: partition:FILE"),
+    (["solve", "--instance", MODULAR, "--genres", GENRES, "--constraint", "genre:m=2,mg=1,g="],
+     "genre constraint needs at least one genre in g=a+b+c"),
+    (["verify", "--constraint", "hard:k=1,h=2,m=1,mode=X"], "hard mode must be M or M', got 'X'"),
+    (["bench", "--instance", MODULAR, "--constraint", "uniform:2", "--sweep", "m"],
+     "sweep spec must look like mg=1:9, got 'm'"),
+    (["bench", "--instance", MODULAR, "--constraint", "uniform:2", "--sweep", "k=1:2"],
+     "sweep parameter must be 'm' or 'mg', got 'k'"),
+    (["bench", "--instance", MODULAR, "--constraint", "uniform:2", "--sweep", "m=3"],
+     "sweep range must be LO:HI, got '3'"),
+    (["bench", "--instance", MODULAR, "--constraint", "uniform:2", "--sweep", "m=a:2"],
+     "sweep bounds must be integers, got 'a:2'"),
+    (["solve", "--instance", "{tmp}/weights.csv", "--constraint", "uniform:2"],
+     "{tmp}/weights.csv: no weight rows"),
+    (["solve", "--instance", MODULAR, "--constraint", "partition:{tmp}/blocks.csv"],
+     "{tmp}/blocks.csv: no partition rows"),
+    (["verify", "--constraint", "uniform:3"], "uniform constraint needs an objective for its ground set"),
+], ids=["part-without-eq", "no-kind", "partition-no-path", "genre-no-genre", "hard-mode",
+        "sweep-no-eq", "sweep-param", "sweep-no-range", "sweep-bounds", "modular-header-only",
+        "partition-header-only", "uniform-no-objective"])
+def test_spec_and_file_refusals_exit_2_with_their_message(tmp_path, capsys, argv, message):
+    (tmp_path / "weights.csv").write_text("element_id,weight\n")
+    (tmp_path / "blocks.csv").write_text("element_id,block_id,capacity\n")
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    if argv[0] != "verify":
+        argv += ["--alg", "greedy"] + (["--out", str(tmp_path / "b")] if argv[0] == "bench" else [])
+    assert run(argv) == 2
+    err = capsys.readouterr()
+    assert err.out == "" and err.err == f"error: {message.format(tmp=tmp_path)}\n"
+
+
 def test_instance_spec_parsing_errors():
     assert run(["solve", "--alg", "greedy", "--constraint", "uniform:2",
                 "--instance", "synth:kind=modular"]) == 2  # missing n, seed

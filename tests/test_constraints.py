@@ -341,6 +341,28 @@ def test_genre_constraint_per_genre_mapping():
     I = GenreConstraint(g, GENRES, ["a", "b"], m=4, m_g={"a": 1, "b": 2})
     assert I.is_independent(g.set([1, 2]))      # a:1, b:2
     assert not I.is_independent(g.set([0, 1]))  # a:2
+    with pytest.raises(ValueError, match=r"^no per-genre limit for favourite genre\(s\) b, c$"):
+        GenreConstraint(g, GENRES, ["a", "b", "c"], m=4, m_g={"a": 1})
+    # an id outside the ground set is refused whether or not it carries a favourite
+    for genre_of in ({0: {"a"}, 7: {"a"}}, {0: {"a"}, 7: {"b"}}):
+        with pytest.raises(ValueError, match="^element 7 outside ground set of size 3$"):
+            GenreConstraint(GroundSet(3), genre_of, ["a"], m=1, m_g=1)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntersectionSystem([]), "intersection needs at least one component"),
+    (lambda: IntersectionSystem([UniformMatroid(GroundSet(3), 1), UniformMatroid(GroundSet(4), 1)]),
+     r"components disagree on ground-set size: \[3, 4\]"),
+    (lambda: GenreConstraint(GroundSet(6), GENRES, [], m=2, m_g=1),
+     "genre constraint needs at least one favourite genre"),
+    (lambda: GenreConstraint(GroundSet(6), GENRES, ["a"], m=-1, m_g=1),
+     "global limit m must be >= 0, got -1"),
+    (lambda: GenreConstraint(GroundSet(6), GENRES, ["a", "b"], m=2, m_g={"a": 1, "b": -1}),
+     "per-genre limits must be >= 0"),
+], ids=["no-component", "two-sizes", "no-favourite", "m-negative", "limit-negative"])
+def test_intersection_and_genre_parameters_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 def test_genre_equals_its_intersection_form():

@@ -203,6 +203,8 @@ def test_coverage_dispersion_candidates_outside_universe_raise():
             unconstrained_max_det(oracle, g.full())
     res, _ = greedy(obj.oracle(), UniformMatroid(g, 3), candidates=[0, 1, 2, 3])
     assert res.solution.issubset(obj.universe_u)
+    with pytest.raises(ValueError, match=r"^set leaves the restricted universe: elements \[5\]$"):
+        obj.gain_state().gain(5)  # the scalar path, as the batch one
 
 
 @pytest.mark.parametrize("kind", [*KINDS, "negative_zero_coverage"])

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -72,6 +73,16 @@ def test_gadget_increments_bounded_for_all_valid_params():
         for x in range(p.block_size):
             step = gadget_g(x + 1, p) - gadget_g(x, p)
             assert lo <= step <= 1, (k, h, m, x)
+
+
+def test_hard_instance_refuses_a_bad_mode_and_ids_outside_it():
+    with pytest.raises(ValueError, match=re.escape(f"mode must be 'M' or \"M'\", got 'X'")):
+        HardInstance(2, 8, 2, "X")
+    inst = HardInstance(2, 8, 2, MODE_M)
+    assert inst.block_of(0) == 1 and inst.block_of(inst.ground.n - 1) == 8
+    for bad in (-1, inst.ground.n):
+        with pytest.raises(ValueError, match=f"^element {bad} outside the instance universe of size 32$"):
+            inst.block_of(bad)
 
 
 def test_gadget_rejects_negative_argument():

@@ -23,7 +23,7 @@ from submax import (
     load_similarity_csv,
 )
 import submax.objectives as objectives
-from submax.objectives import _value_table
+from submax.core import _subset_table
 from reference import check_submodular_pairwise, check_symmetric, cut_value, value_table
 
 
@@ -90,6 +90,23 @@ def test_modular_mapping_form():
     g = GroundSet(4)
     obj = ModularObjective(g, {1: 2.0, 3: 1.0})
     assert obj.oracle().value(g.set([0, 1, 3])) == 3.0
+    # an id outside the ground set is refused, not dropped
+    with pytest.raises(ValueError, match="^element -1 outside ground set of size 3$"):
+        ModularObjective(GroundSet(3), {5: 1.0, -1: 2.0, 0: 0.5})
+    with pytest.raises(ValueError, match="^element 5 outside ground set of size 3$"):
+        ModularObjective(GroundSet(3), {5: 1.0, 0: 0.5})
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ModularObjective(GroundSet(3), [1.0, 2.0]), "expected 3 weights, got 2"),
+    (lambda: WeightedCoverageObjective(GroundSet(3), [[0], [1]], [1.0, 1.0]),
+     "expected 3 cover sets, got 2"),
+    (lambda: SyntheticSpec(kind="modular", n=3, seed=1, lam=1.5).validate(),
+     r"lam must lie in \[0, 1\], got 1.5"),
+], ids=["modular-count", "coverage-count", "spec-lam"])
+def test_objective_inputs_of_the_wrong_shape_are_refused(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
 
 
 # ---------------------------------------------------------------------------
@@ -276,7 +293,8 @@ def test_value_table_equals_the_per_set_reference(kind):
     elems = [0, 2, 3, 5, 6, 8]
     f, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
     ref, _ = generate(SyntheticSpec(kind=kind, n=9, seed=4))
-    assert _value_table(f, elems, "check_submodular").tolist() == value_table(ref, elems).tolist()
+    _, vals = _subset_table(f.ground, elems, "check_submodular", f.values_masks)
+    assert vals.tolist() == value_table(ref, elems).tolist()
     assert (f.eval_count, f.marginal_count) == (ref.eval_count, ref.marginal_count) \
         == (1 << len(elems), 0)
 
