@@ -165,16 +165,23 @@ def greedy(
         pool = I.extensions(run.ext, run.S, run.pool)
         heap = [(-g, u, 0) for g, u in zip(f.gains(run.state, run.S, pool).tolist(), pool.tolist())]
         heapq.heapify(heap)
-        while heap:
-            neg_gain, u, stamp = heapq.heappop(heap)
-            if not I.fits(run.ext, run.S, u):
-                continue  # drop permanently
-            if stamp == len(run.trace):  # scored at the current S
-                if neg_gain >= 0.0:
-                    break
-                run.add(u, -neg_gain)
+        pop, pushpop, fits, gain = heapq.heappop, heapq.heappushpop, I.fits, f.gain
+        ext, state, picks = run.ext, run.state, 0  # picks: the stamp of gains scored at S
+        top = pop(heap) if heap else None
+        while top is not None:
+            neg_gain, u, stamp = top
+            if not fits(ext, run.S, u):
+                top = pop(heap) if heap else None  # drop permanently
+            elif stamp != picks:
+                # re-score at S; the (gain, id, stamp) keys are unique, so the
+                # pop order is that of a push and then a pop
+                top = pushpop(heap, (-gain(state, run.S, u), u, picks))
+            elif neg_gain >= 0.0:
+                break
             else:
-                heapq.heappush(heap, (-f.gain(run.state, run.S, u), u, len(run.trace)))
+                run.add(u, -neg_gain)
+                picks += 1
+                top = pop(heap) if heap else None
     else:
         while (pick := run.best()) is not None:
             run.add(*pick)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence
 
@@ -284,14 +285,34 @@ _CAPS = {
 }
 
 
+def _intp(ids: Iterable[int], what: str) -> np.ndarray:
+    """``ids`` as an ``np.intp`` array: an integer array without a walk, any
+    other iterable id by id.  An id that is not an integer (a Python or numpy
+    integer) is a ValueError naming it: ``np.fromiter`` alone would read 1.5
+    as 1 and '3' as 3."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "biu":
+        return ids.astype(np.intp, copy=False)
+    ids = list(ids)
+    try:
+        return np.fromiter(map(operator.index, ids), np.intp, count=len(ids))
+    except TypeError:
+        for e in ids:
+            try:
+                operator.index(e)
+            except TypeError:
+                raise ValueError(f"{what} {e!r} is not an integer") from None
+        raise
+
+
 def _id_array(ground: GroundSet, ids: Optional[Iterable[int]] = None) -> np.ndarray:
     """``ids`` (all of ``ground`` when None) as an ascending duplicate-free
-    ``np.intp`` array, range-checked as in :class:`ElementSet`, through a mask
-    over ``ground``: ``np.unique`` imports ``numpy.ma``, and a first ``np.sort``
-    adds ~0.4 MiB to a fresh process's peak RSS (numpy 2.4, x86-64)."""
+    ``np.intp`` array, refused by :func:`_intp` unless integers and
+    range-checked as in :class:`ElementSet`, through a mask over ``ground``:
+    ``np.unique`` imports ``numpy.ma``, and a first ``np.sort`` adds ~0.4 MiB
+    to a fresh process's peak RSS (numpy 2.4, x86-64)."""
     if ids is None:
         return np.arange(ground.n, dtype=np.intp)
-    a = ids.astype(np.intp) if isinstance(ids, np.ndarray) else np.fromiter(ids, np.intp)
+    a = _intp(ids, "element id")
     if a.size and not (0 <= a.min() and a.max() < ground.n):
         raise _outside(int(a.min() if a.min() < 0 else a.max()), ground)
     keep = np.zeros(ground.n, dtype=bool)
@@ -413,8 +434,9 @@ class ValueOracle:
 
     def value(self, S: ElementSet) -> float:
         """f(S); served from the cached base when it matches, else one evaluation."""
-        if self.cached_base is not None and self.cached_base[0] == S:
-            return self.cached_base[1]
+        cached = self.cached_base
+        if cached is not None and (cached[0] is S or cached[0] == S):
+            return cached[1]
         v = self._evaluate(S)
         self.cached_base = (S, v)
         return v

@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     ValueOracle,
     _halves,
     _id_array,
+    _intp,
     _subset_table,
 )
 
@@ -50,9 +51,28 @@ def _check_data(data: np.ndarray, what: str) -> None:
 def _sequential_sum(x: np.ndarray) -> float:
     """0.0 + x[0] + x[1] + ... left to right, as ``np.bincount`` adds (so -0.0
     terms sum to 0.0): ``np.sum`` is pairwise and the builtin ``sum``
-    compensated from Python 3.12.  ``np.cumsum`` calls this method, through
-    a Python dispatch layer that costs more than the sum of a short row."""
-    return float(x.cumsum()[-1]) + 0.0 if x.size else 0.0
+    compensated from Python 3.12.  ``np.add.accumulate`` is the loop that
+    ``ndarray.cumsum`` dispatches to, called without the dispatch, which
+    costs more than the sum of a short row."""
+    return float(np.add.accumulate(x)[-1]) + 0.0 if x.size else 0.0
+
+
+def _exact_sums(w: np.ndarray) -> bool:
+    """Whether every sum of entries of the non-negative ``w``, and every
+    difference of two such sums, is exact in float64.  Each non-zero entry
+    is a multiple of its lowest set bit, and all of them of the finest such
+    bit, 2^-q.  A sum of entries is then an integer multiple of 2^-q, exact
+    while below 2^53 * 2^-q, and the total T bounds them all: the test is
+    T * 2^q < 2^53, read off T's exponent.  Partial sums below that bound
+    are exact and one at or above it stays there, so the rounded T decides
+    as the exact one would."""
+    m, e = np.frexp(w[w != 0.0])
+    if not m.size:
+        return True
+    mant = np.ldexp(m, 53).astype(np.int64)  # m * 2^53: the 53-bit significand
+    low = np.frexp((mant & -mant).astype(float))[1] - 1  # its trailing zero bits
+    q = int((53 - e - low).max())
+    return int(np.frexp(np.sum(w))[1]) + q <= 53
 
 
 class _ObjectiveBase:
@@ -317,7 +337,10 @@ class WeightedCoverageObjective(_ObjectiveBase):
     Monotone and submodular.  ``covers[e]`` lists the item indices element e
     covers, a repeated item once; ``item_weights`` are non-negative.  The
     covers are kept as compressed rows: element e covers
-    ``_items[_indptr[e]:_indptr[e + 1]]``, in ascending order.
+    ``_items[_indptr[e]:_indptr[e + 1]]``, in ascending order.  When
+    :func:`_exact_sums` certifies the weights, greedy's gain states keep a
+    gain vector current through the transpose of these rows, the elements
+    that cover each item, built on first use and then kept.
     """
 
     declares_monotone = True
@@ -333,7 +356,7 @@ class WeightedCoverageObjective(_ObjectiveBase):
         w.flags.writeable = False
         self.ground = ground
         self.item_weights = w
-        rows = [np.fromiter(c, dtype=np.intp) for c in covers]
+        rows = [_intp(c, "cover item") for c in covers]
         sizes = np.fromiter(map(len, rows), dtype=np.intp, count=ground.n)
         items = np.concatenate([np.empty(0, dtype=np.intp), *rows])
         bad = (items < 0) | (items >= w.size)
@@ -350,16 +373,44 @@ class WeightedCoverageObjective(_ObjectiveBase):
         np.not_equal(key[1:], key[:-1], out=keep[1:])
         key = key[keep]
         self._indptr = np.searchsorted(key, np.arange(ground.n + 1) * m)
+        self._bounds = self._indptr.tolist()
         self._items = key % m
+        self._exact = _exact_sums(w)
+        self._covered_by: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def evaluate(self, S: ElementSet) -> float:
         covered = np.zeros(self.item_weights.size, dtype=bool)
+        bounds = self._bounds
         for e in S:
-            covered[self._items[self._indptr[e]:self._indptr[e + 1]]] = True
+            covered[self._items[bounds[e]:bounds[e + 1]]] = True
         return _sequential_sum(self.item_weights[covered])  # in item order, as the gains add
 
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indptr, elements): item i is covered by the elements
+        ``elements[indptr[i]:indptr[i + 1]]``, in ascending order.  One
+        stable argsort of the items; below 2^16 items as ``uint16`` keys,
+        which numpy radix-sorts (0.10 against 0.66 s on 4M keys, numpy 2.4,
+        x86-64)."""
+        if self._covered_by is None:
+            items = self._items
+            keys = items.astype(np.uint16) if self.item_weights.size <= 1 << 16 else items
+            owner = np.repeat(np.arange(self.ground.n), np.diff(self._indptr))
+            indptr = np.zeros(self.item_weights.size + 1, dtype=np.intp)
+            np.cumsum(np.bincount(items, minlength=self.item_weights.size), out=indptr[1:])
+            self._covered_by = (indptr, owner[np.argsort(keys, kind="stable")])
+        return self._covered_by
+
     def gain_state(self) -> GainState:
-        return _CoverageGains(self._indptr, self._items, self.item_weights)
+        return _CoverageGains(self, self._transpose if self._exact else None)
+
+
+def _spans(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The positions of the compressed ``rows`` (``indptr[r]:indptr[r + 1]``
+    for each r, in order) and each row's length."""
+    start = indptr[rows]
+    length = indptr[rows + 1] - start
+    offset = np.cumsum(length) - length
+    return np.repeat(start - offset, length) + np.arange(int(length.sum())), length
 
 
 class _CoverageGains(GainState):
@@ -367,20 +418,42 @@ class _CoverageGains(GainState):
     each item and ``remaining`` the weight of each item no element of S
     covers.  An element's gain is the sum of the remaining weights of its
     items, and its loss the sum of the weights of its items that it alone
-    covers, both in item order."""
+    covers, both in item order.
 
-    def __init__(self, indptr: np.ndarray, items: np.ndarray, weights: np.ndarray):
-        self._indptr = indptr
-        self._items = items
-        self._weights = weights
-        self._remaining = weights.copy()
-        self._count = np.zeros(weights.size, dtype=np.intp)
+    Given the objective's transpose (certified weights only), the first
+    batch :meth:`gains` sums every element's gain into one vector, and from
+    then on :meth:`add` subtracts each newly covered item's weight from the
+    gains of the elements that cover it and :meth:`remove` adds each freed
+    item's weight back: every sum is exact, so each entry equals the
+    in-order sum bit for bit.  A state never asked for a batch, such as
+    double greedy's two, sums one cover per query."""
+
+    def __init__(self, obj: WeightedCoverageObjective,
+                 transpose: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]]):
+        self._n = obj.ground.n
+        self._indptr = obj._indptr
+        self._bounds = obj._bounds
+        self._items = obj._items
+        self._weights = obj.item_weights
+        self._remaining = obj.item_weights.copy()
+        self._count = np.zeros(obj.item_weights.size, dtype=np.intp)
+        self._transpose = transpose
+        self._vector: Optional[np.ndarray] = None
 
     def _cover(self, u: int) -> np.ndarray:
-        return self._items[self._indptr[u]:self._indptr[u + 1]]
+        return self._items[self._bounds[u]:self._bounds[u + 1]]
+
+    def _spread(self, items: np.ndarray) -> np.ndarray:
+        """Per element, the total weight of those of ``items`` it covers."""
+        indptr, elements = self._transpose()
+        pos, length = _spans(indptr, items)
+        return np.bincount(elements[pos], weights=np.repeat(self._weights[items], length),
+                           minlength=self._n)
 
     def add(self, u: int) -> None:
         items = self._cover(u)
+        if self._vector is not None:
+            self._vector -= self._spread(items[self._count[items] == 0])
         self._remaining[items] = 0.0
         self._count[items] += 1
 
@@ -389,8 +462,12 @@ class _CoverageGains(GainState):
         self._count[items] -= 1
         freed = items[self._count[items] == 0]
         self._remaining[freed] = self._weights[freed]
+        if self._vector is not None:
+            self._vector += self._spread(freed)
 
     def gain(self, u: int) -> float:
+        if self._vector is not None:
+            return float(self._vector[u])
         return _sequential_sum(self._remaining[self._cover(u)])
 
     def loss(self, u: int) -> float:
@@ -399,11 +476,15 @@ class _CoverageGains(GainState):
 
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         c = np.asarray(candidates, dtype=np.intp)
-        start = self._indptr[c]
-        length = self._indptr[c + 1] - start
-        offset = np.cumsum(length) - length
-        pos = np.repeat(start - offset, length) + np.arange(int(length.sum()))
+        if self._vector is None and self._transpose is not None:
+            self._vector = self._sums(np.arange(self._n))
+        if self._vector is not None:
+            return self._vector[c]
+        return self._sums(c)
+
+    def _sums(self, c: np.ndarray) -> np.ndarray:
         # bincount adds each candidate's weights in order, independent of its batch
+        pos, length = _spans(self._indptr, c)
         return np.bincount(np.repeat(np.arange(c.size), length),
                            weights=self._remaining[self._items[pos]], minlength=c.size)
 
@@ -508,8 +589,7 @@ def generate(spec: SyntheticSpec, rng: Optional[Rng] = None) -> tuple[ValueOracl
     else:  # weighted_coverage
         n_items = max(2 * n, 1)
         # one row of draws at a time: the same stream as one (n, n_items) draw
-        covers = [np.flatnonzero(gen.random(n_items) < spec.density).tolist()
-                  for _ in range(n)]
+        covers = [np.flatnonzero(gen.random(n_items) < spec.density) for _ in range(n)]
         item_w = _distinct_dyadic(gen, n_items) if spec.tie_free else _dyadic(gen, n_items, low=1, high=64)
         obj = WeightedCoverageObjective(ground, covers, list(item_w))
     return obj.oracle(name=f"{spec.kind}(n={n},seed={spec.seed})"), ground

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import contextlib
 import os
+from fractions import Fraction
 import subprocess
 import sys
 from unittest import mock
@@ -40,6 +41,7 @@ from submax import (
     WeightedCoverageObjective,
     algorithms,
     generate,
+    objectives,
     greedy,
     repeated_greedy,
     sample_greedy,
@@ -246,6 +248,121 @@ def test_state_gains_and_losses_equal_evaluate_differences(kind):
         rest = [v for v in g if v not in S]
         assert [state.gain(v) for v in rest] == [ref.gain(v) for v in rest]
         assert state.gains(rest).tolist() == [ref.gain(v) for v in rest]
+
+
+# Weights whose every sum is exact (multiples of 1/8 far below 2^50), zeros of
+# both signs included
+EXACT_WEIGHTS = st.sampled_from((0.0, -0.0, 0.125, 0.5, 1.0, 3.0, 7.25, 63.875))
+
+
+@st.composite
+def certified_coverage(draw):
+    """A weighted-coverage objective on certified weights, its covers free to
+    repeat an item or be empty, and a sequence of elements to toggle in and
+    out of S."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    n_items = draw(st.integers(min_value=0, max_value=10))
+    item = st.integers(min_value=0, max_value=max(n_items - 1, 0))
+    covers = draw(st.lists(st.lists(item, max_size=6 if n_items else 0), min_size=n, max_size=n))
+    weights = draw(st.lists(EXACT_WEIGHTS, min_size=n_items, max_size=n_items))
+    toggles = draw(st.lists(st.integers(min_value=0, max_value=n - 1), max_size=14))
+    first_batch = draw(st.integers(min_value=0, max_value=len(toggles)))
+    return WeightedCoverageObjective(GroundSet(n), covers, weights), toggles, first_batch
+
+
+def _bits(values) -> bytes:
+    return np.array(values, dtype=float).tobytes()
+
+
+@given(certified_coverage())
+@settings(max_examples=300, deadline=None)
+def test_certified_coverage_vector_equals_evaluate_differences_bit_for_bit(case):
+    # the vector state, entered at its first batch after any number of adds and
+    # removes, gives the evaluate-differences of certified data bit for bit
+    obj, toggles, first_batch = case
+    g = obj.ground
+    assert obj._exact
+    state, ref = obj.gain_state(), EvaluatedGains(ValueOracle(obj.evaluate, g))
+    S = g.empty()
+    for step, u in enumerate([None, *toggles]):
+        if u is not None:
+            adding = u not in S
+            for st_ in (state, ref):
+                (st_.add if adding else st_.remove)(u)
+            S = S.with_element(u) if adding else S.without_element(u)
+        rest = [v for v in g if v not in S]
+        if step >= first_batch:
+            assert _bits(state.gains(rest)) == _bits(ref.gains(rest))
+        assert (state._vector is not None) == (step >= first_batch)
+        assert _bits([state.gain(v) for v in rest]) == _bits([ref.gain(v) for v in rest])
+        assert _bits([state.loss(v) for v in S]) == _bits([ref.loss(v) for v in S])
+
+
+@pytest.mark.parametrize("weights, exact", [
+    ([], True),
+    ([0.0, -0.0], True),
+    ([2.0 ** 52, 2.0 ** 52 - 1], True),  # T * 2^q = 2^53 - 1
+    ([2.0 ** 52, 2.0 ** 52 - 1, 1.0], False),  # T * 2^q = 2^53
+    ([2.0 ** 42, 2.0 ** 42 - 2.0 ** -10], True),  # on the grid 2^-10, just below
+    ([2.0 ** 42, 2.0 ** 42 - 2.0 ** -10, 2.0 ** -10], False),  # and at 2^53
+    ([2.0 ** 60, 2.0 ** 61], True),  # a coarse grid, q < 0
+    ([5e-324, 1e-323, 0.0], True),  # subnormals on the grid 2^-1074
+    ([(2 ** 53 - 1) * 5e-324], True),  # a normal weight on the subnormal grid
+    ([(2 ** 53 - 1) * 5e-324, 5e-324], False),
+    ([5e-324, 1.0], False),
+])
+def test_exact_sums_certificate_edges(weights, exact):
+    w = np.array(weights, dtype=float)
+    assert objectives._exact_sums(w) is exact
+    if exact:  # every subset sum is then the exact rational one
+        for mask in range(1 << len(w)):
+            subset = [x for i, x in enumerate(w) if mask >> i & 1]
+            assert objectives._sequential_sum(np.array(subset)) == sum(map(Fraction, subset))
+
+
+def _in_order_gains(obj, S, candidates) -> list[float]:
+    """Each candidate's gain summed left to right from 0.0 over its cover's
+    uncovered items in ascending order: the uncertified state's arithmetic."""
+    covered = {i for e in S for i in obj._items[obj._indptr[e]:obj._indptr[e + 1]].tolist()}
+    out = []
+    for u in candidates:
+        acc = 0.0
+        for i in obj._items[obj._indptr[u]:obj._indptr[u + 1]].tolist():
+            if i not in covered:
+                acc += float(obj.item_weights[i])
+        out.append(acc)
+    return out
+
+
+def test_a_weight_one_ulp_off_the_grid_turns_the_certificate_off():
+    f, g = generate(SyntheticSpec(kind="weighted_coverage", n=30, seed=3, density=0.3))
+    covers = [f.objective._items[f.objective._indptr[e]:f.objective._indptr[e + 1]]
+              for e in g]
+    assert f.objective._exact
+    w = f.objective.item_weights.copy()
+    w[7] = np.nextafter(w[7], np.inf)
+    obj = WeightedCoverageObjective(g, covers, w)
+    assert not obj._exact
+    state, S = obj.gain_state(), g.empty()
+    for u in (4, 11, 20):
+        state.add(u)
+        S = S.with_element(u)
+        rest = [v for v in g if v not in S]
+        assert _bits(state.gains(rest)) == _bits(_in_order_gains(obj, S, rest))
+        assert _bits([state.gain(v) for v in rest]) == _bits(_in_order_gains(obj, S, rest))
+    assert state._vector is None
+
+
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_greedy_family_is_the_same_on_the_vector_and_in_order_paths(constraint, seed):
+    f, g = generate(SyntheticSpec(kind="weighted_coverage", n=60, seed=seed, density=0.1))
+    obj = f.objective
+    covers = [obj._items[obj._indptr[e]:obj._indptr[e + 1]] for e in g]
+    with mock.patch.object(objectives, "_exact_sums", return_value=False):
+        in_order = WeightedCoverageObjective(g, covers, obj.item_weights)
+    assert obj._exact and not in_order._exact
+    assert run_all(obj.oracle, g, constraint, seed) == run_all(in_order.oracle, g, constraint, seed)
 
 
 def double_greedy_summary(f, U, subroutine: str, seed: int):

@@ -95,6 +95,12 @@ def test_modular_mapping_form():
         ModularObjective(GroundSet(3), {5: 1.0, -1: 2.0, 0: 0.5})
     with pytest.raises(ValueError, match="^element 5 outside ground set of size 3$"):
         ModularObjective(GroundSet(3), {5: 1.0, 0: 0.5})
+    # an id that is not an integer is refused, not truncated (1.5 to 1) or dropped
+    with pytest.raises(ValueError, match="^element id 1.5 is not an integer$"):
+        ModularObjective(GroundSet(3), {0: 1.0, 1.5: 2.0})
+    with pytest.raises(ValueError, match="^element id '2' is not an integer$"):
+        ModularObjective(GroundSet(3), {0: 1.0, "2": 2.0})
+    assert ModularObjective(g, {np.int64(1): 2.0, 3: 1.0}).weights.tolist() == [0.0, 2.0, 0.0, 1.0]
 
 
 @pytest.mark.parametrize("build, message", [
@@ -500,12 +506,23 @@ def test_weighted_coverage_gain_rows_are_sorted_covers():
     assert obj.gain_state().gains([0, 1]).tolist() == [1 + 0.5 + 2.0 ** -9, 2.0 ** -3]
     with pytest.raises(ValueError, match=r"cover refers to unknown items: \[-2, -1, 17, 20, 30\]"):
         WeightedCoverageObjective(GroundSet(2), [{30, 0, -1, 17, 40}, {20, -2, 17}], [1.0] * 17)
+    # integer arrays are taken as they are, any other iterable id by id; an
+    # item id that is not an integer is refused, not truncated (1.5 to 1)
+    arrays = [np.array([9, 1, 8, 0], dtype=np.uint8), np.array([], dtype=np.intp),
+              np.array([3], dtype=np.int32), iter([7, 2, 16, 5])]
+    assert _cover_rows(WeightedCoverageObjective(GroundSet(4), arrays, [1.0] * 17)) == \
+        [sorted(c) for c in covers]
+    for bad, shown in (([0, 1.5], "1.5"), (np.array([0.0, 1.0]), r"np.float64\(0.0\)"),
+                       (["1"], "'1'")):
+        with pytest.raises(ValueError, match=f"^cover item {shown} is not an integer$"):
+            WeightedCoverageObjective(GroundSet(2), [bad, []], [1.0] * 2)
 
 
 @pytest.mark.parametrize("kind,density,tie_free,cap_mib", [
     ("weighted_coverage", 0.01, False, 16),
-    # the covers arrive as 4M Python ints, one list per element
-    ("weighted_coverage", 0.5, False, 360),
+    # the covers arrive as 4M ids, one np.intp array per element (131 MiB
+    # measured; as Python int lists they took 275 MiB)
+    ("weighted_coverage", 0.5, False, 180),
     ("coverage_dispersion", 0.5, False, 72),
     # the tie-free draw permutes its 8 * 1,999,000 candidates (122 MiB), and
     # drawing from an array of them would hold another copy
