@@ -66,15 +66,7 @@ class _RoomSystem(IndependenceOracle):
         return pos
 
     def _accepts(self, S: ElementSet) -> bool:
-        rooms, counts = self.rooms, {}
-        for e in S:
-            for g in self._groups_of(e):
-                if g in rooms:
-                    c = counts.get(g, 0) + 1
-                    if c > rooms[g]:
-                        return False
-                    counts[g] = c
-        return True
+        return all(len(pos) <= self.rooms[g] for g, pos in self._positions(S.members).items())
 
     def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
         """One popcount per group with a member in ``elems``."""

@@ -104,7 +104,7 @@ class ElementSet:
     __slots__ = ("universe", "members", "_memberset", "_table")
 
     def __init__(self, universe: GroundSet, members: Iterable[int] = ()):
-        ms = sorted(set(int(e) for e in members))
+        ms = sorted(set(_intp(members, "element id").tolist()))
         if ms and (ms[0] < 0 or ms[-1] >= universe.n):
             bad = ms[0] if ms[0] < 0 else ms[-1]
             raise _outside(bad, universe)
@@ -124,6 +124,8 @@ class ElementSet:
         return obj
 
     def with_element(self, e: int) -> "ElementSet":
+        if type(e) is not int:  # the ids of greedy runs are ints: one type test
+            e = _id(e)
         if e in self._memberset:
             return self
         if e < 0 or e >= self.universe.n:
@@ -255,17 +257,6 @@ def _each_set(ground: GroundSet, elems: Sequence[int], masks: np.ndarray,
     return out
 
 
-def _batch_rule(obj, batch: str, single: str) -> Optional[Callable]:
-    """``obj``'s method ``batch``, when the class that defines it also defines
-    the method ``single`` in force, else None: a subclass that overrides
-    ``single`` alone is asked one set at a time."""
-    mro = type(obj).__mro__
-    rule = next((c for c in mro if batch in vars(c)), None)
-    if rule is None or rule is not next((c for c in mro if single in vars(c)), None):
-        return None
-    return getattr(obj, batch)
-
-
 def _halves(table: np.ndarray, i: int) -> np.ndarray:
     """A mask-indexed ``table`` as [:, 0] the masks without bit i and [:, 1] with it."""
     return table.reshape(-1, 2, 1 << i)
@@ -285,22 +276,32 @@ _CAPS = {
 }
 
 
+_INTP = np.iinfo(np.intp)
+
+
+def _id(e, what: str = "element id") -> int:
+    """The id ``e`` as an int, when it is a Python or numpy integer; anything
+    else (1.5, '3', a numpy bool) is a ValueError naming it."""
+    try:
+        return operator.index(e)
+    except TypeError:
+        raise ValueError(f"{what} {e!r} is not an integer") from None
+
+
 def _intp(ids: Iterable[int], what: str) -> np.ndarray:
     """``ids`` as an ``np.intp`` array: an integer array without a walk, any
-    other iterable id by id.  An id that is not an integer (a Python or numpy
-    integer) is a ValueError naming it: ``np.fromiter`` alone would read 1.5
-    as 1 and '3' as 3."""
-    if isinstance(ids, np.ndarray) and ids.dtype.kind in "biu":
+    other iterable id by id, each refused by :func:`_id` unless an integer
+    that an ``np.intp`` holds: ``np.fromiter`` alone would read 1.5 as 1 and
+    '3' as 3, and a boolean array is a mask, not ids."""
+    if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
         return ids.astype(np.intp, copy=False)
     ids = list(ids)
     try:
         return np.fromiter(map(operator.index, ids), np.intp, count=len(ids))
-    except TypeError:
+    except (TypeError, OverflowError):
         for e in ids:
-            try:
-                operator.index(e)
-            except TypeError:
-                raise ValueError(f"{what} {e!r} is not an integer") from None
+            if not _INTP.min <= _id(e, what) <= _INTP.max:
+                raise ValueError(f"{what} {e} does not fit an np.intp") from None
         raise
 
 
@@ -326,19 +327,18 @@ def _elements(ground: GroundSet, elements: Optional[Iterable[int]]) -> list[int]
     return _id_array(ground, elements).tolist()
 
 
-def _meets(S: ElementSet, candidates) -> bool:
-    """Whether some of ``candidates`` (ids) is in ``S``, by one gather from
-    S's membership table, built on S's first check; an id outside the ground
-    set is a ValueError, as in :class:`ElementSet`.  The range is checked
-    first, by the largest id read as unsigned (a negative id reads as at
-    least 2^63): numpy casts an unsigned index array back to intp, so no
-    gather refuses every negative id.  ``argmax`` finds it at a third of the
-    call cost of ``np.max`` on a few hundred ids."""
+def _meets(S: ElementSet, candidates: np.ndarray) -> bool:
+    """Whether some of ``candidates`` (an ``np.intp`` array) is in ``S``, by
+    one gather from S's membership table, built on S's first check; an id
+    outside the ground set is a ValueError, as in :class:`ElementSet`.  The
+    range is checked first, by the largest id read as unsigned (a negative
+    id reads as at least 2^63): numpy casts an unsigned index array back to
+    intp, so no gather refuses every negative id.  ``argmax`` finds it at a
+    third of the call cost of ``np.max`` on a few hundred ids."""
     table = S._table
     if table is None:
         table = S._table = np.zeros(S.universe.n, dtype=bool)
         table[list(S.members)] = True
-    candidates = np.asarray(candidates, dtype=np.intp)
     if candidates.size:
         unsigned = candidates.view(np.uintp)
         if unsigned[unsigned.argmax()] >= len(table):
@@ -349,13 +349,13 @@ def _meets(S: ElementSet, candidates) -> bool:
 def _mask_array(ground: GroundSet, elems: Sequence[int], masks) -> np.ndarray:
     """``masks`` as an int64 array of subsets of ``elems``, bit i standing for
     ``elems[i]``.  A list that is not sorted, distinct and in ``ground``, or
-    longer than 63, and a negative mask or one with a bit at or past
-    ``len(elems)`` are ValueErrors."""
+    longer than 63, and a mask that is not an integer, is negative or has a
+    bit at or past ``len(elems)`` are ValueErrors."""
     if len(elems) > 63:
         raise ValueError(f"an int64 mask names at most 63 elements, got {len(elems)}")
     if _elements(ground, elems) != list(elems):
         raise ValueError(f"elems must be sorted and distinct, got {list(elems)}")
-    masks = np.asarray(masks, dtype=np.int64)
+    masks = _intp(masks, "mask").astype(np.int64, copy=False)
     bad = masks[(masks < 0) | (masks >> len(elems) != 0)]
     if bad.size:
         raise ValueError(f"mask {int(bad[0])} names a bit outside the {len(elems)} elements")
@@ -452,12 +452,11 @@ class ValueOracle:
         those of :meth:`IndependenceOracle.independent_masks`; a refused
         input counts as no query.
 
-        An objective whose class defines a batch rule, ``_evaluate_masks``,
-        beside the ``evaluate`` in force answers every set in one pass; any
-        other oracle, and a batch with a negative or NaN value, asks
-        :meth:`value` one set at a time."""
+        An objective whose class keeps a batch rule, ``_evaluate_masks``,
+        answers every set in one pass; any other oracle, and a batch with a
+        negative or NaN value, asks :meth:`value` one set at a time."""
         masks = _mask_array(self.ground, elems, masks)
-        rule = _batch_rule(self.objective, "_evaluate_masks", "evaluate")
+        rule = getattr(self.objective, "_evaluate_masks", None)
         if rule is None or not len(masks):
             return _each_set(self.ground, elems, masks, self.value, float)
         values = rule(elems, masks)
@@ -476,10 +475,10 @@ class ValueOracle:
 
     def gain_state(self) -> "GainState":
         """A fresh incremental-gain state at the empty set: the objective's
-        own when this oracle wraps one, else :class:`EvaluatedGains`."""
-        if self.objective is not None:
-            return self.objective.gain_state()
-        return EvaluatedGains(self)
+        own when this oracle wraps one that keeps one, else
+        :class:`EvaluatedGains`."""
+        make = getattr(self.objective, "gain_state", None)
+        return EvaluatedGains(self) if make is None else make()
 
     def gains(self, state: "GainState", S: ElementSet, candidates: Sequence[int]) -> np.ndarray:
         """Marginal gains f(S + u) - f(S) of every candidate u, none of them in
@@ -490,6 +489,7 @@ class ValueOracle:
         """
         if not len(candidates):
             return np.empty(0)
+        candidates = _intp(candidates, "element id")
         if _meets(S, candidates):
             raise ValueError(f"marginal gains require candidates outside S={S!r}")
         base = self.value(S)
@@ -510,6 +510,8 @@ class ValueOracle:
         logical marginal and one evaluation, plus one evaluation of ``S``
         when it is not the cached base.
         """
+        if type(u) is not int:  # lazy greedy pops ints: one type test
+            u = _id(u)
         if not 0 <= u < self.ground.n:
             raise _outside(u, self.ground)
         if u in S:
@@ -614,15 +616,20 @@ class IndependenceOracle:
     ``k`` is the declared system parameter (k-system / k-extendibility bound)
     used by algorithms for sampling rates and by reports; it is metadata, not
     something the oracle enforces.  Subclasses pass ``fn=None`` and override
-    :meth:`_accepts`, and may define a batch rule ``_accepts_masks`` beside
-    it; the uniform, partition and genre constraints inherit both from one
-    room rule (``constraints._RoomSystem``).
+    :meth:`_accepts`, and may state a batch rule ``_accepts_masks`` and an
+    :meth:`extension_state` beside it; the uniform, partition and genre
+    constraints inherit all three from one room rule
+    (``constraints._RoomSystem``).  A class that states its own
+    :meth:`_accepts` keeps only the fast forms stated beside it, fixed when
+    the class is made: the others answer for another rule.
 
     :meth:`extensions` answers "is S + u independent?" for a batch of
     candidates, and :meth:`fits` for one, from a per-run extension state
     (:meth:`extension_state`); both count exactly as the same queries asked
     one by one through :meth:`is_independent`.
     """
+
+    _accepts_masks = None  # the batch rule, when the class keeps one
 
     def __init__(
         self,
@@ -637,6 +644,12 @@ class IndependenceOracle:
         self.ground = ground
         self.k = int(k)
         self.membership_count = 0
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "_accepts" in vars(cls):
+            cls._accepts_masks = vars(cls).get("_accepts_masks")
+            cls.extension_state = vars(cls).get("extension_state", IndependenceOracle.extension_state)
 
     def _accepts(self, S: ElementSet) -> bool:
         return bool(self._fn(S))
@@ -654,19 +667,17 @@ class IndependenceOracle:
         at or past ``len(elems)`` are ValueErrors, counted as no query.
 
         A class's batch rule ``_accepts_masks`` (one numpy pass per group of
-        elements, say) answers only beside the :meth:`_accepts` in force, as
-        :func:`_batch_rule` reads it; any other oracle is asked one set at a
-        time."""
+        elements, say) answers when the class keeps one; any other oracle is
+        asked one set at a time."""
         masks = _mask_array(self.ground, elems, masks)
         self.membership_count += len(masks)
-        rule = _batch_rule(self, "_accepts_masks", "_accepts")
-        if rule is None:
+        if self._accepts_masks is None:
             return _each_set(self.ground, elems, masks, self._accepts, bool)
-        return rule(elems, masks)
+        return self._accepts_masks(elems, masks)
 
     def extension_state(self) -> "ExtensionState":
-        """A fresh extension state at the empty set: the system's own when it
-        has one, else :class:`CheckedExtensions`."""
+        """A fresh extension state at the empty set: :class:`CheckedExtensions`
+        unless the system's class keeps its own."""
         return CheckedExtensions(self)
 
     def extensions(self, state: "ExtensionState", S: ElementSet, candidates: np.ndarray) -> np.ndarray:
@@ -676,7 +687,7 @@ class IndependenceOracle:
 
         Counted as ``len(candidates)`` calls of :meth:`is_independent`.
         """
-        candidates = np.asarray(candidates, dtype=np.intp)
+        candidates = _intp(candidates, "element id")
         if _meets(S, candidates):
             raise ValueError(f"extension queries require candidates outside S={S!r}")
         self.membership_count += len(candidates)
@@ -685,6 +696,8 @@ class IndependenceOracle:
     def fits(self, state: "ExtensionState", S: ElementSet, u: int) -> bool:
         """Whether S + u is independent, for one u not in ``S``: ``extensions``
         for ``[u]`` without the arrays, counted as one :meth:`is_independent`."""
+        if type(u) is not int:
+            u = _id(u)
         if not 0 <= u < self.ground.n:
             raise _outside(u, self.ground)
         if u in S:

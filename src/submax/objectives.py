@@ -78,15 +78,25 @@ def _exact_sums(w: np.ndarray) -> bool:
 class _ObjectiveBase:
     """Common plumbing: ground set, declared analytic properties, oracle().
 
-    Subclasses also provide ``gain_state()``: a fresh
-    :class:`~submax.core.GainState` at the empty set, which greedy scores
-    its candidates with and double greedy its two sets.
+    A subclass states ``evaluate`` and may state beside it ``gain_state()``,
+    a fresh :class:`~submax.core.GainState` at the empty set (greedy scores
+    its candidates with it, double greedy its two sets), and a batch rule
+    ``_evaluate_masks``.  A class that states its own ``evaluate`` keeps
+    only the fast forms stated beside it, fixed when the class is made: the
+    others answer for another rule.
     """
 
     ground: GroundSet
     declares_submodular: bool = True
     declares_monotone: Optional[bool] = None
     is_modular: bool = False
+    gain_state = _evaluate_masks = None  # none without a class that keeps them
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "evaluate" in vars(cls):
+            cls.gain_state = vars(cls).get("gain_state")
+            cls._evaluate_masks = vars(cls).get("_evaluate_masks")
 
     def evaluate(self, S: ElementSet) -> float:  # pragma: no cover - abstract
         raise NotImplementedError
@@ -477,10 +487,22 @@ class _CoverageGains(GainState):
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         c = np.asarray(candidates, dtype=np.intp)
         if self._vector is None and self._transpose is not None:
-            self._vector = self._sums(np.arange(self._n))
+            self._vector = self._row_sums()
         if self._vector is not None:
             return self._vector[c]
         return self._sums(c)
+
+    def _row_sums(self) -> np.ndarray:
+        """Every element's gain, one ``reduceat`` segment per non-empty row:
+        exact under the certificate in any order, and ``+ 0.0`` makes a row
+        of -0.0 sum to 0.0, as ``bincount`` adds.  An empty row is 0.0:
+        reduceat would give it the next entry, or raise at the array's end."""
+        starts = self._indptr[:-1]
+        full = starts < self._indptr[1:]
+        sums = np.zeros(self._n)
+        if full.any():
+            sums[full] = np.add.reduceat(self._remaining[self._items], starts[full]) + 0.0
+        return sums
 
     def _sums(self, c: np.ndarray) -> np.ndarray:
         # bincount adds each candidate's weights in order, independent of its batch

@@ -3,6 +3,7 @@ and the coin-flip-instrumented equivalent."""
 
 from __future__ import annotations
 
+import logging
 import tracemalloc
 from unittest import mock
 
@@ -11,9 +12,12 @@ import pytest
 
 from submax import (
     CapacityError,
+    CheckedExtensions,
     CutObjective,
+    EvaluatedGains,
     GenreConstraint,
     GroundSet,
+    IndependenceOracle,
     ModularObjective,
     NonNegativityError,
     PartitionMatroid,
@@ -25,6 +29,8 @@ from submax import (
     default_rounds,
     greedy,
     instrumented_sample_greedy,
+    max_feasible_size,
+    objectives,
     repeated_greedy,
     repeated_greedy_bound,
     sample_greedy,
@@ -562,3 +568,107 @@ def test_property_violation_carries_context():
     err = PropertyViolation("P2", iteration=4, detail="S escaped O")
     assert err.prop == "P2" and err.iteration == 4
     assert "P2" in str(err)
+
+
+# ---------------------------------------------------------------------------
+# One rule per class: a subclass that restates its rule is answered by it
+# ---------------------------------------------------------------------------
+
+
+class _EvenOnly(UniformMatroid):
+    """Restates ``_accepts`` alone: even ids only, at most m of them."""
+
+    def _accepts(self, S):
+        return len(S) <= self.m and all(e % 2 == 0 for e in S)
+
+
+class _Doubled(ModularObjective):
+    """Restates ``evaluate`` alone: twice the weight of S."""
+
+    def evaluate(self, S):
+        return 2.0 * ModularObjective.evaluate(self, S)
+
+
+def _even_only(g, m):
+    return IndependenceOracle(lambda S: len(S) <= m and all(e % 2 == 0 for e in S), g)
+
+
+def _summaries(make_f, make_I) -> list:
+    """Solutions, values and the three counts of the greedy family and of
+    double greedy, each run on fresh oracles."""
+    def summary(res):
+        return (res.solution.members, res.value, res.f_evals, res.marginal_evals,
+                res.independence_checks)
+
+    out = []
+    for lazy in (False, True):
+        out.append(summary(greedy(make_f(), make_I(), lazy=lazy)[0]))
+        out.append(summary(sample_greedy(make_f(), make_I(), rng=Rng(3, 0), p=0.8, lazy=lazy)))
+        out.append(summary(repeated_greedy(make_f(), make_I(), ell=2, lazy=lazy)))
+        out.append(summary(repeated_greedy(make_f(), make_I(), ell=2, rng=Rng(3, 1), lazy=lazy)))
+    f = make_f()
+    out.append(summary(unconstrained_max_det(f, f.ground.full())))
+    out.append(summary(unconstrained_max_rand(f, f.ground.full(), Rng(3, 2))))
+    return out
+
+
+def test_a_subclass_that_restates_accepts_alone_is_answered_by_it():
+    """The room rule's mask rule and extension state answer for the room
+    rule only: greedy on ``_EvenOnly`` picks even ids, as a bare oracle with
+    the same rule does, counts included (the room rule's state would admit
+    [5, 6, 7], which the subclass rejects)."""
+    g = GroundSet(8)
+    make_f = lambda: ModularObjective(g, np.arange(1.0, 9.0)).oracle()  # noqa: E731
+    runs = _summaries(make_f, lambda: _EvenOnly(g, 3))
+    assert runs == _summaries(make_f, lambda: _even_only(g, 3))
+    assert runs[0][0] == (2, 4, 6)
+    assert _EvenOnly._accepts_masks is None
+    assert type(_EvenOnly(g, 3).extension_state()) is CheckedExtensions
+
+
+def test_max_feasible_size_asks_a_subclass_that_restates_accepts_alone(caplog):
+    """Past the exhaustive cap (n = 20) the greedy bound runs on the
+    subclass's own rule: 10 even ids, not the 15 of the parent's rooms;
+    below it the levels ask the subclass one set at a time."""
+    for n, m, size in ((20, 15, 10), (12, 4, 4)):
+        ours, bare = _EvenOnly(GroundSet(n), m), _even_only(GroundSet(n), m)
+        with caplog.at_level(logging.WARNING):
+            assert max_feasible_size(ours) == max_feasible_size(bare) == size
+        assert ours.membership_count == bare.membership_count
+
+
+def test_a_subclass_that_restates_evaluate_alone_is_answered_by_it():
+    """Greedy and double greedy value ``_Doubled``'s sets by its own
+    ``evaluate``, as a bare oracle does, counts included (the weights' state
+    would report half of each value)."""
+    g = GroundSet(8)
+    obj = _Doubled(g, np.arange(1.0, 9.0))
+    runs = _summaries(obj.oracle, lambda: UniformMatroid(g, 3))
+    assert runs == _summaries(lambda: ValueOracle(obj.evaluate, g), lambda: UniformMatroid(g, 3))
+    assert runs[0][:2] == ((5, 6, 7), 42.0)
+    assert runs[-2][:2] == (tuple(range(8)), 72.0)
+    assert _Doubled.gain_state is None and _Doubled._evaluate_masks is None
+    assert type(obj.oracle().gain_state()) is EvaluatedGains
+    assert brute_force_opt(obj.oracle(), UniformMatroid(g, 3)).value == 42.0
+
+
+def test_an_evaluate_assigned_after_the_class_is_made_keeps_its_fast_forms(monkeypatch):
+    """A wrapper assigned onto a class's ``evaluate`` (as a tracer does) is
+    not a new rule: the cut keeps its dispersion state and the modular
+    objective its batch rule and weights state."""
+    calls = []
+
+    def traced(fn):
+        return lambda self, S: calls.append(S) or fn(self, S)
+
+    for cls in (ModularObjective, CutObjective):
+        monkeypatch.setattr(cls, "evaluate", traced(cls.evaluate))
+    g = GroundSet(6)
+    cut = CutObjective(g, np.ones((6, 6)) - np.eye(6)).oracle()
+    assert type(cut.gain_state()) is objectives._DispersionGains
+    modular = ModularObjective(g, np.arange(6.0)).oracle()
+    assert type(modular.gain_state()) is objectives._ModularGains
+    assert modular.values_masks([0, 2, 5], [1, 5, 7]).tolist() == [0.0, 5.0, 7.0]
+    assert calls == []
+    assert greedy(cut, UniformMatroid(g, 3))[0].value == 9.0
+    assert len(calls) == 1  # f(∅) only: the gains come from the state

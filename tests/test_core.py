@@ -164,6 +164,56 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     assert (f.eval_count, f.marginal_count, I.membership_count) == counts
 
 
+_NON_INTEGER_IDS = {
+    "set": (lambda g, f, I, S: g.set([1.5, '2']), "element id 1.5"),
+    "with-element": (lambda g, f, I, S: S.with_element(1.5), "element id 1.5"),
+    "with-present-float": (lambda g, f, I, S: S.with_element(0.0), "element id 0.0"),
+    "gains": (lambda g, f, I, S: f.gains(f.gain_state(), S, np.array([0.5, 1.7])),
+              r"element id np.float64\(0.5\)"),
+    "extensions": (lambda g, f, I, S: I.extensions(I.extension_state(), S, np.array([0.5, 2.9])),
+                   r"element id np.float64\(0.5\)"),
+    "gain": (lambda g, f, I, S: f.gain(f.gain_state(), S, 1.5), "element id 1.5"),
+    "fits": (lambda g, f, I, S: I.fits(I.extension_state(), S, 2.5), "element id 2.5"),
+    "values-masks": (lambda g, f, I, S: f.values_masks([0, 1], [1.5, 2.7]), "mask 1.5"),
+    "independent-masks": (lambda g, f, I, S: I.independent_masks([0, 1], np.array([1.0])),
+                          r"mask np.float64\(1.0\)"),
+    "boolean-pool": (lambda g, f, I, S: submax.greedy(f, I, candidates=np.array([True, False, True])),
+                     "element id np.True_"),
+}
+
+
+@pytest.mark.parametrize("query", _NON_INTEGER_IDS.values(), ids=_NON_INTEGER_IDS)
+def test_ids_and_masks_that_are_not_integers_are_refused(query):
+    """An id or a mask that is not an integer is a ValueError naming it,
+    counted as no query: not truncated (1.5 to 1), not an IndexError, and a
+    boolean array is not read as the ids 0 and 1."""
+    run, shown = query
+    g = GroundSet(3)
+    f, I = ModularObjective(g, [1.0, 2.0, 3.0]).oracle(), UniformMatroid(g, 2)
+    S = g.set([0])
+    with pytest.raises(ValueError, match=f"^{shown} is not an integer$"):
+        run(g, f, I, S)
+    assert (f.eval_count, f.marginal_count, I.membership_count, f.cached_base) == (0, 0, 0, None)
+
+
+def test_ids_past_intp_are_refused():
+    """An integer id no ``np.intp`` holds is a ValueError naming it, not
+    numpy's OverflowError."""
+    g = GroundSet(3)
+    f, I = ModularObjective(g, [1.0, 2.0, 3.0]).oracle(), UniformMatroid(g, 2)
+    for run in (lambda: g.set([1, 2**63]), lambda: submax.greedy(f, I, candidates=[-2**70]),
+                lambda: f.gains(f.gain_state(), g.empty(), [2**64])):
+        with pytest.raises(ValueError, match=r"^element id -?\d+ does not fit an np.intp$"):
+            run()
+    assert (f.eval_count, f.marginal_count, I.membership_count) == (0, 0, 0)
+
+
+def test_numpy_integer_ids_are_read_as_ints():
+    g = GroundSet(4)
+    S = g.set(np.array([3, 1], dtype=np.uint8)).with_element(np.int64(2))
+    assert S.members == (1, 2, 3) and all(type(e) is int for e in S.members)
+
+
 def test_membership_table_belongs_to_its_set():
     """A batch check reads the table of the set it is given: a larger set
     built after its parent's table still refuses its own new member."""

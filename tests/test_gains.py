@@ -298,6 +298,27 @@ def test_certified_coverage_vector_equals_evaluate_differences_bit_for_bit(case)
         assert _bits([state.loss(v) for v in S]) == _bits([ref.loss(v) for v in S])
 
 
+@pytest.mark.parametrize("covers, weights", [
+    ([[], [0, 2], [], [1], []], [0.5, 1.25, 3.0]),  # empty first, middle and last rows
+    ([[0, 1], [2], [0, 2], [1]], [-0.0, -0.0, 0.0]),  # rows of only -0.0, and -0.0 beside 0.0
+    ([[1], [0, 1, 2], [2]], [0.0, -0.0, 7.25]),
+    ([[], [], []], []),  # no items at all
+    ([[]], [2.0]),
+], ids=["empty-rows", "negative-zero-rows", "mixed-zeros", "no-items", "one-empty-row"])
+def test_first_gain_vector_equals_the_in_order_sums_bit_for_bit(covers, weights):
+    """The certified state's first vector, one reduceat segment per row, is
+    the bincount of every row's remaining weights, before and after adds."""
+    obj = WeightedCoverageObjective(GroundSet(len(covers)), covers, weights)
+    assert obj._exact
+    state = obj.gain_state()
+    every = np.arange(obj.ground.n)
+    for u in (None, *range(obj.ground.n)):
+        if u is not None:
+            state.add(u)
+        assert _bits(state._row_sums()) == _bits(state._sums(every))
+    assert _bits(obj.gain_state().gains(every)) == _bits(obj.gain_state()._sums(every))
+
+
 @pytest.mark.parametrize("weights, exact", [
     ([], True),
     ([0.0, -0.0], True),
