@@ -29,6 +29,7 @@ from .core import (
     SolveResult,
     ValueOracle,
     _check_cap,
+    _id,
     _id_array,
     _independent_levels,
     _mask_set,
@@ -302,7 +303,7 @@ def repeated_greedy(
     if ell == "auto":
         rounds = default_rounds(I.k)
     else:
-        rounds = int(ell)
+        rounds = _id(ell, "ell")
         if rounds < 1:
             raise ValueError(f"ell must be >= 1, got {rounds}")
 

@@ -28,6 +28,7 @@ from .core import (
     IndependenceOracle,
     _CAPS,
     _halves,
+    _id,
     _id_array,
     _independent_levels,
     _mask_set,
@@ -111,9 +112,9 @@ class UniformMatroid(_RoomSystem):
     """S independent iff |S| <= m.  A matroid (declared k = 1)."""
 
     def __init__(self, ground: GroundSet, m: int):
-        if m < 0:
+        self.m = _id(m, "uniform matroid rank")
+        if self.m < 0:
             raise ValueError(f"uniform matroid rank must be >= 0, got {m}")
-        self.m = int(m)
         super().__init__(ground, 1, {_EVERY: self.m})
 
     def _groups_of(self, u: int) -> tuple:
@@ -135,7 +136,7 @@ class PartitionMatroid(_RoomSystem):
         capacities: Mapping[object, int],
     ):
         self.block_of = dict(block_of)
-        self.capacities = dict(capacities)
+        self.capacities = {b: _id(cap, f"block {b!r} capacity") for b, cap in dict(capacities).items()}
         for b, cap in self.capacities.items():
             if cap < 0:
                 raise ValueError(f"block {b!r} has negative capacity {cap}")
@@ -231,6 +232,7 @@ class GenreConstraint(_RoomSystem):
         favorites = list(dict.fromkeys(favorites))
         if not favorites:
             raise ValueError("genre constraint needs at least one favourite genre")
+        m = _id(m, "global limit m")
         if m < 0:
             raise ValueError(f"global limit m must be >= 0, got {m}")
         if not isinstance(m_g, Mapping):
@@ -238,13 +240,13 @@ class GenreConstraint(_RoomSystem):
         missing = [g for g in favorites if g not in m_g]
         if missing:
             raise ValueError(f"no per-genre limit for favourite genre(s) {', '.join(missing)}")
-        limits = {g: int(m_g[g]) for g in favorites}
+        limits = {g: _id(m_g[g], f"genre {g!r} limit") for g in favorites}
         if any(v < 0 for v in limits.values()):
             raise ValueError("per-genre limits must be >= 0")
         _id_array(ground, genre_of)  # refuses an id outside the ground set
         self.genre_of = {e: frozenset(gs) for e, gs in genre_of.items()}
         self.favorites = favorites
-        self.m = int(m)
+        self.m = m
         self.limits = limits
         nu = _id_array(ground, (e for e, gs in self.genre_of.items() if not gs.isdisjoint(favorites)))
         self.restricted_universe = ElementSet._raw(ground, tuple(nu.tolist()))

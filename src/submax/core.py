@@ -53,9 +53,9 @@ class GroundSet:
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        if n < 0:
+        self.n = _id(n, "ground set size")
+        if self.n < 0:
             raise ValueError(f"ground set size must be >= 0, got {n}")
-        self.n = int(n)
 
     @property
     def elements(self) -> range:
@@ -134,12 +134,16 @@ class ElementSet:
         return ElementSet._raw(self.universe, self.members[:i] + (e,) + self.members[i:])
 
     def without_element(self, e: int) -> "ElementSet":
+        if type(e) is not int:
+            e = _id(e)
         if e not in self._memberset:
             return self
         return ElementSet._raw(self.universe, tuple(x for x in self.members if x != e))
 
     def difference(self, other: Iterable[int]) -> "ElementSet":
         drop = set(other)
+        if not set(map(type, drop)) <= {int}:  # the repair search drops ints: one pass of type tests
+            drop = set(map(_id, drop))
         return ElementSet._raw(self.universe, tuple(x for x in self.members if x not in drop))
 
     def issubset(self, other: "ElementSet") -> bool:
@@ -280,23 +284,29 @@ _INTP = np.iinfo(np.intp)
 
 
 def _id(e, what: str = "element id") -> int:
-    """The id ``e`` as an int, when it is a Python or numpy integer; anything
-    else (1.5, '3', a numpy bool) is a ValueError naming it."""
-    try:
-        return operator.index(e)
-    except TypeError:
-        raise ValueError(f"{what} {e!r} is not an integer") from None
+    """The id, count or size ``e`` as an int, when it is a Python or numpy
+    integer; anything else (1.5, '3', True, a numpy bool) is a ValueError
+    naming it."""
+    if type(e) is not bool:
+        try:
+            return operator.index(e)
+        except TypeError:
+            pass
+    raise ValueError(f"{what} {e!r} is not an integer")
 
 
 def _intp(ids: Iterable[int], what: str) -> np.ndarray:
     """``ids`` as an ``np.intp`` array: an integer array without a walk, any
     other iterable id by id, each refused by :func:`_id` unless an integer
     that an ``np.intp`` holds: ``np.fromiter`` alone would read 1.5 as 1 and
-    '3' as 3, and a boolean array is a mask, not ids."""
+    '3' as 3, and ``operator.index`` True as 1; a boolean array is a mask,
+    not ids."""
     if isinstance(ids, np.ndarray) and ids.dtype.kind in "iu":
         return ids.astype(np.intp, copy=False)
     ids = list(ids)
     try:
+        if bool in map(type, ids):
+            raise TypeError  # refused below, by _id
         return np.fromiter(map(operator.index, ids), np.intp, count=len(ids))
     except (TypeError, OverflowError):
         for e in ids:
@@ -475,10 +485,10 @@ class ValueOracle:
 
     def gain_state(self) -> "GainState":
         """A fresh incremental-gain state at the empty set: the objective's
-        own when this oracle wraps one that keeps one, else
-        :class:`EvaluatedGains`."""
+        own when this oracle wraps one that keeps one, else the
+        evaluate-difference :class:`GainState`."""
         make = getattr(self.objective, "gain_state", None)
-        return EvaluatedGains(self) if make is None else make()
+        return GainState(self) if make is None else make()
 
     def gains(self, state: "GainState", S: ElementSet, candidates: Sequence[int]) -> np.ndarray:
         """Marginal gains f(S + u) - f(S) of every candidate u, none of them in
@@ -557,29 +567,13 @@ class GainState:
     depend on which other candidates share its batch.  :meth:`loss` returns
     f(S) - f(S - u) for u in S.  States are uncounted: callers score through
     :class:`ValueOracle`, which keeps the accounting.
+
+    This base state answers by evaluate-differences through an oracle's
+    function: the state of an oracle that wraps no objective, and the
+    reference the objectives' own states are tested against.  f(S) is the
+    oracle's cached value when S is its cached base, else an uncounted
+    evaluation.
     """
-
-    def add(self, u: int) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def remove(self, u: int) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def gains(self, candidates: Sequence[int]) -> np.ndarray:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def gain(self, u: int) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def loss(self, u: int) -> float:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class EvaluatedGains(GainState):
-    """Gains and losses as evaluate-differences through an oracle's function:
-    the state of an oracle that wraps no objective, and the reference the
-    objectives' own states are tested against.  f(S) is the oracle's cached
-    value when S is its cached base, else an uncounted evaluation."""
 
     def __init__(self, oracle: ValueOracle):
         self._oracle = oracle
@@ -629,8 +623,6 @@ class IndependenceOracle:
     one by one through :meth:`is_independent`.
     """
 
-    _accepts_masks = None  # the batch rule, when the class keeps one
-
     def __init__(
         self,
         fn: Optional[Callable[[ElementSet], bool]],
@@ -642,13 +634,13 @@ class IndependenceOracle:
             raise ValueError("IndependenceOracle needs a membership callback")
         self._fn = fn
         self.ground = ground
-        self.k = int(k)
+        self.k = _id(k, "k")
         self.membership_count = 0
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         if "_accepts" in vars(cls):
-            cls._accepts_masks = vars(cls).get("_accepts_masks")
+            cls._accepts_masks = vars(cls).get("_accepts_masks", IndependenceOracle._accepts_masks)
             cls.extension_state = vars(cls).get("extension_state", IndependenceOracle.extension_state)
 
     def _accepts(self, S: ElementSet) -> bool:
@@ -665,20 +657,21 @@ class IndependenceOracle:
         :meth:`is_independent`.  A list that is not sorted, distinct and in
         ``ground``, or longer than 63, and a negative mask or one with a bit
         at or past ``len(elems)`` are ValueErrors, counted as no query.
-
-        A class's batch rule ``_accepts_masks`` (one numpy pass per group of
-        elements, say) answers when the class keeps one; any other oracle is
-        asked one set at a time."""
+        The class's batch rule :meth:`_accepts_masks` answers."""
         masks = _mask_array(self.ground, elems, masks)
         self.membership_count += len(masks)
-        if self._accepts_masks is None:
-            return _each_set(self.ground, elems, masks, self._accepts, bool)
         return self._accepts_masks(elems, masks)
 
+    def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
+        """:meth:`_accepts` of each set, one at a time: the batch rule of a
+        class that states none beside its rule (one numpy pass per group of
+        elements, say)."""
+        return _each_set(self.ground, elems, masks, self._accepts, bool)
+
     def extension_state(self) -> "ExtensionState":
-        """A fresh extension state at the empty set: :class:`CheckedExtensions`
-        unless the system's class keeps its own."""
-        return CheckedExtensions(self)
+        """A fresh extension state at the empty set: the whole-set
+        :class:`ExtensionState` unless the system's class keeps its own."""
+        return ExtensionState(self)
 
     def extensions(self, state: "ExtensionState", S: ElementSet, candidates: np.ndarray) -> np.ndarray:
         """The ``candidates`` u (ids, none in ``S``) with S + u independent,
@@ -717,28 +710,20 @@ class ExtensionState:
     :meth:`feasible` asks it about each).  States are uncounted: callers
     ask through :meth:`IndependenceOracle.extensions` and
     :meth:`IndependenceOracle.fits`, which keep the accounting.
+
+    This base state checks each S + u whole through the oracle's rule: the
+    state of a system without its own, and the reference the systems' own
+    states are tested against.
     """
-
-    def add(self, u: int) -> None:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
-        return candidates[np.array([self.fits(S, u) for u in candidates.tolist()], dtype=bool)]
-
-    def fits(self, S: ElementSet, u: int) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-
-class CheckedExtensions(ExtensionState):
-    """Extensions by whole-set membership checks of S + u: the state of a
-    system without its own, and the reference the systems' own states are
-    tested against."""
 
     def __init__(self, oracle: IndependenceOracle):
         self._oracle = oracle
 
     def add(self, u: int) -> None:
         pass  # the set itself is passed to fits
+
+    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+        return candidates[np.array([self.fits(S, u) for u in candidates.tolist()], dtype=bool)]
 
     def fits(self, S: ElementSet, u: int) -> bool:
         return self._oracle._accepts(S.with_element(u))
@@ -757,8 +742,8 @@ class Rng:
     __slots__ = ("master_seed", "stream_index", "generator")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        master_seed = int(master_seed)
-        stream_index = int(stream_index)
+        master_seed = _id(master_seed, "master_seed")
+        stream_index = _id(stream_index, "stream_index")
         if master_seed < 0 or master_seed >= 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
         if stream_index < 0:

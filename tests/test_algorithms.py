@@ -12,9 +12,9 @@ import pytest
 
 from submax import (
     CapacityError,
-    CheckedExtensions,
     CutObjective,
-    EvaluatedGains,
+    ExtensionState,
+    GainState,
     GenreConstraint,
     GroundSet,
     IndependenceOracle,
@@ -622,8 +622,8 @@ def test_a_subclass_that_restates_accepts_alone_is_answered_by_it():
     runs = _summaries(make_f, lambda: _EvenOnly(g, 3))
     assert runs == _summaries(make_f, lambda: _even_only(g, 3))
     assert runs[0][0] == (2, 4, 6)
-    assert _EvenOnly._accepts_masks is None
-    assert type(_EvenOnly(g, 3).extension_state()) is CheckedExtensions
+    assert _EvenOnly._accepts_masks is IndependenceOracle._accepts_masks
+    assert type(_EvenOnly(g, 3).extension_state()) is ExtensionState
 
 
 def test_max_feasible_size_asks_a_subclass_that_restates_accepts_alone(caplog):
@@ -648,7 +648,7 @@ def test_a_subclass_that_restates_evaluate_alone_is_answered_by_it():
     assert runs[0][:2] == ((5, 6, 7), 42.0)
     assert runs[-2][:2] == (tuple(range(8)), 72.0)
     assert _Doubled.gain_state is None and _Doubled._evaluate_masks is None
-    assert type(obj.oracle().gain_state()) is EvaluatedGains
+    assert type(obj.oracle().gain_state()) is GainState
     assert brute_force_opt(obj.oracle(), UniformMatroid(g, 3)).value == 42.0
 
 

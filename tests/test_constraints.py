@@ -11,8 +11,8 @@ from hypothesis import given, settings, strategies as st
 from submax import constraints
 from submax.core import _CAPS, _independent_levels, _walk_order
 from submax import (
-    CheckedExtensions,
     CutObjective,
+    ExtensionState,
     GenreConstraint,
     GroundSet,
     HardInstance,
@@ -528,7 +528,7 @@ def test_greedy_family_with_extension_states_equals_checked_reference(system, ob
         I = extension_system(kind, size, seed)
         return IndependenceOracle(I._accepts, I.ground, k=I.k)
 
-    assert isinstance(checked().extension_state(), CheckedExtensions)
+    assert type(checked().extension_state()) is ExtensionState
     assert greedy_family(f.objective.oracle, lambda: extension_system(kind, size, seed), seed) \
         == greedy_family(f.objective.oracle, checked, seed)
 

@@ -179,6 +179,12 @@ _NON_INTEGER_IDS = {
                           r"mask np.float64\(1.0\)"),
     "boolean-pool": (lambda g, f, I, S: submax.greedy(f, I, candidates=np.array([True, False, True])),
                      "element id np.True_"),
+    "set-bool": (lambda g, f, I, S: g.set([True]), "element id True"),
+    "with-element-bool": (lambda g, f, I, S: g.empty().with_element(True), "element id True"),
+    "gain-bool": (lambda g, f, I, S: f.gain(f.gain_state(), S, True), "element id True"),
+    "bool-pool": (lambda g, f, I, S: submax.greedy(f, I, candidates=[True, False]), "element id True"),
+    "without-float": (lambda g, f, I, S: S.without_element(0.0), "element id 0.0"),
+    "difference-float": (lambda g, f, I, S: g.set([0, 1]).difference([0.0]), "element id 0.0"),
 }
 
 
@@ -194,6 +200,37 @@ def test_ids_and_masks_that_are_not_integers_are_refused(query):
     with pytest.raises(ValueError, match=f"^{shown} is not an integer$"):
         run(g, f, I, S)
     assert (f.eval_count, f.marginal_count, I.membership_count, f.cached_base) == (0, 0, 0, None)
+
+
+_NON_INTEGER_COUNTS = {
+    "partition-capacity": (lambda g: submax.PartitionMatroid(g, {0: 'a', 1: 'a', 2: 'a'}, {'a': 1.5}),
+                           "block 'a' capacity 1.5"),
+    "partition-half": (lambda g: submax.PartitionMatroid(g, {0: 'a'}, {'a': 0.5}), "block 'a' capacity 0.5"),
+    "uniform-float": (lambda g: UniformMatroid(g, 2.5), "uniform matroid rank 2.5"),
+    "uniform-bool": (lambda g: UniformMatroid(g, True), "uniform matroid rank True"),
+    "uniform-str": (lambda g: UniformMatroid(g, '3'), "uniform matroid rank '3'"),
+    "genre-m": (lambda g: submax.GenreConstraint(g, {0: {'x'}}, ['x'], m=2.5, m_g=1), "global limit m 2.5"),
+    "genre-mg": (lambda g: submax.GenreConstraint(g, {0: {'x'}}, ['x'], m=2, m_g=1.5), "genre 'x' limit 1.5"),
+    "k": (lambda g: submax.IndependenceOracle(lambda S: True, g, k=1.5), "k 1.5"),
+    "ell-float": (lambda g: submax.repeated_greedy(ModularObjective(g, [1.0] * 6).oracle(),
+                                                   UniformMatroid(g, 2), ell=2.5), "ell 2.5"),
+    "ell-str": (lambda g: submax.repeated_greedy(ModularObjective(g, [1.0] * 6).oracle(),
+                                                 UniformMatroid(g, 2), ell='2'), "ell '2'"),
+    "ground-set": (lambda g: GroundSet(2.5), "ground set size 2.5"),
+    "seed": (lambda g: Rng(1.5), "master_seed 1.5"),
+    "stream": (lambda g: Rng(1, 2.5), "stream_index 2.5"),
+}
+
+
+@pytest.mark.parametrize("build", _NON_INTEGER_COUNTS.values(), ids=_NON_INTEGER_COUNTS)
+def test_counts_sizes_and_capacities_that_are_not_integers_are_refused(build):
+    """A count, size or capacity that is not an integer is a ValueError
+    naming it, not truncated (2.5 to 2, True to 1) or compared as a float:
+    greedy under a block capacity of 1.5 took all three of the block's
+    elements, a set the matroid itself rejects."""
+    run, shown = build
+    with pytest.raises(ValueError, match=f"^{shown} is not an integer$"):
+        run(GroundSet(6))
 
 
 def test_ids_past_intp_are_refused():

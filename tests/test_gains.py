@@ -28,7 +28,6 @@ from hypothesis import example, given, settings, strategies as st
 from submax import (
     CoverageDispersionObjective,
     CutObjective,
-    EvaluatedGains,
     GainState,
     GenreConstraint,
     GroundSet,
@@ -183,7 +182,7 @@ def test_gain_of_a_candidate_does_not_depend_on_its_batch(kind):
 def test_objective_state_equals_evaluate_differences(kind):
     f, g = generate(SyntheticSpec(kind=kind, n=9, seed=11, density=0.5))
     ref_oracle = ValueOracle(f.objective.evaluate, g)
-    state, ref = f.objective.gain_state(), EvaluatedGains(ref_oracle)
+    state, ref = f.objective.gain_state(), GainState(ref_oracle)
     S = g.empty()
     for u in (4, 0, 8):
         rest = [e for e in g if e not in S]
@@ -232,7 +231,7 @@ def test_scalar_gain_is_its_batch_entry_bit_for_bit(kind):
 @pytest.mark.parametrize("kind", KINDS)
 def test_state_gains_and_losses_equal_evaluate_differences(kind):
     f, g = generate(SyntheticSpec(kind=kind, n=9, seed=11, density=0.5))
-    state, ref = f.objective.gain_state(), EvaluatedGains(ValueOracle(f.objective.evaluate, g))
+    state, ref = f.objective.gain_state(), GainState(ValueOracle(f.objective.evaluate, g))
     S = g.empty()
     for u, adding in ((4, True), (0, True), (8, True), (2, True), (0, False), (8, False),
                       (6, True), (4, False)):
@@ -282,7 +281,7 @@ def test_certified_coverage_vector_equals_evaluate_differences_bit_for_bit(case)
     obj, toggles, first_batch = case
     g = obj.ground
     assert obj._exact
-    state, ref = obj.gain_state(), EvaluatedGains(ValueOracle(obj.evaluate, g))
+    state, ref = obj.gain_state(), GainState(ValueOracle(obj.evaluate, g))
     S = g.empty()
     for step, u in enumerate([None, *toggles]):
         if u is not None:
@@ -581,8 +580,8 @@ def test_double_gains_count_one_evaluation_per_side():
 
 def test_evaluated_gains_is_the_default_state():
     g = GroundSet(3)
-    assert isinstance(ValueOracle(lambda S: 0.0, g).gain_state(), EvaluatedGains)
-    assert not isinstance(ModularObjective(g, [1, 2, 3]).oracle().gain_state(), EvaluatedGains)
+    assert type(ValueOracle(lambda S: 0.0, g).gain_state()) is GainState
+    assert type(ModularObjective(g, [1, 2, 3]).oracle().gain_state()) is not GainState
 
 
 @pytest.mark.parametrize("run", [
