@@ -29,7 +29,7 @@ from .core import (
     SolveResult,
     ValueOracle,
     _check_cap,
-    _id,
+    _count,
     _id_array,
     _independent_levels,
     _mask_set,
@@ -268,17 +268,14 @@ def repeated_greedy_bound(k: int, ell: int, alpha: float) -> float:
     """Worst-case approximation factor of ``repeated_greedy`` with ``ell``
     rounds on a k-system, when the unconstrained subroutine is an
     alpha-approximation (alpha=3 deterministic, alpha=2 randomized)."""
-    if ell < 1:
-        raise ValueError(f"ell must be >= 1, got {ell}")
+    ell = _count(ell, "ell", 1)
     denom = (k + 1) * ell + alpha * ell * (ell - 1) / 2.0
     return (ell - 1) / denom
 
 
 def default_rounds(k: int) -> int:
     """The auto round count: ceil(sqrt(k))."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return math.isqrt(k - 1) + 1  # == ceil(sqrt(k)) for integer k >= 1
+    return math.isqrt(_count(k, "k", 1) - 1) + 1  # == ceil(sqrt(k)) for integer k >= 1
 
 
 def repeated_greedy(
@@ -300,12 +297,7 @@ def repeated_greedy(
     ceil(sqrt(k)).  The subroutine is randomized double greedy (alpha=2)
     driven by ``rng`` when one is given, else deterministic (alpha=3).
     """
-    if ell == "auto":
-        rounds = default_rounds(I.k)
-    else:
-        rounds = _id(ell, "ell")
-        if rounds < 1:
-            raise ValueError(f"ell must be >= 1, got {rounds}")
+    rounds = default_rounds(I.k) if ell == "auto" else _count(ell, "ell", 1)
 
     run = _Run(f, I)
     remaining = np.ones(f.ground.n, dtype=bool)  # not picked by an earlier round

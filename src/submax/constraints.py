@@ -28,7 +28,7 @@ from .core import (
     IndependenceOracle,
     _CAPS,
     _halves,
-    _id,
+    _count,
     _id_array,
     _independent_levels,
     _mask_set,
@@ -112,9 +112,7 @@ class UniformMatroid(_RoomSystem):
     """S independent iff |S| <= m.  A matroid (declared k = 1)."""
 
     def __init__(self, ground: GroundSet, m: int):
-        self.m = _id(m, "uniform matroid rank")
-        if self.m < 0:
-            raise ValueError(f"uniform matroid rank must be >= 0, got {m}")
+        self.m = _count(m, "uniform matroid rank")
         super().__init__(ground, 1, {_EVERY: self.m})
 
     def _groups_of(self, u: int) -> tuple:
@@ -136,10 +134,7 @@ class PartitionMatroid(_RoomSystem):
         capacities: Mapping[object, int],
     ):
         self.block_of = dict(block_of)
-        self.capacities = {b: _id(cap, f"block {b!r} capacity") for b, cap in dict(capacities).items()}
-        for b, cap in self.capacities.items():
-            if cap < 0:
-                raise ValueError(f"block {b!r} has negative capacity {cap}")
+        self.capacities = {b: _count(cap, f"block {b!r} capacity") for b, cap in dict(capacities).items()}
         if None in self.capacities:
             raise ValueError("None is not a block label; leave unconstrained elements out of block_of")
         missing = {b for b in self.block_of.values() if b not in self.capacities}
@@ -232,17 +227,13 @@ class GenreConstraint(_RoomSystem):
         favorites = list(dict.fromkeys(favorites))
         if not favorites:
             raise ValueError("genre constraint needs at least one favourite genre")
-        m = _id(m, "global limit m")
-        if m < 0:
-            raise ValueError(f"global limit m must be >= 0, got {m}")
+        m = _count(m, "global limit m")
         if not isinstance(m_g, Mapping):
             m_g = dict.fromkeys(favorites, m_g)
         missing = [g for g in favorites if g not in m_g]
         if missing:
             raise ValueError(f"no per-genre limit for favourite genre(s) {', '.join(missing)}")
-        limits = {g: _id(m_g[g], f"genre {g!r} limit") for g in favorites}
-        if any(v < 0 for v in limits.values()):
-            raise ValueError("per-genre limits must be >= 0")
+        limits = {g: _count(m_g[g], f"genre {g!r} limit") for g in favorites}
         _id_array(ground, genre_of)  # refuses an id outside the ground set
         self.genre_of = {e: frozenset(gs) for e, gs in genre_of.items()}
         self.favorites = favorites
@@ -334,10 +325,7 @@ def verify_k_extendible(
     the columns) answers "some allowed D ⊇ A has D + e independent" for
     every A of a batch of pairs at once.
     """
-    if k is None:
-        k = I.k
-    if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+    k = I.k if k is None else _count(k, "k")
     elems, ind = _subset_table(I.ground, elements, "verify_k_extendible", I.independent_masks)
     n = len(elems)
     masks, bits = np.arange(1 << n), 1 << np.arange(n)

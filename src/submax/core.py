@@ -53,9 +53,7 @@ class GroundSet:
     __slots__ = ("n",)
 
     def __init__(self, n: int):
-        self.n = _id(n, "ground set size")
-        if self.n < 0:
-            raise ValueError(f"ground set size must be >= 0, got {n}")
+        self.n = _count(n, "ground set size")
 
     @property
     def elements(self) -> range:
@@ -104,10 +102,9 @@ class ElementSet:
     __slots__ = ("universe", "members", "_memberset", "_table")
 
     def __init__(self, universe: GroundSet, members: Iterable[int] = ()):
-        ms = sorted(set(_intp(members, "element id").tolist()))
-        if ms and (ms[0] < 0 or ms[-1] >= universe.n):
-            bad = ms[0] if ms[0] < 0 else ms[-1]
-            raise _outside(bad, universe)
+        if members is None:  # _elements reads None as the whole ground set
+            raise TypeError("element set members must be ids, not None")
+        ms = _elements(universe, members)
         self.universe = universe
         self.members = tuple(ms)
         self._memberset = frozenset(ms)
@@ -150,6 +147,8 @@ class ElementSet:
         return self._memberset <= other._memberset
 
     def __contains__(self, e: int) -> bool:
+        if type(e) is not int:
+            e = _id(e)
         return e in self._memberset
 
     def __iter__(self) -> Iterator[int]:
@@ -295,6 +294,15 @@ def _id(e, what: str = "element id") -> int:
     raise ValueError(f"{what} {e!r} is not an integer")
 
 
+def _count(v, what: str, low: int = 0) -> int:
+    """The count, size or parameter ``v`` as an int read by :func:`_id`; one
+    below ``low`` is a ValueError naming it."""
+    n = _id(v, what)
+    if n < low:
+        raise ValueError(f"{what} must be >= {low}, got {v}")
+    return n
+
+
 def _intp(ids: Iterable[int], what: str) -> np.ndarray:
     """``ids`` as an ``np.intp`` array: an integer array without a walk, any
     other iterable id by id, each refused by :func:`_id` unless an integer
@@ -317,8 +325,8 @@ def _intp(ids: Iterable[int], what: str) -> np.ndarray:
 
 def _id_array(ground: GroundSet, ids: Optional[Iterable[int]] = None) -> np.ndarray:
     """``ids`` (all of ``ground`` when None) as an ascending duplicate-free
-    ``np.intp`` array, refused by :func:`_intp` unless integers and
-    range-checked as in :class:`ElementSet`, through a mask over ``ground``:
+    ``np.intp`` array, refused by :func:`_intp` unless integers and by
+    :func:`_outside` past ``ground``, and sorted through a mask over ``ground``:
     ``np.unique`` imports ``numpy.ma``, and a first ``np.sort`` adds ~0.4 MiB
     to a fresh process's peak RSS (numpy 2.4, x86-64)."""
     if ids is None:
@@ -332,8 +340,8 @@ def _id_array(ground: GroundSet, ids: Optional[Iterable[int]] = None) -> np.ndar
 
 
 def _elements(ground: GroundSet, elements: Optional[Iterable[int]]) -> list[int]:
-    """``elements`` sorted, distinct and range-checked against ``ground``; all
-    of ``ground`` when None."""
+    """``elements`` as :func:`_id_array` reads them, a list of ints: the one
+    id reader of element sets and candidate pools."""
     return _id_array(ground, elements).tolist()
 
 
@@ -524,7 +532,7 @@ class ValueOracle:
             u = _id(u)
         if not 0 <= u < self.ground.n:
             raise _outside(u, self.ground)
-        if u in S:
+        if u in S._memberset:
             raise ValueError(f"marginal gains require candidates outside S={S!r}")
         base = self.value(S)
         self.marginal_count += 1
@@ -634,7 +642,7 @@ class IndependenceOracle:
             raise ValueError("IndependenceOracle needs a membership callback")
         self._fn = fn
         self.ground = ground
-        self.k = _id(k, "k")
+        self.k = _count(k, "k", 1)
         self.membership_count = 0
 
     def __init_subclass__(cls, **kwargs):
@@ -693,7 +701,7 @@ class IndependenceOracle:
             u = _id(u)
         if not 0 <= u < self.ground.n:
             raise _outside(u, self.ground)
-        if u in S:
+        if u in S._memberset:
             raise ValueError(f"extension queries require candidates outside S={S!r}")
         self.membership_count += 1
         return state.fits(S, u)
@@ -742,12 +750,10 @@ class Rng:
     __slots__ = ("master_seed", "stream_index", "generator")
 
     def __init__(self, master_seed: int, stream_index: int = 0):
-        master_seed = _id(master_seed, "master_seed")
-        stream_index = _id(stream_index, "stream_index")
-        if master_seed < 0 or master_seed >= 2**64:
+        master_seed = _count(master_seed, "master_seed")
+        stream_index = _count(stream_index, "stream_index")
+        if master_seed >= 2**64:
             raise ValueError(f"master_seed must be a 64-bit unsigned integer, got {master_seed}")
-        if stream_index < 0:
-            raise ValueError(f"stream_index must be >= 0, got {stream_index}")
         self.master_seed = master_seed
         self.stream_index = stream_index
         ss = np.random.SeedSequence(entropy=master_seed, spawn_key=(stream_index,))

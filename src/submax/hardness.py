@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ElementSet, ExtensionState, GroundSet, IndependenceOracle, Rng
+from .core import ElementSet, ExtensionState, GroundSet, IndependenceOracle, Rng, _count, _id
 
 MODE_M = "M"
 MODE_M_PRIME = "M'"
@@ -45,9 +45,8 @@ class GadgetParams:
     m: int
 
     def __post_init__(self):
-        for name, v in (("k", self.k), ("h", self.h), ("m", self.m)):
-            if int(v) != v or v < 1:
-                raise ValueError(f"{name} must be a positive integer, got {v!r}")
+        for name in ("k", "h", "m"):
+            object.__setattr__(self, name, _count(getattr(self, name), name, 1))
         if self.h % (2 * self.k) != 0:
             raise ValueError(
                 f"h must be a multiple of 2k; got h={self.h}, 2k={2 * self.k} "
@@ -78,10 +77,8 @@ class GadgetParams:
 
 def gadget_g(x: int, params: GadgetParams) -> Fraction:
     """Exact gadget value g(x) = min(x, t) + max((x - t)/k, 0), t = 2km/h."""
-    if x < 0:
-        raise ValueError(f"gadget argument must be >= 0, got {x}")
     t = params.threshold
-    xf = Fraction(x)
+    xf = Fraction(_count(x, "gadget argument"))
     return min(xf, t) + max((xf - t) / params.k, Fraction(0))
 
 
@@ -92,7 +89,7 @@ class HardInstance(IndependenceOracle):
         if mode not in (MODE_M, MODE_M_PRIME):
             raise ValueError(f"mode must be {MODE_M!r} or {MODE_M_PRIME!r}, got {mode!r}")
         params = GadgetParams(k, h, m)
-        super().__init__(None, GroundSet(params.n), k=k)
+        super().__init__(None, GroundSet(params.n), k=params.k)
         self.params = params
         self.mode = mode
         # whether x members in H_1 and out outside it fit; mode M' is the
@@ -102,12 +99,14 @@ class HardInstance(IndependenceOracle):
     def element_id(self, i: int, j: int) -> int:
         """Dense id of element (i, j), 1-based block i in 1..h, 1-based j in 1..km."""
         bs = self.params.block_size
+        i, j = _id(i, "i"), _id(j, "j")
         if not (1 <= i <= self.params.h and 1 <= j <= bs):
             raise ValueError(f"(i={i}, j={j}) outside 1..{self.params.h} x 1..{bs}")
         return (i - 1) * bs + (j - 1)
 
     def block_of(self, e: int) -> int:
         """1-based block index of dense id e."""
+        e = _id(e)
         if not 0 <= e < self.ground.n:
             raise ValueError(f"element {e} outside the instance universe of size {self.ground.n}")
         return e // self.params.block_size + 1
@@ -213,6 +212,7 @@ def overlap_probe(
             f"instances disagree on parameters: {inst_m.params} vs {inst_m_prime.params}"
         )
     p = inst_m.params
+    set_size = _id(set_size, "set_size")
     if set_size <= p.m:
         raise ValueError(
             f"set_size={set_size} <= m={p.m}: both modes label every such set "
@@ -223,8 +223,7 @@ def overlap_probe(
             f"set_size={set_size} > k*m={p.k * p.m}: neither mode admits such sets, "
             f"the probe is vacuous there"
         )
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    trials = _count(trials, "trials", 1)
 
     n = p.n
     bs = p.block_size

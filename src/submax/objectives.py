@@ -27,6 +27,7 @@ from .core import (
     GroundSet,
     Rng,
     ValueOracle,
+    _count,
     _halves,
     _id_array,
     _intp,
@@ -537,8 +538,7 @@ class SyntheticSpec:
     def validate(self) -> None:
         if self.kind not in SYNTHETIC_KINDS:
             raise ValueError(f"unknown synthetic kind {self.kind!r}; choose from {SYNTHETIC_KINDS}")
-        if self.n < 0:
-            raise ValueError(f"n must be >= 0, got {self.n}")
+        _count(self.n, "n")
         if not 0.0 <= self.density <= 1.0:
             raise ValueError(f"density must lie in [0, 1], got {self.density}")
         if not 0.0 <= self.lam <= 1.0:

@@ -358,7 +358,7 @@ def test_genre_constraint_per_genre_mapping():
     (lambda: GenreConstraint(GroundSet(6), GENRES, ["a"], m=-1, m_g=1),
      "global limit m must be >= 0, got -1"),
     (lambda: GenreConstraint(GroundSet(6), GENRES, ["a", "b"], m=2, m_g={"a": 1, "b": -1}),
-     "per-genre limits must be >= 0"),
+     "genre 'b' limit must be >= 0, got -1"),
 ], ids=["no-component", "two-sizes", "no-favourite", "m-negative", "limit-negative"])
 def test_intersection_and_genre_parameters_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

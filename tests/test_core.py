@@ -10,9 +10,13 @@ from hypothesis import given, settings, strategies as st
 
 import submax
 from submax import (
+    MODE_M,
+    MODE_M_PRIME,
     CapacityError,
     ElementSet,
+    GadgetParams,
     GroundSet,
+    HardInstance,
     ModularObjective,
     NonNegativityError,
     Rng,
@@ -21,7 +25,11 @@ from submax import (
     UniformMatroid,
     ValueOracle,
     bernoulli,
+    default_rounds,
     generate,
+    overlap_probe,
+    repeated_greedy_bound,
+    verify_k_extendible,
 )
 from submax.core import _CAPS
 
@@ -44,6 +52,8 @@ def test_ground_set_basics():
         GroundSet(-1)
     with pytest.raises(ValueError):
         g.set([5])
+    with pytest.raises(TypeError, match="^element set members must be ids, not None$"):
+        g.set(None)
 
 
 def test_element_set_algebra():
@@ -185,6 +195,8 @@ _NON_INTEGER_IDS = {
     "bool-pool": (lambda g, f, I, S: submax.greedy(f, I, candidates=[True, False]), "element id True"),
     "without-float": (lambda g, f, I, S: S.without_element(0.0), "element id 0.0"),
     "difference-float": (lambda g, f, I, S: g.set([0, 1]).difference([0.0]), "element id 0.0"),
+    "in-float": (lambda g, f, I, S: 0.0 in S, "element id 0.0"),
+    "in-bool": (lambda g, f, I, S: True in g.set([1]), "element id True"),
 }
 
 
@@ -219,7 +231,22 @@ _NON_INTEGER_COUNTS = {
     "ground-set": (lambda g: GroundSet(2.5), "ground set size 2.5"),
     "seed": (lambda g: Rng(1.5), "master_seed 1.5"),
     "stream": (lambda g: Rng(1, 2.5), "stream_index 2.5"),
+    "hard-k": (lambda g: HardInstance(2.0, 8, 4, MODE_M), "k 2.0"),
+    "gadget-bool": (lambda g: GadgetParams(True, 2, 1), "k True"),
+    "verify-k-float": (lambda g: verify_k_extendible(UniformMatroid(g, 2), k=1.5), "k 1.5"),
+    "verify-k-bool": (lambda g: verify_k_extendible(UniformMatroid(g, 2), k=True), "k True"),
+    "rounds-float": (lambda g: default_rounds(1.5), "k 1.5"),
+    "bound-ell-float": (lambda g: repeated_greedy_bound(1, 2.5, 3), "ell 2.5"),
+    "probe-trials": (lambda g: _probe(3, 2.5), "trials 2.5"),
+    "probe-set-size": (lambda g: _probe(3.0, 10), "set_size 3.0"),
+    "element-id": (lambda g: HardInstance(2, 8, 2, MODE_M).element_id(1.5, 1), "i 1.5"),
+    "block-of": (lambda g: HardInstance(2, 8, 2, MODE_M).block_of(2.5), "element id 2.5"),
 }
+
+
+def _probe(set_size, trials):
+    return overlap_probe(HardInstance(2, 8, 2, MODE_M), HardInstance(2, 8, 2, MODE_M_PRIME),
+                         set_size, trials, Rng(0))
 
 
 @pytest.mark.parametrize("build", _NON_INTEGER_COUNTS.values(), ids=_NON_INTEGER_COUNTS)
@@ -230,6 +257,25 @@ def test_counts_sizes_and_capacities_that_are_not_integers_are_refused(build):
     elements, a set the matroid itself rejects."""
     run, shown = build
     with pytest.raises(ValueError, match=f"^{shown} is not an integer$"):
+        run(GroundSet(6))
+
+
+_BELOW_FLOOR = {
+    "oracle-k": (lambda g: submax.IndependenceOracle(lambda S: True, g, k=0), "k must be >= 1, got 0"),
+    "partition-capacity": (lambda g: submax.PartitionMatroid(g, {0: 'a'}, {'a': -1}),
+                           "block 'a' capacity must be >= 0, got -1"),
+    "gadget-k": (lambda g: GadgetParams(0, 2, 1), "k must be >= 1, got 0"),
+    "seed": (lambda g: Rng(-1), "master_seed must be >= 0, got -1"),
+}
+
+
+@pytest.mark.parametrize("build", _BELOW_FLOOR.values(), ids=_BELOW_FLOOR)
+def test_counts_below_their_floor_are_refused(build):
+    """A count below its floor (1 for a system's k, ell, trials and the
+    gadget's k, h and m; 0 for the rest) is the one ValueError of
+    ``core._count``, naming it."""
+    run, message = build
+    with pytest.raises(ValueError, match=f"^{message}$"):
         run(GroundSet(6))
 
 
@@ -249,6 +295,7 @@ def test_numpy_integer_ids_are_read_as_ints():
     g = GroundSet(4)
     S = g.set(np.array([3, 1], dtype=np.uint8)).with_element(np.int64(2))
     assert S.members == (1, 2, 3) and all(type(e) is int for e in S.members)
+    assert np.int64(1) in S and np.uint8(0) not in S
 
 
 def test_membership_table_belongs_to_its_set():
