@@ -33,6 +33,7 @@ from .core import (
     _id_array,
     _independent_levels,
     _mask_set,
+    _same_ground,
     _walk_order,
     bernoulli,
 )
@@ -75,6 +76,8 @@ class _Run:
 
     def __init__(self, f: ValueOracle, I: Optional[IndependenceOracle] = None,
                  pool: Optional[np.ndarray] = None):
+        if I is not None:
+            _same_ground(f.ground, I.ground, "the independence system")
         self.f, self.I = f, I
         self._t0 = time.perf_counter()
         self._before = self._counts()
@@ -205,10 +208,11 @@ def _double_greedy(f: ValueOracle, U: ElementSet, rng: Optional[Rng], name: str)
     leaves Y - u cached: at the last element X + u is Y, so it is served from
     the cache when the step before dropped its element.  The value is f(X)
     accumulated from the gains."""
+    _same_ground(f.ground, U.universe, U)
     run = _Run(f)
     ground = U.universe
     fx = f.value(ground.empty())
-    f.value(U)  # f(Y), counted and cached; it also rejects a U outside f's domain
+    f.value(U)  # f(Y), counted and cached
     up, down = f.gain_state(), f.gain_state()
     for u in U.members:
         down.add(u)
@@ -268,7 +272,7 @@ def repeated_greedy_bound(k: int, ell: int, alpha: float) -> float:
     """Worst-case approximation factor of ``repeated_greedy`` with ``ell``
     rounds on a k-system, when the unconstrained subroutine is an
     alpha-approximation (alpha=3 deterministic, alpha=2 randomized)."""
-    ell = _count(ell, "ell", 1)
+    k, ell = _count(k, "k", 1), _count(ell, "ell", 1)
     denom = (k + 1) * ell + alpha * ell * (ell - 1) / 2.0
     return (ell - 1) / denom
 

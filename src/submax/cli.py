@@ -60,7 +60,6 @@ from .core import (
 )
 from .hardness import (
     MODE_M,
-    MODE_M_PRIME,
     HardInstance,
     gadget_g,
     large_witness,
@@ -150,11 +149,8 @@ def parse_constraint_spec(s: str) -> dict:
         return {"kind": "genre", "m": int(kv["m"]), "mg": int(kv["mg"]), "g": genres}
     if kind == "hard":
         kv = _parse_kv(body, "hard constraint", ("k", "h", "m", "mode"))
-        mode = kv["mode"]
-        if mode not in (MODE_M, MODE_M_PRIME):
-            raise ConfigError(f"hard mode must be M or M', got {mode!r}")
         return {"kind": "hard", "k": int(kv["k"]), "h": int(kv["h"]), "m": int(kv["m"]),
-                "mode": mode}
+                "mode": kv["mode"]}
     raise ConfigError(f"unknown constraint kind {kind!r} in {s!r}")
 
 
@@ -227,12 +223,11 @@ def _check_ids(path: str, ids: Iterable[int], n: int) -> None:
         raise ConfigError(f"{path}: element ids must be < {n}; got {bad[:5]}")
 
 
-def _load_modular_csv(path: str) -> tuple[GroundSet, list[float]]:
+def _load_modular_csv(path: str) -> ModularObjective:
     weights = {e: w for e, (_line, w) in _read_id_rows(path, {"weight": float}).items()}
     if not weights:
         raise ConfigError(f"{path}: no weight rows")
-    n = max(weights) + 1
-    return GroundSet(n), [weights.get(e, 0.0) for e in range(n)]
+    return ModularObjective(GroundSet(max(weights) + 1), weights)
 
 
 def _load_partition_csv(path: str, n: int) -> tuple[dict[int, str], dict[str, int]]:
@@ -265,7 +260,6 @@ def _load_genres(spec: dict, n: int) -> dict:
 
 class _Instance(NamedTuple):
     objective: Optional[object]  # None when verify checks a constraint alone
-    ground: Optional[GroundSet]
     constraint: Optional[Callable[[dict], IndependenceOracle]]  # spec -> constraint; None without one
 
 
@@ -275,9 +269,9 @@ _instances: dict[str, _Instance] = {}  # config hash -> instance, per process
 def _instance(cfg: dict) -> _Instance:
     """The read-only part of a config, built once per process: the objective
     (a coverage objective over the genre universe N_u under a genre
-    constraint), its ground set, and its constraint's builder (spec ->
-    constraint), which holds any genre map or partition blocks read.  Each
-    trial takes a fresh value oracle from it: ``objective.oracle()``."""
+    constraint) and its constraint's builder (spec -> constraint), which
+    holds any genre map or partition blocks read.  Each trial takes a fresh
+    value oracle from it: ``objective.oracle()``."""
     if cfg["hash"] in _instances:
         return _instances[cfg["hash"]]
     source, spec = cfg["instance"], cfg["constraint"] or {"kind": None}
@@ -287,14 +281,10 @@ def _instance(cfg: dict) -> _Instance:
             mat, _labels = load_similarity_csv(cfg["similarity"])
             ground = GroundSet(mat.shape[0])
         elif source is not None and source["source"] == "modular_csv":
-            ground, weights = _load_modular_csv(source["file"])
-            obj = ModularObjective(ground, weights)
+            obj = _load_modular_csv(source["file"])
         elif source is not None:
-            oracle, ground = generate(SyntheticSpec(
-                kind=source["kind"], n=source["n"], seed=source["seed"],
-                density=source["density"], lam=source["lam"], tie_free=source["tie_free"],
-            ))
-            obj = oracle.objective
+            obj = generate(SyntheticSpec(**{k: v for k, v in source.items() if k != "source"}))[0].objective
+        ground = ground if obj is None else obj.ground
         if spec["kind"] in ("uniform", "partition", "genre") and ground is None:
             raise ConfigError(f"{spec['kind']} constraint needs an objective for its ground set")
         if spec["kind"] == "uniform":
@@ -323,7 +313,7 @@ def _instance(cfg: dict) -> _Instance:
                                               universe_u=nu)
     except ValueError as exc:  # malformed input data or parameters
         raise ConfigError(str(exc)) from None
-    _instances[cfg["hash"]] = _Instance(obj, ground, build)
+    _instances[cfg["hash"]] = _Instance(obj, build)
     return _instances[cfg["hash"]]
 
 
@@ -336,22 +326,16 @@ def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):
     builder of solve, bench and verify."""
     if cfg["constraint"] is None:
         return None
-    spec = dict(cfg["constraint"])
-    kind = spec["kind"]
-    if sweep is not None:
-        param, value = sweep
-        if param not in _SWEEPABLE.get(kind, ()):
-            raise ConfigError(f"sweep parameter {param!r} does not apply to constraint kind {kind!r}")
-        spec[param] = value
-    inst = _instance(cfg)
+    spec = dict(cfg["constraint"], **dict([sweep] if sweep is not None else []))
+    obj, build = _instance(cfg)
     try:
-        oracle = inst.constraint(spec)
+        oracle = build(spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if inst.ground is not None and oracle.ground.n != inst.ground.n:  # a hard instance sizes its own
+    if obj is not None and oracle.ground.n != obj.ground.n:  # a hard instance sizes its own
         raise ConfigError(
             f"hard constraint universe has n={oracle.ground.n} but the objective "
-            f"has n={inst.ground.n}; size the instance to h*k*m"
+            f"has n={obj.ground.n}; size the instance to h*k*m"
         )
     if cfg["k_override"] is not None:
         oracle.k = cfg["k_override"]
@@ -435,7 +419,7 @@ def _check_algorithm(cfg: dict, alg: str) -> None:
     if alg == "sample-greedy-linear" and not inst.objective.is_modular:
         raise ConfigError(f"{alg} needs a modular objective, got {type(inst.objective).__name__}")
     if alg == "brute-force":
-        _check_cap("brute_force_opt", inst.ground.n)
+        _check_cap("brute_force_opt", inst.objective.ground.n)
 
 
 def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_index: int) -> dict:
@@ -456,7 +440,7 @@ def run_one_trial(cfg: dict, sweep: Optional[tuple[str, int]], alg: str, trial_i
         "independence_checks": res.independence_checks,
         "k": None if I is None else I.k,
         "marginal_evals": res.marginal_evals,
-        "n": inst.ground.n,
+        "n": inst.objective.ground.n,
         "r": point.r,
         "seed": res.seed,
         "solution": list(res.solution.members),
@@ -581,6 +565,9 @@ def cmd_bench(args) -> int:
     # every algorithm and sweep point is checked before the first trial runs
     for alg in algs:
         _check_algorithm(cfg, alg)
+    kind = cfg["constraint"]["kind"]
+    if sweep_param not in _SWEEPABLE.get(kind, ()):
+        raise ConfigError(f"sweep parameter {sweep_param!r} does not apply to constraint kind {kind!r}")
     points = [(sweep_param, value) for value in range(lo, hi + 1)]
     for sweep in points:
         _point(cfg, sweep)
@@ -659,22 +646,19 @@ def verify_report_pair(jsonl_path: str, csv_path: str) -> tuple[bool, str]:
 
 
 def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
-    checks: list[tuple[str, str, str]] = []
-
-    inst = _instance(cfg)
-    obj = inst.objective
-    oracle = _build_constraint(cfg, None)
-    runs = []  # (exhaustive check's name, its elements)
-    if obj is not None:
-        f_elems = list(obj.universe_u if isinstance(obj, CoverageDispersionObjective) else inst.ground)[:limit]
-        runs += [("check_submodular", f_elems), ("check_monotone", f_elems)]
-    if oracle is not None:
-        elems = list(oracle.ground.elements)[:limit]
-        runs += [(check.__name__, elems) for check in
-                 (verify_downward_closed, verify_k_system, verify_k_extendible)]
-    for name, e in runs:  # refuse a --limit past any cap before running a check
+    obj, oracle = _instance(cfg).objective, _build_constraint(cfg, None)
+    if obj is None and oracle is None:
+        raise ConfigError("verify needs --instance/--similarity and/or --constraint")
+    f_elems = [] if obj is None else list(
+        obj.universe_u if isinstance(obj, CoverageDispersionObjective) else obj.ground)[:limit]
+    elems = [] if oracle is None else list(oracle.ground.elements)[:limit]
+    # refuse a --limit past any cap before running a check; an absent side lists no elements
+    for name, e in (("check_submodular", f_elems), ("check_monotone", f_elems),
+                    ("verify_downward_closed", elems), ("verify_k_system", elems),
+                    ("verify_k_extendible", elems)):
         _check_cap(name, len(e))
 
+    checks: list[tuple[str, str, str]] = []
     if obj is not None:
         f = obj.oracle()
         try:
@@ -711,13 +695,8 @@ def _verify_checks(cfg: dict, limit: int) -> list[tuple[str, str, str]]:
                 if s.denominator != 1:
                     checks.append(("witness", "INFO", f"size formula {s} not integral; skipped"))
                 else:
-                    w = large_witness(oracle)
-                    good = oracle.is_independent(w) and len(w) == int(s)
-                    checks.append(("witness", "PASS" if good else "FAIL",
-                                   f"|W|={len(w)} formula={int(s)}"))
-
-    if not checks:
-        raise ConfigError("verify needs --instance/--similarity and/or --constraint")
+                    # large_witness asserts W independent and of the formula's size
+                    checks.append(("witness", "PASS", f"|W|={len(large_witness(oracle))} formula={int(s)}"))
     return checks
 
 

@@ -89,6 +89,12 @@ def _outside(e: int, ground: GroundSet) -> ValueError:
     return ValueError(f"element {e} outside ground set of size {ground.n}")
 
 
+def _same_ground(ground: GroundSet, other: GroundSet, what) -> None:
+    """Refuse ``what``, a set or system over ``other``, unless ``other`` has ``ground``'s size."""
+    if other.n != ground.n:
+        raise ValueError(f"{what} is over a ground set of size {other.n}, not {ground.n}")
+
+
 class ElementSet:
     """An immutable subset of a :class:`GroundSet`.
 
@@ -415,8 +421,8 @@ class ValueOracle:
     :meth:`double_gains` answers double greedy's two queries from two states
     and counts them as the two evaluations the values would cost.
     :meth:`values_masks` answers :meth:`value` for an array of subset masks
-    and counts as that loop.  A candidate id outside the ground set is a
-    ValueError, counted as no query.
+    and counts as that loop.  A candidate id outside the ground set, and a
+    set over another ground set, are ValueErrors, counted as no query.
     """
 
     def __init__(
@@ -455,6 +461,7 @@ class ValueOracle:
         cached = self.cached_base
         if cached is not None and (cached[0] is S or cached[0] == S):
             return cached[1]
+        _same_ground(self.ground, S.universe, S)
         v = self._evaluate(S)
         self.cached_base = (S, v)
         return v
@@ -628,7 +635,8 @@ class IndependenceOracle:
     :meth:`extensions` answers "is S + u independent?" for a batch of
     candidates, and :meth:`fits` for one, from a per-run extension state
     (:meth:`extension_state`); both count exactly as the same queries asked
-    one by one through :meth:`is_independent`.
+    one by one through :meth:`is_independent`.  A set over another ground
+    set is a ValueError, counted as no query.
     """
 
     def __init__(
@@ -655,6 +663,7 @@ class IndependenceOracle:
         return bool(self._fn(S))
 
     def is_independent(self, S: ElementSet) -> bool:
+        _same_ground(self.ground, S.universe, S)
         self.membership_count += 1
         return self._accepts(S)
 
@@ -688,6 +697,7 @@ class IndependenceOracle:
 
         Counted as ``len(candidates)`` calls of :meth:`is_independent`.
         """
+        _same_ground(self.ground, S.universe, S)
         candidates = _intp(candidates, "element id")
         if _meets(S, candidates):
             raise ValueError(f"extension queries require candidates outside S={S!r}")

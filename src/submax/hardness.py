@@ -87,7 +87,7 @@ class HardInstance(IndependenceOracle):
 
     def __init__(self, k: int, h: int, m: int, mode: str):
         if mode not in (MODE_M, MODE_M_PRIME):
-            raise ValueError(f"mode must be {MODE_M!r} or {MODE_M_PRIME!r}, got {mode!r}")
+            raise ValueError(f"hard mode must be {MODE_M} or {MODE_M_PRIME}, got {mode!r}")
         params = GadgetParams(k, h, m)
         super().__init__(None, GroundSet(params.n), k=params.k)
         self.params = params

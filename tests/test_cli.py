@@ -331,6 +331,17 @@ def test_solve_rejects_nan_modular_weights(tmp_path, capsys, alg):
     assert out.out == "" and "finite" in out.err
 
 
+def test_modular_csv_ids_missing_from_the_file_weigh_zero(tmp_path, capsys):
+    """The ground set runs to the largest id listed; the ids between weigh 0."""
+    weights = tmp_path / "gaps.csv"
+    weights.write_text("element_id,weight\n0,1\n3,2\n")
+    assert run(["solve", "--alg", "greedy", "--instance", str(weights),
+                "--constraint", "uniform:4"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert (rep["n"], rep["r"], rep["solution"], rep["value"]) == (4, 4, [0, 3], 3.0)
+    assert (rep["f_evals"], rep["marginal_evals"]) == (10, 9)
+
+
 def test_solve_rejects_negative_modular_ids(tmp_path, capsys):
     weights = tmp_path / "neg.csv"
     weights.write_text("element_id,weight\n-1,5\n0,1\n1,2\n")

@@ -174,6 +174,26 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     assert (f.eval_count, f.marginal_count, I.membership_count) == counts
 
 
+@pytest.mark.parametrize("n_I, query, shown", [
+    (10, lambda f, I: f.value(GroundSet(20).set([12])), r"ElementSet\(\[12\]\)"),
+    (10, lambda f, I: submax.unconstrained_max_det(f, GroundSet(20).set([1, 12])), r"ElementSet\(\[1, 12\]\)"),
+    (10, lambda f, I: I.is_independent(GroundSet(20).set([12, 13])), r"ElementSet\(\[12, 13\]\)"),
+    (10, lambda f, I: I.extensions(I.extension_state(), GroundSet(20).set([12]), [1]), r"ElementSet\(\[12\]\)"),
+    (20, lambda f, I: submax.greedy(f, I), "the independence system"),
+    (20, lambda f, I: submax.brute_force_opt(f, I), "the independence system"),
+], ids=["value", "double-greedy", "is-independent", "extensions", "greedy", "brute-force"])
+def test_sets_and_systems_over_another_ground_set_are_refused(n_I, query, shown):
+    """A set or system over a ground set of another size than the oracle's
+    is a ValueError naming both sizes, counted as no query: a 20-element set
+    raised numpy's IndexError from a 10-element oracle or passed a
+    10-element matroid, and greedy ran under a 20-element matroid."""
+    f = ModularObjective(GroundSet(10), [float(e) for e in range(10)]).oracle()
+    I = UniformMatroid(GroundSet(n_I), 3)
+    with pytest.raises(ValueError, match=f"^{shown} is over a ground set of size 20, not 10$"):
+        query(f, I)
+    assert (f.eval_count, f.marginal_count, I.membership_count) == (0, 0, 0)
+
+
 _NON_INTEGER_IDS = {
     "set": (lambda g, f, I, S: g.set([1.5, '2']), "element id 1.5"),
     "with-element": (lambda g, f, I, S: S.with_element(1.5), "element id 1.5"),
@@ -237,6 +257,7 @@ _NON_INTEGER_COUNTS = {
     "verify-k-bool": (lambda g: verify_k_extendible(UniformMatroid(g, 2), k=True), "k True"),
     "rounds-float": (lambda g: default_rounds(1.5), "k 1.5"),
     "bound-ell-float": (lambda g: repeated_greedy_bound(1, 2.5, 3), "ell 2.5"),
+    "bound-k-float": (lambda g: repeated_greedy_bound(1.5, 2, 3), "k 1.5"),
     "probe-trials": (lambda g: _probe(3, 2.5), "trials 2.5"),
     "probe-set-size": (lambda g: _probe(3.0, 10), "set_size 3.0"),
     "element-id": (lambda g: HardInstance(2, 8, 2, MODE_M).element_id(1.5, 1), "i 1.5"),
@@ -266,6 +287,7 @@ _BELOW_FLOOR = {
                            "block 'a' capacity must be >= 0, got -1"),
     "gadget-k": (lambda g: GadgetParams(0, 2, 1), "k must be >= 1, got 0"),
     "seed": (lambda g: Rng(-1), "master_seed must be >= 0, got -1"),
+    "bound-k-zero": (lambda g: repeated_greedy_bound(0, 2, 3), "k must be >= 1, got 0"),
 }
 
 

@@ -76,7 +76,7 @@ def test_gadget_increments_bounded_for_all_valid_params():
 
 
 def test_hard_instance_refuses_a_bad_mode_and_ids_outside_it():
-    with pytest.raises(ValueError, match=re.escape(f"mode must be 'M' or \"M'\", got 'X'")):
+    with pytest.raises(ValueError, match="^" + re.escape("hard mode must be M or M', got 'X'") + "$"):
         HardInstance(2, 8, 2, "X")
     inst = HardInstance(2, 8, 2, MODE_M)
     assert inst.block_of(0) == 1 and inst.block_of(inst.ground.n - 1) == 8
