@@ -68,10 +68,11 @@ class _Run:
 
     Built at the start of a run, it takes the clock and the entry counts of
     ``f`` and ``I`` (None for an unconstrained run); :meth:`result` reports
-    the counts since.  Given ``pool``, an ascending ``np.intp`` array of
-    candidates, it also starts S = ∅, counts f(∅), and keeps S, f(S), the
-    cached base, a gain state, an extension state and the
-    :class:`GreedyStep` trace in step: :meth:`add` alone advances them.
+    the counts since.  Given ``pool``, the candidates as
+    :func:`~submax.core._id_array` reads them, it also starts S = ∅, counts
+    f(∅), and keeps S, f(S), the cached base, a gain state, an extension
+    state and the :class:`GreedyStep` trace in step: :meth:`add` alone
+    advances them.
     """
 
     def __init__(self, f: ValueOracle, I: Optional[IndependenceOracle] = None,
@@ -93,20 +94,28 @@ class _Run:
         I = self.I
         return self.f.eval_count, self.f.marginal_count, I.membership_count if I is not None else 0
 
+    def scores(self) -> tuple[np.ndarray, np.ndarray]:
+        """The pool's feasible candidates at S, which stay in the pool (the
+        rest leave it for good: supersets of dependent sets stay dependent),
+        and their gains.  The states are asked directly and counted as
+        :meth:`IndependenceOracle.extensions` and :meth:`ValueOracle.gains`
+        count, without their input checks: the pool was checked once, a
+        picked id leaves it, so none is in S, and f(S) is the cached base."""
+        self.I.membership_count += len(self.pool)
+        pool = self.pool = self.ext.feasible(self.S, self.pool)
+        if not pool.size:
+            return pool, np.empty(0)
+        return pool, self.f._counted_gains(self.state, self.S, self.value, pool)
+
     def best(self) -> Optional[tuple[int, float]]:
         """One naive greedy round at S: the feasible candidate of strictly
         positive maximal gain, removed from the pool, and its gain; None when
-        there is none.
-
-        Candidates whose addition is infeasible leave the pool for good
-        (supersets of dependent sets stay dependent).  The rest are scored in
-        one :meth:`ValueOracle.gains` batch and the first maximum wins, so
-        ties go to the smallest id of the ascending pool.
+        there is none.  The first maximum of :meth:`scores` wins, so ties go
+        to the smallest id of the ascending pool.
         """
-        pool = self.pool = self.I.extensions(self.ext, self.S, self.pool)
+        pool, gains = self.scores()
         if not pool.size:
             return None
-        gains = self.f.gains(self.state, self.S, pool)
         i = int(np.argmax(gains))
         if gains[i] <= 0.0:
             return None
@@ -166,20 +175,28 @@ def greedy(
     """
     run = _Run(f, I, _id_array(f.ground, candidates))
     if lazy:
-        pool = I.extensions(run.ext, run.S, run.pool)
-        heap = [(-g, u, 0) for g, u in zip(f.gains(run.state, run.S, pool).tolist(), pool.tolist())]
+        pool, gains = run.scores()
+        heap = [(-g, u, 0) for g, u in zip(gains.tolist(), pool.tolist())]
         heapq.heapify(heap)
-        pop, pushpop, fits, gain = heapq.heappop, heapq.heappushpop, I.fits, f.gain
+        pop, pushpop = heapq.heappop, heapq.heappushpop
         ext, state, picks = run.ext, run.state, 0  # picks: the stamp of gains scored at S
         top = pop(heap) if heap else None
         while top is not None:
+            # a popped id is an int of the pool, outside S: the states are
+            # asked directly and counted as I.fits and f.gain count
             neg_gain, u, stamp = top
-            if not fits(ext, run.S, u):
+            I.membership_count += 1
+            if not ext.fits(run.S, u):
                 top = pop(heap) if heap else None  # drop permanently
             elif stamp != picks:
+                f.marginal_count += 1
+                f.eval_count += 1
+                g = state.gain(u)
+                if not run.value + g >= 0.0:
+                    f._negative(run.value + g, run.S.with_element(u))
                 # re-score at S; the (gain, id, stamp) keys are unique, so the
                 # pop order is that of a push and then a pop
-                top = pushpop(heap, (-gain(state, run.S, u), u, picks))
+                top = pushpop(heap, (-g, u, picks))
             elif neg_gain >= 0.0:
                 break
             else:

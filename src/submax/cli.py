@@ -518,12 +518,11 @@ def cmd_solve(args) -> int:
     if args.best_of > 1 and not _randomized(cfg, args.alg):
         raise ConfigError(f"--best-of needs a randomized algorithm; {args.alg!r} is deterministic")
 
-    if args.out:
-        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
     reports = [run_one_trial(cfg, None, args.alg, t) for t in range(args.best_of)]
     lines = [_report_line(r) for r in reports]
     best = max(reports, key=lambda r: (r["value"], -r["trial_index"]))
-    if args.out:
+    if args.out:  # made once the trials ran: a refused instance or constraint leaves no directory
+        os.makedirs(os.path.dirname(args.out) or ".", exist_ok=True)
         with open(args.out, "w") as fh:
             fh.write("\n".join(lines) + "\n")
         print(

@@ -181,9 +181,10 @@ class IntersectionSystem(IndependenceOracle):
 
 class _IntersectionExtensions(ExtensionState):
     """One state per component.  Candidates pass through the components'
-    counted :meth:`~IndependenceOracle.extensions` in turn, so a component is
-    asked only about the candidates every earlier one accepted: the counts of
-    the short-circuiting whole-set check."""
+    states in turn, each counted in its component's ``membership_count``, so
+    a component is asked only about the candidates every earlier one
+    accepted: the counts of the short-circuiting whole-set check.  The
+    intersection's own query has checked the candidates already."""
 
     def __init__(self, components: Sequence[IndependenceOracle]):
         self.parts = [(c, c.extension_state()) for c in components]
@@ -194,11 +195,16 @@ class _IntersectionExtensions(ExtensionState):
 
     def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
         for c, state in self.parts:
-            candidates = c.extensions(state, S, candidates)
+            c.membership_count += len(candidates)
+            candidates = state.feasible(S, candidates)
         return candidates
 
     def fits(self, S: ElementSet, u: int) -> bool:
-        return all(c.fits(state, S, u) for c, state in self.parts)
+        for c, state in self.parts:
+            c.membership_count += 1
+            if not state.fits(S, u):
+                return False
+        return True
 
 
 class GenreConstraint(_RoomSystem):
@@ -390,8 +396,9 @@ def max_feasible_size(I: IndependenceOracle) -> int:
         )
     S = ElementSet(I.ground, ())
     state = I.extension_state()
-    for e in elems:
-        if I.fits(state, S, e):
+    for e in elems:  # ascending ids, none in S: the state is asked directly, counted as I.fits counts
+        I.membership_count += 1
+        if state.fits(S, e):
             S = S.with_element(e)
             state.add(e)
     return len(S)

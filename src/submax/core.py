@@ -100,12 +100,10 @@ class ElementSet:
 
     Members are stored as a sorted duplicate-free tuple; a frozenset backs
     O(1) membership tests.  Equality and hashing consider the universe size
-    and the member tuple.  ``_table``, filled on first use by
-    :func:`_meets`, is the set's membership table for batch checks: the set
-    never changes, so the table never goes stale.
+    and the member tuple.
     """
 
-    __slots__ = ("universe", "members", "_memberset", "_table")
+    __slots__ = ("universe", "members", "_memberset")
 
     def __init__(self, universe: GroundSet, members: Iterable[int] = ()):
         if members is None:  # _elements reads None as the whole ground set
@@ -114,7 +112,6 @@ class ElementSet:
         self.universe = universe
         self.members = tuple(ms)
         self._memberset = frozenset(ms)
-        self._table = None
 
     @classmethod
     def _raw(cls, universe: GroundSet, sorted_members: tuple) -> "ElementSet":
@@ -123,7 +120,6 @@ class ElementSet:
         obj.universe = universe
         obj.members = sorted_members
         obj._memberset = frozenset(sorted_members)
-        obj._table = None
         return obj
 
     def with_element(self, e: int) -> "ElementSet":
@@ -353,20 +349,19 @@ def _elements(ground: GroundSet, elements: Optional[Iterable[int]]) -> list[int]
 
 def _meets(S: ElementSet, candidates: np.ndarray) -> bool:
     """Whether some of ``candidates`` (an ``np.intp`` array) is in ``S``, by
-    one gather from S's membership table, built on S's first check; an id
-    outside the ground set is a ValueError, as in :class:`ElementSet`.  The
-    range is checked first, by the largest id read as unsigned (a negative
-    id reads as at least 2^63): numpy casts an unsigned index array back to
-    intp, so no gather refuses every negative id.  ``argmax`` finds it at a
-    third of the call cost of ``np.max`` on a few hundred ids."""
-    table = S._table
-    if table is None:
-        table = S._table = np.zeros(S.universe.n, dtype=bool)
-        table[list(S.members)] = True
-    if candidates.size:
-        unsigned = candidates.view(np.uintp)
-        if unsigned[unsigned.argmax()] >= len(table):
-            _id_array(S.universe, candidates)  # raises, naming an id outside the ground set
+    one gather from a membership table of S; an id outside the ground set is
+    a ValueError, as in :class:`ElementSet`.  The range is checked first, by
+    the largest id read as unsigned (a negative id reads as at least 2^63):
+    numpy casts an unsigned index array back to intp, so no gather refuses
+    every negative id.  ``argmax`` finds it at a third of the call cost of
+    ``np.max`` on a few hundred ids."""
+    if not candidates.size:
+        return False
+    unsigned = candidates.view(np.uintp)
+    if unsigned[unsigned.argmax()] >= S.universe.n:
+        _id_array(S.universe, candidates)  # raises, naming an id outside the ground set
+    table = np.zeros(S.universe.n, dtype=bool)
+    table[list(S.members)] = True
     return np.count_nonzero(table.take(candidates)) > 0
 
 
@@ -419,7 +414,8 @@ class ValueOracle:
     holds a single ``(base_set, value)`` pair; callers commit a new base
     with :meth:`set_base` after deciding to extend their working set.
     :meth:`double_gains` answers double greedy's two queries from two states
-    and counts them as the two evaluations the values would cost.
+    and counts them as the two evaluations the values would cost.  A greedy
+    run asks its states past the input checks, counted by the same rule.
     :meth:`values_masks` answers :meth:`value` for an array of subset masks
     and counts as that loop.  A candidate id outside the ground set, and a
     set over another ground set, are ValueErrors, counted as no query.
@@ -512,20 +508,13 @@ class ValueOracle:
         Counted as one logical marginal and one evaluation per candidate, plus
         one evaluation of ``S`` when it is not the cached base.
         """
+        _same_ground(self.ground, S.universe, S)
         if not len(candidates):
             return np.empty(0)
         candidates = _intp(candidates, "element id")
         if _meets(S, candidates):
             raise ValueError(f"marginal gains require candidates outside S={S!r}")
-        base = self.value(S)
-        self.marginal_count += len(candidates)
-        self.eval_count += len(candidates)
-        g = state.gains(candidates)
-        ok = base + g >= 0.0
-        i = int(ok.argmin())  # the first offender, if any
-        if not ok[i]:
-            self._negative(base + g[i], S.with_element(int(candidates[i])))
-        return g
+        return self._counted_gains(state, S, self.value(S), candidates)
 
     def gain(self, state: "GainState", S: ElementSet, u: int) -> float:
         """The marginal gain f(S + u) - f(S) of one candidate u not in ``S``,
@@ -535,8 +524,8 @@ class ValueOracle:
         logical marginal and one evaluation, plus one evaluation of ``S``
         when it is not the cached base.
         """
-        if type(u) is not int:  # lazy greedy pops ints: one type test
-            u = _id(u)
+        _same_ground(self.ground, S.universe, S)
+        u = _id(u)
         if not 0 <= u < self.ground.n:
             raise _outside(u, self.ground)
         if u in S._memberset:
@@ -547,6 +536,19 @@ class ValueOracle:
         g = state.gain(u)
         if not base + g >= 0.0:
             self._negative(base + g, S.with_element(u))
+        return g
+
+    def _counted_gains(self, state: "GainState", S: ElementSet, base: float,
+                       candidates: np.ndarray) -> np.ndarray:
+        """:meth:`gains` past its input checks, at S of value ``base``; a
+        greedy round asks this directly."""
+        self.marginal_count += len(candidates)
+        self.eval_count += len(candidates)
+        g = state.gains(candidates)
+        ok = base + g >= 0.0
+        i = int(ok.argmin())  # the first offender, if any
+        if not ok[i]:
+            self._negative(base + g[i], S.with_element(int(candidates[i])))
         return g
 
     def double_gains(
@@ -580,8 +582,8 @@ class GainState:
     one float array, and :meth:`gain` the same for one candidate, equal bit
     for bit to its entry in :meth:`gains`.  A candidate's gain does not
     depend on which other candidates share its batch.  :meth:`loss` returns
-    f(S) - f(S - u) for u in S.  States are uncounted: callers score through
-    :class:`ValueOracle`, which keeps the accounting.
+    f(S) - f(S - u) for u in S.  States are uncounted: their callers keep
+    the accounting (:class:`ValueOracle`'s queries, and a greedy run).
 
     This base state answers by evaluate-differences through an oracle's
     function: the state of an oracle that wraps no objective, and the
@@ -707,8 +709,8 @@ class IndependenceOracle:
     def fits(self, state: "ExtensionState", S: ElementSet, u: int) -> bool:
         """Whether S + u is independent, for one u not in ``S``: ``extensions``
         for ``[u]`` without the arrays, counted as one :meth:`is_independent`."""
-        if type(u) is not int:
-            u = _id(u)
+        _same_ground(self.ground, S.universe, S)
+        u = _id(u)
         if not 0 <= u < self.ground.n:
             raise _outside(u, self.ground)
         if u in S._memberset:
@@ -725,9 +727,9 @@ class ExtensionState:
     must be independent.  :meth:`feasible` takes an ``np.intp`` array of
     candidates u not in S and returns those with S + u independent, in
     order; :meth:`fits` answers for one candidate (and by default
-    :meth:`feasible` asks it about each).  States are uncounted: callers
-    ask through :meth:`IndependenceOracle.extensions` and
-    :meth:`IndependenceOracle.fits`, which keep the accounting.
+    :meth:`feasible` asks it about each).  States are uncounted: their
+    callers keep the accounting (:meth:`IndependenceOracle.extensions` and
+    :meth:`IndependenceOracle.fits`, and a greedy run).
 
     This base state checks each S + u whole through the oracle's rule: the
     state of a system without its own, and the reference the systems' own

@@ -13,6 +13,8 @@ ones are checked against.
 - ``marginal`` asks one marginal gain the way ``ValueOracle.gains`` counts
   each of its queries, and ``brute_force_opt`` is a recursive depth-first
   search over the independent sets;
+- ``greedy``, plain and lazy, asks every query through the public checked
+  methods, the reference for the runs that ask their states directly;
 - ``genre_as_intersection`` writes a genre constraint as a uniform matroid
   intersected with one cap per favourite genre, restricted to N_u;
 - ``cut_value`` sums the weights of the edges leaving a set one by one;
@@ -22,15 +24,17 @@ ones are checked against.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import logging
 from typing import Optional, Sequence
 
 import numpy as np
 
-from submax import CapacityError, ElementSet, IndependenceOracle, IntersectionSystem, UniformMatroid
+from submax import (CapacityError, ElementSet, ExtensionState, IndependenceOracle, IntersectionSystem,
+                    UniformMatroid)
 from submax.algorithms import _Run
-from submax.core import _elements
+from submax.core import _elements, _id_array
 
 logger = logging.getLogger(__name__)
 
@@ -266,6 +270,71 @@ def marginal(f, e: int, S: ElementSet) -> float:
     f.marginal_count += 1
     base = f.value(S)
     return f._evaluate(S.with_element(e)) - base
+
+
+class _CheckedIntersection(ExtensionState):
+    """An intersection's extension state that asks each component through
+    its public ``extensions`` and ``fits`` in turn, so a component is asked
+    only about the candidates every earlier one accepted."""
+
+    def __init__(self, components):
+        self.parts = [(c, c.extension_state()) for c in components]
+
+    def add(self, u: int) -> None:
+        for _c, state in self.parts:
+            state.add(u)
+
+    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+        for c, state in self.parts:
+            candidates = c.extensions(state, S, candidates)
+        return candidates
+
+    def fits(self, S: ElementSet, u: int) -> bool:
+        return all(c.fits(state, S, u) for c, state in self.parts)
+
+
+def greedy(f, I: IndependenceOracle, *, candidates=None, lazy: bool = False):
+    """Plain and lazy greedy through the public checked queries: each round
+    asks ``I.extensions`` about the pool and ``f.gains`` about the feasible
+    rest, and each pop of the lazy heap asks ``I.fits`` and re-scores with
+    ``f.gain``; an intersection's components are asked the same way.  S, its
+    value, the cached base, both states and the trace move by ``_Run.add``.
+    The reference for ``algorithms.greedy``: the same solution, value,
+    trace, counts and cached base, and the same error at the same counts."""
+    run = _Run(f, I, _id_array(f.ground, candidates))
+    if isinstance(I, IntersectionSystem):
+        run.ext = _CheckedIntersection(I.components)
+
+    def scores(pool):
+        pool = I.extensions(run.ext, run.S, pool)
+        return pool, f.gains(run.state, run.S, pool)
+
+    if lazy:
+        pool, gains = scores(run.pool)
+        heap = [(-g, u, 0) for g, u in zip(gains.tolist(), pool.tolist())]
+        heapq.heapify(heap)
+        picks = 0
+        while heap:
+            neg_gain, u, stamp = heapq.heappop(heap)
+            if not I.fits(run.ext, run.S, u):
+                continue
+            if stamp != picks:
+                heapq.heappush(heap, (-f.gain(run.state, run.S, u), u, picks))
+            elif neg_gain >= 0.0:
+                break
+            else:
+                run.add(u, -neg_gain)
+                picks += 1
+    else:
+        pool = run.pool
+        while True:
+            pool, gains = scores(pool)
+            if not pool.size or gains.max() <= 0.0:
+                break
+            i = int(np.argmax(gains))
+            run.add(int(pool[i]), float(gains[i]))
+            pool = np.delete(pool, i)
+    return run.result("lazy-greedy" if lazy else "greedy"), run.trace
 
 
 def brute_force_opt(f, I: IndependenceOracle):

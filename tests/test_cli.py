@@ -51,6 +51,14 @@ def test_solve_greedy_jsonl_schema(capsys):
     assert rep["solution"] == sorted(rep["solution"])
 
 
+def test_solve_makes_no_out_directory_for_a_refused_constraint(tmp_path):
+    """A constraint the library refuses exits 2 before ``--out``'s directory is made."""
+    out = tmp_path / "mk" / "a" / "run.jsonl"
+    assert run(["solve", "--alg", "greedy", "--instance", "synth:kind=modular,n=10,seed=1",
+                "--constraint", "uniform:-1", "--out", str(out)]) == 2
+    assert not (tmp_path / "mk").exists()
+
+
 def test_solve_partition_constraint(capsys):
     assert run(["solve", "--alg", "greedy", "--instance", MODULAR,
                 "--constraint", f"partition:{PARTITION}"]) == 0

@@ -174,22 +174,26 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     assert (f.eval_count, f.marginal_count, I.membership_count) == counts
 
 
-@pytest.mark.parametrize("n_I, query, shown", [
-    (10, lambda f, I: f.value(GroundSet(20).set([12])), r"ElementSet\(\[12\]\)"),
-    (10, lambda f, I: submax.unconstrained_max_det(f, GroundSet(20).set([1, 12])), r"ElementSet\(\[1, 12\]\)"),
-    (10, lambda f, I: I.is_independent(GroundSet(20).set([12, 13])), r"ElementSet\(\[12, 13\]\)"),
-    (10, lambda f, I: I.extensions(I.extension_state(), GroundSet(20).set([12]), [1]), r"ElementSet\(\[12\]\)"),
-    (20, lambda f, I: submax.greedy(f, I), "the independence system"),
-    (20, lambda f, I: submax.brute_force_opt(f, I), "the independence system"),
-], ids=["value", "double-greedy", "is-independent", "extensions", "greedy", "brute-force"])
-def test_sets_and_systems_over_another_ground_set_are_refused(n_I, query, shown):
+@pytest.mark.parametrize("n_I, query, shown, size", [
+    (10, lambda f, I: f.value(GroundSet(20).set([12])), r"ElementSet\(\[12\]\)", 20),
+    (10, lambda f, I: submax.unconstrained_max_det(f, GroundSet(20).set([1, 12])), r"ElementSet\(\[1, 12\]\)", 20),
+    (10, lambda f, I: I.is_independent(GroundSet(20).set([12, 13])), r"ElementSet\(\[12, 13\]\)", 20),
+    (10, lambda f, I: I.extensions(I.extension_state(), GroundSet(20).set([12]), [1]), r"ElementSet\(\[12\]\)", 20),
+    (10, lambda f, I: I.fits(I.extension_state(), GroundSet(20).set([12]), 3), r"ElementSet\(\[12\]\)", 20),
+    (10, lambda f, I: f.gains(f.gain_state(), GroundSet(5).set([1]), [7]), r"ElementSet\(\[1\]\)", 5),
+    (20, lambda f, I: submax.greedy(f, I), "the independence system", 20),
+    (20, lambda f, I: submax.brute_force_opt(f, I), "the independence system", 20),
+], ids=["value", "double-greedy", "is-independent", "extensions", "fits", "gains", "greedy", "brute-force"])
+def test_sets_and_systems_over_another_ground_set_are_refused(n_I, query, shown, size):
     """A set or system over a ground set of another size than the oracle's
     is a ValueError naming both sizes, counted as no query: a 20-element set
     raised numpy's IndexError from a 10-element oracle or passed a
-    10-element matroid, and greedy ran under a 20-element matroid."""
+    10-element matroid, greedy ran under a 20-element matroid, the scalar
+    ``fits`` answered for a 20-element set, and ``gains`` named candidate 7
+    as outside a 5-element S instead of naming S's ground set."""
     f = ModularObjective(GroundSet(10), [float(e) for e in range(10)]).oracle()
     I = UniformMatroid(GroundSet(n_I), 3)
-    with pytest.raises(ValueError, match=f"^{shown} is over a ground set of size 20, not 10$"):
+    with pytest.raises(ValueError, match=f"^{shown} is over a ground set of size {size}, not 10$"):
         query(f, I)
     assert (f.eval_count, f.marginal_count, I.membership_count) == (0, 0, 0)
 

@@ -31,8 +31,11 @@ from submax import (
     GainState,
     GenreConstraint,
     GroundSet,
+    HardInstance,
+    IntersectionSystem,
     ModularObjective,
     NonNegativityError,
+    PartitionMatroid,
     Rng,
     SyntheticSpec,
     UniformMatroid,
@@ -164,6 +167,131 @@ def test_batched_gains_match_reference_on_real_data(instance, lam):
         runs.append((res.solution, res.value, trace))
     # lazy == naive in solution, value and trace under the batched path
     assert runs[0] == runs[1]
+
+
+# ---------------------------------------------------------------------------
+# Greedy runs against the public checked queries
+# ---------------------------------------------------------------------------
+
+# (k, h, m) of the hard instances: n = h * k * m elements
+HARD = ((2, 4, 1), (1, 2, 5), (2, 4, 2), (3, 6, 1))
+
+
+def run_constraint(kind: str, n: int, seed: int):
+    """A fresh constraint of each shape a greedy run can meet; ``hard-M``
+    and ``hard-M'`` take ``n`` from the (k, h, m) indexed by ``seed``."""
+    g = GroundSet(n)
+    if kind == "partition":
+        return PartitionMatroid(g, {e: e % 3 for e in range(n) if e % 4}, {0: 1, 1: 2, 2: 0})
+    if kind == "intersection":
+        parts = make_partition_intersection(n, 2, seed).components
+        return IntersectionSystem([*parts, UniformMatroid(g, max(1, n // 2))])
+    if kind.startswith("hard"):
+        return HardInstance(*HARD[seed % len(HARD)], mode=kind[5:])
+    return make_constraint(kind, n, seed)
+
+
+def greedy_outcome(solve, make_oracle, make_I, candidates, lazy):
+    """What a greedy run leaves behind, on fresh oracles: its result and
+    trace, or its error, then the oracles' counts, the cached base and each
+    intersection component's count."""
+    f, I = make_oracle(), make_I()
+    try:
+        res, trace = solve(f, I, candidates=candidates, lazy=lazy)
+        out = (res.solution, res.value, res.f_evals, res.marginal_evals,
+               res.independence_checks, res.algorithm_name, trace)
+    except (NonNegativityError, ValueError) as e:
+        out = (type(e), str(e))
+    parts = [c.membership_count for c in getattr(I, "components", ())]
+    return out, f.eval_count, f.marginal_count, I.membership_count, parts, f.cached_base
+
+
+runs = st.tuples(
+    st.sampled_from(KINDS),
+    st.sampled_from(("objective", "bare")),
+    st.sampled_from(("dyadic", "real")),
+    st.sampled_from(("uniform", "partition", "genre", "intersection", "hard-M", "hard-M'")),
+    st.integers(min_value=0, max_value=12),
+    st.integers(min_value=0, max_value=2**32 - 1),
+    st.sampled_from((0.2, 0.5, 0.9)),
+    st.sampled_from((0.0, 0.5, 1.0)),
+    st.booleans(),
+)
+
+
+@example(run=("weighted_coverage", "objective", "dyadic", "uniform", 12, 1, 0.5, 0.0, False))
+@example(run=("weighted_coverage", "objective", "real", "intersection", 12, 1, 0.5, 0.0, True))
+@example(run=("modular", "bare", "dyadic", "hard-M", 0, 2, 0.5, 0.0, False))
+@given(run=runs)
+@settings(max_examples=300, deadline=None)
+def test_greedy_runs_equal_the_checked_query_reference(run):
+    """Plain and lazy greedy, asking their states directly, equal the
+    reference run through ``ValueOracle.gains``/``gain`` and
+    ``IndependenceOracle.extensions``/``fits``: solution, value, trace, the
+    three counts, the cached base and each intersection component's count,
+    on every objective (weighted coverage certified on dyadic data and, as
+    in the second example, not on real data; and a bare-function oracle)
+    and every constraint."""
+    kind, wrap, data, constraint, n, seed, density, lam, pooled = run
+    if constraint.startswith("hard"):
+        n = int(np.prod(HARD[seed % len(HARD)]))
+    if data == "dyadic":
+        obj = generate(SyntheticSpec(kind=kind, n=n, seed=seed, density=density, lam=lam))[0].objective
+    else:
+        obj = real_objective(kind, n, seed, density, lam)[0]
+    g = obj.ground
+    make_oracle = obj.oracle if wrap == "objective" else lambda: ValueOracle(obj.evaluate, g)
+    candidates = np.flatnonzero(Rng(seed, 3).generator.random(n) < 0.6) if pooled else None
+    for lazy in (False, True):
+        outcomes = [greedy_outcome(solve, make_oracle, lambda: run_constraint(constraint, n, seed),
+                                   candidates, lazy)
+                    for solve in (greedy, reference.greedy)]
+        assert outcomes[0] == outcomes[1]
+
+
+class _SignedGains(GainState):
+    """Modular gains whose candidate ``bad`` scores ``value`` once S holds ``after``."""
+
+    def __init__(self, weights, bad, value, after):
+        self._weights, self._bad, self._value, self._after = weights, bad, value, after
+        self._S = set()
+
+    def add(self, u):
+        self._S.add(u)
+
+    def gains(self, candidates):
+        return np.array([self.gain(int(u)) for u in candidates])
+
+    def gain(self, u):
+        return self._value if u == self._bad and self._after <= self._S else float(self._weights[u])
+
+
+@pytest.mark.parametrize("lazy", (False, True))
+@pytest.mark.parametrize("how", ("bare-function", "negative-gain", "nan-gain"))
+def test_a_negative_value_mid_run_raises_as_the_checked_queries_do(how, lazy):
+    """A run that meets f(S + u) < 0 (or NaN) at S = {0} and u = 1 raises
+    the message of the checked queries, at the same counts and cached base:
+    from the evaluate-difference state of a bare-function oracle, or from
+    the sign check on a state's gain."""
+    g = GroundSet(4)
+    weights = [8.0, 4.0, 2.0, 1.0]
+
+    def make_oracle():
+        if how == "bare-function":
+            return ValueOracle(lambda S: -1.0 if S.members == (0, 1) else sum(weights[e] for e in S), g,
+                               name="bare")
+        f = ModularObjective(g, weights).oracle(name="modular")
+        bad = -20.0 if how == "negative-gain" else float("nan")
+        f.gain_state = lambda: _SignedGains(weights, 1, bad, {0})
+        return f
+
+    outcomes = [greedy_outcome(solve, make_oracle, lambda: UniformMatroid(g, 3), None, lazy)
+                for solve in (greedy, reference.greedy)]
+    assert outcomes[0] == outcomes[1]
+    shown = {"bare-function": "-1.0", "negative-gain": "-12.0", "nan-gain": "nan"}[how]
+    assert outcomes[0][0] == (NonNegativityError,
+                              f"oracle {'bare' if how == 'bare-function' else 'modular'!r} returned "
+                              f"{shown} < 0 on ElementSet([0, 1])")
 
 
 @pytest.mark.parametrize("kind", KINDS)
