@@ -97,12 +97,12 @@ class _Run:
     def scores(self) -> tuple[np.ndarray, np.ndarray]:
         """The pool's feasible candidates at S, which stay in the pool (the
         rest leave it for good: supersets of dependent sets stay dependent),
-        and their gains.  The states are asked directly and counted as
+        and their gains.  The states hold S and are asked directly, counted as
         :meth:`IndependenceOracle.extensions` and :meth:`ValueOracle.gains`
         count, without their input checks: the pool was checked once, a
         picked id leaves it, so none is in S, and f(S) is the cached base."""
         self.I.membership_count += len(self.pool)
-        pool = self.pool = self.ext.feasible(self.S, self.pool)
+        pool = self.pool = self.ext.feasible(self.pool)
         if not pool.size:
             return pool, np.empty(0)
         return pool, self.f._counted_gains(self.state, self.S, self.value, pool)
@@ -182,11 +182,11 @@ def greedy(
         ext, state, picks = run.ext, run.state, 0  # picks: the stamp of gains scored at S
         top = pop(heap) if heap else None
         while top is not None:
-            # a popped id is an int of the pool, outside S: the states are
-            # asked directly and counted as I.fits and f.gain count
+            # a popped id is an int of the pool, outside S: the states are asked
+            # directly, counted and sign-checked as I.extensions and f.gains on [u]
             neg_gain, u, stamp = top
             I.membership_count += 1
-            if not ext.fits(run.S, u):
+            if not ext.fits(u):
                 top = pop(heap) if heap else None  # drop permanently
             elif stamp != picks:
                 f.marginal_count += 1
@@ -223,7 +223,10 @@ def _double_greedy(f: ValueOracle, U: ElementSet, rng: Optional[Rng], name: str)
     Counts and the cached base it leaves are those of asking
     :meth:`ValueOracle.value` for X + u and then Y - u at every element, which
     leaves Y - u cached: at the last element X + u is Y, so it is served from
-    the cache when the step before dropped its element.  The value is f(X)
+    the cache when the step before dropped its element.  No marginal is
+    counted, and no sign checked: f(Y - u) reached from f(Y) by a loss can
+    round below a true 0 (Y - u empty, say); the states of an oracle without
+    an objective check each value they evaluate.  The value is f(X)
     accumulated from the gains."""
     _same_ground(f.ground, U.universe, U)
     run = _Run(f)
@@ -237,7 +240,8 @@ def _double_greedy(f: ValueOracle, U: ElementSet, rng: Optional[Rng], name: str)
     y_cached = True  # f(Y) is the cached base
     last = U.members[-1] if U.members else None
     for u in U.members:
-        a, b = f.double_gains(up, down, u, x_cached=y_cached and u == last)
+        f.eval_count += 1 if y_cached and u == last else 2
+        a, b = up.gain(u), -down.loss(u)
         if rng is None:
             keep = a >= b
         else:

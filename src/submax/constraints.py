@@ -101,10 +101,10 @@ class _RoomExtensions(ExtensionState):
                 if self.room[g] == 0:
                     self.open[self.members[g]] = False
 
-    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+    def feasible(self, candidates: np.ndarray) -> np.ndarray:
         return candidates[self.open[candidates]]
 
-    def fits(self, S: ElementSet, u: int) -> bool:
+    def fits(self, u: int) -> bool:
         return bool(self.open[u])
 
 
@@ -193,16 +193,16 @@ class _IntersectionExtensions(ExtensionState):
         for _c, state in self.parts:
             state.add(u)
 
-    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+    def feasible(self, candidates: np.ndarray) -> np.ndarray:
         for c, state in self.parts:
             c.membership_count += len(candidates)
-            candidates = state.feasible(S, candidates)
+            candidates = state.feasible(candidates)
         return candidates
 
-    def fits(self, S: ElementSet, u: int) -> bool:
+    def fits(self, u: int) -> bool:
         for c, state in self.parts:
             c.membership_count += 1
-            if not state.fits(S, u):
+            if not state.fits(u):
                 return False
         return True
 
@@ -394,11 +394,10 @@ def max_feasible_size(I: IndependenceOracle) -> int:
             n,
             cap,
         )
-    S = ElementSet(I.ground, ())
-    state = I.extension_state()
-    for e in elems:  # ascending ids, none in S: the state is asked directly, counted as I.fits counts
+    size, state = 0, I.extension_state()
+    for e in elems:  # ascending ids, none in the state's set: asked directly, counted as I.extensions counts
         I.membership_count += 1
-        if state.fits(S, e):
-            S = S.with_element(e)
+        if state.fits(e):
+            size += 1
             state.add(e)
-    return len(S)
+    return size

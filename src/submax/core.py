@@ -407,15 +407,14 @@ class ValueOracle:
 
     ``eval_count`` counts evaluations and ``marginal_count`` logical
     marginal-gain queries: the paper's cost model, not Python calls.
-    :meth:`gains` answers a batch of marginal queries f(S + u) - f(S) against
-    one base S from an incremental-gain state (:meth:`gain_state`), and
-    :meth:`gain` a batch of one; both count as evaluating f(S) through
-    :meth:`value` and then each f(S + u), one marginal each.  The cache
-    holds a single ``(base_set, value)`` pair; callers commit a new base
-    with :meth:`set_base` after deciding to extend their working set.
-    :meth:`double_gains` answers double greedy's two queries from two states
-    and counts them as the two evaluations the values would cost.  A greedy
-    run asks its states past the input checks, counted by the same rule.
+    :meth:`gains` is the one checked marginal query: f(S + u) - f(S) for a
+    batch of candidates against one base S, from an incremental-gain state
+    (:meth:`gain_state`), counted as evaluating f(S) through :meth:`value`
+    and then each f(S + u), one marginal each.  The cache holds a single
+    ``(base_set, value)`` pair; callers commit a new base with
+    :meth:`set_base` after deciding to extend their working set.  A greedy
+    run asks its states directly and counts by the same rule; double greedy
+    asks its states too and counts as its loop of :meth:`value` calls would.
     :meth:`values_masks` answers :meth:`value` for an array of subset masks
     and counts as that loop.  A candidate id outside the ground set, and a
     set over another ground set, are ValueErrors, counted as no query.
@@ -516,28 +515,6 @@ class ValueOracle:
             raise ValueError(f"marginal gains require candidates outside S={S!r}")
         return self._counted_gains(state, S, self.value(S), candidates)
 
-    def gain(self, state: "GainState", S: ElementSet, u: int) -> float:
-        """The marginal gain f(S + u) - f(S) of one candidate u not in ``S``,
-        scored by ``state``, which must hold exactly the elements of ``S``.
-
-        Equal to ``gains(state, S, (u,))[0]``, and counted the same: one
-        logical marginal and one evaluation, plus one evaluation of ``S``
-        when it is not the cached base.
-        """
-        _same_ground(self.ground, S.universe, S)
-        u = _id(u)
-        if not 0 <= u < self.ground.n:
-            raise _outside(u, self.ground)
-        if u in S._memberset:
-            raise ValueError(f"marginal gains require candidates outside S={S!r}")
-        base = self.value(S)
-        self.marginal_count += 1
-        self.eval_count += 1
-        g = state.gain(u)
-        if not base + g >= 0.0:
-            self._negative(base + g, S.with_element(u))
-        return g
-
     def _counted_gains(self, state: "GainState", S: ElementSet, base: float,
                        candidates: np.ndarray) -> np.ndarray:
         """:meth:`gains` past its input checks, at S of value ``base``; a
@@ -550,23 +527,6 @@ class ValueOracle:
         if not ok[i]:
             self._negative(base + g[i], S.with_element(int(candidates[i])))
         return g
-
-    def double_gains(
-        self, up: "GainState", down: "GainState", u: int, *, x_cached: bool = False,
-    ) -> tuple[float, float]:
-        """Double greedy's two marginals at u: f(X + u) - f(X) from ``up``, a
-        state at X, and f(Y - u) - f(Y) from ``down``, a state at Y, with u in
-        Y but not in X.
-
-        Counted as the evaluations of f(X + u) and f(Y - u) that
-        :meth:`value` would make: two, or one when the caller knows X + u to
-        be the cached base (``x_cached``).  No marginal is counted.  No sign
-        is checked: f(Y - u) reached from f(Y) by a loss can round below a
-        true 0 (Y - u empty, say).  The states of an oracle without an
-        objective check every value they evaluate.
-        """
-        self.eval_count += 1 if x_cached else 2
-        return up.gain(u), -down.loss(u)
 
     def set_base(self, S: ElementSet, value: float) -> None:
         """Commit ``S`` as the cached base (its value already known to the caller)."""
@@ -583,7 +543,7 @@ class GainState:
     for bit to its entry in :meth:`gains`.  A candidate's gain does not
     depend on which other candidates share its batch.  :meth:`loss` returns
     f(S) - f(S - u) for u in S.  States are uncounted: their callers keep
-    the accounting (:class:`ValueOracle`'s queries, and a greedy run).
+    the accounting (:meth:`ValueOracle.gains`, greedy and double greedy).
 
     This base state answers by evaluate-differences through an oracle's
     function: the state of an oracle that wraps no objective, and the
@@ -634,11 +594,12 @@ class IndependenceOracle:
     :meth:`_accepts` keeps only the fast forms stated beside it, fixed when
     the class is made: the others answer for another rule.
 
-    :meth:`extensions` answers "is S + u independent?" for a batch of
-    candidates, and :meth:`fits` for one, from a per-run extension state
-    (:meth:`extension_state`); both count exactly as the same queries asked
-    one by one through :meth:`is_independent`.  A set over another ground
-    set is a ValueError, counted as no query.
+    :meth:`extensions` is the one checked extension query: "is S + u
+    independent?" for a batch of candidates, from a per-run extension state
+    (:meth:`extension_state`), counted exactly as the same queries asked one
+    by one through :meth:`is_independent`.  A greedy run asks its state
+    directly and keeps the counts by the same rule.  A set over another
+    ground set is a ValueError, counted as no query.
     """
 
     def __init__(
@@ -704,19 +665,7 @@ class IndependenceOracle:
         if _meets(S, candidates):
             raise ValueError(f"extension queries require candidates outside S={S!r}")
         self.membership_count += len(candidates)
-        return state.feasible(S, candidates)
-
-    def fits(self, state: "ExtensionState", S: ElementSet, u: int) -> bool:
-        """Whether S + u is independent, for one u not in ``S``: ``extensions``
-        for ``[u]`` without the arrays, counted as one :meth:`is_independent`."""
-        _same_ground(self.ground, S.universe, S)
-        u = _id(u)
-        if not 0 <= u < self.ground.n:
-            raise _outside(u, self.ground)
-        if u in S._memberset:
-            raise ValueError(f"extension queries require candidates outside S={S!r}")
-        self.membership_count += 1
-        return state.fits(S, u)
+        return state.feasible(candidates)
 
 
 class ExtensionState:
@@ -728,25 +677,27 @@ class ExtensionState:
     candidates u not in S and returns those with S + u independent, in
     order; :meth:`fits` answers for one candidate (and by default
     :meth:`feasible` asks it about each).  States are uncounted: their
-    callers keep the accounting (:meth:`IndependenceOracle.extensions` and
-    :meth:`IndependenceOracle.fits`, and a greedy run).
+    callers keep the accounting (:meth:`IndependenceOracle.extensions`, a
+    greedy run and :func:`~submax.constraints.max_feasible_size`).
 
-    This base state checks each S + u whole through the oracle's rule: the
-    state of a system without its own, and the reference the systems' own
-    states are tested against.
+    This base state keeps S, as the base :class:`GainState` does, and checks
+    each S + u whole through the oracle's rule: the state of a system
+    without its own, and the reference the systems' own states are tested
+    against.
     """
 
     def __init__(self, oracle: IndependenceOracle):
         self._oracle = oracle
+        self._S = oracle.ground.empty()
 
     def add(self, u: int) -> None:
-        pass  # the set itself is passed to fits
+        self._S = self._S.with_element(u)
 
-    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
-        return candidates[np.array([self.fits(S, u) for u in candidates.tolist()], dtype=bool)]
+    def feasible(self, candidates: np.ndarray) -> np.ndarray:
+        return candidates[np.array([self.fits(u) for u in candidates.tolist()], dtype=bool)]
 
-    def fits(self, S: ElementSet, u: int) -> bool:
-        return self._oracle._accepts(S.with_element(u))
+    def fits(self, u: int) -> bool:
+        return self._oracle._accepts(self._S.with_element(u))
 
 
 class Rng:

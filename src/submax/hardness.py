@@ -148,12 +148,12 @@ class _HardExtensions(ExtensionState):
             self.outside += 1
         self._charge()
 
-    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+    def feasible(self, candidates: np.ndarray) -> np.ndarray:
         if self.fits_in == self.fits_out:
             return candidates if self.fits_in else candidates[:0]
         return candidates[(candidates < self.params.block_size) == self.fits_in]
 
-    def fits(self, S: ElementSet, u: int) -> bool:
+    def fits(self, u: int) -> bool:
         return self.fits_in if u < self.params.block_size else self.fits_out
 
 

@@ -263,8 +263,8 @@ def nondecreasing(vals: np.ndarray) -> bool:
 def marginal(f, e: int, S: ElementSet) -> float:
     """f(S + e) - f(S), for e not in S, one query at a time: f(S) through
     ``f.value`` (served from the cached base when S is it), then f(S + e),
-    counted as one marginal.  ``ValueOracle.gains`` and ``gain`` count each
-    of their queries as this does."""
+    counted as one marginal.  ``ValueOracle.gains`` counts each of its
+    queries as this does."""
     if e in S:
         raise ValueError(f"marginal gain requires e not in S; got e={e} in {S!r}")
     f.marginal_count += 1
@@ -273,32 +273,32 @@ def marginal(f, e: int, S: ElementSet) -> float:
 
 
 class _CheckedIntersection(ExtensionState):
-    """An intersection's extension state that asks each component through
-    its public ``extensions`` and ``fits`` in turn, so a component is asked
-    only about the candidates every earlier one accepted."""
+    """An intersection's extension state that keeps its own set S and asks
+    each component through its public ``extensions`` in turn, so a component
+    is asked only about the candidates every earlier one accepted."""
 
     def __init__(self, components):
+        self._S = components[0].ground.empty()
         self.parts = [(c, c.extension_state()) for c in components]
 
     def add(self, u: int) -> None:
+        self._S = self._S.with_element(u)
         for _c, state in self.parts:
             state.add(u)
 
-    def feasible(self, S: ElementSet, candidates: np.ndarray) -> np.ndarray:
+    def feasible(self, candidates: np.ndarray) -> np.ndarray:
         for c, state in self.parts:
-            candidates = c.extensions(state, S, candidates)
+            candidates = c.extensions(state, self._S, candidates)
         return candidates
-
-    def fits(self, S: ElementSet, u: int) -> bool:
-        return all(c.fits(state, S, u) for c, state in self.parts)
 
 
 def greedy(f, I: IndependenceOracle, *, candidates=None, lazy: bool = False):
     """Plain and lazy greedy through the public checked queries: each round
     asks ``I.extensions`` about the pool and ``f.gains`` about the feasible
-    rest, and each pop of the lazy heap asks ``I.fits`` and re-scores with
-    ``f.gain``; an intersection's components are asked the same way.  S, its
-    value, the cached base, both states and the trace move by ``_Run.add``.
+    rest, and each pop of the lazy heap asks ``I.extensions`` about [u] and
+    re-scores with ``f.gains`` of [u]; an intersection's components are
+    asked the same way.  S, its value, the cached base, both states and the
+    trace move by ``_Run.add``.
     The reference for ``algorithms.greedy``: the same solution, value,
     trace, counts and cached base, and the same error at the same counts."""
     run = _Run(f, I, _id_array(f.ground, candidates))
@@ -316,10 +316,10 @@ def greedy(f, I: IndependenceOracle, *, candidates=None, lazy: bool = False):
         picks = 0
         while heap:
             neg_gain, u, stamp = heapq.heappop(heap)
-            if not I.fits(run.ext, run.S, u):
+            if not I.extensions(run.ext, run.S, [u]).size:
                 continue
             if stamp != picks:
-                heapq.heappush(heap, (-f.gain(run.state, run.S, u), u, picks))
+                heapq.heappush(heap, (-float(f.gains(run.state, run.S, [u])[0]), u, picks))
             elif neg_gain >= 0.0:
                 break
             else:

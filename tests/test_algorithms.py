@@ -18,6 +18,7 @@ from submax import (
     GenreConstraint,
     GroundSet,
     IndependenceOracle,
+    IntersectionSystem,
     ModularObjective,
     NonNegativityError,
     PartitionMatroid,
@@ -530,6 +531,21 @@ def test_instrumented_needs_coins_or_rng():
     g, (f1, I1), _, opt = _paired_setup(2)
     with pytest.raises(ValueError):
         instrumented_sample_greedy(f1, I1, opt)
+
+
+def test_instrumented_audits_the_repair_size():
+    """An intersection of two matroids declared as k = 1 needs two removals
+    to restore O's independence, and fails the repair-size audit: picking 0
+    into O = {1, 2} breaks block a with 1 and block b with 2."""
+    g = GroundSet(3)
+    I = IntersectionSystem([PartitionMatroid(g, {0: "a", 1: "a"}, {"a": 1}),
+                            PartitionMatroid(g, {0: "b", 2: "b"}, {"b": 1})])
+    I.k = 1
+    f = ModularObjective(g, [3.0, 2.0, 2.0]).oracle()
+    with pytest.raises(PropertyViolation) as info:
+        instrumented_sample_greedy(f, I, g.set([1, 2]), coin_source=lambda u: True)
+    assert (info.value.prop, info.value.iteration) == ("repair-size", 1)
+    assert "|O_u|=2 exceeds k=1" in str(info.value)
 
 
 def _constraint(kind: str, g: GroundSet, seed: int):

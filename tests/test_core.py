@@ -155,9 +155,9 @@ def test_set_base_preloads_cache():
 @pytest.mark.parametrize("bad", [-1, -5, -6, -11, 5, 99])
 def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     """On ``synth:kind=modular,n=5``, an id outside 0..4 is the ValueError of
-    ``ElementSet`` in all four candidate queries, scalar and batch, counted
-    as no query: -1 does not read element 4's gain or room, and 5 raises no
-    bare IndexError."""
+    ``ElementSet`` in both candidate queries, on one id and on a batch,
+    counted as no query: -1 does not read element 4's gain or room, and 5
+    raises no bare IndexError."""
     f, g = generate(SyntheticSpec(kind="modular", n=5, seed=1))
     I = UniformMatroid(g, 3) if system == "uniform" else make_partition_intersection(5, 2, 1)
     S = g.set([0])
@@ -165,8 +165,7 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     state.add(0)
     ext.add(0)
     counts = (f.eval_count, f.marginal_count, I.membership_count)
-    queries = (lambda: f.gain(state, S, bad), lambda: f.gains(state, S, [bad]),
-               lambda: f.gains(state, S, [1, bad, 2]), lambda: I.fits(ext, S, bad),
+    queries = (lambda: f.gains(state, S, [bad]), lambda: f.gains(state, S, [1, bad, 2]),
                lambda: I.extensions(ext, S, [bad]), lambda: I.extensions(ext, S, np.array([1, bad, 2])))
     for query in queries:
         with pytest.raises(ValueError, match=f"^element {bad} outside ground set of size 5$"):
@@ -179,18 +178,17 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     (10, lambda f, I: submax.unconstrained_max_det(f, GroundSet(20).set([1, 12])), r"ElementSet\(\[1, 12\]\)", 20),
     (10, lambda f, I: I.is_independent(GroundSet(20).set([12, 13])), r"ElementSet\(\[12, 13\]\)", 20),
     (10, lambda f, I: I.extensions(I.extension_state(), GroundSet(20).set([12]), [1]), r"ElementSet\(\[12\]\)", 20),
-    (10, lambda f, I: I.fits(I.extension_state(), GroundSet(20).set([12]), 3), r"ElementSet\(\[12\]\)", 20),
     (10, lambda f, I: f.gains(f.gain_state(), GroundSet(5).set([1]), [7]), r"ElementSet\(\[1\]\)", 5),
     (20, lambda f, I: submax.greedy(f, I), "the independence system", 20),
     (20, lambda f, I: submax.brute_force_opt(f, I), "the independence system", 20),
-], ids=["value", "double-greedy", "is-independent", "extensions", "fits", "gains", "greedy", "brute-force"])
+], ids=["value", "double-greedy", "is-independent", "extensions", "gains", "greedy", "brute-force"])
 def test_sets_and_systems_over_another_ground_set_are_refused(n_I, query, shown, size):
     """A set or system over a ground set of another size than the oracle's
     is a ValueError naming both sizes, counted as no query: a 20-element set
     raised numpy's IndexError from a 10-element oracle or passed a
-    10-element matroid, greedy ran under a 20-element matroid, the scalar
-    ``fits`` answered for a 20-element set, and ``gains`` named candidate 7
-    as outside a 5-element S instead of naming S's ground set."""
+    10-element matroid, greedy ran under a 20-element matroid, and ``gains``
+    named candidate 7 as outside a 5-element S instead of naming S's ground
+    set."""
     f = ModularObjective(GroundSet(10), [float(e) for e in range(10)]).oracle()
     I = UniformMatroid(GroundSet(n_I), 3)
     with pytest.raises(ValueError, match=f"^{shown} is over a ground set of size {size}, not 10$"):
@@ -206,8 +204,6 @@ _NON_INTEGER_IDS = {
               r"element id np.float64\(0.5\)"),
     "extensions": (lambda g, f, I, S: I.extensions(I.extension_state(), S, np.array([0.5, 2.9])),
                    r"element id np.float64\(0.5\)"),
-    "gain": (lambda g, f, I, S: f.gain(f.gain_state(), S, 1.5), "element id 1.5"),
-    "fits": (lambda g, f, I, S: I.fits(I.extension_state(), S, 2.5), "element id 2.5"),
     "values-masks": (lambda g, f, I, S: f.values_masks([0, 1], [1.5, 2.7]), "mask 1.5"),
     "independent-masks": (lambda g, f, I, S: I.independent_masks([0, 1], np.array([1.0])),
                           r"mask np.float64\(1.0\)"),
@@ -215,7 +211,7 @@ _NON_INTEGER_IDS = {
                      "element id np.True_"),
     "set-bool": (lambda g, f, I, S: g.set([True]), "element id True"),
     "with-element-bool": (lambda g, f, I, S: g.empty().with_element(True), "element id True"),
-    "gain-bool": (lambda g, f, I, S: f.gain(f.gain_state(), S, True), "element id True"),
+    "gains-bool": (lambda g, f, I, S: f.gains(f.gain_state(), S, [True]), "element id True"),
     "bool-pool": (lambda g, f, I, S: submax.greedy(f, I, candidates=[True, False]), "element id True"),
     "without-float": (lambda g, f, I, S: S.without_element(0.0), "element id 0.0"),
     "difference-float": (lambda g, f, I, S: g.set([0, 1]).difference([0.0]), "element id 0.0"),

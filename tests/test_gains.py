@@ -226,8 +226,8 @@ runs = st.tuples(
 @settings(max_examples=300, deadline=None)
 def test_greedy_runs_equal_the_checked_query_reference(run):
     """Plain and lazy greedy, asking their states directly, equal the
-    reference run through ``ValueOracle.gains``/``gain`` and
-    ``IndependenceOracle.extensions``/``fits``: solution, value, trace, the
+    reference run through ``ValueOracle.gains`` and
+    ``IndependenceOracle.extensions``: solution, value, trace, the
     three counts, the cached base and each intersection component's count,
     on every objective (weighted coverage certified on dyadic data and, as
     in the second example, not on real data; and a bare-function oracle)
@@ -591,6 +591,24 @@ def test_repeated_greedy_refinement_equals_the_evaluate_loop(instance, subroutin
     assert runs[:2] == runs[2:]
 
 
+class _Recorded:
+    """A gain state that records the answers of its scalar queries."""
+
+    def __init__(self, state):
+        self.state, self.answers = state, []
+
+    def __getattr__(self, name):
+        return getattr(self.state, name)
+
+    def gain(self, u):
+        self.answers.append(self.state.gain(u))
+        return self.answers[-1]
+
+    def loss(self, u):
+        self.answers.append(self.state.loss(u))
+        return self.answers[-1]
+
+
 # Y - u is empty at the last step and f(Y) - loss rounds to -2.2e-16 there:
 # the accumulated values are not sign-checked
 @example(instance=("weighted_coverage", 6, 293, 0.2, "uniform"), lam=0.0, subroutine="det",
@@ -603,15 +621,12 @@ def test_double_greedy_matches_reference_on_real_data(instance, lam, subroutine,
     obj, g = real_objective(kind, n, seed, density, lam)
     U = g.set(u for u in members if u < n)
     f = obj.oracle()
-    steps = []
-    double_gains = f.double_gains
-
-    def recorded(*args, **kw):
-        steps.append(double_gains(*args, **kw))
-        return steps[-1]
-
-    f.double_gains = recorded
+    states = []  # up at X, then down at Y
+    make = f.gain_state
+    f.gain_state = lambda: states.append(_Recorded(make())) or states[-1]
     res = double_greedy_summary(f, U, subroutine, seed)[0:2]
+    up, down = states
+    steps = [(a, -loss) for a, loss in zip(up.answers, down.answers, strict=True)]
     # every step's gains are evaluate-differences along the run, within the
     # float64 tolerance, and its decision is the rule's on those gains
     coins = Rng(seed, 2)
@@ -647,9 +662,6 @@ class _Fixed(GainState):
     def gains(self, candidates):
         return self._gains[np.asarray(candidates)]
 
-    def gain(self, u):
-        return float(self._gains[u])
-
 
 def test_gains_count_like_one_marginal_per_candidate():
     g = GroundSet(6)
@@ -678,29 +690,9 @@ def test_gains_reject_a_negative_or_nan_extended_value(bad):
         f.gains(f.gain_state(), g.empty(), [0, 1, 2])
 
 
-def test_scalar_gain_counts_like_a_batch_of_one():
-    g = GroundSet(4)
-    f = ModularObjective(g, [1.0, 2.0, 3.0, 4.0]).oracle()
-    S = g.set([0])
-    assert f.gain(f.gain_state(), S, 2) == 3.0
-    assert (f.marginal_count, f.eval_count) == (1, 2)  # S was not the cached base
-    assert f.gain(f.gain_state(), S, 3) == 4.0
-    assert (f.marginal_count, f.eval_count) == (2, 3)
-    with pytest.raises(ValueError, match="outside S"):
-        f.gain(f.gain_state(), S, 0)
-    with pytest.raises(NonNegativityError):
-        f.gain(_Fixed([0.0, -2.0]), g.empty(), 1)
-
-
-def test_double_gains_count_one_evaluation_per_side():
-    g = GroundSet(3)
-    f = ModularObjective(g, [1.0, 2.0, 3.0]).oracle()
-    up, down = f.gain_state(), f.gain_state()
-    assert f.double_gains(up, down, 1) == (2.0, -2.0)
-    assert (f.marginal_count, f.eval_count) == (0, 2)
-    f.double_gains(up, down, 2, x_cached=True)
-    assert (f.marginal_count, f.eval_count) == (0, 3)
+def test_double_greedy_on_a_bare_oracle_refuses_a_negative_value():
     # an oracle without an objective checks every value its states evaluate
+    g = GroundSet(3)
     bad = ValueOracle(lambda S: -1.0 if S.members == (0,) else 1.0, g)
     with pytest.raises(NonNegativityError):
         unconstrained_max_det(bad, g.full())
