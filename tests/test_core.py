@@ -204,6 +204,9 @@ _NON_INTEGER_IDS = {
               r"element id np.float64\(0.5\)"),
     "extensions": (lambda g, f, I, S: I.extensions(I.extension_state(), S, np.array([0.5, 2.9])),
                    r"element id np.float64\(0.5\)"),
+    # one candidate, a Python float in a plain list
+    "gain": (lambda g, f, I, S: f.gains(f.gain_state(), S, [1.5]), "element id 1.5"),
+    "fits": (lambda g, f, I, S: I.extensions(I.extension_state(), S, [2.5]), "element id 2.5"),
     "values-masks": (lambda g, f, I, S: f.values_masks([0, 1], [1.5, 2.7]), "mask 1.5"),
     "independent-masks": (lambda g, f, I, S: I.independent_masks([0, 1], np.array([1.0])),
                           r"mask np.float64\(1.0\)"),
@@ -211,7 +214,7 @@ _NON_INTEGER_IDS = {
                      "element id np.True_"),
     "set-bool": (lambda g, f, I, S: g.set([True]), "element id True"),
     "with-element-bool": (lambda g, f, I, S: g.empty().with_element(True), "element id True"),
-    "gains-bool": (lambda g, f, I, S: f.gains(f.gain_state(), S, [True]), "element id True"),
+    "gain-bool": (lambda g, f, I, S: f.gains(f.gain_state(), S, [True]), "element id True"),
     "bool-pool": (lambda g, f, I, S: submax.greedy(f, I, candidates=[True, False]), "element id True"),
     "without-float": (lambda g, f, I, S: S.without_element(0.0), "element id 0.0"),
     "difference-float": (lambda g, f, I, S: g.set([0, 1]).difference([0.0]), "element id 0.0"),

@@ -690,6 +690,23 @@ def test_gains_reject_a_negative_or_nan_extended_value(bad):
         f.gains(f.gain_state(), g.empty(), [0, 1, 2])
 
 
+def test_double_gains_count_one_evaluation_per_side():
+    """Double greedy's two gains at a step, f(X + u) - f(X) and
+    f(Y - u) - f(Y), count one evaluation each and no marginal, past the two
+    evaluations of f(empty) and f(U); the last step counts one when the step
+    before dropped its element, as Y - u is then the cached base."""
+    g = GroundSet(3)
+    f = ModularObjective(g, [1.0, 2.0, 3.0]).oracle()
+    res = unconstrained_max_det(f, g.full())  # keeps every element
+    assert (res.solution, res.value) == (g.full(), 6.0)
+    assert (f.marginal_count, f.eval_count) == (0, 2 + 2 * 3)
+    # |S| (3 - |S|): keep 0 (gain 2 against 2), drop 1 (0 against 2), keep 2
+    f = ValueOracle(lambda S: float(len(S) * (3 - len(S))), g)
+    res = unconstrained_max_det(f, g.full())
+    assert (res.solution, res.value) == (g.set([0, 2]), 2.0)
+    assert (f.marginal_count, f.eval_count) == (0, 2 + 2 + 2 + 1)
+
+
 def test_double_greedy_on_a_bare_oracle_refuses_a_negative_value():
     # an oracle without an objective checks every value its states evaluate
     g = GroundSet(3)
