@@ -7,7 +7,10 @@ determined by the :class:`~submax.core.Rng` stream handed in: the same
 
 Tie-breaking everywhere is "largest gain, then smallest element id", under
 exact float comparison.  The lazy greedy variant returns the identical
-solution to the naive scan for submodular objectives under that rule.
+solution to the naive scan for submodular objectives under that rule.  On
+certified weighted coverage under a uniform, partition or genre constraint
+it replays its heap by rank, one vector pass per round, with the same
+picks and counts.
 """
 
 from __future__ import annotations
@@ -171,15 +174,20 @@ def greedy(
     dependent sets stay dependent).  ``lazy=True`` uses a stale-gain max
     heap — valid for submodular objectives, where stale gains upper-bound
     fresh ones — and returns the identical solution with fewer marginal
-    evaluations.
+    evaluations.  Certified weighted coverage under a uniform, partition or
+    genre constraint replays the heap by rank (:func:`_replay`), with its
+    picks and counts; on the heap, a run under such a constraint ends, and
+    counts the drops left, as soon as nothing fits.
     """
     run = _Run(f, I, _id_array(f.ground, candidates))
     if lazy:
         pool, gains = run.scores()
-        heap = [(-g, u, 0) for g, u in zip(gains.tolist(), pool.tolist())]
+        ext, state, picks = run.ext, run.state, 0  # picks: the stamp of gains scored at S
+        if state.vector is not None and ext.open is not None:
+            pool, gains, picks = _replay(run, pool, gains)
+        heap = [(-g, u, 0) for g, u in zip(gains.tolist(), pool.tolist())]  # stale once picks > 0
         heapq.heapify(heap)
         pop, pushpop = heapq.heappop, heapq.heappushpop
-        ext, state, picks = run.ext, run.state, 0  # picks: the stamp of gains scored at S
         top = pop(heap) if heap else None
         while top is not None:
             # a popped id is an int of the pool, outside S: the states are asked
@@ -202,11 +210,59 @@ def greedy(
             else:
                 run.add(u, -neg_gain)
                 picks += 1
+                if ext.open is not None and not ext.open.any():
+                    I.membership_count += len(heap)  # each entry left is popped and dropped
+                    break
                 top = pop(heap) if heap else None
     else:
         while (pick := run.best()) is not None:
             run.add(*pick)
     return run.result("lazy-greedy" if lazy else "greedy"), run.trace
+
+
+def _replay(run: _Run, pool: np.ndarray, stale: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Lazy greedy's heap rounds replayed by rank, one vector pass each, on
+    a gain state with a current ``vector`` and an extension state with an
+    ``open`` mask: the heap's picks, trace and counts.
+
+    ``pool`` (ascending ids) and ``stale`` are the heap's entries and the
+    gains they were last scored at.  w is the first maximum of the fresh
+    gains over the entries that fit.  The heap pops each entry whose stale
+    key (-gain, id) ranks before w's fresh key, and no other (stale gains
+    bound fresh ones bit for bit): one check each, and one marginal for
+    each that fits, as it is re-scored.  After the first round w is among
+    them.  Its fresh pop is one check more, and picks it if its gain is > 0.
+
+    Returns the heap's entries left, their stale gains and the pick count:
+    none once the run is over, or all of them when a fresh gain fails the
+    sign check, so that the heap raises at the first offender it pops."""
+    f, I, vector, fits = run.f, run.I, run.state.vector, run.ext.open
+    picks = 0
+    while pool.size:
+        ok = fits[pool]
+        fresh = vector[pool]
+        live = fresh[ok]
+        if not live.size:  # each entry is popped and dropped
+            I.membership_count += pool.size
+            break
+        if not run.value + live.min() >= 0.0:  # NaN fails too
+            return pool, stale, picks
+        i = int(np.flatnonzero(ok)[live.argmax()])
+        u, g = int(pool[i]), fresh[i]
+        popped = (stale > g) | ((stale == g) & (pool < u))
+        popped[i] = picks > 0  # w's stale entry, scored at an earlier S
+        rescored = int(np.count_nonzero(popped & ok))
+        I.membership_count += int(np.count_nonzero(popped)) + 1
+        f.marginal_count += rescored
+        f.eval_count += rescored
+        if not g > 0.0:
+            break
+        run.add(u, float(g))
+        picks += 1
+        keep = ok | ~popped
+        keep[i] = False
+        pool, stale = pool[keep], np.where(popped, fresh, stale)[keep]
+    return pool[:0], stale[:0], picks
 
 
 # ---------------------------------------------------------------------------

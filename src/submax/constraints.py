@@ -67,7 +67,15 @@ class _RoomSystem(IndependenceOracle):
         return pos
 
     def _accepts(self, S: ElementSet) -> bool:
-        return all(len(pos) <= self.rooms[g] for g, pos in self._positions(S.members).items())
+        left, groups_of = dict(self.rooms), self._groups_of  # the room left in each group
+        for u in S.members:
+            for g in groups_of(u):
+                room = left.get(g)
+                if room is not None:
+                    if not room:
+                        return False
+                    left[g] = room - 1
+        return True
 
     def _accepts_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
         """One popcount per group with a member in ``elems``."""
@@ -82,10 +90,10 @@ class _RoomSystem(IndependenceOracle):
 
 
 class _RoomExtensions(ExtensionState):
-    """The room left in each group of a :class:`_RoomSystem`, and a mask of
-    the elements that can still join.  Adding u charges each group of u.
-    The mask loses a group's members when its room reaches 0, and only then
-    (from the start for a room of 0): masked means fits."""
+    """The room left in each group of a :class:`_RoomSystem`, and ``open``,
+    the mask of the elements that can still join.  Adding u charges each
+    group of u.  The mask loses a group's members when its room reaches 0,
+    and only then (from the start for a room of 0): masked means fits."""
 
     def __init__(self, system: _RoomSystem):
         self.groups_of, self.room, self.members = system._groups_of, dict(system.rooms), system._members

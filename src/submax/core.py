@@ -545,12 +545,19 @@ class GainState:
     f(S) - f(S - u) for u in S.  States are uncounted: their callers keep
     the accounting (:meth:`ValueOracle.gains`, greedy and double greedy).
 
+    ``vector`` is None here.  A state that keeps every element's gain at S
+    current in one float array, indexed by id, whose entries only fall as S
+    grows (bit for bit), exposes that array: lazy greedy then replays its
+    heap by rank.
+
     This base state answers by evaluate-differences through an oracle's
     function: the state of an oracle that wraps no objective, and the
     reference the objectives' own states are tested against.  f(S) is the
     oracle's cached value when S is its cached base, else an uncounted
     evaluation.
     """
+
+    vector: Optional[np.ndarray] = None
 
     def __init__(self, oracle: ValueOracle):
         self._oracle = oracle
@@ -680,11 +687,17 @@ class ExtensionState:
     callers keep the accounting (:meth:`IndependenceOracle.extensions`, a
     greedy run and :func:`~submax.constraints.max_feasible_size`).
 
+    ``open`` is None here.  A state that keeps a bool array, indexed by id,
+    true for exactly the u outside S with S + u independent, exposes it:
+    lazy greedy then asks it about a whole pool at once.
+
     This base state keeps S, as the base :class:`GainState` does, and checks
     each S + u whole through the oracle's rule: the state of a system
     without its own, and the reference the systems' own states are tested
     against.
     """
+
+    open: Optional[np.ndarray] = None
 
     def __init__(self, oracle: IndependenceOracle):
         self._oracle = oracle

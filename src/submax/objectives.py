@@ -436,8 +436,9 @@ class _CoverageGains(GainState):
     then on :meth:`add` subtracts each newly covered item's weight from the
     gains of the elements that cover it and :meth:`remove` adds each freed
     item's weight back: every sum is exact, so each entry equals the
-    in-order sum bit for bit.  A state never asked for a batch, such as
-    double greedy's two, sums one cover per query."""
+    in-order sum bit for bit.  That vector is the state's ``vector``.  A
+    state never asked for a batch, such as double greedy's two, sums one
+    cover per query."""
 
     def __init__(self, obj: WeightedCoverageObjective,
                  transpose: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]]):
@@ -449,7 +450,7 @@ class _CoverageGains(GainState):
         self._remaining = obj.item_weights.copy()
         self._count = np.zeros(obj.item_weights.size, dtype=np.intp)
         self._transpose = transpose
-        self._vector: Optional[np.ndarray] = None
+        self.vector: Optional[np.ndarray] = None
 
     def _cover(self, u: int) -> np.ndarray:
         return self._items[self._bounds[u]:self._bounds[u + 1]]
@@ -463,8 +464,8 @@ class _CoverageGains(GainState):
 
     def add(self, u: int) -> None:
         items = self._cover(u)
-        if self._vector is not None:
-            self._vector -= self._spread(items[self._count[items] == 0])
+        if self.vector is not None:
+            self.vector -= self._spread(items[self._count[items] == 0])
         self._remaining[items] = 0.0
         self._count[items] += 1
 
@@ -473,12 +474,12 @@ class _CoverageGains(GainState):
         self._count[items] -= 1
         freed = items[self._count[items] == 0]
         self._remaining[freed] = self._weights[freed]
-        if self._vector is not None:
-            self._vector += self._spread(freed)
+        if self.vector is not None:
+            self.vector += self._spread(freed)
 
     def gain(self, u: int) -> float:
-        if self._vector is not None:
-            return float(self._vector[u])
+        if self.vector is not None:
+            return float(self.vector[u])
         return _sequential_sum(self._remaining[self._cover(u)])
 
     def loss(self, u: int) -> float:
@@ -487,10 +488,10 @@ class _CoverageGains(GainState):
 
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         c = np.asarray(candidates, dtype=np.intp)
-        if self._vector is None and self._transpose is not None:
-            self._vector = self._row_sums()
-        if self._vector is not None:
-            return self._vector[c]
+        if self.vector is None and self._transpose is not None:
+            self.vector = self._row_sums()
+        if self.vector is not None:
+            return self.vector[c]
         return self._sums(c)
 
     def _row_sums(self) -> np.ndarray:

@@ -15,6 +15,7 @@ removes.  Its reference is the evaluate loop over X + u and Y - u
 from __future__ import annotations
 
 import contextlib
+import functools
 import os
 from fractions import Fraction
 import subprocess
@@ -222,6 +223,9 @@ runs = st.tuples(
 @example(run=("weighted_coverage", "objective", "dyadic", "uniform", 12, 1, 0.5, 0.0, False))
 @example(run=("weighted_coverage", "objective", "real", "intersection", 12, 1, 0.5, 0.0, True))
 @example(run=("modular", "bare", "dyadic", "hard-M", 0, 2, 0.5, 0.0, False))
+@example(run=("weighted_coverage", "objective", "dyadic", "partition", 12, 1, 0.5, 0.0, True))
+@example(run=("weighted_coverage", "objective", "dyadic", "genre", 12, 2, 0.2, 0.0, False))
+@example(run=("coverage_dispersion", "objective", "dyadic", "uniform", 300, 1, 0.5, 0.5, False))
 @given(run=runs)
 @settings(max_examples=300, deadline=None)
 def test_greedy_runs_equal_the_checked_query_reference(run):
@@ -231,7 +235,9 @@ def test_greedy_runs_equal_the_checked_query_reference(run):
     three counts, the cached base and each intersection component's count,
     on every objective (weighted coverage certified on dyadic data and, as
     in the second example, not on real data; and a bare-function oracle)
-    and every constraint."""
+    and every constraint.  Certified coverage under a partition or genre
+    constraint replays the lazy heap by rank; the last example fills a
+    uniform matroid at n = 300, so its lazy heap drains at once."""
     kind, wrap, data, constraint, n, seed, density, lam, pooled = run
     if constraint.startswith("hard"):
         n = int(np.prod(HARD[seed % len(HARD)]))
@@ -292,6 +298,133 @@ def test_a_negative_value_mid_run_raises_as_the_checked_queries_do(how, lazy):
     assert outcomes[0][0] == (NonNegativityError,
                               f"oracle {'bare' if how == 'bare-function' else 'modular'!r} returned "
                               f"{shown} < 0 on ElementSet([0, 1])")
+
+
+class _SignedVector(GainState):
+    """Modular gains kept current in ``vector``, as a certified coverage
+    state keeps them, except that each candidate of ``bad`` scores
+    ``value`` once S holds ``after``: lazy greedy replays its heap by rank."""
+
+    def __init__(self, weights, bad, value, after):
+        self.vector = np.array(weights, dtype=float)
+        self._bad, self._value, self._after, self._S = list(bad), value, after, set()
+
+    def add(self, u):
+        self._S.add(u)
+        if self._after <= self._S:
+            self.vector[self._bad] = self._value
+
+    def gains(self, candidates):
+        return self.vector[np.asarray(candidates, dtype=np.intp)]
+
+    def gain(self, u):
+        return float(self.vector[u])
+
+
+@pytest.mark.parametrize("bad, value, raised", [
+    ([2, 3], -20.0, "-12.0"),
+    ([2, 3], float("nan"), "nan"),
+    ([4], -20.0, None),
+])
+def test_a_bad_gain_in_the_replayed_heap_raises_where_the_heap_does(bad, value, raised):
+    """At S = {0}, f(S) = 8, the candidates ``bad`` turn negative or NaN.
+    The heap pops 3 (stale gain 4) before 2 (stale gain 2), so a replayed
+    run raises on S + 3, not on the lowest id, at the heap's counts and
+    cached base; a bad candidate that ranks after each round's pick is never
+    popped, and the run goes on as the heap's does."""
+    g = GroundSet(5)
+    weights = [8.0, 1.0, 2.0, 4.0, 0.5]
+
+    def make_oracle():
+        f = ModularObjective(g, weights).oracle(name="modular")
+        f.gain_state = lambda: _SignedVector(weights, bad, value, {0})
+        return f
+
+    with mock.patch.object(algorithms, "_replay", wraps=algorithms._replay) as replay:
+        outcomes = [greedy_outcome(solve, make_oracle, lambda: UniformMatroid(g, 3), None, True)
+                    for solve in (greedy, reference.greedy)]
+    assert replay.call_count == 1
+    assert outcomes[0] == outcomes[1]
+    if raised is None:
+        assert outcomes[0][0][0] == g.set([0, 2, 3])
+    else:
+        assert outcomes[0][0] == (NonNegativityError,
+                                  f"oracle 'modular' returned {raised} < 0 on ElementSet([0, 3])")
+
+
+@functools.lru_cache(maxsize=None)
+def certified_coverage_at(n: int, density: float) -> WeightedCoverageObjective:
+    obj = generate(SyntheticSpec(kind="weighted_coverage", n=n, seed=1, density=density))[0].objective
+    assert obj._exact
+    return obj
+
+
+def room_system(kind: str, n: int):
+    """A uniform, partition or genre constraint at size ``n``.  The uniform
+    and genre ones can fill up; every seventh element is free of the
+    partition, which never does."""
+    g = GroundSet(n)
+    if kind == "uniform":
+        return UniformMatroid(g, n // 30)
+    if kind == "partition":
+        return PartitionMatroid(g, {e: e % 16 for e in range(n) if e % 7}, {b: 1 + b % 4 for b in range(16)})
+    gen = Rng(n, 5).generator
+    labels = ("a", "b", "c", "d")
+    genre_of = {e: {labels[int(i)] for i in gen.choice(4, size=int(gen.integers(1, 3)), replace=False)}
+                for e in range(n)}
+    return GenreConstraint(g, genre_of, ["a", "b", "c"], m=40, m_g=15)
+
+
+def heap_only():
+    """Run every lazy greedy on the heap: the replay hands all its entries over."""
+    return mock.patch.object(algorithms, "_replay", lambda run, pool, gains: (pool, gains, 0))
+
+
+@pytest.mark.parametrize("pooled", (False, True))
+@pytest.mark.parametrize("constraint", CONSTRAINTS)
+@pytest.mark.parametrize("density", (0.01, 0.05, 0.5))
+@pytest.mark.parametrize("n", (300, 2000))
+def test_replayed_lazy_runs_equal_the_heap_at_real_sizes(n, density, constraint, pooled):
+    """On certified weighted coverage under a room system, lazy greedy
+    replayed by rank equals the reference heap of checked queries in
+    solution, value, trace, the three counts and the cached base, over
+    tens of rounds and, where the constraint fills up, the round in which
+    nothing fits; lazy sample and repeated greedy equal their heap-only
+    runs."""
+    obj = certified_coverage_at(n, density)
+    candidates = np.flatnonzero(Rng(n, 3).generator.random(n) < 0.6) if pooled else None
+    outcomes = [greedy_outcome(solve, obj.oracle, lambda: room_system(constraint, n), candidates, True)
+                for solve in (greedy, reference.greedy)]
+    assert outcomes[0] == outcomes[1]
+
+    def others():
+        out = []
+        for run in (lambda f, I: sample_greedy(f, I, rng=Rng(n, 1), lazy=True),
+                    lambda f, I: repeated_greedy(f, I, ell=2, lazy=True)):
+            f, I = obj.oracle(), room_system(constraint, n)
+            res = run(f, I)
+            out.append((res.solution, res.value, res.f_evals, res.marginal_evals,
+                        res.independence_checks, f.cached_base))
+        return out
+
+    replayed = others()
+    with heap_only():
+        assert others() == replayed
+
+
+@pytest.mark.parametrize("constraint", ("uniform", "genre"))
+def test_a_full_room_system_drains_the_lazy_heap_at_its_counts(constraint):
+    """Dispersion keeps the heap; once a room system's mask is empty, the
+    entries left count one check each, as the one-by-one drops do."""
+    obj = generate(SyntheticSpec(kind="coverage_dispersion", n=300, seed=1, lam=0.5))[0].objective
+    outcomes = [greedy_outcome(solve, obj.oracle, lambda: room_system(constraint, 300), None, True)
+                for solve in (greedy, reference.greedy)]
+    assert outcomes[0] == outcomes[1]
+    I = room_system(constraint, 300)
+    ext = I.extension_state()
+    for u in outcomes[0][0][0]:
+        ext.add(u)
+    assert not ext.open.any()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -420,7 +553,7 @@ def test_certified_coverage_vector_equals_evaluate_differences_bit_for_bit(case)
         rest = [v for v in g if v not in S]
         if step >= first_batch:
             assert _bits(state.gains(rest)) == _bits(ref.gains(rest))
-        assert (state._vector is not None) == (step >= first_batch)
+        assert (state.vector is not None) == (step >= first_batch)
         assert _bits([state.gain(v) for v in rest]) == _bits([ref.gain(v) for v in rest])
         assert _bits([state.loss(v) for v in S]) == _bits([ref.loss(v) for v in S])
 
@@ -498,7 +631,7 @@ def test_a_weight_one_ulp_off_the_grid_turns_the_certificate_off():
         rest = [v for v in g if v not in S]
         assert _bits(state.gains(rest)) == _bits(_in_order_gains(obj, S, rest))
         assert _bits([state.gain(v) for v in rest]) == _bits(_in_order_gains(obj, S, rest))
-    assert state._vector is None
+    assert state.vector is None
 
 
 @pytest.mark.parametrize("constraint", CONSTRAINTS)
