@@ -317,7 +317,7 @@ def _instance(cfg: dict) -> _Instance:
     return _instances[cfg["hash"]]
 
 
-_SWEEPABLE = {"uniform": ("m",), "genre": ("m", "mg"), "hard": ("m",)}
+_SWEEPABLE = {"uniform": ("m",), "genre": ("m", "mg")}  # a hard instance's m sizes its ground set
 
 
 def _build_constraint(cfg: dict, sweep: Optional[tuple[str, int]]):

@@ -347,22 +347,14 @@ def _elements(ground: GroundSet, elements: Optional[Iterable[int]]) -> list[int]
     return _id_array(ground, elements).tolist()
 
 
-def _meets(S: ElementSet, candidates: np.ndarray) -> bool:
-    """Whether some of ``candidates`` (an ``np.intp`` array) is in ``S``, by
-    one gather from a membership table of S; an id outside the ground set is
-    a ValueError, as in :class:`ElementSet`.  The range is checked first, by
-    the largest id read as unsigned (a negative id reads as at least 2^63):
-    numpy casts an unsigned index array back to intp, so no gather refuses
-    every negative id.  ``argmax`` finds it at a third of the call cost of
-    ``np.max`` on a few hundred ids."""
-    if not candidates.size:
-        return False
-    unsigned = candidates.view(np.uintp)
-    if unsigned[unsigned.argmax()] >= S.universe.n:
-        _id_array(S.universe, candidates)  # raises, naming an id outside the ground set
-    table = np.zeros(S.universe.n, dtype=bool)
-    table[list(S.members)] = True
-    return np.count_nonzero(table.take(candidates)) > 0
+def _candidates(S: ElementSet, candidates: Iterable[int], query: str) -> np.ndarray:
+    """``candidates`` as :func:`_intp` reads them, refused by :func:`_id_array`
+    past ``S``'s ground set and then, naming ``query``, if one is in ``S``:
+    the one candidate check of the checked queries."""
+    candidates = _intp(candidates, "element id")
+    if not S._memberset.isdisjoint(_id_array(S.universe, candidates).tolist()):
+        raise ValueError(f"{query} require candidates outside S={S!r}")
+    return candidates
 
 
 def _mask_array(ground: GroundSet, elems: Sequence[int], masks) -> np.ndarray:
@@ -505,14 +497,14 @@ class ValueOracle:
         ``S``, scored by ``state``, which must hold exactly the elements of ``S``.
 
         Counted as one logical marginal and one evaluation per candidate, plus
-        one evaluation of ``S`` when it is not the cached base.
+        one evaluation of ``S`` when it is not the cached base.  ``S`` over
+        another ground set (even with no candidates) and the candidates
+        :func:`_candidates` refuses are ValueErrors counted as no query.
         """
         _same_ground(self.ground, S.universe, S)
         if not len(candidates):
             return np.empty(0)
-        candidates = _intp(candidates, "element id")
-        if _meets(S, candidates):
-            raise ValueError(f"marginal gains require candidates outside S={S!r}")
+        candidates = _candidates(S, candidates, "marginal gains")
         return self._counted_gains(state, S, self.value(S), candidates)
 
     def _counted_gains(self, state: "GainState", S: ElementSet, base: float,
@@ -665,12 +657,12 @@ class IndependenceOracle:
         as an ``np.intp`` array in their given order; ``state`` must hold
         exactly the elements of ``S``, an independent set.
 
-        Counted as ``len(candidates)`` calls of :meth:`is_independent`.
+        Counted as ``len(candidates)`` calls of :meth:`is_independent`.  ``S``
+        over another ground set and the candidates :func:`_candidates`
+        refuses are ValueErrors counted as no query.
         """
         _same_ground(self.ground, S.universe, S)
-        candidates = _intp(candidates, "element id")
-        if _meets(S, candidates):
-            raise ValueError(f"extension queries require candidates outside S={S!r}")
+        candidates = _candidates(S, candidates, "extension queries")
         self.membership_count += len(candidates)
         return state.feasible(candidates)
 

@@ -174,6 +174,14 @@ class _ModularGains(GainState):
     loss = gain
 
 
+def _check_universe(universe: Optional[np.ndarray], ids: np.ndarray) -> None:
+    """Refuse the ``ids`` outside ``universe`` (a bool mask over the ground
+    set; None means all of it), naming them in ascending order."""
+    if universe is not None and not universe[ids].all():
+        extra = sorted(int(u) for u in ids[~universe[ids]])
+        raise ValueError(f"set leaves the restricted universe: elements {extra}")
+
+
 class _DispersionGains(GainState):
     """Gains of f(S) = sum_{i in S} cov[i] - lam * sum_{i in S} sum_{j in S} s[i, j].
 
@@ -201,19 +209,14 @@ class _DispersionGains(GainState):
         self._acc -= self._s[u]
         self._acc -= self._s[:, u]
 
-    def _check_universe(self, c: np.ndarray) -> None:
-        if self._universe is not None and not self._universe[c].all():
-            extra = sorted(int(u) for u in c[~self._universe[c]])
-            raise ValueError(f"set leaves the restricted universe: elements {extra}")
-
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         c = np.asarray(candidates, dtype=np.intp)
-        self._check_universe(c)
+        _check_universe(self._universe, c)
         return self._cov[c] - self._lam * (self._acc[c] + self._diag[c])
 
     def gain(self, u: int) -> float:
         if self._universe is not None and not self._universe[u]:
-            self._check_universe(np.array([u]))
+            _check_universe(self._universe, np.array([u]))
         return float(self._cov[u]) - self._lam * (float(self._acc[u]) + float(self._diag[u]))
 
     def loss(self, u: int) -> float:
@@ -256,7 +259,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
 
     With lam = 1, N_u = N and a zero diagonal it is the cut function of s
     (:class:`CutObjective`).  Evaluating any S not contained in N_u is a
-    domain error.
+    domain error (:func:`_check_universe` on the N_u mask, as in its gains).
     """
 
     _symmetry = ("similarity must be symmetric (within 1e-9)", 1e-9)  # (message, atol)
@@ -298,10 +301,8 @@ class CoverageDispersionObjective(_ObjectiveBase):
         self.declares_monotone = True if lam == 0.0 else None
 
     def evaluate(self, S: ElementSet) -> float:
-        if not S.issubset(self.universe_u):
-            extra = sorted(set(S.members) - set(self.universe_u.members))
-            raise ValueError(f"set leaves the restricted universe: elements {extra}")
         idx = np.fromiter(S.members, dtype=np.intp, count=len(S))
+        _check_universe(self._universe_mask, idx)
         rows = self.similarity[idx]
         rest = self._universe_mask.astype(float)  # 1.0 on N_u \ S, 0.0 elsewhere
         rest[idx] = 0.0

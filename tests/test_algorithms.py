@@ -548,6 +548,19 @@ def test_instrumented_audits_the_repair_size():
     assert "|O_u|=2 exceeds k=1" in str(info.value)
 
 
+def test_instrumented_audits_o_s_independence():
+    """On a system that is not downward closed, with independent sets {},
+    {0} and {0, 1}, a tails coin on 0 drops it from O = {0, 1} and leaves
+    {1}, which is not independent: the P1 audit fires at iteration 1."""
+    g = GroundSet(2)
+    I = IndependenceOracle(lambda S: S.members in ((), (0,), (0, 1)), g)
+    f = ModularObjective(g, [2.0, 1.0]).oracle()
+    with pytest.raises(PropertyViolation,
+                       match="^property P1 violated at iteration 1: O lost independence$") as info:
+        instrumented_sample_greedy(f, I, g.set([0, 1]), coin_source=lambda u: False)
+    assert (info.value.prop, info.value.iteration) == ("P1", 1)
+
+
 def _constraint(kind: str, g: GroundSet, seed: int):
     gen = Rng(seed, 5).generator
     if kind == "uniform":

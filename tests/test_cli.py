@@ -728,7 +728,7 @@ def test_bench_reads_the_similarity_csv_once(tmp_path, monkeypatch):
     ["--instance", MODULAR, "--constraint", f"partition:{PARTITION}",
      "--alg", "greedy", "--sweep", "m=1:1"],
     ["--instance", "synth:kind=modular,n=32,seed=1", "--constraint", "hard:k=2,h=8,m=2,mode=M",
-     "--alg", "greedy", "--sweep", "m=2:3"],  # n = h*k*m holds at m=2 only
+     "--alg", "greedy", "--sweep", "m=2:3"],  # a hard constraint is not sweepable
     ["--instance", MODULAR, "--constraint", "uniform:3", "--alg", "greedy,lazy-greedy",
      "--sweep", "m=-1:2"],
     ["--instance", "synth:kind=modular,n=30,seed=1", "--constraint", "uniform:3",
@@ -742,6 +742,25 @@ def test_bench_checks_every_point_and_algorithm_before_any_trial(tmp_path, monke
     assert run(["bench"] + argv + ["--trials", "2", "--seed", "1", "--out", str(stem)]) == 2
     assert calls == []
     assert capsys.readouterr().err.startswith("error: ")
+    assert not Path(f"{stem}.jsonl").exists()
+
+
+@pytest.mark.parametrize("sweep", ["m=9:10", "m=9:9"])
+def test_bench_refuses_a_hard_sweep_before_any_point(tmp_path, monkeypatch, capsys, caplog, sweep):
+    """A hard instance's m sizes its ground set (n = h*k*m), so a sweep of it
+    would move the ground set under a fixed objective: bench refuses it with
+    one error line before any point is built, so no max_feasible_size
+    warning, and writes no JSONL.  m=9:10 used to build and warn at m=9 and
+    then exit 2 on n=80 against the objective's 72."""
+    monkeypatch.setattr(submax.constraints, "_bound_warned", set())
+    monkeypatch.setattr(cli, "_points", {})
+    stem = tmp_path / "hard"
+    assert run(["bench", "--instance", "synth:kind=modular,n=72,seed=1",
+                "--constraint", "hard:k=2,h=4,m=9,mode=M", "--alg", "greedy",
+                "--sweep", sweep, "--out", str(stem)]) == 2
+    assert capsys.readouterr().err == "error: sweep parameter 'm' does not apply to constraint kind 'hard'\n"
+    assert not caplog.records
+    assert cli._points == {}
     assert not Path(f"{stem}.jsonl").exists()
 
 

@@ -56,6 +56,13 @@ def test_ground_set_basics():
         g.set(None)
 
 
+def test_ground_sets_compare_and_hash_by_size():
+    assert GroundSet(4) == GroundSet(4) and hash(GroundSet(4)) == hash(GroundSet(4))
+    assert GroundSet(4) != GroundSet(5) and GroundSet(4) != 4
+    by_ground = {GroundSet(4): "four", GroundSet(5): "five"}
+    assert by_ground[GroundSet(4)] == "four" and len(by_ground) == 2
+
+
 def test_element_set_algebra():
     g = GroundSet(6)
     a = g.set([0, 2, 4])
@@ -157,7 +164,10 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     """On ``synth:kind=modular,n=5``, an id outside 0..4 is the ValueError of
     ``ElementSet`` in both candidate queries, on one id and on a batch,
     counted as no query: -1 does not read element 4's gain or room, and 5
-    raises no bare IndexError."""
+    raises no bare IndexError.  The range is checked before membership in
+    S (the batch [0, bad] names bad, not S's member 0), and a negative id is
+    named before a too-large one (the batch [99, 0, bad] names a negative
+    bad)."""
     f, g = generate(SyntheticSpec(kind="modular", n=5, seed=1))
     I = UniformMatroid(g, 3) if system == "uniform" else make_partition_intersection(5, 2, 1)
     S = g.set([0])
@@ -165,8 +175,11 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     state.add(0)
     ext.add(0)
     counts = (f.eval_count, f.marginal_count, I.membership_count)
+    mixed = [99, 0, bad] if bad < 0 else [0, bad]
     queries = (lambda: f.gains(state, S, [bad]), lambda: f.gains(state, S, [1, bad, 2]),
-               lambda: I.extensions(ext, S, [bad]), lambda: I.extensions(ext, S, np.array([1, bad, 2])))
+               lambda: f.gains(state, S, mixed),
+               lambda: I.extensions(ext, S, [bad]), lambda: I.extensions(ext, S, np.array([1, bad, 2])),
+               lambda: I.extensions(ext, S, np.array(mixed)))
     for query in queries:
         with pytest.raises(ValueError, match=f"^element {bad} outside ground set of size 5$"):
             query()
@@ -179,16 +192,20 @@ def test_candidate_ids_outside_the_ground_set_are_refused(system, bad):
     (10, lambda f, I: I.is_independent(GroundSet(20).set([12, 13])), r"ElementSet\(\[12, 13\]\)", 20),
     (10, lambda f, I: I.extensions(I.extension_state(), GroundSet(20).set([12]), [1]), r"ElementSet\(\[12\]\)", 20),
     (10, lambda f, I: f.gains(f.gain_state(), GroundSet(5).set([1]), [7]), r"ElementSet\(\[1\]\)", 5),
+    (10, lambda f, I: f.gains(f.gain_state(), GroundSet(5).set([1]), []), r"ElementSet\(\[1\]\)", 5),
+    (10, lambda f, I: I.extensions(I.extension_state(), GroundSet(5).set([1]), []), r"ElementSet\(\[1\]\)", 5),
     (20, lambda f, I: submax.greedy(f, I), "the independence system", 20),
     (20, lambda f, I: submax.brute_force_opt(f, I), "the independence system", 20),
-], ids=["value", "double-greedy", "is-independent", "extensions", "gains", "greedy", "brute-force"])
+], ids=["value", "double-greedy", "is-independent", "extensions", "gains", "gains-empty",
+        "extensions-empty", "greedy", "brute-force"])
 def test_sets_and_systems_over_another_ground_set_are_refused(n_I, query, shown, size):
     """A set or system over a ground set of another size than the oracle's
     is a ValueError naming both sizes, counted as no query: a 20-element set
     raised numpy's IndexError from a 10-element oracle or passed a
     10-element matroid, greedy ran under a 20-element matroid, and ``gains``
     named candidate 7 as outside a 5-element S instead of naming S's ground
-    set."""
+    set.  An empty batch is refused too: ``gains`` checks S before it returns
+    early."""
     f = ModularObjective(GroundSet(10), [float(e) for e in range(10)]).oracle()
     I = UniformMatroid(GroundSet(n_I), 3)
     with pytest.raises(ValueError, match=f"^{shown} is over a ground set of size {size}, not 10$"):
