@@ -31,6 +31,7 @@ from .core import (
     _halves,
     _id_array,
     _intp,
+    _same_ground,
     _subset_table,
 )
 
@@ -132,6 +133,7 @@ class ModularObjective(_ObjectiveBase):
         self.weights = w
 
     def evaluate(self, S: ElementSet) -> float:
+        _same_ground(self.ground, S.universe, S)
         return _sequential_sum(self.weights[np.fromiter(S.members, dtype=np.intp, count=len(S))])
 
     def _evaluate_masks(self, elems: Sequence[int], masks: np.ndarray) -> np.ndarray:
@@ -188,26 +190,30 @@ class _DispersionGains(GainState):
     Adding u to S gains ``cov[u] - lam * (acc[u] + s[u, u])`` and removing
     u from S loses ``cov[u] - lam * (acc[u] - s[u, u])``, where
     ``acc = sum_{i in S} (s[i, :] + s[:, i])`` is updated on every add and
-    remove.  Candidates outside ``universe`` (a boolean mask; None means
-    every element) are a domain error, as in evaluation.
+    remove, by the row and then the column (one line read twice when s
+    equals s.T bit for bit: :class:`CoverageDispersionObjective`).
+    Candidates outside ``universe`` (a boolean mask; None means every
+    element) are a domain error, as in evaluation.
     """
 
-    def __init__(self, s: np.ndarray, cov: np.ndarray, lam: float,
-                 universe: Optional[np.ndarray] = None):
-        self._s = s
-        self._cov = cov
-        self._lam = lam
-        self._diag = np.diagonal(s)
+    def __init__(self, obj: CoverageDispersionObjective, universe: Optional[np.ndarray]):
+        self._rows = None if obj._exact else obj.similarity
+        self._cols = obj._cols
+        self._cov = obj._row_coverage
+        self._lam = obj.lam
+        self._diag = obj._diag
         self._universe = universe
-        self._acc = np.zeros(len(cov))
+        self._acc = np.zeros(obj.ground.n)
 
     def add(self, u: int) -> None:
-        self._acc += self._s[u]
-        self._acc += self._s[:, u]
+        col = self._cols[u]
+        self._acc += col if self._rows is None else self._rows[u]
+        self._acc += col
 
     def remove(self, u: int) -> None:
-        self._acc -= self._s[u]
-        self._acc -= self._s[:, u]
+        col = self._cols[u]
+        self._acc -= col if self._rows is None else self._rows[u]
+        self._acc -= col
 
     def gains(self, candidates: Sequence[int]) -> np.ndarray:
         c = np.asarray(candidates, dtype=np.intp)
@@ -260,6 +266,11 @@ class CoverageDispersionObjective(_ObjectiveBase):
     With lam = 1, N_u = N and a zero diagonal it is the cut function of s
     (:class:`CutObjective`).  Evaluating any S not contained in N_u is a
     domain error (:func:`_check_universe` on the N_u mask, as in its gains).
+
+    Its gain states add row u and then column u of s at each ``add``.  When
+    s equals s.T bit for bit (``_exact``) these are the same values in the
+    same order, so they read one contiguous line, ``_cols[u]`` (row u of s
+    in C order, of s.T otherwise), and add it twice; else they read both.
     """
 
     _symmetry = ("similarity must be symmetric (within 1e-9)", 1e-9)  # (message, atol)
@@ -277,7 +288,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
                 f"similarity must be {ground.n}x{ground.n}, got {similarity.shape}"
             )
         _check_data(similarity, "similarity entries")
-        exact = _check_symmetric(similarity, *self._symmetry)
+        self._exact = _check_symmetric(similarity, *self._symmetry)
         lam = float(lam)
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"lam must lie in [0, 1], got {lam}")
@@ -289,11 +300,13 @@ class CoverageDispersionObjective(_ObjectiveBase):
         else:
             self.universe_u = ground.set(universe_u)
         nu = np.fromiter(self.universe_u.members, dtype=np.intp, count=len(self.universe_u))
-        if nu.size == ground.n and exact and similarity.flags.c_contiguous:
-            # the row sums of a symmetric matrix are its column sums, and numpy
-            # adds those row after row: the order in which the F-ordered copy
-            # similarity[:, nu] adds its columns, at none of its cost
-            self._row_coverage = similarity.sum(axis=0)
+        self._cols = similarity if self._exact and similarity.flags.c_contiguous else similarity.T
+        self._diag = np.diagonal(similarity).copy()
+        if self._cols is similarity:
+            # numpy adds the rows of a C-ordered matrix one after another: the
+            # order in which the F-ordered copy similarity[:, nu] adds its
+            # columns, here the same values, at a fifth of its cost
+            self._row_coverage = (similarity if nu.size == ground.n else similarity[nu]).sum(axis=0)
         else:  # with N_u empty, n sums of no terms: +0.0
             self._row_coverage = similarity[:, nu].sum(axis=1)
         self._universe_mask = np.zeros(ground.n, dtype=bool)
@@ -301,6 +314,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
         self.declares_monotone = True if lam == 0.0 else None
 
     def evaluate(self, S: ElementSet) -> float:
+        _same_ground(self.ground, S.universe, S)
         idx = np.fromiter(S.members, dtype=np.intp, count=len(S))
         _check_universe(self._universe_mask, idx)
         rows = self.similarity[idx]
@@ -313,8 +327,7 @@ class CoverageDispersionObjective(_ObjectiveBase):
 
     def gain_state(self) -> GainState:
         full = len(self.universe_u) == self.ground.n
-        return _DispersionGains(self.similarity, self._row_coverage, self.lam,
-                                None if full else self._universe_mask)
+        return _DispersionGains(self, None if full else self._universe_mask)
 
 
 class CutObjective(CoverageDispersionObjective):
@@ -391,6 +404,7 @@ class WeightedCoverageObjective(_ObjectiveBase):
         self._covered_by: Optional[tuple[np.ndarray, np.ndarray]] = None
 
     def evaluate(self, S: ElementSet) -> float:
+        _same_ground(self.ground, S.universe, S)
         covered = np.zeros(self.item_weights.size, dtype=bool)
         bounds = self._bounds
         for e in S:

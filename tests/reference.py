@@ -19,7 +19,10 @@ ones are checked against.
   intersected with one cap per favourite genre, restricted to N_u;
 - ``cut_value`` sums the weights of the edges leaving a set one by one;
 - ``check_symmetric`` tests symmetry on the whole matrix against its
-  transpose, the reference for the tiled ``objectives._check_symmetric``.
+  transpose, the reference for the tiled ``objectives._check_symmetric``;
+- ``DispersionGains`` reads both the row and the column of the similarity on
+  every add and remove and gathers from the strided diagonal view, the
+  reference for ``objectives._DispersionGains``.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from submax import (CapacityError, ElementSet, ExtensionState, IndependenceOracle, IntersectionSystem,
-                    UniformMatroid)
+from submax import (CapacityError, ElementSet, ExtensionState, GainState, IndependenceOracle,
+                    IntersectionSystem, UniformMatroid)
 from submax.algorithms import _Run
 from submax.core import _elements, _id_array
 
@@ -410,3 +413,35 @@ def check_symmetric(a: np.ndarray, message: str, atol: float = 1e-9) -> bool:
     if not np.allclose(a, a.T, rtol=0.0, atol=atol):
         raise ValueError(message)
     return False
+
+
+class DispersionGains(GainState):
+    """Coverage-dispersion gains of ``obj`` (a coverage-dispersion or cut
+    objective): coverage ``s[:, N_u].sum(axis=1)``, and on every add and
+    remove the row ``s[u]`` and then the column ``s[:, u]``, whatever the
+    matrix's layout or symmetry; the diagonal is gathered from the strided
+    ``np.diagonal`` view.  Candidates are not checked against N_u."""
+
+    def __init__(self, obj):
+        s = obj.similarity
+        self._s, self._lam, self._diag = s, obj.lam, np.diagonal(s)
+        self._cov = s[:, np.array(obj.universe_u.members, dtype=np.intp)].sum(axis=1)
+        self._acc = np.zeros(len(s))
+
+    def add(self, u):
+        self._acc += self._s[u]
+        self._acc += self._s[:, u]
+
+    def remove(self, u):
+        self._acc -= self._s[u]
+        self._acc -= self._s[:, u]
+
+    def gains(self, candidates):
+        c = np.asarray(candidates, dtype=np.intp)
+        return self._cov[c] - self._lam * (self._acc[c] + self._diag[c])
+
+    def gain(self, u):
+        return float(self._cov[u]) - self._lam * (float(self._acc[u]) + float(self._diag[u]))
+
+    def loss(self, u):
+        return float(self._cov[u]) - self._lam * (float(self._acc[u]) - float(self._diag[u]))

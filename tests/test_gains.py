@@ -646,6 +646,85 @@ def test_greedy_family_is_the_same_on_the_vector_and_in_order_paths(constraint, 
     assert run_all(obj.oracle, g, constraint, seed) == run_all(in_order.oracle, g, constraint, seed)
 
 
+# ---------------------------------------------------------------------------
+# Coverage-dispersion states against the two-read reference
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def dispersion_objectives(draw):
+    """A coverage-dispersion objective on non-dyadic data, where the order of
+    every sum shows in its last bits: exactly symmetric in C or in F order,
+    or symmetric within 1e-9 only (one upper entry moved by 1e-12), over N
+    or a drawn N_u; or a cut whose weights mirror one -0.0 by +0.0."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    form = draw(st.sampled_from(("C", "F", "near", "cut-signed-zero")))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    upper = np.triu(gen.random((n, n)) * (gen.random((n, n)) < 0.7), 1)
+    w = upper + upper.T
+    g = GroundSet(n)
+    if form == "cut-signed-zero":
+        i, j = sorted(gen.choice(n, size=2, replace=False).tolist())
+        w[i, j], w[j, i] = -0.0, 0.0
+        return CutObjective(g, w)
+    np.fill_diagonal(w, gen.random(n))
+    if form == "F":
+        w = np.asfortranarray(w)
+    elif form == "near":
+        w[0, 1] += 1e-12
+    universe = draw(st.one_of(st.none(), st.sets(st.integers(0, n - 1), min_size=1)))
+    return CoverageDispersionObjective(g, w, lam=draw(st.sampled_from((0.0, 0.5, 1.0))),
+                                       universe_u=universe)
+
+
+@given(obj=dispersion_objectives(), down=st.booleans(),
+       toggles=st.lists(st.integers(min_value=0, max_value=11), max_size=20))
+@settings(max_examples=300, deadline=None)
+def test_dispersion_state_equals_the_two_read_reference_bit_for_bit(obj, down, toggles):
+    """After every add and remove, ``gains``, ``gain`` and ``loss`` are the
+    reference's bit for bit, on a state grown from the empty set or, as
+    double greedy's ``down`` state, from all of N_u."""
+    assert obj._exact == (obj.similarity.tobytes() == obj.similarity.T.copy().tobytes())
+    within = list(obj.universe_u)
+    state, ref = obj.gain_state(), reference.DispersionGains(obj)
+    S = set(within) if down else set()
+    for u in sorted(S):
+        state.add(u)
+        ref.add(u)
+    for u in (within[t % len(within)] for t in toggles):
+        for s in (state, ref):
+            (s.remove if u in S else s.add)(u)
+        S ^= {u}
+        assert _bits(state.gains(within)) == _bits(ref.gains(within))
+        assert _bits([state.gain(v) for v in within]) == _bits([ref.gain(v) for v in within])
+        assert _bits([state.loss(v) for v in S]) == _bits([ref.loss(v) for v in S])
+
+
+@given(obj=dispersion_objectives(), seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_dispersion_runs_equal_the_two_read_reference(obj, seed):
+    """Greedy and lazy greedy equal ``reference.greedy`` on the two-read
+    state, and double greedy (both subroutines) its run on that state:
+    solution, value, trace, the three counts and the cached base."""
+    g = obj.ground
+
+    def two_read_oracle():
+        f = obj.oracle()
+        f.gain_state = lambda: reference.DispersionGains(obj)
+        return f
+
+    k = max(1, len(obj.universe_u) // 2)
+    for lazy in (False, True):
+        outcomes = [greedy_outcome(solve, make_oracle, lambda: UniformMatroid(g, k),
+                                   np.array(obj.universe_u.members), lazy)
+                    for solve, make_oracle in ((greedy, obj.oracle),
+                                               (reference.greedy, two_read_oracle))]
+        assert outcomes[0] == outcomes[1]
+    for subroutine in ("det", "rand"):
+        assert (double_greedy_summary(obj.oracle(), obj.universe_u, subroutine, seed)
+                == double_greedy_summary(two_read_oracle(), obj.universe_u, subroutine, seed))
+
+
 def double_greedy_summary(f, U, subroutine: str, seed: int):
     """One public double-greedy run: its result, the cached base it leaves
     and the next draw of its coin stream."""

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import warnings
 
 import numpy as np
@@ -113,6 +114,29 @@ def test_modular_mapping_form():
 def test_objective_inputs_of_the_wrong_shape_are_refused(build, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         build()
+
+
+_OVER_FOUR = {
+    "modular": lambda g: ModularObjective(g, [1.0, 2.0, 3.0, 4.0]),
+    "coverage-dispersion": lambda g: CoverageDispersionObjective(g, np.ones((4, 4)), lam=0.5),
+    "cut": lambda g: CutObjective(g, np.ones((4, 4)) - np.eye(4)),
+    "weighted-coverage": lambda g: WeightedCoverageObjective(g, [[0], [1, 2], [2], [3]], [1.0] * 4),
+}
+
+
+@pytest.mark.parametrize("other", [8, 2])
+@pytest.mark.parametrize("kind", list(_OVER_FOUR))
+def test_evaluate_refuses_a_set_over_another_ground_set(kind, other):
+    """An objective's own ``evaluate`` refuses a set over a ground set of
+    another size with the message of ``ValueOracle.value``: a set over 8
+    elements raised numpy's IndexError, and one over 2 was valued as a set
+    of the objective's 4 elements."""
+    obj = _OVER_FOUR[kind](GroundSet(4))
+    S = GroundSet(other).set([1, 6] if other > 4 else [1])
+    message = re.escape(f"{S!r} is over a ground set of size {other}, not 4")
+    for query in (obj.evaluate, obj.oracle().value):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            query(S)
 
 
 # ---------------------------------------------------------------------------
@@ -472,20 +496,37 @@ def test_tiled_symmetry_check_equals_whole_matrix_reference(n, atol):
     assert seen == ({False, "not symmetric"} if places else set())
 
 
-@pytest.mark.parametrize("layout", ["C", "F", "near"])
-@pytest.mark.parametrize("n", [0, 1, 7, 300])
-def test_full_universe_row_coverage_is_the_column_copy_sum(n, layout):
-    # non-dyadic entries, where summation order shows in the last bits;
-    # "near" is symmetric within 1e-9 only
+def _layout(n: int, layout: str) -> np.ndarray:
+    """A symmetric matrix of non-negative non-dyadic entries, where summation
+    order shows in the last bits: C- or F-ordered, or ("near") symmetric
+    within 1e-9 only."""
     s = np.random.default_rng(n).random((n, n))
     s = s + s.T
     if layout == "F":
         s = np.asfortranarray(s)
     elif layout == "near" and n > 1:
         s[0, 1] += 1e-12
+    return s
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "near"])
+@pytest.mark.parametrize("n", [0, 1, 7, 300])
+def test_full_universe_row_coverage_is_the_column_copy_sum(n, layout):
+    s = _layout(n, layout)
     obj = CoverageDispersionObjective(GroundSet(n), s, lam=0.5)
     ref = s[:, np.arange(n)].sum(axis=1)
     assert obj._row_coverage.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["C", "F", "near"])
+@pytest.mark.parametrize("size", ["empty", "one", "half", "all-but-one"])
+@pytest.mark.parametrize("n", [7, 300])
+def test_restricted_universe_row_coverage_is_the_column_copy_sum(n, size, layout):
+    s = _layout(n, layout)
+    k = {"empty": 0, "one": 1, "half": n // 2, "all-but-one": n - 1}[size]
+    nu = np.sort(np.random.default_rng(k).choice(n, size=k, replace=False))
+    obj = CoverageDispersionObjective(GroundSet(n), s, lam=0.5, universe_u=nu.tolist())
+    assert obj._row_coverage.tobytes() == s[:, nu].sum(axis=1).tobytes()
 
 
 def _cover_rows(obj) -> list:
