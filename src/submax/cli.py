@@ -1,10 +1,12 @@
 """Command-line interface: ``solve`` one instance, ``bench`` a sweep, ``verify`` properties.
 
 Exit codes: 0 success; 1 verification failures; 2 configuration/capacity
-errors (flags, specs, input files); 3 oracle violations (negative values,
-broken run-time properties); 141 output pipe closed by its reader (128 +
-SIGPIPE, as a shell reports a writer that SIGPIPE killed).  Anything else is
-a program error and surfaces with its traceback.
+errors (flags, specs, input files, an instance too large for memory); 3
+oracle violations (negative values, broken run-time properties); 70
+(``EX_SOFTWARE`` of sysexits.h) a program error, printed with its traceback
+by the ``submax`` console script (``main`` raises it); 141 output pipe
+closed by its reader (128 + SIGPIPE, as a shell reports a writer that
+SIGPIPE killed).
 
 Reproducibility contract: a ``bench`` run is a pure function of its
 configuration — trial i of any randomized algorithm reads stream i of the
@@ -21,6 +23,7 @@ import hashlib
 import json
 import os
 import sys
+import traceback
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -79,6 +82,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_ORACLE = 3
+EXIT_SOFTWARE = 70  # sysexits.h EX_SOFTWARE
 EXIT_PIPE_CLOSED = 141
 
 REPORT_FIELDS = (
@@ -313,6 +317,13 @@ def _instance(cfg: dict) -> _Instance:
                                               universe_u=nu)
     except ValueError as exc:  # malformed input data or parameters
         raise ConfigError(str(exc)) from None
+    except MemoryError:  # an instance past the free memory: too large, not a bug
+        if source is not None and source["source"] == "synth":
+            what = f"synthetic {source['kind']} instance with n={source['n']}"
+        else:  # a file's n is known once it is read
+            what = cfg["similarity"] or source["file"]
+            what += "" if ground is None else f" (n={ground.n})"
+        raise CapacityError(f"{what} does not fit in memory") from None
     _instances[cfg["hash"]] = _Instance(obj, build)
     return _instances[cfg["hash"]]
 
@@ -792,7 +803,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def console_main() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except Exception:  # a program error: its traceback, under a code of its own
+        traceback.print_exc()
+        code = EXIT_SOFTWARE
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -46,7 +46,7 @@ def _check_data(data: np.ndarray, what: str) -> None:
         total = np.sum(data)
     if not np.isfinite(total):
         raise ValueError(f"{what} and their total must be finite")
-    if np.any(data < 0):
+    if data.size and data.min() < 0:  # no NaN reaches it: the total is finite
         raise ValueError(f"{what} must be non-negative")
 
 
@@ -230,20 +230,23 @@ class _DispersionGains(GainState):
 
 
 _TILE = 256  # rows and columns per tile of the blocked transposes below
+_CHUNK = 1 << 16  # presence draws per call of _symmetric_dyadic: 512 KiB of doubles
 
 
 def _check_symmetric(a: np.ndarray, message: str, atol: float = 1e-9) -> bool:
     """Raise ``ValueError(message)`` unless |a - a.T| <= atol everywhere, and
     return whether a equals a.T bit for bit.  That exact test, the common
-    case, runs first, each tile on or above the diagonal against the
-    transpose of its mirror tile: reading a whole-matrix transpose strides
-    across rows.  The tolerant test allocates several full-size temporaries."""
-    bits = a.view(np.int64)
+    case, runs first, then the tolerant one; each compares every tile on or
+    above the diagonal with the transpose of its mirror tile: reading a
+    whole-matrix transpose strides across rows, and the tolerant test of
+    whole matrices allocates several full-size temporaries."""
     n = len(a)
-    if all(np.array_equal(bits[i:i + _TILE, j:j + _TILE], bits[j:j + _TILE, i:i + _TILE].T)
-           for i in range(0, n, _TILE) for j in range(i, n, _TILE)):
+    tiles = [(np.s_[i:i + _TILE, j:j + _TILE], np.s_[j:j + _TILE, i:i + _TILE])
+             for i in range(0, n, _TILE) for j in range(i, n, _TILE)]
+    bits = a.view(np.int64)
+    if all(np.array_equal(bits[t], bits[m].T) for t, m in tiles):
         return True
-    if not np.allclose(a, a.T, rtol=0.0, atol=atol):
+    if not all(np.allclose(a[t], a[m].T, rtol=0.0, atol=atol) for t, m in tiles):
         raise ValueError(message)
     return False
 
@@ -579,21 +582,33 @@ def _symmetric_dyadic(gen: np.random.Generator, n: int, density: float, tie_free
 
     ``tie_free`` overrides density: every off-diagonal entry is present and
     pairwise distinct, so no two entries (and no zero entries) can collide.
-    One value is drawn per pair i < j, in row-major pair order, and written
-    through one strict-upper boolean mask; the lower triangle is then copied
-    from it one tile at a time, so that no write strides across whole rows.
+    One value is drawn per pair i < j, in row-major pair order: the presence
+    doubles in chunks (the stream gives the same doubles as one
+    ``random(pairs)``), then one integer draw, whose next n - i - 1 values
+    fill row i of the strict upper triangle, scaled as they are written.
+    Beside the matrix it holds only those integers and a presence mask.  The
+    lower triangle is then copied from the upper one tile at a time, so that
+    no write strides across whole rows.
     """
-    w = np.zeros((n, n))
+    w = np.zeros((n, n))  # before any draw: an n past memory fails at once
     pairs = n * (n - 1) // 2
     if not pairs:
         return w
-    if tie_free:
-        vals = _distinct_dyadic(gen, pairs)
+    if tie_free:  # _distinct_dyadic's draw, scaled below
+        nums = gen.choice(8 * pairs, size=pairs, replace=False) + 1
     else:
-        present = gen.random(pairs) < density
-        vals = _dyadic(gen, pairs, low=1, high=64)
-        vals *= present  # +0.0 where absent: every drawn value is positive
-    w[~np.tri(n, dtype=bool)] = vals
+        present = np.empty(pairs, dtype=bool)
+        for start in range(0, pairs, _CHUNK):
+            np.less(gen.random(min(_CHUNK, pairs - start)), density,
+                    out=present[start:start + _CHUNK])
+        nums = gen.integers(1, 64, size=pairs)
+        nums *= present  # 0 where absent: every drawn integer is positive
+        del present
+    start = 0
+    for i in range(n - 1):
+        np.divide(nums[start:start + n - i - 1], _DENOM, out=w[i, i + 1:])
+        start += n - i - 1
+    del nums  # so that the mirror's tile copies sit beside w alone
     # below the diagonal a tile is the transpose of its mirror tile; a tile on
     # it adds its transpose, whose upper part is the still-zero lower triangle
     for i in range(0, n, _TILE):
@@ -649,9 +664,13 @@ def load_similarity_csv(path) -> tuple[np.ndarray, list]:
         mat, labels = _read_similarity_rows(path)
     else:
         labels = [c.strip() for c in header]
-    if not np.all(np.isfinite(mat)):
+    # a finite total has finite terms; entries are tested one by one only to
+    # tell a non-finite entry from finite entries whose total overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = np.sum(mat)
+    if not np.isfinite(total) and not np.all(np.isfinite(mat)):
         raise ValueError(f"{path}: similarity entries must be finite")
-    if np.any(mat < 0):
+    if mat.min() < 0:
         raise ValueError(f"{path}: similarity entries must be non-negative")
     _check_symmetric(mat, f"{path}: similarity matrix must be symmetric within 1e-9")
     return mat, labels

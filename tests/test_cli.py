@@ -131,6 +131,47 @@ def test_program_errors_are_not_config_errors(monkeypatch):
         run(["solve", "--alg", "greedy", "--instance", MODULAR, "--constraint", "uniform:3"])
 
 
+@pytest.mark.parametrize("constraint, broken, code", [
+    ("uniform:3", False, 0), ("uniform:-1", False, 2), ("uniform:3", True, 70),
+])
+def test_console_script_exits_70_on_a_program_error(monkeypatch, capsys, constraint, broken, code):
+    """A program error is not a verification failure (1): the console script
+    prints its traceback and exits 70, EX_SOFTWARE of sysexits.h."""
+    def bug(*a, **kw):
+        raise ValueError("a bug inside the algorithm")
+
+    if broken:
+        monkeypatch.setattr(cli, "greedy", bug)
+    monkeypatch.setattr(sys, "argv", ["submax", "solve", "--alg", "greedy", "--instance", MODULAR,
+                                      "--constraint", constraint])
+    with pytest.raises(SystemExit) as exc:
+        cli.console_main()
+    assert exc.value.code == code
+    err = capsys.readouterr().err
+    if broken:
+        assert err.startswith("Traceback (most recent call last):\n")
+        assert err.endswith("ValueError: a bug inside the algorithm\n")
+    else:
+        assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, source, patched, message", [
+    ("--instance", "synth:kind=coverage_dispersion,n=5000,seed=1", "generate",
+     "synthetic coverage_dispersion instance with n=5000"),
+    ("--similarity", SIM, "CoverageDispersionObjective", f"{SIM} (n=10)"),
+], ids=["synth", "similarity"])
+def test_an_instance_too_large_for_memory_is_a_capacity_error(monkeypatch, capsys, flag, source,
+                                                             patched, message):
+    def no_memory(*a, **kw):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "_instances", {})
+    monkeypatch.setattr(cli, patched, no_memory)
+    assert run(["solve", "--alg", "greedy", flag, source, "--constraint", "uniform:3"]) == 2
+    out = capsys.readouterr()
+    assert out.out == "" and out.err == f"error: {message} does not fit in memory\n"
+
+
 class _ClosedPipe(io.TextIOBase):
     """A stdout whose reader has gone: every write (unbuffered) or only the
     flush (buffered) raises BrokenPipeError.  Its file descriptor is a real

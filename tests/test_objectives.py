@@ -463,6 +463,17 @@ def test_vectorised_generation_equals_loop_reference(spec):
     assert rng.generator.random() == gen.random()
 
 
+@pytest.mark.parametrize("density,tie_free", [(0.0, False), (0.5, False), (1.0, False), (0.5, True)])
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 600])
+def test_symmetric_dyadic_equals_loop_reference(n, density, tie_free):
+    # n = 600 draws its 179,700 presence doubles in three chunks
+    gen, ref_gen = Rng(n, 5).generator, Rng(n, 5).generator
+    w = objectives._symmetric_dyadic(gen, n, density, tie_free)
+    ref = _symmetric_dyadic_loop(ref_gen, n, density, tie_free)
+    assert w.dtype == ref.dtype and w.tobytes() == ref.tobytes()
+    assert gen.random() == ref_gen.random()
+
+
 def _symmetry_outcome(check, a, atol):
     try:
         return check(a, "not symmetric", atol)
@@ -494,6 +505,21 @@ def test_tiled_symmetry_check_equals_whole_matrix_reference(n, atol):
             assert got == _symmetry_outcome(check_symmetric, a, atol), (i, j, kind)
             seen.add(got)
     assert seen == ({False, "not symmetric"} if places else set())
+
+
+def test_tolerant_symmetry_check_peak_memory():
+    import tracemalloc
+
+    a = np.random.default_rng(5).random((2000, 2000))
+    a = a + a.T
+    a[1999, 1998] += 1e-12  # in the last tile: both tests read every tile
+    tracemalloc.start()
+    try:
+        assert objectives._check_symmetric(a, "not symmetric") is False
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def _layout(n: int, layout: str) -> np.ndarray:
@@ -564,7 +590,10 @@ def test_weighted_coverage_gain_rows_are_sorted_covers():
     # the covers arrive as 4M ids, one np.intp array per element (131 MiB
     # measured; as Python int lists they took 275 MiB)
     ("weighted_coverage", 0.5, False, 180),
-    ("coverage_dispersion", 0.5, False, 72),
+    # the matrix (30.5 MiB), the one integer draw (15.3) and the presence
+    # mask (1.9), with no room for a float copy of the draw
+    ("coverage_dispersion", 0.5, False, 52),
+    ("cut", 0.5, False, 52),
     # the tie-free draw permutes its 8 * 1,999,000 candidates (122 MiB), and
     # drawing from an array of them would hold another copy
     ("coverage_dispersion", 0.5, True, 200),
@@ -712,6 +741,10 @@ def test_similarity_csv_parses_each_cell_as_float_does(tmp_path):
 @pytest.mark.parametrize("body,message", [
     ("0,inf\ninf,0\n", "similarity entries must be finite"),
     ("0,-1\n-1,0\n", "similarity entries must be non-negative"),
+    ("0,nan\nnan,0\n", "similarity entries must be finite"),
+    ("-1,inf\ninf,0\n", "similarity entries must be finite"),
+    # finite entries whose total overflows pass on to the sign test
+    ("1e308,-1\n-1,1e308\n", "similarity entries must be non-negative"),
     ("0,1\n1\n", "row 2 has 1 columns, expected 2"),
     ("0,1\n1,0\n1,0\n", "expected 2 matrix rows after the header, got 3"),
     ("0,x\nx,0\n", "could not convert string to float: 'x'"),
