@@ -9,8 +9,8 @@ Tie-breaking everywhere is "largest gain, then smallest element id", under
 exact float comparison.  The lazy greedy variant returns the identical
 solution to the naive scan for submodular objectives under that rule.  On
 certified weighted coverage under a uniform, partition or genre constraint
-it replays its heap by rank, one vector pass per round, with the same
-picks and counts.
+it replays its heap by rank (two slice comparisons, stale gains kept in
+place, only the pick leaving while all fit), with the same picks and counts.
 """
 
 from __future__ import annotations
@@ -225,43 +225,52 @@ def _replay(run: _Run, pool: np.ndarray, stale: np.ndarray) -> tuple[np.ndarray,
     a gain state with a current ``vector`` and an extension state with an
     ``open`` mask: the heap's picks, trace and counts.
 
-    ``pool`` (ascending ids) and ``stale`` are the heap's entries and the
-    gains they were last scored at.  w is the first maximum of the fresh
-    gains over the entries that fit.  The heap pops each entry whose stale
-    key (-gain, id) ranks before w's fresh key, and no other (stale gains
-    bound fresh ones bit for bit): one check each, and one marginal for
-    each that fits, as it is re-scored.  After the first round w is among
-    them.  Its fresh pop is one check more, and picks it if its gain is > 0.
+    ``pool`` (ascending ids) and ``stale``, the replay's copy, are the
+    heap's entries and the gains they were last scored at.  w, at index i,
+    is the first maximum of the fresh gains g over the entries that fit.
+    The heap pops each entry whose stale key (-gain, id) ranks before w's
+    fresh key, ``stale[:i] >= g`` and ``stale[i:] > g``, and no other
+    (stale gains bound fresh ones bit for bit): one check each, and one
+    marginal, updating ``stale`` in place, for each that fits.  After the
+    first round w is among them.  Its fresh pop is one check more, and
+    picks it if its gain is > 0.  w leaves the pool, and so do the popped
+    entries that do not fit: while all fit, w alone, by slicing.
 
     Returns the heap's entries left, their stale gains and the pick count:
     none once the run is over, or all of them when a fresh gain fails the
     sign check, so that the heap raises at the first offender it pops."""
     f, I, vector, fits = run.f, run.I, run.state.vector, run.ext.open
-    picks = 0
+    stale, mask, picks = stale.copy(), np.empty(pool.size, dtype=bool), 0
     while pool.size:
         ok = fits[pool]
         fresh = vector[pool]
-        live = fresh[ok]
+        live = fresh if (every := bool(ok.all())) else fresh[ok]
         if not live.size:  # each entry is popped and dropped
             I.membership_count += pool.size
             break
         if not run.value + live.min() >= 0.0:  # NaN fails too
             return pool, stale, picks
-        i = int(np.flatnonzero(ok)[live.argmax()])
-        u, g = int(pool[i]), fresh[i]
-        popped = (stale > g) | ((stale == g) & (pool < u))
+        i = int(live.argmax()) if every else int(np.flatnonzero(ok)[live.argmax()])
+        u, g, popped = int(pool[i]), fresh[i], mask[:pool.size]
+        np.greater_equal(stale[:i], g, out=popped[:i])  # ids below u win a tie
+        np.greater(stale[i:], g, out=popped[i:])
         popped[i] = picks > 0  # w's stale entry, scored at an earlier S
-        rescored = int(np.count_nonzero(popped & ok))
-        I.membership_count += int(np.count_nonzero(popped)) + 1
+        checked = int(np.count_nonzero(popped))
+        rescored = checked if every else int(np.count_nonzero(popped & ok))
+        I.membership_count += checked + 1
         f.marginal_count += rescored
         f.eval_count += rescored
         if not g > 0.0:
             break
         run.add(u, float(g))
         picks += 1
-        keep = ok | ~popped
-        keep[i] = False
-        pool, stale = pool[keep], np.where(popped, fresh, stale)[keep]
+        np.copyto(stale, fresh, where=popped)
+        if every:  # only w leaves
+            pool, stale = np.concatenate((pool[:i], pool[i + 1:])), np.concatenate((stale[:i], stale[i + 1:]))
+        else:
+            keep = ok | ~popped
+            keep[i] = False
+            pool, stale = pool[keep], stale[keep]
     return pool[:0], stale[:0], picks
 
 

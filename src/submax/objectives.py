@@ -401,6 +401,7 @@ class WeightedCoverageObjective(_ObjectiveBase):
         np.not_equal(key[1:], key[:-1], out=keep[1:])
         key = key[keep]
         self._indptr = np.searchsorted(key, np.arange(ground.n + 1) * m)
+        self._sizes = np.diff(self._indptr)
         self._bounds = self._indptr.tolist()
         self._items = key % m
         self._exact = _exact_sums(w)
@@ -414,30 +415,30 @@ class WeightedCoverageObjective(_ObjectiveBase):
             covered[self._items[bounds[e]:bounds[e + 1]]] = True
         return _sequential_sum(self.item_weights[covered])  # in item order, as the gains add
 
-    def _transpose(self) -> tuple[np.ndarray, np.ndarray]:
-        """(indptr, elements): item i is covered by the elements
-        ``elements[indptr[i]:indptr[i + 1]]``, in ascending order.  One
+    def _transpose(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, sizes, elements): item i is covered by the ``sizes[i]``
+        elements ``elements[indptr[i]:indptr[i + 1]]``, ascending.  One
         stable argsort of the items; below 2^16 items as ``uint16`` keys,
         which numpy radix-sorts (0.10 against 0.66 s on 4M keys, numpy 2.4,
         x86-64)."""
         if self._covered_by is None:
             items = self._items
             keys = items.astype(np.uint16) if self.item_weights.size <= 1 << 16 else items
-            owner = np.repeat(np.arange(self.ground.n), np.diff(self._indptr))
-            indptr = np.zeros(self.item_weights.size + 1, dtype=np.intp)
-            np.cumsum(np.bincount(items, minlength=self.item_weights.size), out=indptr[1:])
-            self._covered_by = (indptr, owner[np.argsort(keys, kind="stable")])
+            owner = np.repeat(np.arange(self.ground.n), self._sizes)
+            sizes = np.bincount(items, minlength=self.item_weights.size)
+            indptr = np.concatenate(([0], np.cumsum(sizes)))
+            self._covered_by = (indptr, sizes, owner[np.argsort(keys, kind="stable")])
         return self._covered_by
 
     def gain_state(self) -> GainState:
         return _CoverageGains(self, self._transpose if self._exact else None)
 
 
-def _spans(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spans(indptr: np.ndarray, sizes: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The positions of the compressed ``rows`` (``indptr[r]:indptr[r + 1]``
-    for each r, in order) and each row's length."""
+    for each r, in order) and each row's length, ``sizes[r]``."""
     start = indptr[rows]
-    length = indptr[rows + 1] - start
+    length = sizes[rows]
     offset = np.cumsum(length) - length
     return np.repeat(start - offset, length) + np.arange(int(length.sum())), length
 
@@ -459,9 +460,9 @@ class _CoverageGains(GainState):
     cover per query."""
 
     def __init__(self, obj: WeightedCoverageObjective,
-                 transpose: Optional[Callable[[], tuple[np.ndarray, np.ndarray]]]):
+                 transpose: Optional[Callable[[], tuple[np.ndarray, np.ndarray, np.ndarray]]]):
         self._n = obj.ground.n
-        self._indptr = obj._indptr
+        self._indptr, self._sizes = obj._indptr, obj._sizes
         self._bounds = obj._bounds
         self._items = obj._items
         self._weights = obj.item_weights
@@ -475,8 +476,8 @@ class _CoverageGains(GainState):
 
     def _spread(self, items: np.ndarray) -> np.ndarray:
         """Per element, the total weight of those of ``items`` it covers."""
-        indptr, elements = self._transpose()
-        pos, length = _spans(indptr, items)
+        indptr, sizes, elements = self._transpose()
+        pos, length = _spans(indptr, sizes, items)
         return np.bincount(elements[pos], weights=np.repeat(self._weights[items], length),
                            minlength=self._n)
 
@@ -526,7 +527,7 @@ class _CoverageGains(GainState):
 
     def _sums(self, c: np.ndarray) -> np.ndarray:
         # bincount adds each candidate's weights in order, independent of its batch
-        pos, length = _spans(self._indptr, c)
+        pos, length = _spans(self._indptr, self._sizes, c)
         return np.bincount(np.repeat(np.arange(c.size), length),
                            weights=self._remaining[self._items[pos]], minlength=c.size)
 

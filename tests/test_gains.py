@@ -302,17 +302,19 @@ def test_a_negative_value_mid_run_raises_as_the_checked_queries_do(how, lazy):
 
 class _SignedVector(GainState):
     """Modular gains kept current in ``vector``, as a certified coverage
-    state keeps them, except that each candidate of ``bad`` scores
-    ``value`` once S holds ``after``: lazy greedy replays its heap by rank."""
+    state keeps them, except for ``changes``: once S holds ``after``, each
+    candidate of ``ids`` scores ``value``.  Lazy greedy replays its heap by
+    rank."""
 
-    def __init__(self, weights, bad, value, after):
+    def __init__(self, weights, changes):
         self.vector = np.array(weights, dtype=float)
-        self._bad, self._value, self._after, self._S = list(bad), value, after, set()
+        self._changes, self._S = changes, set()
 
     def add(self, u):
         self._S.add(u)
-        if self._after <= self._S:
-            self.vector[self._bad] = self._value
+        for after, ids, value in self._changes:
+            if after <= self._S:
+                self.vector[ids] = value
 
     def gains(self, candidates):
         return self.vector[np.asarray(candidates, dtype=np.intp)]
@@ -321,35 +323,84 @@ class _SignedVector(GainState):
         return float(self.vector[u])
 
 
-@pytest.mark.parametrize("bad, value, raised", [
-    ([2, 3], -20.0, "-12.0"),
-    ([2, 3], float("nan"), "nan"),
-    ([4], -20.0, None),
-])
-def test_a_bad_gain_in_the_replayed_heap_raises_where_the_heap_does(bad, value, raised):
-    """At S = {0}, f(S) = 8, the candidates ``bad`` turn negative or NaN.
+DROP = ({0}, [2], 1.0)  # at S = {0}, 2 falls from 5 to 1: replayed round 2 re-scores it
+
+
+@pytest.mark.parametrize("weights, changes, m, raised", [
+    ([8.0, 1.0, 2.0, 4.0, 0.5], [({0}, [2, 3], -20.0)], 3, ("-12.0", [0, 3])),
+    ([8.0, 1.0, 2.0, 4.0, 0.5], [({0}, [2, 3], float("nan"))], 3, ("nan", [0, 3])),
+    ([8.0, 1.0, 2.0, 4.0, 0.5], [({0}, [4], -20.0)], 3, None),
+    ([8.0, 1.0, 5.0, 4.0, 0.5], [DROP, ({0, 3}, [1, 4], -20.0)], 3, ("-8.0", [0, 1, 3])),
+    ([8.0, 1.0, 5.0, 4.0, 0.5], [DROP, ({0, 3}, [2], -20.0)], 4, ("-7.0", [0, 1, 2, 3])),
+], ids=("negative", "nan", "never-popped", "after-two-picks", "on-a-re-scored-key"))
+def test_a_bad_gain_in_the_replayed_heap_raises_where_the_heap_does(weights, changes, m, raised):
+    """At S = {0}, f(S) = 8, the candidates 2 and 3 turn negative or NaN.
     The heap pops 3 (stale gain 4) before 2 (stale gain 2), so a replayed
     run raises on S + 3, not on the lowest id, at the heap's counts and
     cached base; a bad candidate that ranks after each round's pick is never
-    popped, and the run goes on as the heap's does."""
+    popped, and the run goes on as the heap's does.
+
+    In the last two cases bad gains appear only at S = {0, 3}, after two
+    picks, and round 2 has re-scored 2 from 5 to 1.  The heap is handed
+    that updated key: with the stale 5 it would pop 2 first, and raise at
+    other counts or on another set."""
     g = GroundSet(5)
-    weights = [8.0, 1.0, 2.0, 4.0, 0.5]
 
     def make_oracle():
         f = ModularObjective(g, weights).oracle(name="modular")
-        f.gain_state = lambda: _SignedVector(weights, bad, value, {0})
+        f.gain_state = lambda: _SignedVector(weights, changes)
         return f
 
     with mock.patch.object(algorithms, "_replay", wraps=algorithms._replay) as replay:
-        outcomes = [greedy_outcome(solve, make_oracle, lambda: UniformMatroid(g, 3), None, True)
+        outcomes = [greedy_outcome(solve, make_oracle, lambda: UniformMatroid(g, m), None, True)
                     for solve in (greedy, reference.greedy)]
     assert replay.call_count == 1
     assert outcomes[0] == outcomes[1]
     if raised is None:
         assert outcomes[0][0][0] == g.set([0, 2, 3])
     else:
+        shown, members = raised
         assert outcomes[0][0] == (NonNegativityError,
-                                  f"oracle 'modular' returned {raised} < 0 on ElementSet([0, 3])")
+                                  f"oracle 'modular' returned {shown} < 0 on ElementSet({members})")
+
+
+def tied_coverage() -> WeightedCoverageObjective:
+    """Certified coverage on 7 elements whose first gains are
+    [2, 2, 2, 9, 2, 2, 2]; 3 is picked first and covers item 1, which
+    0, 1 and 5 share.  At S = {3}, w = 2 of fresh gain 2 ties the stale
+    gain 2 of 0 and 1 below it, which the heap pops, and of 4, 5 and 6
+    above it, which it does not."""
+    covers = [[1, 7], [1, 2], [3], [0, 1], [4, 5], [1, 6], [8, 9]]
+    weights = [8.0, 1.0, 1.0, 2.0, 1.0, 1.0, 1.0, 1.0, 1.5, 0.5]
+    obj = WeightedCoverageObjective(GroundSet(7), covers, weights)
+    assert obj._exact
+    return obj
+
+
+@pytest.mark.parametrize("constraint", ("uniform", "partition"))
+def test_the_replay_breaks_stale_ties_by_id_as_the_heap_does(constraint):
+    """Stale gains equal to w's fresh gain pop below w's id and stay above
+    it.  Under uniform:5 every entry fits in every round; under a partition
+    whose block {0, 3, 6} takes one element, 0 and 6 stop fitting once 3 is
+    picked, so a tied entry that no longer fits is dropped below w and
+    kept above it.  Solution, value, trace, the three counts and the cached
+    base equal the reference heap's."""
+    obj = tied_coverage()
+    g = obj.ground
+    assert [obj.evaluate(g.set([e])) for e in g.elements] == [2.0, 2.0, 2.0, 9.0, 2.0, 2.0, 2.0]
+
+    def make_I():
+        if constraint == "uniform":
+            return UniformMatroid(g, 5)
+        return PartitionMatroid(g, {e: 0 if e in (0, 3, 6) else 1 for e in g.elements}, {0: 1, 1: 3})
+
+    with mock.patch.object(algorithms, "_replay", wraps=algorithms._replay) as replay:
+        outcomes = [greedy_outcome(solve, obj.oracle, make_I, None, True)
+                    for solve in (greedy, reference.greedy)]
+    assert replay.call_count == 1
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0][:2] == ((g.set([0, 2, 3, 4, 6]), 16.0) if constraint == "uniform"
+                                  else (g.set([1, 2, 3, 4]), 14.0))
 
 
 @functools.lru_cache(maxsize=None)
